@@ -22,6 +22,7 @@
 #include "common/env.hh"
 #include "common/json.hh"
 #include "common/rng.hh"
+#include "core/accelerator.hh"
 #include "core/deep_mux.hh"
 #include "core/injector.hh"
 #include "core/spare.hh"
@@ -31,6 +32,7 @@
 #include "rtl/fault_inject.hh"
 #include "rtl/latch.hh"
 #include "rtl/multiplier.hh"
+#include "rtl/operator_sim.hh"
 #include "rtl/sigmoid_unit.hh"
 #include "transistor/reconstruct.hh"
 
@@ -225,6 +227,37 @@ BENCHMARK(BM_BatchEvalMultiplier16FaultyLanes)
     ->Arg(512);
 
 void
+BM_OpSimMultiplier16Mem(benchmark::State &state)
+{
+    // The retraining hot path: scalar OperatorSim::apply on a
+    // multiplier whose defect floats its output for some inputs
+    // (MEM), so the unit keeps state and never batches. Sites are
+    // redrawn until the fault set carries a MEM entry.
+    auto nl = std::make_shared<const Netlist>(
+        buildMultiplierSigned(16, FaStyle::Nand9));
+    Rng rng(12);
+    Injection inj = injectTransistorDefects(*nl, 1, rng);
+    auto has_mem = [](const FaultSet &f) {
+        for (const auto &[gate, fn] : f.overrides)
+            if (fn.hasMem())
+                return true;
+        return false;
+    };
+    while (!has_mem(inj.faults))
+        inj = injectTransistorDefects(*nl, 1, rng);
+    OperatorSim sim(nl, std::move(inj), cleanMultiplierSigned(16));
+    uint64_t a = 0x1234, b = 0x4321;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(sim.apply(a | (b << 16)));
+        a = (a * 7 + 3) & 0xffff;
+    }
+    state.counters["vectors/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_OpSimMultiplier16Mem);
+
+void
 BM_EvalSigmoidUnit(benchmark::State &state)
 {
     Netlist nl = buildSigmoidUnit(logisticPwlTable(), FaStyle::Nand9);
@@ -369,6 +402,32 @@ sweepModel(benchmark::State &state, ForwardModel &model,
         static_cast<double>(state.iterations() * rows.size()),
         benchmark::Counter::kIsRate);
 }
+
+void
+BM_SpatialForwardRowClean(benchmark::State &state)
+{
+    // One clean row through the paper's 90-10-10 array, per-row
+    // path: about 2,040 unit operations (multipliers, adder stages,
+    // activations), each resolving its unit slot. Retraining
+    // forwards every sample this way.
+    MlpTopology topo{90, 10, 10};
+    SpatialBackend accel(AcceleratorConfig(), topo);
+    MlpWeights w(topo);
+    Rng wr(7);
+    w.initRandom(wr, 1.2);
+    accel.setWeights(w);
+    std::vector<std::vector<double>> rows = sweepRows(90, 8);
+    size_t r = 0;
+    for (auto _ : state) {
+        Activations act = accel.forward(rows[r]);
+        benchmark::DoNotOptimize(act.layers.data());
+        r = (r + 1) % rows.size();
+    }
+    state.counters["rows/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SpatialForwardRowClean);
 
 void
 BM_AcceleratorForwardFaulty(benchmark::State &state)

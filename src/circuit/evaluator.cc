@@ -1,6 +1,8 @@
 #include "circuit/evaluator.hh"
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 
 #include "common/logging.hh"
 
@@ -11,54 +13,139 @@ namespace {
 /** Relaxation sweep cap; oscillating faulty feedback stops here. */
 constexpr int maxSweeps = 64;
 
+/** The faults one gate carries, gathered from a FaultSet. */
+struct GateFaults
+{
+    const GateFunction *override = nullptr;
+    uint32_t forceMask = 0; ///< inputs held by a stuck-at
+    uint32_t forceBits = 0; ///< their stuck values
+    int outputForce = -1;   ///< output stuck value, -1 = none
+    bool delayed = false;
+};
+
+/** Truth-table index of the input nets @p in under @p net. */
+inline uint32_t
+tableIndex(const uint8_t *net, const NetId *in)
+{
+    return net[in[0]] | net[in[1]] << 1 | net[in[2]] << 2 |
+        net[in[3]] << 3;
+}
+
 } // namespace
 
 Evaluator::Evaluator(const Netlist &netlist, FaultSet faults,
                      CleanFn clean)
     : nl(netlist), faultSet(std::move(faults)),
       cleanFn(std::move(clean)),
-      netVal(netlist.numNets(), 0),
-      haveFaults(!this->faultSet.empty()),
+      // Nets, the constant-zero padding net, one store per delay.
+      netVal(netlist.numNets() + 1 + faultSet.delayed.size(), 0),
       needsRelaxation(netlist.hasFeedback())
 {
-    if (cleanFn && haveFaults)
+    if (cleanFn && !faultSet.empty())
         cone = computeFaultCone(nl, faultSet);
+}
+
+const std::vector<Evaluator::Op> &
+Evaluator::program(bool full)
+{
+    // Folded on first use: a simulation that only ever runs on the
+    // wide-lane batch path never pays for a scalar program.
+    bool pruned = cone.valid && !full;
+    std::vector<Op> &ops = cone.valid && full ? fullProg : prog;
+    if (ops.empty()) {
+        // Either program covers every delayed gate (cone seeds), so
+        // the first one folded fills the latch tables.
+        ops = compile(pruned ? &cone.activeGates : nullptr,
+                      pending.empty() ? &pending : nullptr);
+    }
+    return ops;
+}
+
+std::vector<Evaluator::Op>
+Evaluator::compile(const std::vector<uint32_t> *gates,
+                   std::vector<Op> *pending_ops) const
+{
     size_t n = nl.numGates();
-    if (haveFaults) {
-        overridePtr.assign(n, nullptr);
-        delayedFlag.assign(n, 0);
-        delayStore.assign(n, 0);
-        inputForce.assign(n, {-1, -1, -1, -1});
-        outputForce.assign(n, -1);
-        for (const auto &[gi, fn] : faultSet.overrides) {
-            dtann_assert(gi < n, "override on unknown gate %u", gi);
-            dtann_assert(fn.numInputs() == nl.gate(gi).arity(),
-                         "override arity mismatch on gate %u", gi);
-            overridePtr[gi] = &fn;
-        }
-        for (uint32_t gi : faultSet.delayed) {
-            dtann_assert(gi < n, "delay fault on unknown gate %u", gi);
-            delayedFlag[gi] = 1;
-        }
-        for (const StuckAtFault &f : faultSet.stuckAt) {
-            dtann_assert(f.gate < n, "stuck-at on unknown gate %u", f.gate);
-            if (f.input < 0) {
-                outputForce[f.gate] = f.value ? 1 : 0;
-            } else {
-                dtann_assert(f.input < nl.gate(f.gate).arity(),
-                             "stuck-at input index out of range");
-                inputForce[f.gate][static_cast<size_t>(f.input)] =
-                    f.value ? 1 : 0;
-            }
+    std::map<uint32_t, GateFaults> faulty;
+    for (const auto &[gi, fn] : faultSet.overrides) {
+        dtann_assert(gi < n, "override on unknown gate %u", gi);
+        dtann_assert(fn.numInputs() == nl.gate(gi).arity(),
+                     "override arity mismatch on gate %u", gi);
+        faulty[gi].override = &fn;
+    }
+    for (uint32_t gi : faultSet.delayed) {
+        dtann_assert(gi < n, "delay fault on unknown gate %u", gi);
+        faulty[gi].delayed = true;
+    }
+    for (const StuckAtFault &f : faultSet.stuckAt) {
+        dtann_assert(f.gate < n, "stuck-at on unknown gate %u", f.gate);
+        GateFaults &gf = faulty[f.gate];
+        if (f.input < 0) {
+            gf.outputForce = f.value ? 1 : 0;
+        } else {
+            dtann_assert(f.input < nl.gate(f.gate).arity(),
+                         "stuck-at input index out of range");
+            uint32_t bit = 1u << f.input;
+            gf.forceMask |= bit;
+            gf.forceBits = (gf.forceBits & ~bit) | (f.value ? bit : 0);
         }
     }
+
+    const NetId zero_net = static_cast<NetId>(nl.numNets());
+    size_t count = gates ? gates->size() : n;
+    std::vector<Op> ops;
+    ops.reserve(count);
+    for (size_t k = 0; k < count; ++k) {
+        uint32_t gi = gates ? (*gates)[k] : static_cast<uint32_t>(k);
+        const Gate &g = nl.gate(gi);
+        auto it = faulty.find(gi);
+        GateFaults gf = it == faulty.end() ? GateFaults() : it->second;
+
+        // Input forces first, then the override (or the clean
+        // kind): the un-forced table a delayed gate latches from.
+        Op op{{zero_net, zero_net, zero_net, zero_net}, g.out, 0, 0};
+        int arity = g.arity();
+        for (int i = 0; i < arity; ++i)
+            op.in[i] = g.in[i];
+        uint32_t used = (1u << arity) - 1;
+        for (uint32_t idx = 0; idx < 16; ++idx) {
+            uint32_t in = ((idx & used) & ~gf.forceMask) | gf.forceBits;
+            LogicValue lv = gf.override ? gf.override->eval(in)
+                : gateEval(g.kind, in) ? LogicValue::One
+                                       : LogicValue::Zero;
+            if (lv == LogicValue::Mem)
+                op.mem |= static_cast<uint16_t>(1u << idx);
+            else if (lv == LogicValue::One)
+                op.value |= static_cast<uint16_t>(1u << idx);
+        }
+
+        if (gf.delayed) {
+            // The gate drives its stored net (index bit 0) this
+            // round; its un-forced table latches the next stored
+            // value after the sweeps.
+            NetId store = zero_net + 1 + static_cast<NetId>(
+                std::distance(faultSet.delayed.begin(),
+                              faultSet.delayed.find(gi)));
+            if (pending_ops) {
+                pending_ops->push_back(op);
+                pending_ops->back().out = store;
+            }
+            op = Op{{store, zero_net, zero_net, zero_net}, g.out,
+                    0xaaaa, 0};
+        }
+        // The output force overrides every non-MEM entry; a MEM
+        // entry keeps the previous value and skips the force.
+        if (gf.outputForce >= 0)
+            op.value = gf.outputForce ? 0xffff : 0;
+        ops.push_back(op);
+    }
+    return ops;
 }
 
 void
 Evaluator::reset()
 {
     std::fill(netVal.begin(), netVal.end(), 0);
-    std::fill(delayStore.begin(), delayStore.end(), 0);
 }
 
 void
@@ -83,68 +170,33 @@ Evaluator::setInputRange(size_t offset, size_t width, uint64_t bits)
         netVal[nl.inputs()[offset + i]] = (bits >> i) & 1;
 }
 
-uint32_t
-Evaluator::gateInputs(size_t gi) const
-{
-    const Gate &g = nl.gate(gi);
-    uint32_t in = 0;
-    int arity = g.arity();
-    for (int i = 0; i < arity; ++i)
-        in |= static_cast<uint32_t>(netVal[g.in[i]]) << i;
-    if (haveFaults) {
-        const auto &force = inputForce[gi];
-        for (int i = 0; i < arity; ++i) {
-            if (force[static_cast<size_t>(i)] >= 0) {
-                in &= ~(1u << i);
-                in |= static_cast<uint32_t>(
-                    force[static_cast<size_t>(i)]) << i;
-            }
-        }
-    }
-    return in;
-}
-
 void
 Evaluator::evaluate()
 {
-    runSweeps(nullptr);
+    runSweeps(program(true));
     latchDelayed();
 }
 
 void
-Evaluator::runSweeps(const std::vector<uint32_t> *active)
+Evaluator::runSweeps(const std::vector<Op> &ops)
 {
-    size_t n = active ? active->size() : nl.numGates();
     oscillated = false;
+    uint8_t *net = netVal.data();
     // Feedback-free netlists settle in a single topological sweep
     // (builders emit gates in dependency order); MEM entries read
     // the previous evaluation's value, which is exactly what the
     // floating node held.
     int sweep_cap = needsRelaxation ? maxSweeps : 1;
     for (sweeps = 0; sweeps < sweep_cap; ++sweeps) {
-        bool changed = false;
-        gateEvalCount += n;
-        for (size_t idx = 0; idx < n; ++idx) {
-            size_t gi = active ? (*active)[idx] : idx;
-            const Gate &g = nl.gate(gi);
-            uint8_t v;
-            if (haveFaults && delayedFlag[gi]) {
-                // Output lags: drive the stored value this round.
-                v = delayStore[gi];
-            } else if (haveFaults && overridePtr[gi]) {
-                LogicValue lv = overridePtr[gi]->eval(gateInputs(gi));
-                if (lv == LogicValue::Mem)
-                    continue; // Floating output: keep previous value.
-                v = (lv == LogicValue::One) ? 1 : 0;
-            } else {
-                v = gateEval(g.kind, gateInputs(gi)) ? 1 : 0;
-            }
-            if (haveFaults && outputForce[gi] >= 0)
-                v = static_cast<uint8_t>(outputForce[gi]);
-            if (netVal[g.out] != v) {
-                netVal[g.out] = v;
-                changed = true;
-            }
+        uint8_t changed = 0;
+        gateEvalCount += ops.size();
+        for (const Op &op : ops) {
+            uint32_t idx = tableIndex(net, op.in);
+            if (op.mem >> idx & 1)
+                continue; // Floating output: keep previous value.
+            uint8_t v = op.value >> idx & 1;
+            changed |= net[op.out] ^ v;
+            net[op.out] = v;
         }
         if (!changed)
             break;
@@ -156,21 +208,13 @@ Evaluator::runSweeps(const std::vector<uint32_t> *active)
 void
 Evaluator::latchDelayed()
 {
-    // Latch new pending values of delayed gates for the next round.
-    if (haveFaults) {
-        for (uint32_t gi : faultSet.delayed) {
-            uint8_t pending;
-            if (overridePtr[gi]) {
-                LogicValue lv = overridePtr[gi]->eval(gateInputs(gi));
-                if (lv == LogicValue::Mem)
-                    continue; // Keep the old stored value.
-                pending = (lv == LogicValue::One) ? 1 : 0;
-            } else {
-                pending =
-                    gateEval(nl.gate(gi).kind, gateInputs(gi)) ? 1 : 0;
-            }
-            delayStore[gi] = pending;
-        }
+    // Latch new pending values of delayed gates for the next round;
+    // a MEM entry keeps the old stored value.
+    uint8_t *net = netVal.data();
+    for (const Op &op : pending) {
+        uint32_t idx = tableIndex(net, op.in);
+        if (!(op.mem >> idx & 1))
+            net[op.out] = op.value >> idx & 1;
     }
 }
 
@@ -216,7 +260,7 @@ Evaluator::evaluateBits(uint64_t input_bits)
     // fault semantics (MEM retention, delayed outputs, stuck-ats)
     // depend solely on the active gates' nets, which persist across
     // calls exactly as in the full sweep.
-    runSweeps(&cone.activeGates);
+    runSweeps(program(false));
     latchDelayed();
     uint64_t sim = outputBits(n_out);
     uint64_t clean = cleanFn(input_bits);

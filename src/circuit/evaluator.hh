@@ -9,12 +9,18 @@
  * faulty gates with MEM entries converge in a few. Net values
  * persist across evaluations, which is what gives faulty gates their
  * memory behaviour.
+ *
+ * Before the first sweep every gate's faults (input stuck-ats,
+ * transistor override, output stuck-at) fold into one 16-entry
+ * {value, mem} truth table, and the gates to sweep are laid out as a
+ * flat op program (see DESIGN.md §9). The sweep loop is then the same
+ * for clean and faulty gates: gather up to four input bits, index the
+ * table, keep the old value on a MEM entry.
  */
 
 #ifndef DTANN_CIRCUIT_EVALUATOR_HH
 #define DTANN_CIRCUIT_EVALUATOR_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -39,11 +45,6 @@ class Evaluator
      */
     explicit Evaluator(const Netlist &netlist, FaultSet faults = {},
                        CleanFn clean = {});
-
-    // Internal tables point into the owned fault set; keep the
-    // evaluator pinned in place.
-    Evaluator(const Evaluator &) = delete;
-    Evaluator &operator=(const Evaluator &) = delete;
 
     /** Clear all state (nets and delayed-gate stores) to 0. */
     void reset();
@@ -94,25 +95,39 @@ class Evaluator
     uint64_t gateEvals() const { return gateEvalCount; }
 
   private:
+    /**
+     * One gate of the folded op program. Unused inputs read the
+     * constant-zero net, so the table index is always the 4-bit
+     * shift-or of the input nets. A set mem bit keeps the output
+     * net's previous value; otherwise the value bit is driven.
+     */
+    struct Op
+    {
+        NetId in[4];
+        NetId out;
+        uint16_t value;
+        uint16_t mem;
+    };
+
     const Netlist &nl;
     FaultSet faultSet;
     CleanFn cleanFn;
     FaultCone cone;
 
-    /** Per-net current value. */
+    /**
+     * Per-net current value, followed by the constant-zero padding
+     * net and one stored-output net per delayed gate.
+     */
     std::vector<uint8_t> netVal;
-    /** Per-gate stored output for delayed gates (index aligned). */
-    std::vector<uint8_t> delayStore;
-    /** Per-gate override pointer (null when clean), by gate index. */
-    std::vector<const GateFunction *> overridePtr;
-    /** Per-gate delayed flag. */
-    std::vector<uint8_t> delayedFlag;
-    /** Per-gate, per-input stuck value (-1 = none). */
-    std::vector<std::array<int8_t, 4>> inputForce;
-    /** Per-gate output stuck value (-1 = none). */
-    std::vector<int8_t> outputForce;
-    /** True when any fault table is populated. */
-    bool haveFaults;
+    /** Sweep program: the cone's active gates when cone-pruned,
+     *  else every gate, in gate (= sweep) order. */
+    std::vector<Op> prog;
+    /** Every gate, for evaluate() (the full sweep) on a cone-pruned
+     *  evaluator; empty otherwise. */
+    std::vector<Op> fullProg;
+    /** Delayed gates' un-forced tables, writing their stored-output
+     *  nets (faultSet.delayed order). */
+    std::vector<Op> pending;
     /** True when the netlist has feedback and needs relaxation. */
     bool needsRelaxation;
 
@@ -120,11 +135,19 @@ class Evaluator
     bool oscillated = false;
     uint64_t gateEvalCount = 0;
 
-    /** Compute the (fault-adjusted) packed inputs of gate @p gi. */
-    uint32_t gateInputs(size_t gi) const;
+    /**
+     * Fold @p gates (all gates when null) into a sweep program;
+     * delayed gates' latch tables go to @p pending_ops when given.
+     */
+    std::vector<Op> compile(const std::vector<uint32_t> *gates,
+                            std::vector<Op> *pending_ops = nullptr) const;
 
-    /** Sweep @p active gates (all gates when null) until stable. */
-    void runSweeps(const std::vector<uint32_t> *active);
+    /** The folded program for a full sweep (@p full) or for
+     *  evaluateBits(); compiled on first use. */
+    const std::vector<Op> &program(bool full);
+
+    /** Sweep @p ops until stable (or the sweep cap). */
+    void runSweeps(const std::vector<Op> &ops);
 
     /** Latch pending values of delayed gates for the next round. */
     void latchDelayed();

@@ -1,5 +1,6 @@
 #include "core/backend.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <tuple>
@@ -193,6 +194,21 @@ HardwareBackend::HardwareBackend(const AcceleratorConfig &config,
                  "array (use the time-multiplexed wrapper)",
                  logical.inputs, logical.hidden, logical.outputs,
                  cfg.inputs, cfg.hidden, cfg.outputs);
+    // Operand extents per kind (latch, mult, adder, act): a bias
+    // synapse after the widest fan-in, one stage fewer, one unit.
+    int fanin = std::max(cfg.inputs, cfg.hidden);
+    slotNeurons = std::max(cfg.hidden, cfg.outputs);
+    slotIndices[static_cast<size_t>(UnitKind::WeightLatch)] = fanin + 1;
+    slotIndices[static_cast<size_t>(UnitKind::Multiplier)] = fanin + 1;
+    slotIndices[static_cast<size_t>(UnitKind::AdderStage)] = fanin;
+    slotIndices[static_cast<size_t>(UnitKind::Activation)] = 1;
+    size_t total = 0;
+    for (size_t kl = 0; kl < 8; ++kl) {
+        slotBase[kl] = total;
+        total += static_cast<size_t>(slotNeurons * slotIndices[kl / 2]);
+    }
+    slotOf.assign(total, 0);
+    slotState.resize(1);
 }
 
 HardwareBackend::~HardwareBackend() = default;
@@ -214,11 +230,43 @@ HardwareBackend::unitNetlist(UnitKind kind) const
     }
 }
 
-OperatorSim *
-HardwareBackend::simFor(const UnitSite &site)
+void
+HardwareBackend::refreshSlots(const UnitSite &site)
 {
     auto it = faulty.find(site);
-    return it == faulty.end() ? nullptr : it->second.get();
+    OperatorSim *sim = it == faulty.end() ? nullptr : it->second.get();
+    bool off = bypassed.count(site) != 0;
+    int indices = slotIndices[static_cast<size_t>(site.kind)];
+    // Scan every pass address of the kind rather than inverting
+    // physicalSite(): the fold stays the single source of truth.
+    for (Layer layer : {Layer::Hidden, Layer::Output}) {
+        for (int n = 0; n < slotNeurons; ++n) {
+            for (int i = 0; i < indices; ++i) {
+                UnitSite pass{site.kind, layer, n, i};
+                if (!(physicalSite(pass) == site))
+                    continue;
+                uint16_t &ix = slotOf[slotIndex(site.kind, layer, n, i)];
+                if (ix == 0) {
+                    dtann_assert(slotState.size() <= UINT16_MAX,
+                                 "unit slot table full");
+                    ix = static_cast<uint16_t>(slotState.size());
+                    slotState.emplace_back();
+                }
+                slotState[ix] = {sim, sim ? &probes[pass] : nullptr, off};
+            }
+        }
+    }
+}
+
+void
+HardwareBackend::rebuildSlots()
+{
+    std::fill(slotOf.begin(), slotOf.end(), 0);
+    slotState.resize(1);
+    for (const auto &[site, sim] : faulty)
+        refreshSlots(site);
+    for (const UnitSite &site : bypassed)
+        refreshSlots(site);
 }
 
 std::vector<InjectionRecord>
@@ -271,7 +319,9 @@ HardwareBackend::injectDefects(const UnitSite &pass_site, int count,
         faulty[site] = std::make_unique<OperatorSim>(
             nl, std::move(fresh), std::move(clean));
     }
-    probes[site]; // ensure a probe exists
+    // A merge replaced the simulation: no slot may keep the old one.
+    // Resolving the slots also creates the units' probes.
+    refreshSlots(site);
     return records;
 }
 
@@ -280,6 +330,7 @@ HardwareBackend::clearDefects()
 {
     faulty.clear();
     probes.clear();
+    rebuildSlots();
 }
 
 std::vector<UnitSite>
@@ -327,13 +378,16 @@ HardwareBackend::bistLatchStore(Layer layer, int neuron, int synapse,
 void
 HardwareBackend::bypassUnit(const UnitSite &site)
 {
-    bypassed.insert(physicalSite(site));
+    UnitSite phys = physicalSite(site);
+    bypassed.insert(phys);
+    refreshSlots(phys);
 }
 
 void
 HardwareBackend::clearBypasses()
 {
     bypassed.clear();
+    rebuildSlots();
 }
 
 bool
@@ -410,19 +464,18 @@ Fix16
 HardwareBackend::unitLatchStore(Layer layer, int neuron, int synapse,
                                 Fix16 d)
 {
-    UnitSite pass{UnitKind::WeightLatch, layer, neuron, synapse};
-    UnitSite site = physicalSite(pass);
-    if (isBypassed(site))
+    const UnitSlot &s =
+        slot(UnitKind::WeightLatch, layer, neuron, synapse);
+    if (s.bypassed)
         return Fix16(); // latch disconnected: weight reads as zero
-    OperatorSim *sim = simFor(site);
-    if (!sim)
+    if (!s.sim)
         return d;
     // Open the latch (EN=1) with D applied, then close it.
     uint64_t bits = static_cast<uint64_t>(d.bits());
-    sim->apply(bits | (1ull << 16));
-    uint64_t q = sim->apply(bits); // EN=0
+    s.sim->apply(bits | (1ull << 16));
+    uint64_t q = s.sim->apply(bits); // EN=0
     Fix16 stored = Fix16::fromRaw(static_cast<int16_t>(q & 0xffff));
-    probes[pass].amplitude.add(
+    s.probe->amplitude.add(
         std::abs(stored.toDouble() - d.toDouble()));
     return stored;
 }
@@ -431,20 +484,18 @@ Fix16
 HardwareBackend::unitMul(Layer layer, int neuron, int synapse, Fix16 w,
                          Fix16 x)
 {
-    UnitSite pass{UnitKind::Multiplier, layer, neuron, synapse};
-    UnitSite site = physicalSite(pass);
-    if (isBypassed(site))
+    const UnitSlot &s = slot(UnitKind::Multiplier, layer, neuron, synapse);
+    if (s.bypassed)
         return Fix16(); // product gated to zero
-    OperatorSim *sim = simFor(site);
     Fix16 clean = Fix16::hwMul(w, x);
-    if (!sim)
+    if (!s.sim)
         return clean;
     uint64_t in = static_cast<uint64_t>(w.bits()) |
         (static_cast<uint64_t>(x.bits()) << 16);
-    uint64_t product = sim->apply(in);
+    uint64_t product = s.sim->apply(in);
     Fix16 got = Fix16::fromRaw(static_cast<int16_t>(
         (product >> Fix16::fracBits) & 0xffff));
-    probes[pass].amplitude.add(
+    s.probe->amplitude.add(
         std::abs(got.toDouble() - clean.toDouble()));
     return got;
 }
@@ -453,23 +504,21 @@ Acc24
 HardwareBackend::unitAdd(Layer layer, int neuron, int stage, Acc24 a,
                          Acc24 b)
 {
-    UnitSite pass{UnitKind::AdderStage, layer, neuron, stage};
-    UnitSite site = physicalSite(pass);
-    if (isBypassed(site))
+    const UnitSlot &s = slot(UnitKind::AdderStage, layer, neuron, stage);
+    if (s.bypassed)
         return a; // stage skipped: accumulator passes through
-    OperatorSim *sim = simFor(site);
     Acc24 clean = Acc24::hwAdd(a, b);
-    if (!sim)
+    if (!s.sim)
         return clean;
     uint64_t in = static_cast<uint64_t>(a.bits()) |
         (static_cast<uint64_t>(b.bits()) << 24);
-    uint64_t sum = sim->apply(in) & 0xffffffull;
+    uint64_t sum = s.sim->apply(in) & 0xffffffull;
     uint32_t u = static_cast<uint32_t>(sum);
     int32_t raw = (u & 0x800000u)
         ? static_cast<int32_t>(u | 0xff000000u)
         : static_cast<int32_t>(u);
     Acc24 got = Acc24::fromRaw(raw);
-    probes[pass].amplitude.add(
+    s.probe->amplitude.add(
         std::abs(got.toDouble() - clean.toDouble()));
     return got;
 }
@@ -477,17 +526,15 @@ HardwareBackend::unitAdd(Layer layer, int neuron, int stage, Acc24 a,
 Fix16
 HardwareBackend::unitAct(Layer layer, int neuron, Fix16 x)
 {
-    UnitSite pass{UnitKind::Activation, layer, neuron, 0};
-    UnitSite site = physicalSite(pass);
-    if (isBypassed(site))
+    const UnitSlot &s = slot(UnitKind::Activation, layer, neuron, 0);
+    if (s.bypassed)
         return Fix16(); // neuron silenced
-    OperatorSim *sim = simFor(site);
     Fix16 clean = logisticPwlFix(x);
-    if (!sim)
+    if (!s.sim)
         return clean;
-    uint64_t y = sim->apply(static_cast<uint64_t>(x.bits()));
+    uint64_t y = s.sim->apply(static_cast<uint64_t>(x.bits()));
     Fix16 got = Fix16::fromRaw(static_cast<int16_t>(y & 0xffff));
-    probes[pass].amplitude.add(
+    s.probe->amplitude.add(
         std::abs(got.toDouble() - clean.toDouble()));
     return got;
 }
@@ -497,25 +544,23 @@ HardwareBackend::unitMulLanes(Layer layer, int neuron, int synapse,
                               Fix16 w, const Fix16 *x, Fix16 *out,
                               size_t lanes)
 {
-    UnitSite pass{UnitKind::Multiplier, layer, neuron, synapse};
-    UnitSite site = physicalSite(pass);
-    if (isBypassed(site)) {
+    const UnitSlot &s = slot(UnitKind::Multiplier, layer, neuron, synapse);
+    if (s.bypassed) {
         for (size_t l = 0; l < lanes; ++l)
             out[l] = Fix16(); // product gated to zero
         return;
     }
-    OperatorSim *sim = simFor(site);
-    if (!sim) {
+    if (!s.sim) {
         for (size_t l = 0; l < lanes; ++l)
             out[l] = Fix16::hwMul(w, x[l]);
         return;
     }
-    std::array<uint64_t, kMaxLanes> in, product;
+    std::array<uint64_t, kMaxLanes> in{}, product;
     for (size_t l = 0; l < lanes; ++l)
         in[l] = static_cast<uint64_t>(w.bits()) |
             (static_cast<uint64_t>(x[l].bits()) << 16);
-    sim->applyLanes(in.data(), product.data(), lanes);
-    DeviationProbe &pr = probes[pass];
+    s.sim->applyLanes(in.data(), product.data(), lanes);
+    DeviationProbe &pr = *s.probe;
     // Probe updates in lane (= row) order: the Welford accumulator
     // is order-dependent, and bit-identity with the scalar path
     // requires the same per-site sequence.
@@ -532,22 +577,20 @@ void
 HardwareBackend::unitAddLanes(Layer layer, int neuron, int stage,
                               Acc24 *acc, const Acc24 *b, size_t lanes)
 {
-    UnitSite pass{UnitKind::AdderStage, layer, neuron, stage};
-    UnitSite site = physicalSite(pass);
-    if (isBypassed(site))
+    const UnitSlot &s = slot(UnitKind::AdderStage, layer, neuron, stage);
+    if (s.bypassed)
         return; // stage skipped: accumulator passes through
-    OperatorSim *sim = simFor(site);
-    if (!sim) {
+    if (!s.sim) {
         for (size_t l = 0; l < lanes; ++l)
             acc[l] = Acc24::hwAdd(acc[l], b[l]);
         return;
     }
-    std::array<uint64_t, kMaxLanes> in, sum;
+    std::array<uint64_t, kMaxLanes> in{}, sum;
     for (size_t l = 0; l < lanes; ++l)
         in[l] = static_cast<uint64_t>(acc[l].bits()) |
             (static_cast<uint64_t>(b[l].bits()) << 24);
-    sim->applyLanes(in.data(), sum.data(), lanes);
-    DeviationProbe &pr = probes[pass];
+    s.sim->applyLanes(in.data(), sum.data(), lanes);
+    DeviationProbe &pr = *s.probe;
     for (size_t l = 0; l < lanes; ++l) {
         Acc24 clean = Acc24::hwAdd(acc[l], b[l]);
         uint32_t u = static_cast<uint32_t>(sum[l] & 0xffffffull);
@@ -564,24 +607,22 @@ void
 HardwareBackend::unitActLanes(Layer layer, int neuron, const Fix16 *x,
                               Fix16 *out, size_t lanes)
 {
-    UnitSite pass{UnitKind::Activation, layer, neuron, 0};
-    UnitSite site = physicalSite(pass);
-    if (isBypassed(site)) {
+    const UnitSlot &s = slot(UnitKind::Activation, layer, neuron, 0);
+    if (s.bypassed) {
         for (size_t l = 0; l < lanes; ++l)
             out[l] = Fix16(); // neuron silenced
         return;
     }
-    OperatorSim *sim = simFor(site);
-    if (!sim) {
+    if (!s.sim) {
         for (size_t l = 0; l < lanes; ++l)
             out[l] = logisticPwlFix(x[l]);
         return;
     }
-    std::array<uint64_t, kMaxLanes> in, y;
+    std::array<uint64_t, kMaxLanes> in{}, y;
     for (size_t l = 0; l < lanes; ++l)
         in[l] = static_cast<uint64_t>(x[l].bits());
-    sim->applyLanes(in.data(), y.data(), lanes);
-    DeviationProbe &pr = probes[pass];
+    s.sim->applyLanes(in.data(), y.data(), lanes);
+    DeviationProbe &pr = *s.probe;
     for (size_t l = 0; l < lanes; ++l) {
         Fix16 clean = logisticPwlFix(x[l]);
         Fix16 got =

@@ -38,6 +38,7 @@
 #include "ann/mlp.hh"
 #include "circuit/sim_counters.hh"
 #include "common/fixed_point.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "rtl/builder.hh"
 #include "rtl/operator_sim.hh"
@@ -326,8 +327,29 @@ class HardwareBackend : public ForwardModel
         return pass_site;
     }
 
-    /** Faulty-unit lookup; null when the site is clean. */
-    OperatorSim *simFor(const UnitSite &site);
+    /**
+     * Resolved state of one pass address: the simulation of the
+     * physical unit it executes on (null when clean), whether that
+     * unit is bypassed, and the pass-keyed deviation probe (set
+     * whenever sim is). Slots are derived from the faulty/bypassed
+     * containers on every change to them, so the per-operation
+     * paths do one table lookup instead of folding the address and
+     * searching the containers.
+     */
+    struct UnitSlot
+    {
+        OperatorSim *sim = nullptr;
+        DeviationProbe *probe = nullptr;
+        bool bypassed = false;
+    };
+
+    /** The slot of pass address (@p kind, @p layer, @p neuron,
+     *  @p index). */
+    const UnitSlot &
+    slot(UnitKind kind, Layer layer, int neuron, int index) const
+    {
+        return slotState[slotOf[slotIndex(kind, layer, neuron, index)]];
+    }
 
     /** Apply @p layer's clamp window to one datapath value. */
     Fix16 clampValue(Layer layer, Fix16 x);
@@ -357,16 +379,57 @@ class HardwareBackend : public ForwardModel
     std::shared_ptr<const Netlist> latchNl;
     std::shared_ptr<const Netlist> actNl;
 
-    /** Gate-level sims of faulty units (physical-site keyed). */
-    std::map<UnitSite, std::unique_ptr<OperatorSim>> faulty;
-    /** Units disconnected by the mitigation bypass muxes. */
-    std::set<UnitSite> bypassed;
     /** Per-layer activation clamp windows (Hidden, Output). */
     ActivationClamp clamps[2];
     uint64_t clampHitCount = 0;
     /** Deviation probes (pass-address keyed; see physicalSite()). */
     std::map<UnitSite, DeviationProbe> probes;
     DeviationProbe cleanProbe; // returned for clean sites
+
+  private:
+    /** Gate-level sims of faulty units (physical-site keyed). */
+    std::map<UnitSite, std::unique_ptr<OperatorSim>> faulty;
+    /** Units disconnected by the mitigation bypass muxes. */
+    std::set<UnitSite> bypassed;
+
+    /**
+     * Dense pass-address table, [kind][layer][neuron][index], of
+     * indices into slotState (0: the shared clean slot). Every
+     * layer spans max(hidden, outputs) neurons and, per kind, the
+     * widest operand index of either pass (activations: 1), so both
+     * backends' pass addresses and the systolic grid's physical
+     * addresses (BIST scans) all have an entry. Two bytes per
+     * address keep the table cache-resident on the clean path.
+     */
+    std::vector<uint16_t> slotOf;
+    /** Resolved slots; [0] is clean, the rest one per non-clean
+     *  pass address. */
+    std::vector<UnitSlot> slotState;
+    int slotNeurons = 0;
+    int slotIndices[4] = {};
+    size_t slotBase[8] = {};
+
+    size_t
+    slotIndex(UnitKind kind, Layer layer, int neuron, int index) const
+    {
+        size_t k = static_cast<size_t>(kind);
+        dtann_assert(neuron >= 0 && neuron < slotNeurons && index >= 0 &&
+                         index < slotIndices[k],
+                     "unit address out of range");
+        return slotBase[2 * k + static_cast<size_t>(layer)] +
+            static_cast<size_t>(neuron * slotIndices[k] + index);
+    }
+
+    /**
+     * Re-resolve every pass address that folds onto physical unit
+     * @p site, which must be in faulty or bypassed, from the
+     * containers. Called by every insertion into either.
+     */
+    void refreshSlots(const UnitSite &site);
+
+    /** Reset every slot to clean and re-resolve the sites left in
+     *  faulty and bypassed (after a clear). */
+    void rebuildSlots();
 };
 
 /**

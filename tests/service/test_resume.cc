@@ -112,14 +112,29 @@ tinyMitigation()
     return spec;
 }
 
-class ResumeBitIdentity
-    : public testing::TestWithParam<ScenarioSpec (*)()>
+/**
+ * A spec factory as a test parameter. Wrapped so gtest prints the
+ * scenario kind rather than the function pointer, whose address
+ * changes from run to run and would make the test names unstable.
+ */
+struct Scenario
+{
+    ScenarioSpec (*make)();
+};
+
+void
+PrintTo(const Scenario &scenario, std::ostream *os)
+{
+    *os << scenario.make().kind;
+}
+
+class ResumeBitIdentity : public testing::TestWithParam<Scenario>
 {
 };
 
 TEST_P(ResumeBitIdentity, TruncatedJournalResumesExactly)
 {
-    ScenarioSpec spec = GetParam()();
+    ScenarioSpec spec = GetParam().make();
     std::string path = tempPath("resume_" + spec.kind);
     std::remove(path.c_str());
 
@@ -154,7 +169,7 @@ TEST_P(ResumeBitIdentity, ShardedWorkersMergeBitIdentically)
     // the cells with index % 2 == shard into their own journals;
     // absorbing both into one journal and replaying unsharded must
     // reproduce the single-process export byte for byte.
-    ScenarioSpec spec = GetParam()();
+    ScenarioSpec spec = GetParam().make();
     std::string expected = runScenario(spec).json;
 
     std::string shard0 = tempPath("shard0_" + spec.kind);
@@ -198,7 +213,7 @@ TEST_P(ResumeBitIdentity, DeadShardCellsAreRecomputedOnReplay)
     // A worker killed mid-job leaves a short (or missing) shard
     // journal; the parent's unsharded replay recomputes whatever is
     // absent and still exports byte-identically.
-    ScenarioSpec spec = GetParam()();
+    ScenarioSpec spec = GetParam().make();
     std::string expected = runScenario(spec).json;
 
     std::string shard0 = tempPath("deadshard_" + spec.kind);
@@ -227,9 +242,10 @@ TEST_P(ResumeBitIdentity, DeadShardCellsAreRecomputedOnReplay)
 
 INSTANTIATE_TEST_SUITE_P(
     Campaigns, ResumeBitIdentity,
-    testing::Values(&tinyFig10, &tinyFig5, &tinyMitigation),
-    [](const testing::TestParamInfo<ScenarioSpec (*)()> &info) {
-        return info.param().kind;
+    testing::Values(Scenario{&tinyFig10}, Scenario{&tinyFig5},
+                    Scenario{&tinyMitigation}),
+    [](const testing::TestParamInfo<Scenario> &info) {
+        return info.param.make().kind;
     });
 
 TEST(Resume, CorruptPayloadRecomputesBitIdentically)

@@ -10,9 +10,11 @@
  * (baseline time over current time, so > 1 is faster than the
  * baseline), and fails when any benchmark regressed beyond the
  * tolerance: current time above baseline * (1 + F), default
- * F = 0.5. Only plain iteration runs are compared (aggregate rows
- * are skipped), and only names present in both files count — a new
- * benchmark has no baseline to regress against.
+ * F = 0.5. A repeated benchmark is represented by its "median"
+ * aggregate row when the file has one (a baseline recorded with
+ * --benchmark_repetitions), else by its plain iteration run; other
+ * aggregates are skipped. Only names present in both files count —
+ * a new benchmark has no baseline to regress against.
  *
  * Campaign mode is selected automatically when both inputs are
  * campaign envelopes. It matches result curves by figure, task and
@@ -115,18 +117,26 @@ loadEnvelope(const std::string &path, const JsonValue &v)
     if (!benches)
         throw std::runtime_error("'" + path +
                                  "' has no \"benchmarks\" array");
+    std::map<std::string, Run> medians;
     for (const JsonValue &b : benches->items()) {
-        // Aggregates (mean/median/stddev rows of repeated runs)
-        // would double-count; compare plain iteration runs only.
-        if (const JsonValue *rt = b.find("run_type"))
-            if (rt->asString() != "iteration")
-                continue;
         Run run;
         run.realTime = b.at("real_time").asNumber();
         if (const JsonValue *u = b.find("time_unit"))
             run.timeUnit = u->asString();
+        // Repeated runs: the median aggregate (keyed by run_name)
+        // stands for the benchmark; mean/stddev/cv rows are skipped.
+        if (const JsonValue *rt = b.find("run_type")) {
+            if (rt->asString() != "iteration") {
+                const JsonValue *agg = b.find("aggregate_name");
+                if (agg && agg->asString() == "median")
+                    medians[b.at("run_name").asString()] = run;
+                continue;
+            }
+        }
         env.runs[b.at("name").asString()] = run;
     }
+    for (const auto &[name, run] : medians)
+        env.runs[name] = run;
     return env;
 }
 
