@@ -258,6 +258,63 @@ BM_OpSimMultiplier16Mem(benchmark::State &state)
 BENCHMARK(BM_OpSimMultiplier16Mem);
 
 void
+BM_OpSimMultiplier16Repeat(benchmark::State &state)
+{
+    // The same MEM multiplier under a trainer-like stream: 40
+    // (weight, activation) words cycled, as one synapse sees its
+    // training rows epoch after epoch. Most calls are memo hits;
+    // BM_OpSimMultiplier16Mem (no repeats) prices a miss.
+    auto nl = std::make_shared<const Netlist>(
+        buildMultiplierSigned(16, FaStyle::Nand9));
+    Rng rng(12);
+    Injection inj = injectTransistorDefects(*nl, 1, rng);
+    auto has_mem = [](const FaultSet &f) {
+        for (const auto &[gate, fn] : f.overrides)
+            if (fn.hasMem())
+                return true;
+        return false;
+    };
+    while (!has_mem(inj.faults))
+        inj = injectTransistorDefects(*nl, 1, rng);
+    OperatorSim sim(nl, std::move(inj), cleanMultiplierSigned(16));
+    std::vector<uint64_t> cycle(40);
+    uint64_t weight = rng.nextUint(1u << 16);
+    for (auto &v : cycle)
+        v = weight | (rng.nextUint(1u << 16) << 16);
+    size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(sim.apply(cycle[i]));
+        i = i + 1 == cycle.size() ? 0 : i + 1;
+    }
+    SimCounters c = sim.counters();
+    state.counters["hit_rate"] = static_cast<double>(c.memoHits) /
+        static_cast<double>(c.scalarVectors);
+    state.counters["vectors/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_OpSimMultiplier16Repeat);
+
+void
+BM_OpSimConstruct(benchmark::State &state)
+{
+    // What every injection pays before its first result: draw one
+    // transistor defect on the 16-bit multiplier, build the
+    // OperatorSim (fault cone, batch planes) and make the first
+    // apply() (program fold, memo allocation).
+    auto nl = std::make_shared<const Netlist>(
+        buildMultiplierSigned(16, FaStyle::Nand9));
+    CleanFn clean = cleanMultiplierSigned(16);
+    Rng rng(21);
+    for (auto _ : state) {
+        Injection inj = injectTransistorDefects(*nl, 1, rng);
+        OperatorSim sim(nl, std::move(inj), clean);
+        benchmark::DoNotOptimize(sim.apply(0x12344321));
+    }
+}
+BENCHMARK(BM_OpSimConstruct);
+
+void
 BM_EvalSigmoidUnit(benchmark::State &state)
 {
     Netlist nl = buildSigmoidUnit(logisticPwlTable(), FaStyle::Nand9);

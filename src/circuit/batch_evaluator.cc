@@ -25,16 +25,18 @@ BatchEvaluator::supports(const Netlist &netlist, const FaultSet &faults,
 
 std::optional<BatchEvaluator>
 BatchEvaluator::tryCreate(const Netlist &netlist, FaultSet faults,
-                          CleanFn clean, size_t lanes)
+                          CleanFn clean, size_t lanes,
+                          const FaultCone *cone)
 {
     if (!supports(netlist, faults))
         return std::nullopt;
     return std::optional<BatchEvaluator>(BatchEvaluator(
-        netlist, std::move(faults), std::move(clean), lanes));
+        netlist, std::move(faults), std::move(clean), lanes, cone));
 }
 
 BatchEvaluator::BatchEvaluator(const Netlist &netlist, FaultSet faults,
-                               CleanFn clean, size_t lanes)
+                               CleanFn clean, size_t lanes,
+                               const FaultCone *cone_in)
     : nl(netlist), faultSet(std::move(faults)),
       cleanFn(std::move(clean)),
       words(lanes / 64),
@@ -79,7 +81,7 @@ BatchEvaluator::BatchEvaluator(const Netlist &netlist, FaultSet faults,
             }
         }
         if (cleanFn)
-            cone = computeFaultCone(nl, faultSet);
+            cone = cone_in ? *cone_in : computeFaultCone(nl, faultSet);
     }
 }
 

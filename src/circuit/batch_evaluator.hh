@@ -64,17 +64,21 @@ class BatchEvaluator
      * @param lanes plane width: 64 (default, the single-word
      *        oracle), 256 or 512; batchLaneWidth() resolves the
      *        machine's best width from the DTANN_LANES knob
+     * @param cone optional computeFaultCone(netlist, faults), for a
+     *        caller that builds several evaluators over one fault
+     *        set (copied; computed here when null)
      */
     static std::optional<BatchEvaluator> tryCreate(
         const Netlist &netlist, FaultSet faults = {}, CleanFn clean = {},
-        size_t lanes = 64);
+        size_t lanes = 64, const FaultCone *cone = nullptr);
 
     /**
      * @param netlist the circuit; asserts supports(netlist, faults)
      *        — use tryCreate() when the answer is not known statically
      */
     explicit BatchEvaluator(const Netlist &netlist, FaultSet faults = {},
-                            CleanFn clean = {}, size_t lanes = 64);
+                            CleanFn clean = {}, size_t lanes = 64,
+                            const FaultCone *cone = nullptr);
 
     /** Lanes evaluated per sweep (64, 256 or 512). */
     size_t laneCount() const { return 64 * words; }

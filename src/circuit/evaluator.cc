@@ -34,7 +34,7 @@ tableIndex(const uint8_t *net, const NetId *in)
 } // namespace
 
 Evaluator::Evaluator(const Netlist &netlist, FaultSet faults,
-                     CleanFn clean)
+                     CleanFn clean, const FaultCone *cone_in)
     : nl(netlist), faultSet(std::move(faults)),
       cleanFn(std::move(clean)),
       // Nets, the constant-zero padding net, one store per delay.
@@ -42,7 +42,7 @@ Evaluator::Evaluator(const Netlist &netlist, FaultSet faults,
       needsRelaxation(netlist.hasFeedback())
 {
     if (cleanFn && !faultSet.empty())
-        cone = computeFaultCone(nl, faultSet);
+        cone = cone_in ? *cone_in : computeFaultCone(nl, faultSet);
 }
 
 const std::vector<Evaluator::Op> &
@@ -57,6 +57,13 @@ Evaluator::program(bool full)
         // the first one folded fills the latch tables.
         ops = compile(pruned ? &cone.activeGates : nullptr,
                       pending.empty() ? &pending : nullptr);
+        if (pruned) {
+            for (const Op &op : ops)
+                if (op.mem)
+                    stateNetList.push_back(op.out);
+            for (const Op &op : pending)
+                stateNetList.push_back(op.out);
+        }
     }
     return ops;
 }
@@ -98,15 +105,20 @@ Evaluator::compile(const std::vector<uint32_t> *gates,
     for (size_t k = 0; k < count; ++k) {
         uint32_t gi = gates ? (*gates)[k] : static_cast<uint32_t>(k);
         const Gate &g = nl.gate(gi);
-        auto it = faulty.find(gi);
-        GateFaults gf = it == faulty.end() ? GateFaults() : it->second;
-
-        // Input forces first, then the override (or the clean
-        // kind): the un-forced table a delayed gate latches from.
         Op op{{zero_net, zero_net, zero_net, zero_net}, g.out, 0, 0};
         int arity = g.arity();
         for (int i = 0; i < arity; ++i)
             op.in[i] = g.in[i];
+        auto it = faulty.find(gi);
+        if (it == faulty.end()) {
+            op.value = gateTable(g.kind);
+            ops.push_back(op);
+            continue;
+        }
+        const GateFaults &gf = it->second;
+
+        // Input forces first, then the override (or the clean
+        // kind): the un-forced table a delayed gate latches from.
         uint32_t used = (1u << arity) - 1;
         for (uint32_t idx = 0; idx < 16; ++idx) {
             uint32_t in = ((idx & used) & ~gf.forceMask) | gf.forceBits;
@@ -216,6 +228,40 @@ Evaluator::latchDelayed()
         if (!(op.mem >> idx & 1))
             net[op.out] = op.value >> idx & 1;
     }
+}
+
+const std::vector<NetId> &
+Evaluator::stateNets()
+{
+    if (cone.valid)
+        program(false);
+    return stateNetList;
+}
+
+uint64_t
+Evaluator::stateBits() const
+{
+    dtann_assert(stateNetList.size() <= 64, "more than 64 state nets");
+    uint64_t bits = 0;
+    for (size_t i = 0; i < stateNetList.size(); ++i)
+        bits |= static_cast<uint64_t>(netVal[stateNetList[i]]) << i;
+    return bits;
+}
+
+void
+Evaluator::replayBits(uint64_t input_bits, uint64_t output_bits,
+                      uint64_t next_state)
+{
+    dtann_assert(cone.valid, "replay needs the cone-pruned path");
+    setInputBits(input_bits, nl.inputs().size());
+    size_t n_out = std::min<size_t>(nl.outputs().size(), 64);
+    for (size_t o = 0; o < n_out; ++o)
+        netVal[nl.outputs()[o]] = (output_bits >> o) & 1;
+    for (size_t i = 0; i < stateNetList.size(); ++i)
+        netVal[stateNetList[i]] = (next_state >> i) & 1;
+    sweeps = 1;
+    oscillated = false;
+    gateEvalCount += program(false).size();
 }
 
 bool

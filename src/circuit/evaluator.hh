@@ -42,9 +42,13 @@ class Evaluator
      *        netlist is feedback-free, evaluateBits() simulates only
      *        the fault cone and splices all other output bits from
      *        this model instead of sweeping every gate.
+     * @param cone optional computeFaultCone(netlist, faults), for a
+     *        caller that builds several evaluators over one fault
+     *        set (copied; computed here when null)
      */
     explicit Evaluator(const Netlist &netlist, FaultSet faults = {},
-                       CleanFn clean = {});
+                       CleanFn clean = {},
+                       const FaultCone *cone = nullptr);
 
     /** Clear all state (nets and delayed-gate stores) to 0. */
     void reset();
@@ -94,6 +98,31 @@ class Evaluator
     /** Total scalar gate evaluations (gates x sweeps) so far. */
     uint64_t gateEvals() const { return gateEvalCount; }
 
+    /**
+     * The nets whose values outlive one evaluateBits() call on the
+     * cone-pruned path: outputs of folded ops with a MEM entry and
+     * the stored nets of delayed gates. Every other net the pruned
+     * sweep reads is an input or is written earlier in the same
+     * sweep, so (input word, these values) determines the outputs
+     * and the next values of these nets (DESIGN.md §9). Folds the
+     * pruned program on first use; empty unless conePruned().
+     */
+    const std::vector<NetId> &stateNets();
+
+    /** Values of stateNets() packed LSB-first (at most 64). */
+    uint64_t stateBits() const;
+
+    /**
+     * Replay an evaluateBits(@p input_bits) call on the cone-pruned
+     * path whose result is already known: it returned
+     * @p output_bits and left stateBits() == @p next_state. Sets
+     * the inputs, outputs and state nets as that call would have,
+     * and charges one sweep of the pruned program to gateEvals();
+     * lastSweeps() then reads 1 and lastOscillated() false.
+     */
+    void replayBits(uint64_t input_bits, uint64_t output_bits,
+                    uint64_t next_state);
+
   private:
     /**
      * One gate of the folded op program. Unused inputs read the
@@ -130,6 +159,8 @@ class Evaluator
     std::vector<Op> pending;
     /** True when the netlist has feedback and needs relaxation. */
     bool needsRelaxation;
+    /** stateNets(), filled with the pruned program. */
+    std::vector<NetId> stateNetList;
 
     int sweeps = 0;
     bool oscillated = false;

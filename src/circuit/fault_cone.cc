@@ -1,7 +1,5 @@
 #include "circuit/fault_cone.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace dtann {
@@ -14,32 +12,17 @@ computeFaultCone(const Netlist &nl, const FaultSet &faults)
         nl.inputs().size() > 64 || nl.outputs().size() > 64)
         return cone;
 
+    // Feedback-free gate order is topological, so the cone closes
+    // in two linear passes over the gates.
     size_t n_gates = nl.numGates();
-    size_t n_nets = nl.numNets();
-
-    // driver[net]: index of the gate driving the net (or none).
-    constexpr uint32_t noDriver = UINT32_MAX;
-    std::vector<uint32_t> driver(n_nets, noDriver);
-    for (size_t gi = 0; gi < n_gates; ++gi)
-        driver[nl.gate(gi).out] = static_cast<uint32_t>(gi);
-
-    // consumers[net]: gates reading the net.
-    std::vector<std::vector<uint32_t>> consumers(n_nets);
-    for (size_t gi = 0; gi < n_gates; ++gi) {
-        const Gate &g = nl.gate(gi);
-        for (int i = 0; i < g.arity(); ++i)
-            consumers[g.in[i]].push_back(static_cast<uint32_t>(gi));
-    }
+    enum : uint8_t { coneNet = 1, supportNet = 2 };
+    std::vector<uint8_t> net(nl.numNets(), 0);
 
     // Seed: every gate whose behaviour a fault can alter.
     std::vector<uint8_t> inCone(n_gates, 0);
-    std::vector<uint32_t> work;
     auto seed = [&](uint32_t gi) {
         dtann_assert(gi < n_gates, "fault on unknown gate %u", gi);
-        if (!inCone[gi]) {
-            inCone[gi] = 1;
-            work.push_back(gi);
-        }
+        inCone[gi] = 1;
     };
     for (const auto &[gi, fn] : faults.overrides)
         seed(gi);
@@ -49,48 +32,37 @@ computeFaultCone(const Netlist &nl, const FaultSet &faults)
         seed(f.gate);
 
     // Forward closure: anything reading a cone net joins the cone.
-    while (!work.empty()) {
-        uint32_t gi = work.back();
-        work.pop_back();
-        for (uint32_t consumer : consumers[nl.gate(gi).out]) {
-            if (!inCone[consumer]) {
-                inCone[consumer] = 1;
-                work.push_back(consumer);
-            }
+    for (size_t gi = 0; gi < n_gates; ++gi) {
+        const Gate &g = nl.gate(gi);
+        for (int i = 0; i < g.arity() && !inCone[gi]; ++i)
+            inCone[gi] = net[g.in[i]] & coneNet;
+        if (inCone[gi]) {
+            net[g.out] |= coneNet;
+            ++cone.coneSize;
         }
     }
 
     // Backward closure: cone gates read clean support nets whose
-    // drivers must still be simulated to have a value at all.
-    std::vector<uint8_t> active = inCone;
-    for (size_t gi = 0; gi < n_gates; ++gi)
-        if (inCone[gi])
-            work.push_back(static_cast<uint32_t>(gi));
-    while (!work.empty()) {
-        uint32_t gi = work.back();
-        work.pop_back();
+    // drivers must still be simulated to have a value at all. Every
+    // reader of a gate's output comes after it, so one descending
+    // pass sees all of them first.
+    std::vector<uint8_t> active(n_gates, 0);
+    for (size_t gi = n_gates; gi-- > 0;) {
         const Gate &g = nl.gate(gi);
-        for (int i = 0; i < g.arity(); ++i) {
-            uint32_t d = driver[g.in[i]];
-            if (d != noDriver && !active[d]) {
-                active[d] = 1;
-                work.push_back(d);
-            }
-        }
+        if (!inCone[gi] && !(net[g.out] & supportNet))
+            continue;
+        active[gi] = 1;
+        for (int i = 0; i < g.arity(); ++i)
+            net[g.in[i]] |= supportNet;
     }
 
     cone.valid = true;
-    for (size_t gi = 0; gi < n_gates; ++gi) {
+    for (size_t gi = 0; gi < n_gates; ++gi)
         if (active[gi])
             cone.activeGates.push_back(static_cast<uint32_t>(gi));
-        if (inCone[gi])
-            ++cone.coneSize;
-    }
-    for (size_t o = 0; o < nl.outputs().size(); ++o) {
-        uint32_t d = driver[nl.outputs()[o]];
-        if (d != noDriver && inCone[d])
+    for (size_t o = 0; o < nl.outputs().size(); ++o)
+        if (net[nl.outputs()[o]] & coneNet)
             cone.outputMask |= 1ull << o;
-    }
     return cone;
 }
 

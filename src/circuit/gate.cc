@@ -1,5 +1,7 @@
 #include "circuit/gate.hh"
 
+#include <array>
+
 #include "common/logging.hh"
 
 namespace dtann {
@@ -74,6 +76,25 @@ gateEval(GateKind kind, uint32_t in)
       default:
         panic("gateEval: bad gate kind %d", static_cast<int>(kind));
     }
+}
+
+uint16_t
+gateTable(GateKind kind)
+{
+    static const auto tables = [] {
+        std::array<uint16_t, static_cast<size_t>(GateKind::NumKinds)> t{};
+        for (size_t k = 0; k < t.size(); ++k) {
+            GateKind kk = static_cast<GateKind>(k);
+            uint32_t used = (1u << gateArity(kk)) - 1;
+            for (uint32_t idx = 0; idx < 16; ++idx)
+                if (gateEval(kk, idx & used))
+                    t[k] |= static_cast<uint16_t>(1u << idx);
+        }
+        return t;
+    }();
+    dtann_assert(kind < GateKind::NumKinds, "gateTable: bad gate kind %d",
+                 static_cast<int>(kind));
+    return tables[static_cast<size_t>(kind)];
 }
 
 int

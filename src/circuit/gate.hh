@@ -54,6 +54,14 @@ const char *gateName(GateKind kind);
 bool gateEval(GateKind kind, uint32_t inputs);
 
 /**
+ * Defect-free truth table of @p kind over a 4-bit input index: bit
+ * idx is gateEval() of idx with the bits at and above the kind's
+ * arity cleared (unused inputs never change the output). Tabulated
+ * once for every kind, so folding a clean gate is one lookup.
+ */
+uint16_t gateTable(GateKind kind);
+
+/**
  * Transistor count of the static CMOS implementation (2 per input
  * for fully complementary gates; 0 for constants).
  */

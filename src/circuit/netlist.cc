@@ -9,7 +9,8 @@ namespace dtann {
 NetId
 Netlist::addNet()
 {
-    return static_cast<NetId>(netCount++);
+    netFlags.push_back(0);
+    return static_cast<NetId>(netFlags.size() - 1);
 }
 
 NetId
@@ -28,16 +29,23 @@ Netlist::addGateOnto(GateKind kind, const std::vector<NetId> &ins,
     dtann_assert(static_cast<int>(ins.size()) == arity,
                  "%s expects %d inputs, got %zu",
                  gateName(kind), arity, ins.size());
-    dtann_assert(out < netCount, "gate output uses unknown net");
+    dtann_assert(out < numNets(), "gate output uses unknown net");
     Gate g;
     g.kind = kind;
     g.group = currentGroup;
     maxGroup = std::max(maxGroup, currentGroup);
     for (int i = 0; i < 4; ++i)
         g.in[i] = i < arity ? ins[static_cast<size_t>(i)] : invalidNet;
-    for (int i = 0; i < arity; ++i)
-        dtann_assert(g.in[i] < netCount, "gate input uses unknown net");
+    for (int i = 0; i < arity; ++i) {
+        dtann_assert(g.in[i] < numNets(), "gate input uses unknown net");
+        uint8_t &f = netFlags[g.in[i]];
+        if (!(f & (netDriven | netReadEarly))) {
+            f |= netReadEarly;
+            earlyReads += f & netInput ? 0 : 1;
+        }
+    }
     g.out = out;
+    netFlags[out] |= netDriven;
     gateList.push_back(g);
 }
 
@@ -53,14 +61,18 @@ Netlist::constNet(bool value)
 void
 Netlist::markInput(NetId net)
 {
-    dtann_assert(net < netCount, "unknown net");
+    dtann_assert(net < numNets(), "unknown net");
     inputList.push_back(net);
+    uint8_t &f = netFlags[net];
+    if ((f & (netReadEarly | netInput)) == netReadEarly)
+        --earlyReads; // read early, but a primary input after all
+    f |= netInput;
 }
 
 void
 Netlist::markOutput(NetId net)
 {
-    dtann_assert(net < netCount, "unknown net");
+    dtann_assert(net < numNets(), "unknown net");
     outputList.push_back(net);
 }
 
@@ -79,7 +91,7 @@ Netlist::depth() const
     // Net depth: inputs are 0; a gate's output depth is
     // 1 + max(input depths), where a not-yet-driven input net (a
     // feedback edge) contributes 0.
-    std::vector<int> net_depth(netCount, 0);
+    std::vector<int> net_depth(numNets(), 0);
     int max_depth = 0;
     for (const Gate &g : gateList) {
         int d = 0;
@@ -89,25 +101,6 @@ Netlist::depth() const
         max_depth = std::max(max_depth, d + 1);
     }
     return max_depth;
-}
-
-bool
-Netlist::hasFeedback() const
-{
-    // A gate reads a net that is driven by a gate appearing later in
-    // construction order (builders emit gates topologically except
-    // for genuine feedback).
-    std::vector<bool> driven(netCount, false);
-    for (NetId in : inputList)
-        driven[in] = true;
-    // Constants and gate outputs become driven as we walk.
-    for (const Gate &g : gateList) {
-        for (int i = 0; i < g.arity(); ++i)
-            if (!driven[g.in[i]])
-                return true;
-        driven[g.out] = true;
-    }
-    return false;
 }
 
 } // namespace dtann

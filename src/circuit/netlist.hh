@@ -85,7 +85,7 @@ class Netlist
     /** Number of gates. */
     size_t numGates() const { return gateList.size(); }
     /** Number of nets. */
-    size_t numNets() const { return netCount; }
+    size_t numNets() const { return netFlags.size(); }
     /** Gate accessor. */
     const Gate &gate(size_t i) const { return gateList[i]; }
     /** Primary inputs in declaration order. */
@@ -103,17 +103,29 @@ class Netlist
     int depth() const;
 
     /**
-     * True when the netlist contains a net driven by a gate that
-     * appears later in gate order than one of its consumers could
-     * require, i.e. structural feedback exists.
+     * True when some gate reads a net that is neither a primary
+     * input nor driven by an earlier gate, i.e. structural feedback
+     * exists. Kept up to date as gates and inputs are added, so the
+     * query is free on a built netlist.
      */
-    bool hasFeedback() const;
+    bool hasFeedback() const { return earlyReads != 0; }
 
   private:
+    /** netFlags bits. */
+    enum : uint8_t {
+        netDriven = 1,    ///< driven by a gate added so far
+        netReadEarly = 2, ///< read by a gate before any gate drove it
+        netInput = 4,     ///< declared a primary input
+    };
+
     std::vector<Gate> gateList;
     std::vector<NetId> inputList;
     std::vector<NetId> outputList;
-    size_t netCount = 0;
+    /** Per-net netFlags bits. */
+    std::vector<uint8_t> netFlags;
+    /** Nets read before they were driven and not primary inputs:
+     *  the feedback edges hasFeedback() reports. */
+    size_t earlyReads = 0;
     NetId constNets[2] = {invalidNet, invalidNet};
     uint16_t currentGroup = 0;
     uint16_t maxGroup = 0;

@@ -64,14 +64,16 @@ logSimCounters(const char *what, const SimCounters &c)
         return;
     inform("%s sim counters: %llu vectors (%llu batch / %llu scalar), "
            "lane occupancy %.2f, scalar fallback %.1f%%, "
-           "%llu scalar gate evals, %llu batch gate sweeps",
+           "%llu scalar gate evals, %llu batch gate sweeps, "
+           "%llu scalar memo hits",
            what,
            static_cast<unsigned long long>(c.vectors()),
            static_cast<unsigned long long>(c.batchVectors),
            static_cast<unsigned long long>(c.scalarVectors),
            c.laneOccupancy(), 100.0 * c.scalarFallbackRate(),
            static_cast<unsigned long long>(c.gateEvals),
-           static_cast<unsigned long long>(c.batchGateSweeps));
+           static_cast<unsigned long long>(c.batchGateSweeps),
+           static_cast<unsigned long long>(c.memoHits));
 }
 
 } // namespace dtann

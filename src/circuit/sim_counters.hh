@@ -38,6 +38,13 @@ struct SimCounters
     uint64_t gateEvals = 0;
     /** Gates swept by batch calls (whole planes per gate). */
     uint64_t batchGateSweeps = 0;
+    /**
+     * Scalar vectors answered from an OperatorSim's memo instead of
+     * a sweep (a subset of scalarVectors; their gates still count
+     * in gateEvals). Telemetry only: toJson() leaves it out, so
+     * exports match memo-free runs byte for byte.
+     */
+    uint64_t memoHits = 0;
 
     /** Accumulate another counter set. */
     void
@@ -49,6 +56,7 @@ struct SimCounters
         batchLaneSlots += o.batchLaneSlots;
         gateEvals += o.gateEvals;
         batchGateSweeps += o.batchGateSweeps;
+        memoHits += o.memoHits;
     }
 
     /** Total vectors pushed through faulty operators. */

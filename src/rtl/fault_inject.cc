@@ -1,6 +1,7 @@
 #include "rtl/fault_inject.hh"
 
 #include <map>
+#include <span>
 
 #include "common/logging.hh"
 #include "transistor/reconstruct.hh"
@@ -10,25 +11,54 @@ namespace dtann {
 
 namespace {
 
-/** Gates of each cell group that are usable fault sites. */
-std::vector<std::vector<uint32_t>>
+/**
+ * The usable fault sites of each cell group, groups without any
+ * dropped (e.g., cells made only of constants): group k (ascending
+ * tag) is gates[start[k] .. start[k + 1]), in gate order. Laid out
+ * flat by a counting sort, so building it per injection costs two
+ * passes over the gates and a few allocations.
+ */
+struct SiteGroups
+{
+    std::vector<uint32_t> gates;
+    std::vector<uint32_t> start;
+
+    size_t size() const { return start.size() - 1; }
+
+    std::span<const uint32_t>
+    group(size_t k) const
+    {
+        return {gates.data() + start[k], start[k + 1] - start[k]};
+    }
+};
+
+SiteGroups
 groupSites(const Netlist &nl)
 {
-    std::vector<std::vector<uint32_t>> groups(nl.numGroups());
+    size_t n_groups = nl.numGroups();
+    std::vector<uint32_t> offset(n_groups + 1, 0);
     for (uint32_t gi = 0; gi < nl.numGates(); ++gi)
         if (hasSchematic(nl.gate(gi).kind))
-            groups[nl.gate(gi).group].push_back(gi);
-    // Drop empty groups (e.g., cells made only of constants).
-    std::vector<std::vector<uint32_t>> out;
-    for (auto &g : groups)
-        if (!g.empty())
-            out.push_back(std::move(g));
+            ++offset[nl.gate(gi).group + 1u];
+    for (size_t t = 0; t < n_groups; ++t)
+        offset[t + 1] += offset[t];
+
+    SiteGroups out;
+    out.gates.resize(offset[n_groups]);
+    std::vector<uint32_t> fill(offset.begin(), offset.end() - 1);
+    for (uint32_t gi = 0; gi < nl.numGates(); ++gi)
+        if (hasSchematic(nl.gate(gi).kind))
+            out.gates[fill[nl.gate(gi).group]++] = gi;
+    for (size_t t = 0; t < n_groups; ++t)
+        if (offset[t] != offset[t + 1])
+            out.start.push_back(offset[t]);
+    out.start.push_back(offset[n_groups]);
     return out;
 }
 
 /** Pick a gate within a group, weighted by transistor count. */
 uint32_t
-pickGate(const Netlist &nl, const std::vector<uint32_t> &sites, Rng &rng)
+pickGate(const Netlist &nl, std::span<const uint32_t> sites, Rng &rng)
 {
     size_t total = 0;
     for (uint32_t gi : sites)
@@ -50,15 +80,15 @@ Injection
 injectTransistorDefects(const Netlist &nl, int count, Rng &rng,
                         const DefectMix &mix)
 {
-    auto groups = groupSites(nl);
-    dtann_assert(!groups.empty(), "netlist has no fault sites");
+    SiteGroups groups = groupSites(nl);
+    dtann_assert(groups.size() > 0, "netlist has no fault sites");
 
     // Gather per-gate defect lists, then reconstruct each touched
     // gate once with all of its defects.
     std::map<uint32_t, std::vector<Defect>> per_gate;
     Injection inj;
     for (int k = 0; k < count; ++k) {
-        const auto &sites = groups[rng.nextUint(groups.size())];
+        auto sites = groups.group(rng.nextUint(groups.size()));
         uint32_t gi = pickGate(nl, sites, rng);
         Defect d = randomDefect(nl.gate(gi).kind, rng, mix);
         per_gate[gi].push_back(d);
@@ -78,12 +108,12 @@ injectTransistorDefects(const Netlist &nl, int count, Rng &rng,
 Injection
 injectGateLevelFaults(const Netlist &nl, int count, Rng &rng)
 {
-    auto groups = groupSites(nl);
-    dtann_assert(!groups.empty(), "netlist has no fault sites");
+    SiteGroups groups = groupSites(nl);
+    dtann_assert(groups.size() > 0, "netlist has no fault sites");
 
     Injection inj;
     for (int k = 0; k < count; ++k) {
-        const auto &sites = groups[rng.nextUint(groups.size())];
+        auto sites = groups.group(rng.nextUint(groups.size()));
         uint32_t gi = sites[rng.nextUint(sites.size())];
         int arity = nl.gate(gi).arity();
         // Pick an input pin, or the output, uniformly.

@@ -1,5 +1,7 @@
 #include "rtl/operator_sim.hh"
 
+#include <bit>
+
 #include "circuit/lane_plane.hh"
 #include "common/env.hh"
 
@@ -9,12 +11,14 @@ OperatorSim::OperatorSim(std::shared_ptr<const Netlist> netlist,
                          Injection injection, CleanFn clean)
     : nl(std::move(netlist)), records(std::move(injection.records)),
       eval(*nl, injection.faults, noCone() ? CleanFn{} : clean),
+      // The evaluator's cone is the batch evaluator's too: computed
+      // once per simulation.
       batch(noBatch()
                 ? std::optional<BatchEvaluator>{}
                 : BatchEvaluator::tryCreate(
                       *nl, std::move(injection.faults),
                       noCone() ? CleanFn{} : std::move(clean),
-                      batchLaneWidth()))
+                      batchLaneWidth(), &eval.faultCone()))
 {
 }
 
@@ -22,7 +26,26 @@ uint64_t
 OperatorSim::apply(uint64_t input_bits)
 {
     ++scalarVectors;
-    return eval.evaluateBits(input_bits);
+    if (!memoDecided) {
+        memoDecided = true;
+        if (eval.conePruned() && eval.stateNets().size() <= 64)
+            memo.assign(memoSlots, {emptyKey, 0, 0, 0});
+    }
+    if (memo.empty() || input_bits == emptyKey)
+        return eval.evaluateBits(input_bits);
+
+    uint64_t state = eval.stateBits();
+    uint64_t h = (input_bits ^ (state * 0xc2b2ae3d27d4eb4full)) *
+        0x9e3779b97f4a7c15ull;
+    MemoEntry &e = memo[h >> (64 - std::bit_width(memoSlots - 1))];
+    if (e.input == input_bits && e.state == state) {
+        ++memoHits;
+        eval.replayBits(input_bits, e.output, e.next);
+        return e.output;
+    }
+    uint64_t out = eval.evaluateBits(input_bits);
+    e = {input_bits, state, out, eval.stateBits()};
+    return out;
 }
 
 void
@@ -58,6 +81,7 @@ OperatorSim::counters() const
     c.scalarVectors = scalarVectors;
     c.batchVectors = batchVectors;
     c.gateEvals = eval.gateEvals();
+    c.memoHits = memoHits;
     if (batch) {
         c.batchSweeps = batch->sweeps();
         // Sweeps driven through applyLanes() report their exact

@@ -13,13 +13,15 @@
  *    fault sets on feedback-free netlists, cone-pruned when a
  *    clean model is available;
  *  - cone-pruned scalar (apply): feedback-free netlists with a
- *    clean model, any fault semantics (MEM, delay);
+ *    clean model, any fault semantics (MEM, delay), behind an exact
+ *    direct-mapped memo keyed by (input word, state bits);
  *  - full scalar relaxation: everything else (e.g. latches).
  *
  * All paths are bit-identical to the full scalar sweep; the env
  * knobs DTANN_NO_BATCH / DTANN_NO_CONE force the slower paths for
- * equivalence testing. The underlying netlist is shared (immutable)
- * across instances of the same operator shape.
+ * equivalence testing (DTANN_NO_CONE also turns the memo off). The
+ * underlying netlist is shared (immutable) across instances of the
+ * same operator shape.
  */
 
 #ifndef DTANN_RTL_OPERATOR_SIM_HH
@@ -53,6 +55,10 @@ class OperatorSim
      * Evaluate the operator. Inputs are the netlist's primary
      * inputs packed LSB-first; the return value packs the primary
      * outputs. State (memory effects) persists across calls.
+     *
+     * On the cone-pruned path a call whose (input word, state bits)
+     * pair is in the memo replays the recorded outputs and next
+     * state instead of sweeping (see Evaluator::stateNets()).
      */
     uint64_t apply(uint64_t input_bits);
 
@@ -102,10 +108,30 @@ class OperatorSim
     Evaluator &evaluator() { return eval; }
 
   private:
+    /** One recorded pruned evaluation; input == emptyKey when the
+     *  slot is unused. */
+    struct MemoEntry
+    {
+        uint64_t input;
+        uint64_t state;
+        uint64_t output;
+        uint64_t next;
+    };
+    /** Memo slots (a power of two). */
+    static constexpr size_t memoSlots = 256;
+    static_assert((memoSlots & (memoSlots - 1)) == 0);
+    /** Marks an unused slot; an all-ones input skips the memo. */
+    static constexpr uint64_t emptyKey = ~0ull;
+
     std::shared_ptr<const Netlist> nl;
     std::vector<InjectionRecord> records;
     Evaluator eval;
     std::optional<BatchEvaluator> batch;
+    /** Direct-mapped memo, allocated by the first apply() when the
+     *  evaluator is cone-pruned with at most 64 state nets. */
+    std::vector<MemoEntry> memo;
+    bool memoDecided = false;
+    uint64_t memoHits = 0;
     uint64_t scalarVectors = 0;
     uint64_t batchVectors = 0;
     /** Lane slots provisioned by this instance's batch sweeps (the

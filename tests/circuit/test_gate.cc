@@ -31,6 +31,21 @@ TEST(Gate, ArityMatchesKind)
     EXPECT_EQ(gateArity(GateKind::MirrorSumN), 4);
 }
 
+TEST(Gate, TableMatchesEvalOnEveryIndex)
+{
+    // The folded clean table of every kind, constants included:
+    // each of the 16 indices equals gateEval() with the padding
+    // bits (at and above the arity) ignored.
+    for (size_t k = 0; k < static_cast<size_t>(GateKind::NumKinds); ++k) {
+        GateKind kind = static_cast<GateKind>(k);
+        uint32_t used = (1u << gateArity(kind)) - 1;
+        uint16_t table = gateTable(kind);
+        for (uint32_t idx = 0; idx < 16; ++idx)
+            EXPECT_EQ((table >> idx & 1) != 0, gateEval(kind, idx & used))
+                << gateName(kind) << " index " << idx;
+    }
+}
+
 TEST(Gate, BasicTruth)
 {
     EXPECT_TRUE(gateEval(GateKind::Nand2, 0b00));

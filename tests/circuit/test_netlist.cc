@@ -106,6 +106,26 @@ TEST(Netlist, FeedbackDetected)
     EXPECT_TRUE(nl.hasFeedback());
 }
 
+TEST(Netlist, InputDeclaredAfterItsReaderIsNotFeedback)
+{
+    // hasFeedback() is tracked as the netlist grows: a net read
+    // before any gate drives it counts as feedback only until it is
+    // declared a primary input.
+    Netlist nl;
+    NetId a = nl.addNet();
+    NetId x = nl.addGate(GateKind::Not, {a});
+    EXPECT_TRUE(nl.hasFeedback());
+    nl.markInput(a);
+    EXPECT_FALSE(nl.hasFeedback());
+    nl.addGate(GateKind::Nand2, {x, a});
+    EXPECT_FALSE(nl.hasFeedback());
+    NetId late = nl.addNet();
+    NetId y = nl.addGate(GateKind::Nand2, {x, late});
+    EXPECT_TRUE(nl.hasFeedback());
+    nl.addGateOnto(GateKind::Not, {y}, late);
+    EXPECT_TRUE(nl.hasFeedback());
+}
+
 TEST(Netlist, NoFeedbackInDag)
 {
     Netlist nl;

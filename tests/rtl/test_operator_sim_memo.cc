@@ -1,0 +1,275 @@
+/**
+ * @file
+ * Differential suite for OperatorSim's scalar memo: apply() must
+ * match a bare Evaluator (the same fault set and clean model, no
+ * memo) call by call — outputs, granular output reads, state bits
+ * and gate-evaluation totals — for pure, MEM, delay and stacked
+ * fault sets on the multiplier, adder and sigmoid units, under
+ * constant, short-cycle, random and slot-thrashing input streams,
+ * with a reset() in the middle.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <functional>
+#include <string>
+
+#include "ann/sigmoid.hh"
+#include "circuit/evaluator.hh"
+#include "common/rng.hh"
+#include "rtl/adder.hh"
+#include "rtl/clean_model.hh"
+#include "rtl/latch.hh"
+#include "rtl/multiplier.hh"
+#include "rtl/operator_sim.hh"
+#include "rtl/sigmoid_unit.hh"
+
+namespace dtann {
+namespace {
+
+/** One operator shape with its clean model. */
+struct Unit
+{
+    const char *name;
+    std::shared_ptr<const Netlist> nl;
+    CleanFn clean;
+    int inputBits;
+};
+
+std::vector<Unit>
+units()
+{
+    return {
+        {"multiplier",
+         std::make_shared<const Netlist>(
+             buildMultiplierSigned(16, FaStyle::Nand9)),
+         cleanMultiplierSigned(16), 32},
+        {"adder",
+         std::make_shared<const Netlist>(
+             buildRippleAdder(24, FaStyle::Nand9, false)),
+         cleanAdder(24, false), 48},
+        {"sigmoid",
+         std::make_shared<const Netlist>(
+             buildSigmoidUnit(logisticPwlTable(), FaStyle::Nand9)),
+         cleanSigmoidUnit(logisticPwlTable()), 16},
+    };
+}
+
+bool
+hasMem(const FaultSet &f)
+{
+    for (const auto &[gate, fn] : f.overrides)
+        if (fn.hasMem())
+            return true;
+    return false;
+}
+
+/** Draw transistor injections until @p want accepts one. */
+FaultSet
+drawFaults(const Netlist &nl, Rng &rng,
+           const std::function<bool(const FaultSet &)> &want)
+{
+    for (int tries = 0; tries < 20000; ++tries) {
+        int defects = 1 + static_cast<int>(rng.nextUint(3));
+        Injection inj = injectTransistorDefects(nl, defects, rng);
+        if (want(inj.faults))
+            return inj.faults;
+    }
+    ADD_FAILURE() << "no matching injection found";
+    return {};
+}
+
+/** The four fault-set families the memo must be exact for. */
+std::vector<std::pair<std::string, FaultSet>>
+faultFamilies(const Netlist &nl, Rng &rng)
+{
+    FaultSet pure = drawFaults(nl, rng, [](const FaultSet &f) {
+        return f.isStateless();
+    });
+    FaultSet mem = drawFaults(nl, rng, [](const FaultSet &f) {
+        return hasMem(f) && f.delayed.empty();
+    });
+    FaultSet delay = drawFaults(nl, rng, [](const FaultSet &f) {
+        return !f.delayed.empty();
+    });
+    // Stacked: MEM + delay + stuck-ats on a faulty gate's input and
+    // on some other gate's output.
+    FaultSet stacked = mem;
+    stacked.merge(delay);
+    uint32_t mem_gate = stacked.overrides.begin()->first;
+    stacked.stuckAt.push_back({mem_gate, 0, true});
+    stacked.stuckAt.push_back(
+        {static_cast<uint32_t>(rng.nextUint(nl.numGates())), -1,
+         rng.nextBool()});
+    return {{"pure", pure},
+            {"mem", mem},
+            {"delay", delay},
+            {"stacked", stacked}};
+}
+
+/** The input streams: constant, short cycles, random, thrashing. */
+std::vector<std::pair<std::string, std::vector<uint64_t>>>
+streams(int input_bits, Rng &rng)
+{
+    auto word = [&] { return rng.nextUint(1ull << input_bits); };
+    std::vector<std::pair<std::string, std::vector<uint64_t>>> out;
+    out.push_back({"constant", std::vector<uint64_t>(300, word())});
+    for (size_t period : {2, 3, 5, 8}) {
+        std::vector<uint64_t> cycle(period);
+        for (auto &v : cycle)
+            v = word();
+        std::vector<uint64_t> s;
+        for (int i = 0; i < 300; ++i)
+            s.push_back(cycle[static_cast<size_t>(i) % period]);
+        out.push_back({"cycle" + std::to_string(period), s});
+    }
+    std::vector<uint64_t> random(300);
+    for (auto &v : random)
+        v = word();
+    out.push_back({"random", random});
+    // More distinct keys than memo slots, revisited: evictions and
+    // slot collisions between live keys.
+    std::vector<uint64_t> keys(700);
+    for (auto &v : keys)
+        v = word();
+    std::vector<uint64_t> thrash;
+    for (int pass = 0; pass < 3; ++pass)
+        for (size_t i = 0; i < keys.size(); i += 1 + pass)
+            thrash.push_back(keys[i]);
+    out.push_back({"thrash", thrash});
+    return out;
+}
+
+TEST(OperatorSimMemo, MatchesBareEvaluatorCallByCall)
+{
+    Rng rng(2024);
+    for (const Unit &u : units()) {
+        for (const auto &[family, faults] : faultFamilies(*u.nl, rng)) {
+            for (const auto &[stream, in] : streams(u.inputBits, rng)) {
+                SCOPED_TRACE(std::string(u.name) + "/" + family + "/" +
+                             stream);
+                OperatorSim sim(u.nl, Injection{faults, {}}, u.clean);
+                Evaluator ref(*u.nl, faults, u.clean);
+                ASSERT_TRUE(sim.conePruned());
+                ASSERT_TRUE(ref.conePruned());
+                size_t n_out = u.nl->outputs().size();
+                for (size_t i = 0; i < in.size(); ++i) {
+                    if (i == in.size() / 2) {
+                        sim.reset();
+                        ref.reset();
+                    }
+                    uint64_t want = ref.evaluateBits(in[i]);
+                    ASSERT_EQ(sim.apply(in[i]), want) << "call " << i;
+                    ASSERT_EQ(sim.evaluator().outputBits(n_out),
+                              ref.outputBits(n_out))
+                        << "call " << i;
+                    ASSERT_EQ(sim.evaluator().stateBits(),
+                              ref.stateBits())
+                        << "call " << i;
+                }
+                SimCounters c = sim.counters();
+                EXPECT_EQ(c.scalarVectors, in.size());
+                EXPECT_EQ(c.gateEvals, ref.gateEvals());
+                EXPECT_EQ(sim.evaluator().gateEvals(), ref.gateEvals());
+                EXPECT_LE(c.memoHits, c.scalarVectors);
+                if (stream == "constant" || stream.rfind("cycle", 0) == 0) {
+                    EXPECT_GT(c.memoHits, 0u);
+                }
+            }
+        }
+    }
+}
+
+TEST(OperatorSimMemo, StatefulFaultSetsHaveStateNets)
+{
+    Rng rng(7);
+    for (const Unit &u : units()) {
+        for (const auto &[family, faults] : faultFamilies(*u.nl, rng)) {
+            SCOPED_TRACE(std::string(u.name) + "/" + family);
+            Evaluator ev(*u.nl, faults, u.clean);
+            size_t want = faults.delayed.size();
+            if (family == "pure")
+                EXPECT_EQ(ev.stateNets().size(), 0u);
+            else
+                EXPECT_GE(ev.stateNets().size(), want > 0 ? want : 1);
+        }
+    }
+}
+
+TEST(OperatorSimMemo, FullSweepAfterReplayMatches)
+{
+    // Nets a replayed call skips are rewritten before they are read
+    // by any later sweep, the full one included.
+    Unit u = units()[0];
+    Rng rng(31);
+    FaultSet faults = faultFamilies(*u.nl, rng)[3].second;
+    OperatorSim sim(u.nl, Injection{faults, {}}, u.clean);
+    Evaluator ref(*u.nl, faults, u.clean);
+    size_t n_out = u.nl->outputs().size();
+    uint64_t a = rng.nextUint(1ull << 32), b = rng.nextUint(1ull << 32);
+    for (int i = 0; i < 40; ++i) {
+        uint64_t v = i % 2 ? a : b;
+        ASSERT_EQ(sim.apply(v), ref.evaluateBits(v));
+        if (i % 5 == 4) {
+            sim.evaluator().setInputBits(v, u.nl->inputs().size());
+            ref.setInputBits(v, u.nl->inputs().size());
+            sim.evaluator().evaluate();
+            ref.evaluate();
+            ASSERT_EQ(sim.evaluator().outputBits(n_out),
+                      ref.outputBits(n_out));
+        }
+    }
+    EXPECT_GT(sim.counters().memoHits, 0u);
+    EXPECT_EQ(sim.counters().gateEvals, ref.gateEvals());
+}
+
+TEST(OperatorSimMemo, HitsCountedOnCyclesOnly)
+{
+    Unit u = units()[0];
+    Rng rng(5);
+    FaultSet mem = drawFaults(*u.nl, rng, [](const FaultSet &f) {
+        return hasMem(f);
+    });
+    std::vector<uint64_t> cycle(6);
+    for (auto &v : cycle)
+        v = rng.nextUint(1ull << 32);
+
+    OperatorSim sim(u.nl, Injection{mem, {}}, u.clean);
+    for (int i = 0; i < 120; ++i)
+        sim.apply(cycle[static_cast<size_t>(i) % cycle.size()]);
+    EXPECT_GT(sim.counters().memoHits, 0u);
+
+    // Merged counters carry the hits; a batch-only sim has none.
+    SimCounters total = sim.counters();
+    total.merge(sim.counters());
+    EXPECT_EQ(total.memoHits, 2 * sim.counters().memoHits);
+    EXPECT_EQ(total.toJson().find("memo"), std::string::npos);
+
+    // DTANN_NO_CONE keeps the full-sweep oracle memo-free.
+    setenv("DTANN_NO_CONE", "1", 1);
+    {
+        OperatorSim slow(u.nl, Injection{mem, {}}, u.clean);
+        EXPECT_FALSE(slow.conePruned());
+        for (int i = 0; i < 120; ++i)
+            slow.apply(cycle[static_cast<size_t>(i) % cycle.size()]);
+        EXPECT_EQ(slow.counters().memoHits, 0u);
+    }
+    unsetenv("DTANN_NO_CONE");
+}
+
+TEST(OperatorSimMemo, LatchSimsStayOnRelaxation)
+{
+    auto nl = std::make_shared<const Netlist>(buildLatchRegister(16));
+    Rng rng(11);
+    Injection inj = injectTransistorDefects(*nl, 2, rng);
+    OperatorSim sim(nl, std::move(inj));
+    EXPECT_FALSE(sim.conePruned());
+    for (int i = 0; i < 100; ++i)
+        sim.apply(i % 3 ? 0x1abcdu : 0x05555u);
+    EXPECT_EQ(sim.counters().memoHits, 0u);
+    EXPECT_EQ(sim.counters().scalarVectors, 100u);
+}
+
+} // namespace
+} // namespace dtann
