@@ -487,6 +487,82 @@ BM_SpatialForwardRowClean(benchmark::State &state)
 BENCHMARK(BM_SpatialForwardRowClean);
 
 void
+BM_SpatialSetWeights(benchmark::State &state)
+{
+    // Retraining's weight load: after every SGD step the trainer
+    // stores the whole array through the weight latches. A 18-10-4
+    // task on the 90-10-10 array with 8 faulty latches (4 on used
+    // synapses, 4 on padding), loading a cycle of 4 weight sets that
+    // differ by small steps, as consecutive SGD steps do. Clean
+    // latches hold their word as written; the faulty ones relax
+    // through their gate-level simulations (and its memo).
+    MlpTopology topo{18, 10, 4};
+    SpatialBackend accel(AcceleratorConfig(), topo);
+    Rng rng(31);
+    for (int k = 0; k < 8; ++k) {
+        int neuron = static_cast<int>(rng.nextUint(10));
+        int synapse = k < 4 ? static_cast<int>(rng.nextUint(18))
+                            : 20 + static_cast<int>(rng.nextUint(70));
+        accel.injectDefects(
+            {UnitKind::WeightLatch, Layer::Hidden, neuron, synapse}, 2,
+            rng);
+    }
+    std::vector<MlpWeights> loads(4, MlpWeights(topo));
+    Rng wr(7);
+    loads[0].initRandom(wr, 1.2);
+    for (size_t i = 1; i < loads.size(); ++i) {
+        loads[i] = loads[i - 1];
+        for (int j = 0; j < topo.hidden; ++j)
+            loads[i].hid(j, static_cast<int>(wr.nextUint(18))) += 0.004;
+    }
+    size_t i = 0;
+    for (auto _ : state) {
+        accel.setWeights(loads[i]);
+        i = (i + 1) % loads.size();
+    }
+    SimCounters c = accel.simCounters();
+    state.counters["hit_rate"] = static_cast<double>(c.memoHits) /
+        static_cast<double>(c.scalarVectors);
+    state.counters["loads/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SpatialSetWeights);
+
+void
+BM_LatchStoreRepeat(benchmark::State &state)
+{
+    // One faulty weight latch under a trainer-like store stream: a
+    // 40-word cycle in which the word survives most steps and moves
+    // by an LSB or two on the others, each store an EN=1 then an
+    // EN=0 call. Repeated (net vector) keys replay from the
+    // relaxation memo; BM_EvalLatchRegister prices a relaxation.
+    auto nl = std::make_shared<const Netlist>(buildLatchRegister(16));
+    Rng rng(17);
+    OperatorSim sim(nl, injectTransistorDefects(*nl, 2, rng));
+    std::vector<uint64_t> cycle(40);
+    uint64_t word = rng.nextUint(1u << 16);
+    for (auto &v : cycle) {
+        if (rng.nextUint(4) == 0)
+            word = (word + rng.nextUint(5) - 2) & 0xffff;
+        v = word;
+    }
+    size_t i = 0;
+    for (auto _ : state) {
+        sim.apply(cycle[i] | 1ull << 16);
+        benchmark::DoNotOptimize(sim.apply(cycle[i]));
+        i = i + 1 == cycle.size() ? 0 : i + 1;
+    }
+    SimCounters c = sim.counters();
+    state.counters["hit_rate"] = static_cast<double>(c.memoHits) /
+        static_cast<double>(c.scalarVectors);
+    state.counters["stores/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_LatchStoreRepeat);
+
+void
 BM_AcceleratorForwardFaulty(benchmark::State &state)
 {
     // The plain-Accelerator sweep: the per-vector cost baseline the

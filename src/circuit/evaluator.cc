@@ -264,6 +264,16 @@ Evaluator::replayBits(uint64_t input_bits, uint64_t output_bits,
     gateEvalCount += program(false).size();
 }
 
+void
+Evaluator::replayEvaluate(const uint8_t *next, int sweeps_run,
+                          bool oscillated_run, uint64_t gate_evals)
+{
+    std::copy(next, next + netVal.size(), netVal.begin());
+    sweeps = sweeps_run;
+    oscillated = oscillated_run;
+    gateEvalCount += gate_evals;
+}
+
 bool
 Evaluator::output(size_t index) const
 {

@@ -123,6 +123,24 @@ class Evaluator
     void replayBits(uint64_t input_bits, uint64_t output_bits,
                     uint64_t next_state);
 
+    /**
+     * Every value evaluate() reads: the nets, then the constant-zero
+     * padding net and the delayed gates' stored outputs. A full
+     * evaluate() is a function of this vector alone, so it can key
+     * an exact memo of relaxations (DESIGN.md §9 "Relaxation memo").
+     */
+    const std::vector<uint8_t> &netValues() const { return netVal; }
+
+    /**
+     * Replay an evaluate() whose result is already known: starting
+     * from the current netValues(), it left netValues() equal to
+     * the @p netValues().size() bytes at @p next, swept @p sweeps
+     * times, hit the sweep cap when @p oscillated, and charged
+     * @p gate_evals to gateEvals().
+     */
+    void replayEvaluate(const uint8_t *next, int sweeps,
+                        bool oscillated, uint64_t gate_evals);
+
   private:
     /**
      * One gate of the folded op program. Unused inputs read the

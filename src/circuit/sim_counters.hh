@@ -40,8 +40,9 @@ struct SimCounters
     uint64_t batchGateSweeps = 0;
     /**
      * Scalar vectors answered from an OperatorSim's memo instead of
-     * a sweep (a subset of scalarVectors; their gates still count
-     * in gateEvals). Telemetry only: toJson() leaves it out, so
+     * a sweep: the cone-pruned memo or, on latch registers, the
+     * relaxation memo (a subset of scalarVectors; their gates still
+     * count in gateEvals). Telemetry only: toJson() leaves it out, so
      * exports match memo-free runs byte for byte.
      */
     uint64_t memoHits = 0;

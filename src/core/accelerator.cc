@@ -1,7 +1,5 @@
 #include "core/accelerator.hh"
 
-#include <array>
-
 #include "circuit/lane_plane.hh"
 #include "common/logging.hh"
 #include "core/injector.hh"
@@ -15,7 +13,6 @@ SpatialBackend::SpatialBackend(const AcceleratorConfig &config,
            static_cast<size_t>(config.inputs + 1)),
       outW(static_cast<size_t>(config.outputs) *
            static_cast<size_t>(config.hidden + 1)),
-      hidWIn(hidW.size()), outWIn(outW.size()),
       hiddenAct(static_cast<size_t>(config.hidden)),
       hidSums(static_cast<size_t>(config.hidden))
 {
@@ -65,68 +62,16 @@ SpatialBackend::enumerateSites(const SitePool &pool) const
 void
 SpatialBackend::setWeights(const MlpWeights &w)
 {
-    dtann_assert(w.topology() == logical, "weight topology mismatch");
-    // Hidden layer: logical weights into the top-left corner; the
-    // rest stays 0. All writes go through the latch path.
-    for (int j = 0; j < cfg.hidden; ++j) {
-        for (int i = 0; i <= cfg.inputs; ++i) {
-            double v = 0.0;
-            if (j < logical.hidden) {
-                if (i < logical.inputs)
-                    v = w.hid(j, i);
-                else if (i == cfg.inputs)
-                    v = w.hid(j, logical.inputs); // bias synapse
-            }
-            Fix16 q = Fix16::fromDouble(v);
-            hidWIn[static_cast<size_t>(j) *
-                       static_cast<size_t>(cfg.inputs + 1) +
-                   static_cast<size_t>(i)] = q;
-            hidWAt(j, i) = unitLatchStore(Layer::Hidden, j, i, q);
-        }
-    }
-    for (int k = 0; k < cfg.outputs; ++k) {
-        for (int j = 0; j <= cfg.hidden; ++j) {
-            double v = 0.0;
-            if (k < logical.outputs) {
-                if (j < logical.hidden)
-                    v = w.out(k, j);
-                else if (j == cfg.hidden)
-                    v = w.out(k, logical.hidden); // bias synapse
-            }
-            Fix16 q = Fix16::fromDouble(v);
-            outWIn[static_cast<size_t>(k) *
-                       static_cast<size_t>(cfg.hidden + 1) +
-                   static_cast<size_t>(j)] = q;
-            outWAt(k, j) = unitLatchStore(Layer::Output, k, j, q);
-        }
-    }
+    storeWeights(w, hidW.data(), outW.data());
 }
 
 void
 SpatialBackend::forwardLayer(Layer layer, std::span<const Fix16> in,
                              std::span<Fix16> out)
 {
-    const Fix16 one = Fix16::fromDouble(1.0);
-    int fanin = layer == Layer::Hidden ? cfg.inputs : cfg.hidden;
-    int neurons = layer == Layer::Hidden ? cfg.hidden : cfg.outputs;
-    for (int n = 0; n < neurons; ++n) {
-        Fix16 *weights = layer == Layer::Hidden
-            ? &hidWAt(n, 0) : &outWAt(n, 0);
-        // Products: one multiplier per synapse, bias last.
-        Acc24 acc = Acc24::fromFix16(
-            unitMul(layer, n, 0, weights[0], in[0]));
-        for (int i = 1; i <= fanin; ++i) {
-            Fix16 x = i < fanin ? in[static_cast<size_t>(i)] : one;
-            Fix16 p = unitMul(layer, n, i, weights[i], x);
-            acc = unitAdd(layer, n, i - 1, acc, Acc24::fromFix16(p));
-        }
-        if (layer == Layer::Hidden)
-            hidSums[static_cast<size_t>(n)] = acc;
-        // The clamp sits after the activation unit on the datapath
-        // only; bistAct() reads the unit raw via unitAct().
-        out[static_cast<size_t>(n)] =
-            clampValue(layer, unitAct(layer, n, acc.toFix16Sat()));
-    }
+    bool hid = layer == Layer::Hidden;
+    runLayer(layer, hid ? hidW.data() : outW.data(), in, out,
+             hid ? hidSums.data() : nullptr);
 }
 
 void
@@ -135,50 +80,14 @@ SpatialBackend::forwardLayerLanes(Layer layer,
                                   const std::vector<Fix16 *> &out,
                                   size_t lanes)
 {
-    dtann_assert(lanes >= 1 && lanes <= kMaxLanes,
-                 "lane count out of range");
-    const Fix16 one = Fix16::fromDouble(1.0);
-    int fanin = layer == Layer::Hidden ? cfg.inputs : cfg.hidden;
-    int neurons = layer == Layer::Hidden ? cfg.hidden : cfg.outputs;
-    if (layer == Layer::Hidden)
+    // The per-lane hidden sums feed the time-multiplexed batch
+    // path's key-logic accumulation.
+    bool hid = layer == Layer::Hidden;
+    if (hid)
         hidSumsLanes.resize(lanes * static_cast<size_t>(cfg.hidden));
-    std::array<Fix16, kMaxLanes> x, p;
-    std::array<Acc24, kMaxLanes> acc, addend;
-    for (int n = 0; n < neurons; ++n) {
-        Fix16 *weights = layer == Layer::Hidden
-            ? &hidWAt(n, 0) : &outWAt(n, 0);
-        for (size_t l = 0; l < lanes; ++l)
-            x[l] = in[l][0];
-        unitMulLanes(layer, n, 0, weights[0], x.data(), p.data(), lanes);
-        for (size_t l = 0; l < lanes; ++l)
-            acc[l] = Acc24::fromFix16(p[l]);
-        for (int i = 1; i <= fanin; ++i) {
-            for (size_t l = 0; l < lanes; ++l)
-                x[l] = i < fanin ? in[l][i] : one;
-            unitMulLanes(layer, n, i, weights[i], x.data(), p.data(),
-                         lanes);
-            for (size_t l = 0; l < lanes; ++l)
-                addend[l] = Acc24::fromFix16(p[l]);
-            unitAddLanes(layer, n, i - 1, acc.data(), addend.data(),
-                         lanes);
-        }
-        // Mirror the scalar loop: the readable output latches hold
-        // the last processed row's sums. The per-lane sums feed the
-        // time-multiplexed batch path's key-logic accumulation.
-        if (layer == Layer::Hidden) {
-            hidSums[static_cast<size_t>(n)] = acc[lanes - 1];
-            for (size_t l = 0; l < lanes; ++l)
-                hidSumsLanes[l * static_cast<size_t>(cfg.hidden) +
-                             static_cast<size_t>(n)] = acc[l];
-        }
-        for (size_t l = 0; l < lanes; ++l)
-            x[l] = acc[l].toFix16Sat();
-        unitActLanes(layer, n, x.data(), p.data(), lanes);
-        // Clamp in lane (= row) order after the unit, mirroring the
-        // scalar path bit for bit at every lane width.
-        for (size_t l = 0; l < lanes; ++l)
-            out[l][n] = clampValue(layer, p[l]);
-    }
+    runLayerLanes(layer, hid ? hidW.data() : outW.data(), in, out, lanes,
+                  hid ? hidSums.data() : nullptr,
+                  hid ? hidSumsLanes.data() : nullptr);
 }
 
 void
@@ -189,13 +98,9 @@ SpatialBackend::loadPhysicalHiddenRow(int phys_neuron,
                  "physical neuron index out of range");
     dtann_assert(static_cast<int>(weights.size()) == cfg.inputs + 1,
                  "weight row arity mismatch");
-    for (int i = 0; i <= cfg.inputs; ++i) {
-        hidWIn[static_cast<size_t>(phys_neuron) *
-                   static_cast<size_t>(cfg.inputs + 1) +
-               static_cast<size_t>(i)] = weights[static_cast<size_t>(i)];
-        hidWAt(phys_neuron, i) = unitLatchStore(
+    for (int i = 0; i <= cfg.inputs; ++i)
+        hidWAt(phys_neuron, i) = storeWeight(
             Layer::Hidden, phys_neuron, i, weights[static_cast<size_t>(i)]);
-    }
 }
 
 void
@@ -206,13 +111,9 @@ SpatialBackend::loadPhysicalOutputRow(int phys_neuron,
                  "physical neuron index out of range");
     dtann_assert(static_cast<int>(weights.size()) == cfg.hidden + 1,
                  "weight row arity mismatch");
-    for (int j = 0; j <= cfg.hidden; ++j) {
-        outWIn[static_cast<size_t>(phys_neuron) *
-                   static_cast<size_t>(cfg.hidden + 1) +
-               static_cast<size_t>(j)] = weights[static_cast<size_t>(j)];
-        outWAt(phys_neuron, j) = unitLatchStore(
+    for (int j = 0; j <= cfg.hidden; ++j)
+        outWAt(phys_neuron, j) = storeWeight(
             Layer::Output, phys_neuron, j, weights[static_cast<size_t>(j)]);
-    }
 }
 
 void

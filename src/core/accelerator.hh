@@ -141,9 +141,6 @@ class SpatialBackend : public HardwareBackend
     /** Stored physical weights (post-latch values). */
     std::vector<Fix16> hidW; // [hidden][inputs+1]
     std::vector<Fix16> outW; // [outputs][hidden+1]
-    /** Values presented on the latch D inputs (pre-latch). */
-    std::vector<Fix16> hidWIn;
-    std::vector<Fix16> outWIn;
 
     std::vector<Fix16> hiddenAct;
     std::vector<Acc24> hidSums;

@@ -632,6 +632,145 @@ HardwareBackend::unitActLanes(Layer layer, int neuron, const Fix16 *x,
     }
 }
 
+void
+HardwareBackend::storeWeights(const MlpWeights &w, Fix16 *hid, Fix16 *out)
+{
+    dtann_assert(w.topology() == logical, "weight topology mismatch");
+    for (Layer layer : {Layer::Hidden, Layer::Output}) {
+        bool h = layer == Layer::Hidden;
+        int neurons = h ? cfg.hidden : cfg.outputs;
+        int used = h ? logical.hidden : logical.outputs;
+        int fanin = fanIn(layer);
+        int used_fanin = h ? logical.inputs : logical.hidden;
+        Fix16 *dst = h ? hid : out;
+        for (int n = 0; n < neurons; ++n) {
+            const uint16_t *latch = slotRow(UnitKind::WeightLatch, layer, n);
+            for (int i = 0; i <= fanin; ++i) {
+                // Padding sites store zero; the bias synapse is last
+                // in both the logical and the physical row.
+                Fix16 q;
+                if (n < used && (i < used_fanin || i == fanin)) {
+                    int li = std::min(i, used_fanin);
+                    q = Fix16::fromDouble(h ? w.hid(n, li) : w.out(n, li));
+                }
+                *dst++ = latch[i] ? unitLatchStore(layer, n, i, q) : q;
+            }
+        }
+    }
+}
+
+void
+HardwareBackend::runLayer(Layer layer, const Fix16 *weights,
+                          std::span<const Fix16> in, std::span<Fix16> out,
+                          Acc24 *sums)
+{
+    size_t stride = static_cast<size_t>(fanIn(layer) + 1);
+    size_t neurons = static_cast<size_t>(
+        layer == Layer::Hidden ? cfg.hidden : cfg.outputs);
+    for (size_t n = 0; n < neurons; ++n) {
+        int neuron = static_cast<int>(n);
+        Acc24 acc = neuronSum(layer, neuron, weights + n * stride, in);
+        if (sums)
+            sums[n] = acc;
+        // The clamp sits after the activation unit on the datapath
+        // only; bistAct() reads the unit raw via unitAct().
+        out[n] = clampValue(layer, unitAct(layer, neuron, acc.toFix16Sat()));
+    }
+}
+
+void
+HardwareBackend::runLayerLanes(Layer layer, const Fix16 *weights,
+                               const std::vector<const Fix16 *> &in,
+                               const std::vector<Fix16 *> &out,
+                               size_t lanes, Acc24 *sums,
+                               Acc24 *sums_lanes)
+{
+    dtann_assert(lanes >= 1 && lanes <= kMaxLanes,
+                 "lane count out of range");
+    size_t stride = static_cast<size_t>(fanIn(layer) + 1);
+    int neurons = layer == Layer::Hidden ? cfg.hidden : cfg.outputs;
+    std::array<Fix16, kMaxLanes> x, y;
+    std::array<Acc24, kMaxLanes> acc;
+    for (int n = 0; n < neurons; ++n) {
+        size_t un = static_cast<size_t>(n);
+        neuronSumLanes(layer, n, weights + un * stride, in, acc.data(),
+                       lanes);
+        if (sums)
+            sums[un] = acc[lanes - 1];
+        if (sums_lanes)
+            for (size_t l = 0; l < lanes; ++l)
+                sums_lanes[l * static_cast<size_t>(neurons) + un] = acc[l];
+        for (size_t l = 0; l < lanes; ++l)
+            x[l] = acc[l].toFix16Sat();
+        unitActLanes(layer, n, x.data(), y.data(), lanes);
+        // Clamp in lane (= row) order after the unit, mirroring the
+        // scalar path bit for bit at every lane width.
+        for (size_t l = 0; l < lanes; ++l)
+            out[l][n] = clampValue(layer, y[l]);
+    }
+}
+
+Acc24
+HardwareBackend::neuronSum(Layer layer, int neuron, const Fix16 *w,
+                           std::span<const Fix16> in)
+{
+    const Fix16 one = Fix16::fromDouble(1.0);
+    int fanin = fanIn(layer);
+    const uint16_t *mul = slotRow(UnitKind::Multiplier, layer, neuron);
+    const uint16_t *add = slotRow(UnitKind::AdderStage, layer, neuron);
+    Acc24 acc = Acc24::fromFix16(unitMul(layer, neuron, 0, w[0], in[0]));
+    for (int i = 1; i <= fanin; ++i) {
+        Fix16 x = i < fanin ? in[static_cast<size_t>(i)] : one;
+        if ((mul[i] | add[i - 1]) == 0) {
+            // Multiplier i and adder stage i - 1 are both clean.
+            // hwMul(0, x) == 0 and the 24-bit add wraps exactly, so
+            // a zero weight leaves the accumulator as it is.
+            if (w[i].bits() != 0)
+                acc = Acc24::hwAdd(
+                    acc, Acc24::fromFix16(Fix16::hwMul(w[i], x)));
+            continue;
+        }
+        Fix16 p = unitMul(layer, neuron, i, w[i], x);
+        acc = unitAdd(layer, neuron, i - 1, acc, Acc24::fromFix16(p));
+    }
+    return acc;
+}
+
+void
+HardwareBackend::neuronSumLanes(Layer layer, int neuron, const Fix16 *w,
+                                const std::vector<const Fix16 *> &in,
+                                Acc24 *acc, size_t lanes)
+{
+    const Fix16 one = Fix16::fromDouble(1.0);
+    int fanin = fanIn(layer);
+    const uint16_t *mul = slotRow(UnitKind::Multiplier, layer, neuron);
+    const uint16_t *add = slotRow(UnitKind::AdderStage, layer, neuron);
+    std::array<Fix16, kMaxLanes> x, p;
+    std::array<Acc24, kMaxLanes> addend;
+    for (size_t l = 0; l < lanes; ++l)
+        x[l] = in[l][0];
+    unitMulLanes(layer, neuron, 0, w[0], x.data(), p.data(), lanes);
+    for (size_t l = 0; l < lanes; ++l)
+        acc[l] = Acc24::fromFix16(p[l]);
+    for (int i = 1; i <= fanin; ++i) {
+        bool bias = i == fanin;
+        if ((mul[i] | add[i - 1]) == 0) {
+            if (w[i].bits() != 0)
+                for (size_t l = 0; l < lanes; ++l)
+                    acc[l] = Acc24::hwAdd(
+                        acc[l], Acc24::fromFix16(Fix16::hwMul(
+                                    w[i], bias ? one : in[l][i])));
+            continue;
+        }
+        for (size_t l = 0; l < lanes; ++l)
+            x[l] = bias ? one : in[l][i];
+        unitMulLanes(layer, neuron, i, w[i], x.data(), p.data(), lanes);
+        for (size_t l = 0; l < lanes; ++l)
+            addend[l] = Acc24::fromFix16(p[l]);
+        unitAddLanes(layer, neuron, i - 1, acc, addend.data(), lanes);
+    }
+}
+
 bool
 HardwareBackend::batchPure() const
 {

@@ -351,8 +351,95 @@ class HardwareBackend : public ForwardModel
         return slotState[slotOf[slotIndex(kind, layer, neuron, index)]];
     }
 
+    /**
+     * True when pass address (@p kind, @p layer, @p neuron,
+     * @p index) resolves to the shared clean slot: the unit it
+     * executes on is neither faulty nor bypassed, and has no probe.
+     */
+    bool
+    unitClean(UnitKind kind, Layer layer, int neuron, int index) const
+    {
+        return slotOf[slotIndex(kind, layer, neuron, index)] == 0;
+    }
+
+    /**
+     * The slot-table row of (@p kind, @p layer, @p neuron): entry i
+     * is zero exactly when unitClean() holds for operand i. One
+     * range check per row lets the per-synapse loops test
+     * cleanliness with a plain load.
+     */
+    const uint16_t *
+    slotRow(UnitKind kind, Layer layer, int neuron) const
+    {
+        return &slotOf[slotIndex(kind, layer, neuron, 0)];
+    }
+
+    /** Synapses per neuron of @p layer, the bias synapse excluded. */
+    int
+    fanIn(Layer layer) const
+    {
+        return layer == Layer::Hidden ? cfg.inputs : cfg.hidden;
+    }
+
     /** Apply @p layer's clamp window to one datapath value. */
     Fix16 clampValue(Layer layer, Fix16 x);
+
+    /**
+     * Write @p w through the weight latches: each layer's logical
+     * weights fill the top-left of its physical [neurons][fanin + 1]
+     * block, bias synapse last; every other site stores zero.
+     * @p hid and @p out receive the stored (post-latch) words.
+     */
+    void storeWeights(const MlpWeights &w, Fix16 *hid, Fix16 *out);
+
+    /** One latch write: a clean latch holds @p d as written, any
+     *  other goes through unitLatchStore(). */
+    Fix16
+    storeWeight(Layer layer, int neuron, int synapse, Fix16 d)
+    {
+        return unitClean(UnitKind::WeightLatch, layer, neuron, synapse)
+            ? d : unitLatchStore(layer, neuron, synapse, d);
+    }
+
+    /**
+     * Run @p layer for one input row: per neuron n, neuronSum() over
+     * row n of @p weights ([neurons][fanin + 1]), then the activation
+     * unit and the clamp. Pre-activation sums land in @p sums when
+     * it is not null.
+     */
+    void runLayer(Layer layer, const Fix16 *weights,
+                  std::span<const Fix16> in, std::span<Fix16> out,
+                  Acc24 *sums);
+
+    /**
+     * runLayer() over <= kMaxLanes rows (one pointer each). @p sums,
+     * when not null, receives the last lane's sums (the readable
+     * output latches hold the last processed row); @p sums_lanes,
+     * when not null, lane l's sum of neuron n at
+     * [l * neurons + n].
+     */
+    void runLayerLanes(Layer layer, const Fix16 *weights,
+                       const std::vector<const Fix16 *> &in,
+                       const std::vector<Fix16 *> &out, size_t lanes,
+                       Acc24 *sums, Acc24 *sums_lanes);
+
+    /**
+     * One neuron's multiply/add chain: multiplier i takes weight
+     * @p w[i] and input i (the bias synapse, i == fanIn(), takes
+     * one) and adder stage i - 1 folds product i into the
+     * accumulator. A synapse whose multiplier and adder stage are
+     * both unitClean() runs natively, and is skipped when its
+     * stored weight is zero (DESIGN.md §14); every other synapse
+     * goes through unitMul()/unitAdd(). Virtual only so tests can
+     * compare against the all-units chain.
+     */
+    virtual Acc24 neuronSum(Layer layer, int neuron, const Fix16 *w,
+                            std::span<const Fix16> in);
+
+    /** neuronSum() over <= kMaxLanes rows into @p acc. */
+    virtual void neuronSumLanes(Layer layer, int neuron, const Fix16 *w,
+                                const std::vector<const Fix16 *> &in,
+                                Acc24 *acc, size_t lanes);
 
     /** Per-unit operations (route through sim when faulty). @{ */
     Fix16 unitMul(Layer layer, int neuron, int synapse, Fix16 w, Fix16 x);

@@ -1,7 +1,6 @@
 #include "core/systolic.hh"
 
 #include <algorithm>
-#include <array>
 
 #include "circuit/lane_plane.hh"
 #include "common/logging.hh"
@@ -21,22 +20,6 @@ SystolicBackend::SystolicBackend(const AcceleratorConfig &config,
       hiddenAct(static_cast<size_t>(config.hidden)),
       hidSums(static_cast<size_t>(config.hidden))
 {
-}
-
-Fix16 &
-SystolicBackend::hidWAt(int j, int i)
-{
-    return hidW[static_cast<size_t>(j) *
-                    static_cast<size_t>(cfg.inputs + 1) +
-                static_cast<size_t>(i)];
-}
-
-Fix16 &
-SystolicBackend::outWAt(int k, int j)
-{
-    return outW[static_cast<size_t>(k) *
-                    static_cast<size_t>(cfg.hidden + 1) +
-                static_cast<size_t>(j)];
 }
 
 int
@@ -129,65 +112,24 @@ SystolicBackend::probe(const UnitSite &site) const
 void
 SystolicBackend::setWeights(const MlpWeights &w)
 {
-    dtann_assert(w.topology() == logical, "weight topology mismatch");
-    // Hidden-pass stationary weights: logical weights into the
-    // top-left of the grid, bias row last; everything else 0. Each
-    // store goes through the PE's (possibly faulty) latch.
-    for (int j = 0; j < cfg.hidden; ++j) {
-        for (int i = 0; i <= cfg.inputs; ++i) {
-            double v = 0.0;
-            if (j < logical.hidden) {
-                if (i < logical.inputs)
-                    v = w.hid(j, i);
-                else if (i == cfg.inputs)
-                    v = w.hid(j, logical.inputs); // bias synapse
-            }
-            Fix16 q = Fix16::fromDouble(v);
-            hidWAt(j, i) = unitLatchStore(Layer::Hidden, j, i, q);
-        }
-    }
-    // Output-pass stationary weights: the same latches, reloaded.
-    for (int k = 0; k < cfg.outputs; ++k) {
-        for (int j = 0; j <= cfg.hidden; ++j) {
-            double v = 0.0;
-            if (k < logical.outputs) {
-                if (j < logical.hidden)
-                    v = w.out(k, j);
-                else if (j == cfg.hidden)
-                    v = w.out(k, logical.hidden); // bias synapse
-            }
-            Fix16 q = Fix16::fromDouble(v);
-            outWAt(k, j) = unitLatchStore(Layer::Output, k, j, q);
-        }
-    }
+    // Hidden-pass stationary weights go into the top-left of the
+    // grid, bias row last; the output pass reloads the same PE
+    // latches. Each store goes through the PE's (possibly faulty)
+    // latch, hidden pass first.
+    storeWeights(w, hidW.data(), outW.data());
 }
 
 void
 SystolicBackend::forwardPass(Layer pass, std::span<const Fix16> in,
                              std::span<Fix16> out)
 {
-    const Fix16 one = Fix16::fromDouble(1.0);
-    int fanin = pass == Layer::Hidden ? cfg.inputs : cfg.hidden;
-    int neurons = pass == Layer::Hidden ? cfg.hidden : cfg.outputs;
-    for (int n = 0; n < neurons; ++n) {
-        // Column n: the input streams down the rows, each PE
-        // multiplying by its stationary weight and folding the
-        // product into the partial sum — the same multiply/add
-        // chain as a spatial neuron, executed on shared silicon.
-        Fix16 *weights = pass == Layer::Hidden
-            ? &hidWAt(n, 0) : &outWAt(n, 0);
-        Acc24 acc = Acc24::fromFix16(
-            unitMul(pass, n, 0, weights[0], in[0]));
-        for (int i = 1; i <= fanin; ++i) {
-            Fix16 x = i < fanin ? in[static_cast<size_t>(i)] : one;
-            Fix16 p = unitMul(pass, n, i, weights[i], x);
-            acc = unitAdd(pass, n, i - 1, acc, Acc24::fromFix16(p));
-        }
-        if (pass == Layer::Hidden)
-            hidSums[static_cast<size_t>(n)] = acc;
-        out[static_cast<size_t>(n)] =
-            clampValue(pass, unitAct(pass, n, acc.toFix16Sat()));
-    }
+    // Column n: the input streams down the rows, each PE multiplying
+    // by its stationary weight and folding the product into the
+    // partial sum — the same multiply/add chain as a spatial neuron,
+    // executed on shared silicon.
+    bool hid = pass == Layer::Hidden;
+    runLayer(pass, hid ? hidW.data() : outW.data(), in, out,
+             hid ? hidSums.data() : nullptr);
 }
 
 void
@@ -196,39 +138,9 @@ SystolicBackend::forwardPassLanes(Layer pass,
                                   const std::vector<Fix16 *> &out,
                                   size_t lanes)
 {
-    dtann_assert(lanes >= 1 && lanes <= kMaxLanes,
-                 "lane count out of range");
-    const Fix16 one = Fix16::fromDouble(1.0);
-    int fanin = pass == Layer::Hidden ? cfg.inputs : cfg.hidden;
-    int neurons = pass == Layer::Hidden ? cfg.hidden : cfg.outputs;
-    std::array<Fix16, kMaxLanes> x, p;
-    std::array<Acc24, kMaxLanes> acc, addend;
-    for (int n = 0; n < neurons; ++n) {
-        Fix16 *weights = pass == Layer::Hidden
-            ? &hidWAt(n, 0) : &outWAt(n, 0);
-        for (size_t l = 0; l < lanes; ++l)
-            x[l] = in[l][0];
-        unitMulLanes(pass, n, 0, weights[0], x.data(), p.data(), lanes);
-        for (size_t l = 0; l < lanes; ++l)
-            acc[l] = Acc24::fromFix16(p[l]);
-        for (int i = 1; i <= fanin; ++i) {
-            for (size_t l = 0; l < lanes; ++l)
-                x[l] = i < fanin ? in[l][i] : one;
-            unitMulLanes(pass, n, i, weights[i], x.data(), p.data(),
-                         lanes);
-            for (size_t l = 0; l < lanes; ++l)
-                addend[l] = Acc24::fromFix16(p[l]);
-            unitAddLanes(pass, n, i - 1, acc.data(), addend.data(),
-                         lanes);
-        }
-        if (pass == Layer::Hidden)
-            hidSums[static_cast<size_t>(n)] = acc[lanes - 1];
-        for (size_t l = 0; l < lanes; ++l)
-            x[l] = acc[l].toFix16Sat();
-        unitActLanes(pass, n, x.data(), p.data(), lanes);
-        for (size_t l = 0; l < lanes; ++l)
-            out[l][n] = clampValue(pass, p[l]);
-    }
+    bool hid = pass == Layer::Hidden;
+    runLayerLanes(pass, hid ? hidW.data() : outW.data(), in, out, lanes,
+                  hid ? hidSums.data() : nullptr, nullptr);
 }
 
 Activations

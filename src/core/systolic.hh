@@ -114,9 +114,6 @@ class SystolicBackend : public HardwareBackend
 
     mutable DeviationProbe mergedProbe; // probe() scratch
 
-    Fix16 &hidWAt(int j, int i);
-    Fix16 &outWAt(int k, int j);
-
     /** Does either eligible pass use this grid unit? */
     bool usedBy(const SitePool &pool, UnitKind kind, int r,
                 int c) const;

@@ -1,6 +1,8 @@
 #include "rtl/operator_sim.hh"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "circuit/lane_plane.hh"
 #include "common/env.hh"
@@ -18,7 +20,8 @@ OperatorSim::OperatorSim(std::shared_ptr<const Netlist> netlist,
                 : BatchEvaluator::tryCreate(
                       *nl, std::move(injection.faults),
                       noCone() ? CleanFn{} : std::move(clean),
-                      batchLaneWidth(), &eval.faultCone()))
+                      batchLaneWidth(), &eval.faultCone())),
+      relaxMemo(nl->hasFeedback() && !noCone())
 {
 }
 
@@ -28,9 +31,15 @@ OperatorSim::apply(uint64_t input_bits)
     ++scalarVectors;
     if (!memoDecided) {
         memoDecided = true;
-        if (eval.conePruned() && eval.stateNets().size() <= 64)
+        if (eval.conePruned() && eval.stateNets().size() <= 64) {
             memo.assign(memoSlots, {emptyKey, 0, 0, 0});
+        } else if (relaxMemo) {
+            relax.assign(relaxSlots, {0, 0, 0, false, false});
+            relaxNets.assign(relaxSlots * 2 * eval.netValues().size(), 0);
+        }
     }
+    if (!relax.empty())
+        return applyRelaxed(input_bits);
     if (memo.empty() || input_bits == emptyKey)
         return eval.evaluateBits(input_bits);
 
@@ -46,6 +55,41 @@ OperatorSim::apply(uint64_t input_bits)
     uint64_t out = eval.evaluateBits(input_bits);
     e = {input_bits, state, out, eval.stateBits()};
     return out;
+}
+
+uint64_t
+OperatorSim::applyRelaxed(uint64_t input_bits)
+{
+    // evaluate() reads nothing but the net vector, so the vector
+    // with the inputs applied is the whole key (the input word is
+    // part of it) and the vector it leaves is the whole next state.
+    eval.setInputBits(input_bits, nl->inputs().size());
+    const std::vector<uint8_t> &net = eval.netValues();
+    size_t bytes = net.size();
+    uint64_t h = 0;
+    for (size_t off = 0; off < bytes; off += 8) {
+        uint64_t word = 0;
+        std::memcpy(&word, net.data() + off, std::min<size_t>(8, bytes - off));
+        h = std::rotl((h ^ word) * 0x9e3779b97f4a7c15ull, 29);
+    }
+    h *= 0xc2b2ae3d27d4eb4full;
+    size_t slot = h >> (64 - std::bit_width(relaxSlots - 1));
+    RelaxEntry &e = relax[slot];
+    uint8_t *start = relaxNets.data() + slot * 2 * bytes;
+    if (e.used && std::memcmp(start, net.data(), bytes) == 0) {
+        ++memoHits;
+        eval.replayEvaluate(start + bytes, e.sweeps, e.oscillated,
+                            e.gateEvals);
+        return e.output;
+    }
+    std::memcpy(start, net.data(), bytes);
+    uint64_t evals = eval.gateEvals();
+    eval.evaluate();
+    std::memcpy(start + bytes, net.data(), bytes);
+    e = {eval.outputBits(std::min<size_t>(nl->outputs().size(), 64)),
+         eval.gateEvals() - evals, eval.lastSweeps(),
+         eval.lastOscillated(), true};
+    return e.output;
 }
 
 void

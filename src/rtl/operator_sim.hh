@@ -15,11 +15,13 @@
  *  - cone-pruned scalar (apply): feedback-free netlists with a
  *    clean model, any fault semantics (MEM, delay), behind an exact
  *    direct-mapped memo keyed by (input word, state bits);
- *  - full scalar relaxation: everything else (e.g. latches).
+ *  - full scalar relaxation: everything else (e.g. latches); on
+ *    feedback netlists behind an exact direct-mapped memo keyed by
+ *    the evaluator's whole net vector.
  *
  * All paths are bit-identical to the full scalar sweep; the env
  * knobs DTANN_NO_BATCH / DTANN_NO_CONE force the slower paths for
- * equivalence testing (DTANN_NO_CONE also turns the memo off). The
+ * equivalence testing (DTANN_NO_CONE also turns both memos off). The
  * underlying netlist is shared (immutable) across instances of the
  * same operator shape.
  */
@@ -58,7 +60,11 @@ class OperatorSim
      *
      * On the cone-pruned path a call whose (input word, state bits)
      * pair is in the memo replays the recorded outputs and next
-     * state instead of sweeping (see Evaluator::stateNets()).
+     * state instead of sweeping (see Evaluator::stateNets()). On a
+     * feedback netlist a call whose net vector, inputs applied, is
+     * in the relaxation memo replays the recorded relaxation (see
+     * Evaluator::netValues()). Either way outputs, nets and every
+     * counter end as a sweep would leave them.
      */
     uint64_t apply(uint64_t input_bits);
 
@@ -108,6 +114,9 @@ class OperatorSim
     Evaluator &evaluator() { return eval; }
 
   private:
+    /** apply() on a feedback netlist, through the relaxation memo. */
+    uint64_t applyRelaxed(uint64_t input_bits);
+
     /** One recorded pruned evaluation; input == emptyKey when the
      *  slot is unused. */
     struct MemoEntry
@@ -123,6 +132,23 @@ class OperatorSim
     /** Marks an unused slot; an all-ones input skips the memo. */
     static constexpr uint64_t emptyKey = ~0ull;
 
+    /**
+     * One recorded relaxation of a feedback netlist. The net vector
+     * it started from and the one it left live in relaxNets; the
+     * rest is what evaluate() reports besides the nets.
+     */
+    struct RelaxEntry
+    {
+        uint64_t output;
+        uint64_t gateEvals;
+        int sweeps;
+        bool oscillated;
+        bool used;
+    };
+    /** Relaxation memo slots (a power of two). */
+    static constexpr size_t relaxSlots = 64;
+    static_assert((relaxSlots & (relaxSlots - 1)) == 0);
+
     std::shared_ptr<const Netlist> nl;
     std::vector<InjectionRecord> records;
     Evaluator eval;
@@ -130,6 +156,13 @@ class OperatorSim
     /** Direct-mapped memo, allocated by the first apply() when the
      *  evaluator is cone-pruned with at most 64 state nets. */
     std::vector<MemoEntry> memo;
+    /** Relaxation memo, allocated by the first apply() on a feedback
+     *  netlist: entries, and per slot the start then the next net
+     *  vector (2 x netValues().size() bytes). */
+    std::vector<RelaxEntry> relax;
+    std::vector<uint8_t> relaxNets;
+    /** Feedback netlist and DTANN_NO_CONE unset at construction. */
+    bool relaxMemo;
     bool memoDecided = false;
     uint64_t memoHits = 0;
     uint64_t scalarVectors = 0;

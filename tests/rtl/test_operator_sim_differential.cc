@@ -208,8 +208,9 @@ TEST(OperatorSimDifferential, BitIdenticalAcrossLaneWidths)
         Injection copy{inj.faults, inj.records};
         OperatorSim sim(nl, std::move(copy), clean);
         EXPECT_TRUE(sim.batched());
-        if (expect_width > 0)
+        if (expect_width > 0) {
             EXPECT_EQ(sim.laneCount(), expect_width);
+        }
         std::vector<uint64_t> out(in.size());
         sim.applyLanes(in.data(), out.data(), in.size());
         unsetenv("DTANN_LANES");

@@ -1,12 +1,15 @@
 /**
  * @file
- * Differential suite for OperatorSim's scalar memo: apply() must
+ * Differential suite for OperatorSim's scalar memos: apply() must
  * match a bare Evaluator (the same fault set and clean model, no
  * memo) call by call — outputs, granular output reads, state bits
  * and gate-evaluation totals — for pure, MEM, delay and stacked
  * fault sets on the multiplier, adder and sigmoid units, under
  * constant, short-cycle, random and slot-thrashing input streams,
- * with a reset() in the middle.
+ * with a reset() in the middle. Latch registers (the relaxation
+ * memo) are held to the full net vector, the sweep count and the
+ * oscillation flag as well, under stuck-at, MEM, delay and
+ * oscillating fault sets and repeated or changing store streams.
  */
 
 #include <gtest/gtest.h>
@@ -258,15 +261,119 @@ TEST(OperatorSimMemo, HitsCountedOnCyclesOnly)
     unsetenv("DTANN_NO_CONE");
 }
 
-TEST(OperatorSimMemo, LatchSimsStayOnRelaxation)
+/**
+ * Latch fault sets for the relaxation memo: stuck-ats, a MEM draw, a
+ * delay draw, and an oscillating cross-coupled pair. Gate 5b + k of
+ * the register is gate k of bit b's cell: NOT D, the set NAND, the
+ * reset NAND, then Q's and Qb's NANDs.
+ */
+std::vector<std::pair<std::string, FaultSet>>
+latchFamilies(const Netlist &nl, Rng &rng)
+{
+    FaultSet stuck;
+    stuck.stuckAt.push_back({3, -1, true});  // bit 0's Q stuck at 1
+    stuck.stuckAt.push_back({7, 1, false}); // bit 1's reset never enabled
+    FaultSet mem = drawFaults(nl, rng, [](const FaultSet &f) {
+        return hasMem(f) && f.delayed.empty();
+    });
+    FaultSet delay = drawFaults(nl, rng, [](const FaultSet &f) {
+        return !f.delayed.empty();
+    });
+    // Bit 2's Q gate becomes an AND: with the latch closed, Q copies
+    // Qb and Qb inverts Q, so every EN=0 call runs to the sweep cap.
+    FaultSet osc = mem;
+    osc.overrides[13] = GateFunction(2, 0b1000, 0);
+    return {{"stuck", stuck},
+            {"mem", mem},
+            {"delay", delay},
+            {"oscillating", osc}};
+}
+
+/** Store streams: each word is written as EN=1 then EN=0. */
+std::vector<std::pair<std::string, std::vector<uint64_t>>>
+storeStreams(Rng &rng)
+{
+    auto word = [&] { return rng.nextUint(1u << 16); };
+    auto stores = [](const std::vector<uint64_t> &words) {
+        std::vector<uint64_t> s;
+        for (uint64_t w : words) {
+            s.push_back(w | 1u << 16);
+            s.push_back(w);
+        }
+        return s;
+    };
+    std::vector<std::pair<std::string, std::vector<uint64_t>>> out;
+    out.push_back({"repeat", stores(std::vector<uint64_t>(80, word()))});
+    std::vector<uint64_t> cycle = {word(), word(), word()}, cyc;
+    for (size_t i = 0; i < 90; ++i)
+        cyc.push_back(cycle[i % cycle.size()]);
+    out.push_back({"cycle3", stores(cyc)});
+    // A weight that mostly survives a step and sometimes moves by an
+    // LSB or two, like a trained synapse.
+    std::vector<uint64_t> drift;
+    uint64_t w = word();
+    for (int i = 0; i < 120; ++i) {
+        if (rng.nextUint(3) == 0)
+            w = (w + rng.nextUint(5) - 2) & 0xffff;
+        drift.push_back(w);
+    }
+    out.push_back({"drift", stores(drift)});
+    std::vector<uint64_t> random(150);
+    for (auto &v : random)
+        v = word();
+    out.push_back({"random", stores(random)});
+    return out;
+}
+
+TEST(OperatorSimMemo, LatchRelaxationsMatchBareEvaluatorCallByCall)
 {
     auto nl = std::make_shared<const Netlist>(buildLatchRegister(16));
     Rng rng(11);
+    bool oscillated = false;
+    for (const auto &[family, faults] : latchFamilies(*nl, rng)) {
+        for (const auto &[stream, in] : storeStreams(rng)) {
+            SCOPED_TRACE(family + "/" + stream);
+            OperatorSim sim(nl, Injection{faults, {}});
+            Evaluator ref(*nl, faults);
+            ASSERT_FALSE(sim.conePruned());
+            for (size_t i = 0; i < in.size(); ++i) {
+                if (i == in.size() / 2) {
+                    sim.reset();
+                    ref.reset();
+                }
+                uint64_t want = ref.evaluateBits(in[i]);
+                ASSERT_EQ(sim.apply(in[i]), want) << "call " << i;
+                const Evaluator &ev = sim.evaluator();
+                ASSERT_EQ(ev.netValues(), ref.netValues()) << "call " << i;
+                ASSERT_EQ(ev.gateEvals(), ref.gateEvals()) << "call " << i;
+                ASSERT_EQ(ev.lastSweeps(), ref.lastSweeps()) << "call " << i;
+                ASSERT_EQ(sim.lastOscillated(), ref.lastOscillated())
+                    << "call " << i;
+                oscillated |= ref.lastOscillated();
+            }
+            SimCounters c = sim.counters();
+            EXPECT_EQ(c.scalarVectors, in.size());
+            EXPECT_EQ(c.gateEvals, ref.gateEvals());
+            EXPECT_LE(c.memoHits, c.scalarVectors);
+            if (stream != "random") {
+                EXPECT_GT(c.memoHits, 0u);
+            }
+        }
+    }
+    // The oscillating family must really reach the sweep cap.
+    EXPECT_TRUE(oscillated);
+}
+
+TEST(OperatorSimMemo, NoConeKeepsLatchRelaxationsMemoFree)
+{
+    auto nl = std::make_shared<const Netlist>(buildLatchRegister(16));
+    Rng rng(13);
     Injection inj = injectTransistorDefects(*nl, 2, rng);
+    setenv("DTANN_NO_CONE", "1", 1);
     OperatorSim sim(nl, std::move(inj));
-    EXPECT_FALSE(sim.conePruned());
+    unsetenv("DTANN_NO_CONE");
     for (int i = 0; i < 100; ++i)
-        sim.apply(i % 3 ? 0x1abcdu : 0x05555u);
+        sim.apply(i % 2 ? 0x0abcdu : 0x1abcdu);
     EXPECT_EQ(sim.counters().memoHits, 0u);
     EXPECT_EQ(sim.counters().scalarVectors, 100u);
 }
