@@ -15,7 +15,7 @@
 #include "core/campaign.hh"
 #include "core/cost_model.hh"
 #include "core/injector.hh"
-#include "core/spare.hh"
+#include "core/row_map.hh"
 #include "data/synth_uci.hh"
 
 using namespace dtann;
@@ -68,8 +68,8 @@ main()
 
         // Spared network, same defect seed against its primary
         // output stage.
-        Accelerator a2(cfg, sparedTopology(logical, copies));
-        SparedOutputMlp spared(a2, logical, copies);
+        Accelerator a2(cfg, fullRowTopology(logical, cfg));
+        RowMappedMlp spared(a2, logical, sparePlan(logical, copies));
         Rng t2 = rng.split();
         MlpWeights w2 = Trainer(hyper).train(spared, ds, t2);
         {

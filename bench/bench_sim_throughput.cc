@@ -25,7 +25,7 @@
 #include "core/accelerator.hh"
 #include "core/deep_mux.hh"
 #include "core/injector.hh"
-#include "core/spare.hh"
+#include "core/row_map.hh"
 #include "core/timemux.hh"
 #include "rtl/adder.hh"
 #include "rtl/clean_model.hh"
@@ -618,11 +618,11 @@ BM_SpareForwardFaulty(benchmark::State &state)
     std::unique_ptr<Accelerator> accel;
     do {
         accel = std::make_unique<Accelerator>(
-            cfg, sparedTopology(logical, 3));
+            cfg, fullRowTopology(logical, cfg));
         DefectInjector inj(*accel, SitePool::outputCritical());
         inj.inject(1, rng);
     } while (!accel->batchPure());
-    SparedOutputMlp spared(*accel, logical, 3);
+    RowMappedMlp spared(*accel, logical, sparePlan(logical, 3));
     MlpWeights w(logical);
     Rng wr(7);
     w.initRandom(wr, 1.2);

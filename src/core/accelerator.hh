@@ -55,27 +55,6 @@ class SpatialBackend : public HardwareBackend
         return BackendKind::Spatial;
     }
 
-    /**
-     * Quantize logical weights and store them through the (possibly
-     * faulty) weight latches — the DMA write path.
-     */
-    void setWeights(const MlpWeights &w) override;
-
-    /** Forward one logical input row through the array. */
-    Activations forward(std::span<const double> input) override;
-
-    /**
-     * Forward a batch of logical input rows, evaluating each faulty
-     * unit up to batchLaneWidth() rows per gate-level sweep
-     * (state-free fault sets; 64/256/512 lanes per the DTANN_LANES
-     * knob) or in row order through its scalar simulation
-     * otherwise. Bit-identical to calling forward() per row at
-     * every lane width, including the per-unit deviation-probe
-     * update order.
-     */
-    std::vector<Activations> forwardBatch(
-        std::span<const std::vector<double>> inputs) override;
-
     /** Fixed-point forward on the physical array (padded input). */
     std::vector<Fix16> forwardFix(std::span<const Fix16> physical_input);
 
@@ -122,7 +101,9 @@ class SpatialBackend : public HardwareBackend
                              size_t lanes);
 
     /** Per-lane pre-activation sums of the last lane-batched
-     *  hidden-layer run: lane l, neuron n at [l * hidden + n]. */
+     *  hidden-layer run (runHiddenLayerLanes() or the last lane
+     *  chunk of forwardBatch()): lane l, neuron n at
+     *  [l * hidden + n]. */
     const std::vector<Acc24> &hiddenSumsLanes() const
     {
         return hidSumsLanes;
@@ -138,28 +119,8 @@ class SpatialBackend : public HardwareBackend
     enumerateSites(const SitePool &pool) const override;
 
   private:
-    /** Stored physical weights (post-latch values). */
-    std::vector<Fix16> hidW; // [hidden][inputs+1]
-    std::vector<Fix16> outW; // [outputs][hidden+1]
-
-    std::vector<Fix16> hiddenAct;
-    std::vector<Acc24> hidSums;
-    /** [lane * hidden + neuron] sums of the last lanes run. */
-    std::vector<Acc24> hidSumsLanes;
-
     Fix16 &hidWAt(int j, int i);
     Fix16 &outWAt(int k, int j);
-
-    /** Run one physical layer. */
-    void forwardLayer(Layer layer, std::span<const Fix16> in,
-                      std::span<Fix16> out);
-
-    /** Run one physical layer over <= kMaxLanes rows (one pointer
-     *  each). */
-    void forwardLayerLanes(Layer layer,
-                           const std::vector<const Fix16 *> &in,
-                           const std::vector<Fix16 *> &out,
-                           size_t lanes);
 };
 
 /**

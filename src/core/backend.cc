@@ -179,6 +179,12 @@ backendNameList()
 HardwareBackend::HardwareBackend(const AcceleratorConfig &config,
                                  MlpTopology logical_topo)
     : cfg(config), logical(logical_topo),
+      hidW(static_cast<size_t>(config.hidden) *
+           static_cast<size_t>(config.inputs + 1)),
+      outW(static_cast<size_t>(config.outputs) *
+           static_cast<size_t>(config.hidden + 1)),
+      hiddenAct(static_cast<size_t>(config.hidden)),
+      hidSums(static_cast<size_t>(config.hidden)),
       multNl(std::make_shared<Netlist>(
           buildMultiplierSigned(16, config.faStyle))),
       addNl(std::make_shared<Netlist>(
@@ -633,7 +639,7 @@ HardwareBackend::unitActLanes(Layer layer, int neuron, const Fix16 *x,
 }
 
 void
-HardwareBackend::storeWeights(const MlpWeights &w, Fix16 *hid, Fix16 *out)
+HardwareBackend::setWeights(const MlpWeights &w)
 {
     dtann_assert(w.topology() == logical, "weight topology mismatch");
     for (Layer layer : {Layer::Hidden, Layer::Output}) {
@@ -642,7 +648,7 @@ HardwareBackend::storeWeights(const MlpWeights &w, Fix16 *hid, Fix16 *out)
         int used = h ? logical.hidden : logical.outputs;
         int fanin = fanIn(layer);
         int used_fanin = h ? logical.inputs : logical.hidden;
-        Fix16 *dst = h ? hid : out;
+        Fix16 *dst = h ? hidW.data() : outW.data();
         for (int n = 0; n < neurons; ++n) {
             const uint16_t *latch = slotRow(UnitKind::WeightLatch, layer, n);
             for (int i = 0; i <= fanin; ++i) {
@@ -659,14 +665,95 @@ HardwareBackend::storeWeights(const MlpWeights &w, Fix16 *hid, Fix16 *out)
     }
 }
 
-void
-HardwareBackend::runLayer(Layer layer, const Fix16 *weights,
-                          std::span<const Fix16> in, std::span<Fix16> out,
-                          Acc24 *sums)
+Activations
+HardwareBackend::forward(std::span<const double> input)
 {
+    dtann_assert(static_cast<int>(input.size()) == logical.inputs,
+                 "logical input arity mismatch");
+    std::vector<Fix16> phys(static_cast<size_t>(cfg.inputs));
+    for (size_t i = 0; i < input.size(); ++i)
+        phys[i] = Fix16::fromDouble(input[i]);
+
+    runLayer(Layer::Hidden, phys, hiddenAct);
+    std::vector<Fix16> out(static_cast<size_t>(cfg.outputs));
+    runLayer(Layer::Output, hiddenAct, out);
+
+    Activations act(static_cast<size_t>(logical.hidden),
+                    static_cast<size_t>(logical.outputs));
+    for (int j = 0; j < logical.hidden; ++j)
+        act.hidden()[static_cast<size_t>(j)] =
+            hiddenAct[static_cast<size_t>(j)].toDouble();
+    for (int k = 0; k < logical.outputs; ++k)
+        act.output()[static_cast<size_t>(k)] =
+            out[static_cast<size_t>(k)].toDouble();
+    return act;
+}
+
+std::vector<Activations>
+HardwareBackend::forwardBatch(std::span<const std::vector<double>> inputs)
+{
+    if (!chunkedPassesExact())
+        return rowLoopBatch(inputs);
+
+    size_t rows = inputs.size();
+    std::vector<std::vector<Fix16>> phys(
+        rows, std::vector<Fix16>(static_cast<size_t>(cfg.inputs)));
+    for (size_t r = 0; r < rows; ++r) {
+        dtann_assert(static_cast<int>(inputs[r].size()) ==
+                         logical.inputs,
+                     "logical input arity mismatch");
+        for (size_t i = 0; i < inputs[r].size(); ++i)
+            phys[r][i] = Fix16::fromDouble(inputs[r][i]);
+    }
+
+    std::vector<std::vector<Fix16>> hid(
+        rows, std::vector<Fix16>(static_cast<size_t>(cfg.hidden)));
+    std::vector<std::vector<Fix16>> outv(
+        rows, std::vector<Fix16>(static_cast<size_t>(cfg.outputs)));
+    size_t width = batchLaneWidth();
+    for (size_t pos = 0; pos < rows; pos += width) {
+        size_t lanes = std::min(width, rows - pos);
+        std::vector<const Fix16 *> inPtr(lanes);
+        std::vector<const Fix16 *> hidIn(lanes);
+        std::vector<Fix16 *> hidPtr(lanes), outPtr(lanes);
+        for (size_t l = 0; l < lanes; ++l) {
+            inPtr[l] = phys[pos + l].data();
+            hidIn[l] = hid[pos + l].data();
+            hidPtr[l] = hid[pos + l].data();
+            outPtr[l] = outv[pos + l].data();
+        }
+        runLayerLanes(Layer::Hidden, inPtr, hidPtr, lanes);
+        runLayerLanes(Layer::Output, hidIn, outPtr, lanes);
+    }
+
+    std::vector<Activations> acts(rows);
+    for (size_t r = 0; r < rows; ++r) {
+        Activations &act = acts[r];
+        act = Activations(static_cast<size_t>(logical.hidden),
+                          static_cast<size_t>(logical.outputs));
+        for (int j = 0; j < logical.hidden; ++j)
+            act.hidden()[static_cast<size_t>(j)] =
+                hid[r][static_cast<size_t>(j)].toDouble();
+        for (int k = 0; k < logical.outputs; ++k)
+            act.output()[static_cast<size_t>(k)] =
+                outv[r][static_cast<size_t>(k)].toDouble();
+    }
+    // Mirror per-row forward(): the activation scratch holds the
+    // last processed row.
+    if (rows > 0)
+        hiddenAct = hid[rows - 1];
+    return acts;
+}
+
+void
+HardwareBackend::runLayer(Layer layer, std::span<const Fix16> in,
+                          std::span<Fix16> out)
+{
+    bool hid = layer == Layer::Hidden;
+    const Fix16 *weights = hid ? hidW.data() : outW.data();
+    Acc24 *sums = hid ? hidSums.data() : nullptr;
     size_t stride = static_cast<size_t>(fanIn(layer) + 1);
-    size_t neurons = static_cast<size_t>(
-        layer == Layer::Hidden ? cfg.hidden : cfg.outputs);
+    size_t neurons = static_cast<size_t>(hid ? cfg.hidden : cfg.outputs);
     for (size_t n = 0; n < neurons; ++n) {
         int neuron = static_cast<int>(n);
         Acc24 acc = neuronSum(layer, neuron, weights + n * stride, in);
@@ -679,16 +766,23 @@ HardwareBackend::runLayer(Layer layer, const Fix16 *weights,
 }
 
 void
-HardwareBackend::runLayerLanes(Layer layer, const Fix16 *weights,
+HardwareBackend::runLayerLanes(Layer layer,
                                const std::vector<const Fix16 *> &in,
                                const std::vector<Fix16 *> &out,
-                               size_t lanes, Acc24 *sums,
-                               Acc24 *sums_lanes)
+                               size_t lanes)
 {
     dtann_assert(lanes >= 1 && lanes <= kMaxLanes,
                  "lane count out of range");
+    bool hid = layer == Layer::Hidden;
+    const Fix16 *weights = hid ? hidW.data() : outW.data();
+    Acc24 *sums = hid ? hidSums.data() : nullptr;
+    Acc24 *sums_lanes = nullptr;
+    if (hid) {
+        hidSumsLanes.resize(lanes * static_cast<size_t>(cfg.hidden));
+        sums_lanes = hidSumsLanes.data();
+    }
     size_t stride = static_cast<size_t>(fanIn(layer) + 1);
-    int neurons = layer == Layer::Hidden ? cfg.hidden : cfg.outputs;
+    int neurons = hid ? cfg.hidden : cfg.outputs;
     std::array<Fix16, kMaxLanes> x, y;
     std::array<Acc24, kMaxLanes> acc;
     for (int n = 0; n < neurons; ++n) {

@@ -163,11 +163,11 @@ std::string backendNameList();
  *
  * Owns the shared unit netlists and every piece of fault state:
  * gate-level simulations of faulty units, mitigation bypass muxes,
- * activation clamp windows, and deviation probes. Concrete
- * backends implement the dataflow (setWeights/forward/forwardBatch)
- * on top of the protected pass-addressed unit operations, and
- * describe their physical unit population via unitCount() /
- * enumerateSites() / physicalSite().
+ * activation clamp windows, and deviation probes. Both backends run
+ * the same two-pass forward (setWeights/forward/forwardBatch) over
+ * the protected pass-addressed unit operations; a concrete backend
+ * describes which physical unit executes each operation via
+ * unitCount() / enumerateSites() / physicalSite().
  */
 class HardwareBackend : public ForwardModel
 {
@@ -191,6 +191,32 @@ class HardwareBackend : public ForwardModel
 
     /** Aggregate simulation work counters over all faulty units. */
     SimCounters simCounters() const override;
+
+    /**
+     * Quantize @p w and write it through the weight latches (the DMA
+     * write path): each layer's logical weights fill the top-left of
+     * its physical [neurons][fanin + 1] block, bias synapse last;
+     * every other site stores zero. Hidden-pass weights are written
+     * first.
+     */
+    void setWeights(const MlpWeights &w) override;
+
+    /** Forward one logical input row: the hidden pass, then the
+     *  output pass, over every physical neuron. */
+    Activations forward(std::span<const double> input) override;
+
+    /**
+     * Forward a batch of logical input rows, evaluating each faulty
+     * unit up to batchLaneWidth() rows per gate-level sweep
+     * (state-free fault sets; 64/256/512 lanes per the DTANN_LANES
+     * knob) or in row order through its scalar simulation
+     * otherwise. Bit-identical to calling forward() per row at
+     * every lane width, including the per-unit deviation-probe
+     * update order. Falls back to a row loop when
+     * chunkedPassesExact() does not hold.
+     */
+    std::vector<Activations> forwardBatch(
+        std::span<const std::vector<double>> inputs) override;
 
     /**
      * True when every faulty unit's simulation is a pure function
@@ -381,16 +407,17 @@ class HardwareBackend : public ForwardModel
         return layer == Layer::Hidden ? cfg.inputs : cfg.hidden;
     }
 
+    /**
+     * True when forwardBatch() may run each lane chunk's hidden
+     * sweeps before its output sweeps and still give every unit the
+     * input sequence a per-row loop would. It holds whenever each
+     * unit serves one pass (the default); a backend whose units are
+     * shared between passes overrides it.
+     */
+    virtual bool chunkedPassesExact() const { return true; }
+
     /** Apply @p layer's clamp window to one datapath value. */
     Fix16 clampValue(Layer layer, Fix16 x);
-
-    /**
-     * Write @p w through the weight latches: each layer's logical
-     * weights fill the top-left of its physical [neurons][fanin + 1]
-     * block, bias synapse last; every other site stores zero.
-     * @p hid and @p out receive the stored (post-latch) words.
-     */
-    void storeWeights(const MlpWeights &w, Fix16 *hid, Fix16 *out);
 
     /** One latch write: a clean latch holds @p d as written, any
      *  other goes through unitLatchStore(). */
@@ -402,26 +429,22 @@ class HardwareBackend : public ForwardModel
     }
 
     /**
-     * Run @p layer for one input row: per neuron n, neuronSum() over
-     * row n of @p weights ([neurons][fanin + 1]), then the activation
-     * unit and the clamp. Pre-activation sums land in @p sums when
-     * it is not null.
+     * Run @p layer for one input row: per physical neuron n,
+     * neuronSum() over its stored weight row, then the activation
+     * unit and the clamp. The hidden pass also leaves its
+     * pre-activation sums in hidSums.
      */
-    void runLayer(Layer layer, const Fix16 *weights,
-                  std::span<const Fix16> in, std::span<Fix16> out,
-                  Acc24 *sums);
+    void runLayer(Layer layer, std::span<const Fix16> in,
+                  std::span<Fix16> out);
 
     /**
-     * runLayer() over <= kMaxLanes rows (one pointer each). @p sums,
-     * when not null, receives the last lane's sums (the readable
-     * output latches hold the last processed row); @p sums_lanes,
-     * when not null, lane l's sum of neuron n at
-     * [l * neurons + n].
+     * runLayer() over <= kMaxLanes rows (one pointer each). The
+     * hidden pass leaves the last lane's sums in hidSums (the
+     * readable output latches hold the last processed row) and
+     * every lane's sums in hidSumsLanes.
      */
-    void runLayerLanes(Layer layer, const Fix16 *weights,
-                       const std::vector<const Fix16 *> &in,
-                       const std::vector<Fix16 *> &out, size_t lanes,
-                       Acc24 *sums, Acc24 *sums_lanes);
+    void runLayerLanes(Layer layer, const std::vector<const Fix16 *> &in,
+                       const std::vector<Fix16 *> &out, size_t lanes);
 
     /**
      * One neuron's multiply/add chain: multiplier i takes weight
@@ -459,6 +482,17 @@ class HardwareBackend : public ForwardModel
 
     AcceleratorConfig cfg;
     MlpTopology logical;
+
+    /** Stored physical weights (post-latch values). */
+    std::vector<Fix16> hidW; // [hidden][inputs+1]
+    std::vector<Fix16> outW; // [outputs][hidden+1]
+
+    /** Hidden activations and pre-activation sums of the last
+     *  processed row. */
+    std::vector<Fix16> hiddenAct;
+    std::vector<Acc24> hidSums;
+    /** [lane * hidden + neuron] sums of the last lanes run. */
+    std::vector<Acc24> hidSumsLanes;
 
     /** Shared unit netlists. */
     std::shared_ptr<const Netlist> multNl;

@@ -68,11 +68,6 @@ class SystolicBackend : public HardwareBackend
      *  cost model. */
     const PeCell &peCell() const { return cell; }
 
-    void setWeights(const MlpWeights &w) override;
-    Activations forward(std::span<const double> input) override;
-    std::vector<Activations> forwardBatch(
-        std::span<const std::vector<double>> inputs) override;
-
     int unitCount(UnitKind kind) const override;
 
     /**
@@ -99,34 +94,26 @@ class SystolicBackend : public HardwareBackend
                 pass_site.index};
     }
 
+    /**
+     * A stateful faulty PE observes a different operation order
+     * when a lane chunk runs all hidden sweeps, then all output
+     * sweeps, than when rows run one at a time (passes interleaved
+     * per row): the PE is shared between the passes, unlike the
+     * spatial array's dedicated units. Chunk only when every faulty
+     * simulation is a pure function.
+     */
+    bool chunkedPassesExact() const override { return batchPure(); }
+
   private:
     int rows;
     int cols;
     PeCell cell;
-
-    /** Per-pass stationary weights (post-latch values): the latch
-     *  at PE (r, c) is reloaded between passes. */
-    std::vector<Fix16> hidW; // [hidden][inputs+1]
-    std::vector<Fix16> outW; // [outputs][hidden+1]
-
-    std::vector<Fix16> hiddenAct;
-    std::vector<Acc24> hidSums;
 
     mutable DeviationProbe mergedProbe; // probe() scratch
 
     /** Does either eligible pass use this grid unit? */
     bool usedBy(const SitePool &pool, UnitKind kind, int r,
                 int c) const;
-
-    /** Stream one pass through the grid (scalar schedule). */
-    void forwardPass(Layer pass, std::span<const Fix16> in,
-                     std::span<Fix16> out);
-
-    /** Stream one pass, <= kMaxLanes rows per PE sweep. */
-    void forwardPassLanes(Layer pass,
-                          const std::vector<const Fix16 *> &in,
-                          const std::vector<Fix16 *> &out,
-                          size_t lanes);
 };
 
 } // namespace dtann

@@ -6,8 +6,6 @@
 
 #include "ann/crossval.hh"
 #include "common/logging.hh"
-#include "mitigate/remap.hh"
-#include "mitigate/replicate.hh"
 
 namespace dtann {
 
@@ -280,42 +278,6 @@ class BypassFaultyMitigator : public Mitigator
     }
 };
 
-class RemapToSparesMitigator : public Mitigator
-{
-  public:
-    Strategy kind() const override { return Strategy::RemapToSpares; }
-
-    MitigationOutcome
-    run(const MitigationSetup &setup,
-        const std::function<void(HardwareBackend &)> &inject,
-        Rng &rng) override
-    {
-        dtann_assert(
-            strategySupported(Strategy::RemapToSpares, setup.backend),
-            "remap requires the spatial backend");
-        // Map the array with every physical output row addressable
-        // so spare rows can take over diagnosed-faulty ones.
-        Accelerator accel(setup.array,
-                          RemappedOutputMlp::extendedTopology(
-                              setup.logical, setup.array));
-        inject(accel);
-
-        DefectMap map;
-        DiagnosisReport report = diagnose(accel, setup.bist, rng, &map);
-        RemappedOutputMlp remapped(
-            accel, setup.logical,
-            planOutputRemap(map, setup.logical, setup.array));
-
-        MitigationOutcome out;
-        out.coverage = report.coverage();
-        out.diagnosed = static_cast<int>(map.size());
-        out.mitigatedUnits = remapped.remappedCount();
-        out.accuracy = retrainedAccuracy(remapped, setup, rng);
-        out.sim = accel.simCounters();
-        return out;
-    }
-};
-
 /** Clamp-profiling margin: one-sixteenth of a value unit beyond
  *  the observed clean range, so quantization wobble at the window
  *  edge never clips a healthy activation. */
@@ -374,42 +336,84 @@ class ClampActivationsMitigator : public Mitigator
     }
 };
 
-class ReplicateCriticalMitigator : public Mitigator
+/**
+ * RemapToSpares and ReplicateCritical: diagnose, plan the output
+ * rows from the defect map, and retrain through the row-mapped
+ * array. The plan is the only step that depends on the strategy.
+ */
+class SpareRowMitigator : public Mitigator
 {
   public:
-    Strategy kind() const override
-    {
-        return Strategy::ReplicateCritical;
-    }
+    explicit SpareRowMitigator(Strategy s) : strategy(s) {}
+
+    Strategy kind() const override { return strategy; }
 
     MitigationOutcome
     run(const MitigationSetup &setup,
         const std::function<void(HardwareBackend &)> &inject,
         Rng &rng) override
     {
-        dtann_assert(strategySupported(Strategy::ReplicateCritical,
-                                       setup.backend),
-                     "replicate requires the spatial backend");
+        dtann_assert(strategySupported(strategy, setup.backend),
+                     "%s requires the spatial backend",
+                     strategyName(strategy));
+        // Map the array with every physical output row addressable
+        // so spare rows can serve diagnosed-faulty ones.
         Accelerator accel(setup.array,
-                          ReplicatedOutputMlp::extendedTopology(
-                              setup.logical, setup.array));
+                          fullRowTopology(setup.logical, setup.array));
         inject(accel);
 
         DefectMap map;
         DiagnosisReport report = diagnose(accel, setup.bist, rng, &map);
-        ReplicatedOutputMlp replicated(
+        RowMappedMlp mapped(
             accel, setup.logical,
-            planOutputReplication(map, setup.logical, setup.array));
+            strategy == Strategy::RemapToSpares
+                ? planOutputRemap(map, setup.logical, setup.array)
+                : planOutputReplication(map, setup.logical, setup.array));
 
         MitigationOutcome out;
         out.coverage = report.coverage();
         out.diagnosed = static_cast<int>(map.size());
-        out.mitigatedUnits = replicated.spareRowsUsed();
-        out.accuracy = retrainedAccuracy(replicated, setup, rng);
+        out.mitigatedUnits = mapped.spareRowsUsed();
+        out.accuracy = retrainedAccuracy(mapped, setup, rng);
         out.sim = accel.simCounters();
         return out;
     }
+
+  private:
+    Strategy strategy;
 };
+
+/**
+ * The spare-row scan both plans share: logical output k keeps row
+ * k, and a diagnosed-faulty row recruits up to @p recruits clean
+ * spare rows, taken in ascending order, each used once.
+ */
+RowPlan
+recruitSpares(const DefectMap &map, MlpTopology logical,
+              const AcceleratorConfig &cfg, int recruits)
+{
+    std::vector<int> bad = map.suspectNeurons(Layer::Output);
+    auto row_faulty = [&](int row) {
+        return std::binary_search(bad.begin(), bad.end(), row);
+    };
+
+    RowPlan plan(static_cast<size_t>(logical.outputs));
+    int next_spare = logical.outputs;
+    for (int k = 0; k < logical.outputs; ++k) {
+        std::vector<int> &group = plan[static_cast<size_t>(k)];
+        group.push_back(k);
+        if (!row_faulty(k))
+            continue;
+        for (int c = 0; c < recruits; ++c) {
+            while (next_spare < cfg.outputs && row_faulty(next_spare))
+                ++next_spare;
+            if (next_spare >= cfg.outputs)
+                break;
+            group.push_back(next_spare++);
+        }
+    }
+    return plan;
+}
 
 } // namespace
 
@@ -424,13 +428,30 @@ makeMitigator(Strategy s)
       case Strategy::BypassFaulty:
         return std::make_unique<BypassFaultyMitigator>();
       case Strategy::RemapToSpares:
-        return std::make_unique<RemapToSparesMitigator>();
+      case Strategy::ReplicateCritical:
+        return std::make_unique<SpareRowMitigator>(s);
       case Strategy::ClampActivations:
         return std::make_unique<ClampActivationsMitigator>();
-      case Strategy::ReplicateCritical:
-        return std::make_unique<ReplicateCriticalMitigator>();
     }
     panic("bad strategy");
+}
+
+RowPlan
+planOutputRemap(const DefectMap &map, MlpTopology logical,
+                const AcceleratorConfig &cfg)
+{
+    // A recruited spare replaces the faulty row outright.
+    RowPlan plan = recruitSpares(map, logical, cfg, 1);
+    for (std::vector<int> &group : plan)
+        group.erase(group.begin(), group.end() - 1);
+    return plan;
+}
+
+RowPlan
+planOutputReplication(const DefectMap &map, MlpTopology logical,
+                      const AcceleratorConfig &cfg)
+{
+    return recruitSpares(map, logical, cfg, 2);
 }
 
 } // namespace dtann

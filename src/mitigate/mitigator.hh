@@ -19,8 +19,9 @@
  *  - RemapToSpares: BIST diagnosis, then steer logical outputs off
  *                   diagnosed-faulty physical output rows onto
  *                   clean spare rows (map-driven use of the spare
- *                   output neurons the paper adds blindly), plus
- *                   retraining for the hidden layer.
+ *                   output neurons the paper adds blindly; plan:
+ *                   planOutputRemap), plus retraining for the
+ *                   hidden layer.
  *  - ClampActivations: blind (no diagnosis) learned activation
  *                   clamping — per-layer windows profiled from the
  *                   clean reference network bound every activation
@@ -33,8 +34,12 @@
  *                   diagnosed-faulty output rows onto clean spare
  *                   rows and merge the copies with the spare-array
  *                   median voter (RedMulE-FT style replication +
- *                   voting) — the suspect row stays in the vote, so
- *                   a median-of-3 tolerates a wrong diagnosis.
+ *                   voting; plan: planOutputReplication) — the
+ *                   suspect row stays in the vote, so a
+ *                   median-of-3 tolerates a wrong diagnosis.
+ *
+ * The two spare-row strategies run one model (core/row_map's
+ * RowMappedMlp) and differ only in their plan.
  */
 
 #ifndef DTANN_MITIGATE_MITIGATOR_HH
@@ -46,6 +51,7 @@
 
 #include "ann/trainer.hh"
 #include "circuit/sim_counters.hh"
+#include "core/row_map.hh"
 #include "mitigate/bist.hh"
 
 namespace dtann {
@@ -145,6 +151,27 @@ class Mitigator
 
 /** Build the requested strategy. */
 std::unique_ptr<Mitigator> makeMitigator(Strategy s);
+
+/**
+ * The remap plan for @p map: logical output k keeps row k when
+ * clean; a diagnosed-faulty row moves to the lowest clean spare row
+ * (rows logical.outputs .. cfg.outputs-1, each used once). A row
+ * counts as faulty when any output-layer unit on it is suspect.
+ * When spares run out, the remaining faulty rows keep their own
+ * row (mitigation degrades gracefully to retrain-only for them).
+ */
+RowPlan planOutputRemap(const DefectMap &map, MlpTopology logical,
+                        const AcceleratorConfig &cfg);
+
+/**
+ * The replication plan for @p map: the same spare-row scan as
+ * planOutputRemap(), but a diagnosed-faulty row stays first in its
+ * group and recruits up to two clean spare rows, for a median-of-3
+ * vote; with only one spare left the pair averages (halving the
+ * deviation). Clean rows stay singletons.
+ */
+RowPlan planOutputReplication(const DefectMap &map, MlpTopology logical,
+                              const AcceleratorConfig &cfg);
 
 /**
  * The synapse-level prune mask matching @p accel's active bypasses

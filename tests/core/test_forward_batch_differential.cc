@@ -1,8 +1,9 @@
 /**
  * @file
  * Differential suite for the batched ForwardModel overrides: for
- * every accelerator-backed wrapper (time-muxed, spared outputs,
- * remapped outputs, deep stacks) forwardBatch() must be
+ * every accelerator-backed wrapper (time-muxed, row-mapped outputs
+ * under the spare, remap and replicate plans, deep stacks)
+ * forwardBatch() must be
  * bit-identical per row to scalar forward(), with defects injected
  * and under the DTANN_NO_BATCH / DTANN_NO_CONE escape hatches.
  *
@@ -19,9 +20,8 @@
 #include "ann/deep.hh"
 #include "core/deep_mux.hh"
 #include "core/injector.hh"
-#include "core/spare.hh"
+#include "core/row_map.hh"
 #include "core/timemux.hh"
-#include "mitigate/remap.hh"
 
 namespace dtann {
 namespace {
@@ -117,33 +117,38 @@ TEST(ForwardBatchDifferential, SparedOutputsMatchScalar)
 {
     MlpTopology logical{10, 4, 2};
     AcceleratorConfig cfg = smallArray();
-    cfg.outputs = 6; // 3 copies of each logical output
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
-        MlpWeights w(logical);
-        Rng wr(seed * 19);
-        w.initRandom(wr, 1.2);
+    cfg.outputs = 7; // 3 copies of each logical output, one unused row
+    MlpTopology full = fullRowTopology(logical, cfg);
+    // The output-critical pool, and every unit: the latter also puts
+    // faults on the unused row and padding synapses.
+    for (SitePool pool : {SitePool::outputCritical(), SitePool::all()}) {
+        for (uint64_t seed = 1; seed <= 4; ++seed) {
+            MlpWeights w(logical);
+            Rng wr(seed * 19);
+            w.initRandom(wr, 1.2);
 
-        Accelerator scalar_accel(cfg, sparedTopology(logical, 3));
-        SparedOutputMlp scalar_model(scalar_accel, logical, 3);
-        scalar_model.setWeights(w);
-        Accelerator batch_accel(cfg, sparedTopology(logical, 3));
-        SparedOutputMlp batch_model(batch_accel, logical, 3);
-        batch_model.setWeights(w);
+            Accelerator scalar_accel(cfg, full);
+            RowMappedMlp scalar_model(scalar_accel, logical,
+                                      sparePlan(logical, 3));
+            scalar_model.setWeights(w);
+            Accelerator batch_accel(cfg, full);
+            RowMappedMlp batch_model(batch_accel, logical,
+                                     sparePlan(logical, 3));
+            batch_model.setWeights(w);
 
-        DefectInjector scalar_inj(scalar_accel,
-                                  SitePool::outputCritical());
-        DefectInjector batch_inj(batch_accel,
-                                 SitePool::outputCritical());
-        Rng ir_a(seed * 23), ir_b(seed * 23);
-        scalar_inj.inject(3, ir_a);
-        batch_inj.inject(3, ir_b);
+            DefectInjector scalar_inj(scalar_accel, pool);
+            DefectInjector batch_inj(batch_accel, pool);
+            Rng ir_a(seed * 23), ir_b(seed * 23);
+            scalar_inj.inject(3, ir_a);
+            batch_inj.inject(3, ir_b);
 
-        Rng rr(seed * 29);
-        auto rows = randomRows(70, 10, rr);
-        expectBitIdentical(scalarSweep(scalar_model, rows),
-                           batch_model.forwardBatch(rows));
-        EXPECT_EQ(scalar_model.simCounters().vectors(),
-                  batch_model.simCounters().vectors());
+            Rng rr(seed * 29);
+            auto rows = randomRows(70, 10, rr);
+            expectBitIdentical(scalarSweep(scalar_model, rows),
+                               batch_model.forwardBatch(rows));
+            EXPECT_EQ(scalar_model.simCounters().vectors(),
+                      batch_model.simCounters().vectors());
+        }
     }
 }
 
@@ -152,31 +157,34 @@ TEST(ForwardBatchDifferential, RemappedOutputsMatchScalar)
     MlpTopology logical{10, 4, 3};
     AcceleratorConfig cfg = smallArray();
     cfg.outputs = 5; // two spare physical rows
-    MlpTopology extended =
-        RemappedOutputMlp::extendedTopology(logical, cfg);
-    std::vector<int> map{0, 3, 2}; // logical 1 steered to spare 3
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
-        MlpWeights w(logical);
-        Rng wr(seed * 31);
-        w.initRandom(wr, 1.2);
+    MlpTopology full = fullRowTopology(logical, cfg);
+    // A remap plan (logical 1 steered to spare 3) and a replicate
+    // plan (logical 1 voted over its own row and both spares).
+    for (const RowPlan &plan :
+         {RowPlan{{0}, {3}, {2}}, RowPlan{{0}, {1, 3, 4}, {2}}}) {
+        for (uint64_t seed = 1; seed <= 4; ++seed) {
+            MlpWeights w(logical);
+            Rng wr(seed * 31);
+            w.initRandom(wr, 1.2);
 
-        Accelerator scalar_accel(cfg, extended);
-        RemappedOutputMlp scalar_model(scalar_accel, logical, map);
-        scalar_model.setWeights(w);
-        Accelerator batch_accel(cfg, extended);
-        RemappedOutputMlp batch_model(batch_accel, logical, map);
-        batch_model.setWeights(w);
+            Accelerator scalar_accel(cfg, full);
+            RowMappedMlp scalar_model(scalar_accel, logical, plan);
+            scalar_model.setWeights(w);
+            Accelerator batch_accel(cfg, full);
+            RowMappedMlp batch_model(batch_accel, logical, plan);
+            batch_model.setWeights(w);
 
-        DefectInjector scalar_inj(scalar_accel, SitePool::all());
-        DefectInjector batch_inj(batch_accel, SitePool::all());
-        Rng ir_a(seed * 37), ir_b(seed * 37);
-        scalar_inj.inject(3, ir_a);
-        batch_inj.inject(3, ir_b);
+            DefectInjector scalar_inj(scalar_accel, SitePool::all());
+            DefectInjector batch_inj(batch_accel, SitePool::all());
+            Rng ir_a(seed * 37), ir_b(seed * 37);
+            scalar_inj.inject(3, ir_a);
+            batch_inj.inject(3, ir_b);
 
-        Rng rr(seed * 41);
-        auto rows = randomRows(70, 10, rr);
-        expectBitIdentical(scalarSweep(scalar_model, rows),
-                           batch_model.forwardBatch(rows));
+            Rng rr(seed * 41);
+            auto rows = randomRows(70, 10, rr);
+            expectBitIdentical(scalarSweep(scalar_model, rows),
+                               batch_model.forwardBatch(rows));
+        }
     }
 }
 

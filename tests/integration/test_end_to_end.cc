@@ -13,7 +13,7 @@
 #include "core/dma.hh"
 #include "core/injector.hh"
 #include "core/keylogic.hh"
-#include "core/spare.hh"
+#include "core/row_map.hh"
 #include "core/timemux.hh"
 #include "cpu/simple_cpu.hh"
 #include "data/synth_uci.hh"
@@ -196,22 +196,22 @@ TEST(EndToEnd, SparedAndDecodedPathsCompose)
     cfg.hidden = 4;
     cfg.outputs = 6;
     MlpTopology logical{8, 4, 3};
-    Accelerator accel(cfg, sparedTopology(logical, 2));
-    SparedOutputMlp spared(accel, logical, 2);
+    Accelerator accel(cfg, fullRowTopology(logical, cfg));
+    RowPlan plan = sparePlan(logical, 2);
+    RowMappedMlp spared(accel, logical, plan);
     MlpWeights w(logical);
     Rng rng(17);
     w.initRandom(rng, 1.0);
 
     // Route the replicated weights through the write decoder.
-    MlpWeights dup(sparedTopology(logical, 2));
+    MlpWeights dup(fullRowTopology(logical, cfg));
     for (int j = 0; j < logical.hidden; ++j)
         for (int i = 0; i <= logical.inputs; ++i)
             dup.hid(j, i) = w.hid(j, i);
     for (int k = 0; k < logical.outputs; ++k)
-        for (int j = 0; j <= logical.hidden; ++j) {
-            dup.out(k, j) = w.out(k, j);
-            dup.out(k + logical.outputs, j) = w.out(k, j);
-        }
+        for (int row : plan[static_cast<size_t>(k)])
+            for (int j = 0; j <= logical.hidden; ++j)
+                dup.out(row, j) = w.out(k, j);
     WriteDecoder dec(cfg.hidden + cfg.outputs);
     writeWeightsThroughDecoder(accel, dup, dec);
 

@@ -14,6 +14,8 @@
 
 #include "mitigate/campaign.hh"
 
+#include "../common/strip_sim_telemetry.hh"
+
 namespace dtann {
 namespace {
 
@@ -38,25 +40,6 @@ diffConfig()
     cfg.array.outputs = 6;
     cfg.bist.vectorsPerUnit = 6;
     return cfg;
-}
-
-/**
- * Drop every "sim":{...} telemetry object from a campaign export.
- * Batch sweep counts, lane slots and occupancy are definitionally
- * lane-width-dependent throughput metrics; all *result* fields
- * (accuracies, stddev, coverage, cost, Pareto) stay in the string
- * and are compared bit for bit.
- */
-std::string
-stripSimTelemetry(std::string json)
-{
-    const std::string key = ",\"sim\":{";
-    for (size_t at = json.find(key); at != std::string::npos;
-         at = json.find(key, at)) {
-        size_t close = json.find('}', at); // sim objects are flat
-        json.erase(at, close - at + 1);
-    }
-    return json;
 }
 
 TEST(MitigationDifferential, BitIdenticalAcrossThreadsAndLanes)

@@ -13,7 +13,6 @@
 #include "core/campaign.hh"
 #include "data/synth_uci.hh"
 #include "mitigate/mitigator.hh"
-#include "mitigate/remap.hh"
 
 namespace dtann {
 namespace {
@@ -115,9 +114,8 @@ TEST(Strategy, FactoryRoundTrips)
 TEST(PlanOutputRemap, CleanMapIsIdentity)
 {
     Fixture &f = fixture();
-    std::vector<int> plan =
-        planOutputRemap(DefectMap(), f.logical, f.array);
-    EXPECT_EQ(plan, (std::vector<int>{0, 1, 2}));
+    RowPlan plan = planOutputRemap(DefectMap(), f.logical, f.array);
+    EXPECT_EQ(plan, (RowPlan{{0}, {1}, {2}}));
 }
 
 TEST(PlanOutputRemap, FaultyRowMovesToLowestCleanSpare)
@@ -126,18 +124,18 @@ TEST(PlanOutputRemap, FaultyRowMovesToLowestCleanSpare)
     DefectMap map;
     map.markSuspect({UnitKind::AdderStage, Layer::Output, 1, 0});
     EXPECT_EQ(planOutputRemap(map, f.logical, f.array),
-              (std::vector<int>{0, 3, 2}));
+              (RowPlan{{0}, {3}, {2}}));
 
     // A faulty spare is skipped in favour of the next clean one.
     map.markSuspect({UnitKind::Activation, Layer::Output, 3, 0});
     EXPECT_EQ(planOutputRemap(map, f.logical, f.array),
-              (std::vector<int>{0, 4, 2}));
+              (RowPlan{{0}, {4}, {2}}));
 
     // Hidden-layer suspects do not trigger output remapping.
     DefectMap hidden_only;
     hidden_only.markSuspect({UnitKind::Multiplier, Layer::Hidden, 1, 2});
     EXPECT_EQ(planOutputRemap(hidden_only, f.logical, f.array),
-              (std::vector<int>{0, 1, 2}));
+              (RowPlan{{0}, {1}, {2}}));
 }
 
 TEST(PlanOutputRemap, DegradesGracefullyWhenSparesExhausted)
@@ -148,21 +146,20 @@ TEST(PlanOutputRemap, DegradesGracefullyWhenSparesExhausted)
         map.markSuspect({UnitKind::Activation, Layer::Output, n, 0});
     // No clean spare exists: faulty rows keep their position.
     EXPECT_EQ(planOutputRemap(map, f.logical, f.array),
-              (std::vector<int>{0, 1, 2}));
+              (RowPlan{{0}, {1}, {2}}));
 }
 
 TEST(RemappedOutputMlp, CleanForwardIsInvariantToRowChoice)
 {
     Fixture &f = fixture();
-    MlpTopology ext =
-        RemappedOutputMlp::extendedTopology(f.logical, f.array);
-    EXPECT_EQ(ext.outputs, f.array.outputs);
+    MlpTopology full = fullRowTopology(f.logical, f.array);
+    EXPECT_EQ(full.outputs, f.array.outputs);
 
-    Accelerator accel(f.array, ext);
-    RemappedOutputMlp identity(accel, f.logical, {0, 1, 2});
-    RemappedOutputMlp steered(accel, f.logical, {3, 1, 5});
-    EXPECT_EQ(identity.remappedCount(), 0);
-    EXPECT_EQ(steered.remappedCount(), 2);
+    Accelerator accel(f.array, full);
+    RowMappedMlp identity(accel, f.logical, {{0}, {1}, {2}});
+    RowMappedMlp steered(accel, f.logical, {{3}, {1}, {5}});
+    EXPECT_EQ(identity.spareRowsUsed(), 0);
+    EXPECT_EQ(steered.spareRowsUsed(), 2);
 
     Rng rng(7);
     std::vector<double> in(4);

@@ -1,7 +1,8 @@
 /**
  * @file
- * Selective output replication: planning, the voting forward model,
- * and agreement with the spare-array median voter.
+ * Selective output replication: planning, the row-mapped voting
+ * forward model under replicate plans, and agreement with the
+ * median voter under every plan kind.
  */
 
 #include <gtest/gtest.h>
@@ -10,9 +11,8 @@
 #include <csignal>
 
 #include "ann/trainer.hh"
-#include "core/spare.hh"
 #include "data/synth_uci.hh"
-#include "mitigate/replicate.hh"
+#include "mitigate/mitigator.hh"
 
 namespace dtann {
 namespace {
@@ -36,7 +36,7 @@ logicalTopo()
 
 TEST(PlanOutputReplication, CleanMapLeavesSingletons)
 {
-    std::vector<std::vector<int>> plan =
+    RowPlan plan =
         planOutputReplication(DefectMap(), logicalTopo(), smallArray());
     ASSERT_EQ(plan.size(), 3u);
     EXPECT_EQ(plan[0], (std::vector<int>{0}));
@@ -48,7 +48,7 @@ TEST(PlanOutputReplication, FaultyRowRecruitsTwoCleanSpares)
 {
     DefectMap map;
     map.markSuspect({UnitKind::Activation, Layer::Output, 1, 0});
-    std::vector<std::vector<int>> plan =
+    RowPlan plan =
         planOutputReplication(map, logicalTopo(), smallArray());
     EXPECT_EQ(plan[0], (std::vector<int>{0}));
     EXPECT_EQ(plan[1], (std::vector<int>{1, 3, 4}));
@@ -65,7 +65,7 @@ TEST(PlanOutputReplication, SparesAreSharedAndRunOut)
     DefectMap map;
     map.markSuspect({UnitKind::Activation, Layer::Output, 0, 0});
     map.markSuspect({UnitKind::Activation, Layer::Output, 1, 0});
-    std::vector<std::vector<int>> plan =
+    RowPlan plan =
         planOutputReplication(map, logicalTopo(), smallArray());
     // Row 0 takes the first two spares (median-of-3), row 1 gets the
     // last one (pair average), each spare used exactly once.
@@ -87,7 +87,7 @@ TEST(PlanOutputReplication, HiddenSuspectsDoNotReplicate)
 {
     DefectMap map;
     map.markSuspect({UnitKind::Multiplier, Layer::Hidden, 1, 2});
-    std::vector<std::vector<int>> plan =
+    RowPlan plan =
         planOutputReplication(map, logicalTopo(), smallArray());
     for (size_t k = 0; k < plan.size(); ++k)
         EXPECT_EQ(plan[k], std::vector<int>{static_cast<int>(k)});
@@ -96,11 +96,10 @@ TEST(PlanOutputReplication, HiddenSuspectsDoNotReplicate)
 TEST(ReplicatedOutputMlp, CleanForwardMatchesPlainNetwork)
 {
     MlpTopology logical = logicalTopo();
-    Accelerator accel(smallArray(), ReplicatedOutputMlp::extendedTopology(
-                                        logical, smallArray()));
+    Accelerator accel(smallArray(), fullRowTopology(logical, smallArray()));
     // Replicate every logical output (identical copies on a clean
     // array: the vote must be exact).
-    ReplicatedOutputMlp rep(accel, logical, {{0, 3}, {1, 4, 5}, {2}});
+    RowMappedMlp rep(accel, logical, {{0, 3}, {1, 4, 5}, {2}});
     EXPECT_EQ(rep.spareRowsUsed(), 3);
     Accelerator plain(smallArray(), logical);
 
@@ -126,9 +125,8 @@ TEST(ReplicatedOutputMlp, CleanForwardMatchesPlainNetwork)
 TEST(ReplicatedOutputMlp, BatchAgreesWithScalarForward)
 {
     MlpTopology logical = logicalTopo();
-    Accelerator accel(smallArray(), ReplicatedOutputMlp::extendedTopology(
-                                        logical, smallArray()));
-    ReplicatedOutputMlp rep(accel, logical, {{0, 3, 4}, {1}, {2, 5}});
+    Accelerator accel(smallArray(), fullRowTopology(logical, smallArray()));
+    RowMappedMlp rep(accel, logical, {{0, 3, 4}, {1}, {2, 5}});
 
     MlpWeights w(logical);
     Rng rng(11);
@@ -159,9 +157,8 @@ TEST(ReplicatedOutputMlp, MedianOfThreeRejectsBrokenCopyExactly)
     // three leaves the voted output bit-identical to the clean
     // network.
     MlpTopology logical = logicalTopo();
-    Accelerator accel(smallArray(), ReplicatedOutputMlp::extendedTopology(
-                                        logical, smallArray()));
-    ReplicatedOutputMlp rep(accel, logical, {{0}, {1, 3, 4}, {2}});
+    Accelerator accel(smallArray(), fullRowTopology(logical, smallArray()));
+    RowMappedMlp rep(accel, logical, {{0}, {1, 3, 4}, {2}});
     Accelerator clean(smallArray(), logical);
 
     MlpWeights w(logical);
@@ -189,9 +186,8 @@ TEST(ReplicatedOutputMlp, MedianOfThreeRejectsBrokenCopyExactly)
 TEST(ReplicatedOutputMlp, PairAverageHalvesDeviation)
 {
     MlpTopology logical = logicalTopo();
-    Accelerator accel(smallArray(), ReplicatedOutputMlp::extendedTopology(
-                                        logical, smallArray()));
-    ReplicatedOutputMlp rep(accel, logical, {{0}, {1, 3}, {2}});
+    Accelerator accel(smallArray(), fullRowTopology(logical, smallArray()));
+    RowMappedMlp rep(accel, logical, {{0}, {1, 3}, {2}});
     Accelerator plain(smallArray(), logical);
     Accelerator clean(smallArray(), logical);
 
@@ -225,37 +221,38 @@ TEST(ReplicatedOutputMlp, PairAverageHalvesDeviation)
 
 TEST(ReplicatedOutputMlp, VoteAgreesWithMedianVoteRule)
 {
-    // The voter path *is* core/spare's medianVote: recompute the
-    // vote by hand from the raw extended-array activations and
-    // require exact agreement.
+    // The voter path *is* medianVote: recompute the vote by hand
+    // from the raw full-row activations and require exact agreement,
+    // for a replicate, a spare and a remap plan.
     MlpTopology logical = logicalTopo();
-    MlpTopology ext =
-        ReplicatedOutputMlp::extendedTopology(logical, smallArray());
-    Accelerator accel(smallArray(), ext);
-    std::vector<std::vector<int>> groups = {{0, 3, 4}, {1, 5}, {2}};
-    ReplicatedOutputMlp rep(accel, logical, groups);
-
-    MlpWeights w(logical);
-    Rng rng(13);
-    w.initRandom(rng, 1.5);
+    Accelerator accel(smallArray(), fullRowTopology(logical, smallArray()));
     Rng inj(43);
     accel.injectDefects({UnitKind::Activation, Layer::Output, 0, 0}, 20,
                         inj);
-    rep.setWeights(w);
+    Rng rng(13);
+    for (const RowPlan &groups :
+         {RowPlan{{0, 3, 4}, {1, 5}, {2}}, sparePlan(logical, 2),
+          RowPlan{{3}, {1}, {5}}}) {
+        RowMappedMlp rep(accel, logical, groups);
 
-    for (int t = 0; t < 20; ++t) {
-        std::vector<double> in(4);
-        for (double &v : in)
-            v = rng.nextDouble();
-        Activations voted = rep.forward(in);
-        Activations raw = accel.forward(in);
-        for (size_t k = 0; k < groups.size(); ++k) {
-            std::vector<double> copies;
-            for (int row : groups[k])
-                copies.push_back(
-                    raw.output()[static_cast<size_t>(row)]);
-            EXPECT_DOUBLE_EQ(voted.output()[k], medianVote(copies))
-                << "output " << k << " trial " << t;
+        MlpWeights w(logical);
+        w.initRandom(rng, 1.5);
+        rep.setWeights(w);
+
+        for (int t = 0; t < 20; ++t) {
+            std::vector<double> in(4);
+            for (double &v : in)
+                v = rng.nextDouble();
+            Activations voted = rep.forward(in);
+            Activations raw = accel.forward(in);
+            for (size_t k = 0; k < groups.size(); ++k) {
+                std::vector<double> copies;
+                for (int row : groups[k])
+                    copies.push_back(
+                        raw.output()[static_cast<size_t>(row)]);
+                EXPECT_DOUBLE_EQ(voted.output()[k], medianVote(copies))
+                    << "output " << k << " trial " << t;
+            }
         }
     }
 }
@@ -263,18 +260,18 @@ TEST(ReplicatedOutputMlp, VoteAgreesWithMedianVoteRule)
 TEST(ReplicatedOutputMlp, RejectsMalformedGroups)
 {
     MlpTopology logical = logicalTopo();
-    Accelerator accel(smallArray(), ReplicatedOutputMlp::extendedTopology(
-                                        logical, smallArray()));
-    EXPECT_EXIT(ReplicatedOutputMlp(accel, logical, {{0}, {1}}),
+    Accelerator accel(smallArray(), fullRowTopology(logical, smallArray()));
+    EXPECT_EXIT(RowMappedMlp(accel, logical, {{0}, {1}}),
                 ::testing::KilledBySignal(SIGABRT), "arity");
-    EXPECT_EXIT(ReplicatedOutputMlp(accel, logical, {{3}, {1}, {2}}),
-                ::testing::KilledBySignal(SIGABRT), "own row");
-    EXPECT_EXIT(
-        ReplicatedOutputMlp(accel, logical, {{0, 3}, {1, 3}, {2}}),
-        ::testing::KilledBySignal(SIGABRT), "share");
-    EXPECT_EXIT(
-        ReplicatedOutputMlp(accel, logical, {{0, 6}, {1}, {2}}),
-        ::testing::KilledBySignal(SIGABRT), "range");
+    EXPECT_EXIT(RowMappedMlp(accel, logical, {{0}, {}, {2}}),
+                ::testing::KilledBySignal(SIGABRT), "empty");
+    EXPECT_EXIT(RowMappedMlp(accel, logical, {{0, 3}, {1, 3}, {2}}),
+                ::testing::KilledBySignal(SIGABRT), "share");
+    EXPECT_EXIT(RowMappedMlp(accel, logical, {{0, 6}, {1}, {2}}),
+                ::testing::KilledBySignal(SIGABRT), "range");
+    // A group need not start with its own row: that is a remap.
+    EXPECT_EQ(RowMappedMlp(accel, logical, {{3}, {1}, {2}}).spareRowsUsed(),
+              1);
 }
 
 TEST(ReplicatedOutputMlp, TrainableEndToEnd)
@@ -282,9 +279,8 @@ TEST(ReplicatedOutputMlp, TrainableEndToEnd)
     Rng gen(17);
     Dataset ds = makeSyntheticTask(uciTask("iris"), gen, 120);
     MlpTopology logical = logicalTopo();
-    Accelerator accel(smallArray(), ReplicatedOutputMlp::extendedTopology(
-                                        logical, smallArray()));
-    ReplicatedOutputMlp rep(accel, logical, {{0, 3, 4}, {1, 5}, {2}});
+    Accelerator accel(smallArray(), fullRowTopology(logical, smallArray()));
+    RowMappedMlp rep(accel, logical, {{0, 3, 4}, {1, 5}, {2}});
     Trainer trainer({6, 60, 0.2, 0.1});
     Rng rng(5);
     trainer.train(rep, ds, rng);

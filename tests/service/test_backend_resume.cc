@@ -5,8 +5,10 @@
  * the stored echo parses as an implicit spatial spec, resumes
  * without recomputation, and the refactored SpatialBackend
  * reproduces the pre-refactor results bit for bit (fresh, resumed,
- * and sharded). The fixtures under tests/fixtures/ were captured
- * from the last pre-backend build.
+ * and sharded). The prerefactor_fig10 fixtures under
+ * tests/fixtures/ were captured from the last pre-backend build;
+ * prerefactor_mitigation_spatial from the last build with separate
+ * spare, remap and replicate output models.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,8 @@
 
 #include "service/journal.hh"
 #include "service/runner.hh"
+
+#include "../common/strip_sim_telemetry.hh"
 
 namespace dtann {
 namespace {
@@ -117,6 +121,18 @@ TEST(BackendResume, FreshSpatialRunMatchesPreRefactorExport)
     EXPECT_EQ(
         envelopeTail(runScenario(spec).json),
         envelopeTail(readFile(fixturePath("prerefactor_fig10.result.json"))));
+}
+
+TEST(BackendResume, FreshSpatialMitigationRunMatchesPreRefactorExport)
+{
+    // All six strategies on a small spatial array, with defect
+    // counts high enough that remap and replicate recruit spare
+    // rows: the export, sim telemetry aside, must not move by a byte.
+    ScenarioSpec spec = ScenarioSpec::parse(
+        readFile(fixturePath("prerefactor_mitigation_spatial.json")));
+    EXPECT_EQ(stripSimTelemetry(runScenario(spec).json),
+              stripSimTelemetry(readFile(fixturePath(
+                  "prerefactor_mitigation_spatial.result.json"))));
 }
 
 TEST(BackendResume, ShardedRunMatchesPreRefactorExport)
