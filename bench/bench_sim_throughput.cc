@@ -392,11 +392,11 @@ BENCHMARK(BM_BatchEvalMultiplier16);
 // ---------------------------------------------------------------
 // Model-level forward throughput: the campaign hot loop is a
 // test-set sweep through a (possibly defective) ForwardModel, so
-// these bound campaign runtime directly. Each family compares the
-// per-row scalar loop (Arg 0) against forwardBatch (Arg 1); all use
-// one lane-batchable injected defect so the batched variants
-// measure the hoisted 64-lane path, and a 256-row sweep so lane
-// groups are full.
+// these bound campaign runtime directly. Each family compares a
+// per-row loop of forward(), each call a one-row forwardBatch (Arg
+// 0), against one forwardBatch (Arg 1); all use one lane-batchable
+// injected defect so the batched variants measure the wide-lane
+// path, and a 256-row sweep.
 
 constexpr size_t kSweepRows = 256;
 
@@ -463,9 +463,9 @@ sweepModel(benchmark::State &state, ForwardModel &model,
 void
 BM_SpatialForwardRowClean(benchmark::State &state)
 {
-    // One clean row through the paper's 90-10-10 array, per-row
-    // path: about 2,040 unit operations (multipliers, adder stages,
-    // activations), each resolving its unit slot. Retraining
+    // One clean row through the paper's 90-10-10 array as a one-row
+    // forwardBatch: about 2,040 unit operations (multipliers, adder
+    // stages, activations), each resolving its unit slot. Retraining
     // forwards every sample this way.
     MlpTopology topo{90, 10, 10};
     SpatialBackend accel(AcceleratorConfig(), topo);

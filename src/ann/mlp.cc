@@ -164,9 +164,9 @@ ForwardModel::setLayerWeights(const DeepWeights &w)
 Activations
 ForwardModel::forward(std::span<const double> input)
 {
-    std::vector<std::vector<double>> one(
-        1, std::vector<double>(input.begin(), input.end()));
-    std::vector<Activations> acts = forwardBatch(one);
+    oneRow.resize(1);
+    oneRow[0].assign(input.begin(), input.end());
+    std::vector<Activations> acts = forwardBatch(oneRow);
     return std::move(acts.front());
 }
 

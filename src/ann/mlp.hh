@@ -158,11 +158,12 @@ struct Activations
  *
  * forwardBatch() is the canonical evaluation entry point: campaign
  * test sweeps hand whole datasets to the model so faulty operators
- * can be evaluated up to 64 rows per gate-level sweep. The scalar
- * forward() is defined in terms of it; models with a cheaper native
- * scalar path (training updates weights per sample) override
- * forward() and may implement forwardBatch() with rowLoopBatch().
- * A concrete model must override at least one of the two.
+ * can be evaluated up to 64, 256 or 512 rows per gate-level sweep
+ * (the DTANN_LANES width). The scalar forward() is defined in terms
+ * of it, which is all the hardware models use; native models with a
+ * cheaper scalar path override forward() and may implement
+ * forwardBatch() with rowLoopBatch(). A concrete model must override
+ * at least one of the two.
  */
 class ForwardModel
 {
@@ -193,7 +194,8 @@ class ForwardModel
      * Run a batch of input rows — the canonical entry point.
      * Results are semantically identical to calling forward() on
      * each row in order; hardware models push rows through their
-     * faulty operators 64 lanes per gate-level sweep.
+     * faulty operators up to 64, 256 or 512 lanes per gate-level
+     * sweep.
      */
     virtual std::vector<Activations>
     forwardBatch(std::span<const std::vector<double>> inputs) = 0;
@@ -204,10 +206,15 @@ class ForwardModel
     virtual SimCounters simCounters() const { return {}; }
 
   protected:
-    /** Row-at-a-time batch fallback: exact per-row semantics for
-     *  models without (or temporarily denied) a lane-batched path. */
+    /** Row-at-a-time batch for native models whose forward() is
+     *  already the fastest path. */
     std::vector<Activations>
     rowLoopBatch(std::span<const std::vector<double>> inputs);
+
+  private:
+    /** The default forward()'s one-row batch, reused across calls
+     *  so a training step copies its row without allocating. */
+    std::vector<std::vector<double>> oneRow;
 };
 
 /** Double-precision reference MLP (exact sigmoid). */

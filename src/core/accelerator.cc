@@ -85,18 +85,9 @@ SpatialBackend::runHiddenLayerLanes(const std::vector<const Fix16 *> &in,
 {
     dtann_assert(in.size() >= lanes && out.size() >= lanes,
                  "lane pointer arity mismatch");
-    // The per-lane sums (hidSumsLanes) feed the time-multiplexed
-    // batch path's key-logic accumulation.
+    // The per-lane sums (hidSumsLanes) feed the time-multiplexing
+    // engine's key-logic accumulation.
     runLayerLanes(Layer::Hidden, in, out, lanes);
-}
-
-std::vector<Fix16>
-SpatialBackend::runHiddenLayer(std::span<const Fix16> physical_input)
-{
-    dtann_assert(static_cast<int>(physical_input.size()) == cfg.inputs,
-                 "physical input arity mismatch");
-    runLayer(Layer::Hidden, physical_input, hiddenAct);
-    return {hiddenAct.begin(), hiddenAct.end()};
 }
 
 std::vector<Fix16>
@@ -104,9 +95,10 @@ SpatialBackend::forwardFix(std::span<const Fix16> physical_input)
 {
     dtann_assert(static_cast<int>(physical_input.size()) == cfg.inputs,
                  "physical input arity mismatch");
-    runLayer(Layer::Hidden, physical_input, hiddenAct);
+    std::vector<Fix16> hid(static_cast<size_t>(cfg.hidden));
     std::vector<Fix16> out(static_cast<size_t>(cfg.outputs));
-    runLayer(Layer::Output, hiddenAct, out);
+    runLayerLanes(Layer::Hidden, {physical_input.data()}, {hid.data()}, 1);
+    runLayerLanes(Layer::Output, {hid.data()}, {out.data()}, 1);
     return out;
 }
 

@@ -55,7 +55,8 @@ class SpatialBackend : public HardwareBackend
         return BackendKind::Spatial;
     }
 
-    /** Fixed-point forward on the physical array (padded input). */
+    /** Fixed-point forward of one row on the physical array
+     *  (padded input): a one-lane run of both layers. */
     std::vector<Fix16> forwardFix(std::span<const Fix16> physical_input);
 
     /** @name Raw physical access (partial time-multiplexing) @{ */
@@ -77,33 +78,20 @@ class SpatialBackend : public HardwareBackend
                                std::span<const Fix16> weights);
 
     /**
-     * Run only the physical hidden layer; activations are
-     * returned, pre-activation adder-tree sums are kept readable
-     * via hiddenSums() (the time-multiplexing output latches).
-     */
-    std::vector<Fix16> runHiddenLayer(std::span<const Fix16>
-                                          physical_input);
-
-    /** Pre-activation sums of the last hidden-layer run. */
-    const std::vector<Acc24> &hiddenSums() const { return hidSums; }
-
-    /**
      * Run only the physical hidden layer over <= kMaxLanes input
-     * rows with the currently loaded weights (one weight load serves every
-     * lane — the time-multiplexed batch path). Activations land in
-     * @p out (one pointer per lane, cfg.hidden values each);
+     * rows with the currently loaded weights (one weight load serves
+     * every lane — the time-multiplexing engine). Activations land
+     * in @p out (one pointer per lane, cfg.hidden values each);
      * per-lane pre-activation sums stay readable via
-     * hiddenSumsLanes(). Bit-identical per lane to runHiddenLayer()
-     * when batchPure() holds.
+     * hiddenSumsLanes() (the time-multiplexing output latches).
      */
     void runHiddenLayerLanes(const std::vector<const Fix16 *> &in,
                              const std::vector<Fix16 *> &out,
                              size_t lanes);
 
-    /** Per-lane pre-activation sums of the last lane-batched
-     *  hidden-layer run (runHiddenLayerLanes() or the last lane
-     *  chunk of forwardBatch()): lane l, neuron n at
-     *  [l * hidden + n]. */
+    /** Per-lane pre-activation sums of the last hidden-layer run
+     *  (runHiddenLayerLanes() or the last chunk of forwardBatch()):
+     *  lane l, neuron n at [l * hidden + n]. */
     const std::vector<Acc24> &hiddenSumsLanes() const
     {
         return hidSumsLanes;

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <tuple>
 
-#include <array>
-
 #include "ann/sigmoid.hh"
 #include "circuit/lane_plane.hh"
 #include "common/json.hh"
@@ -183,8 +181,6 @@ HardwareBackend::HardwareBackend(const AcceleratorConfig &config,
            static_cast<size_t>(config.inputs + 1)),
       outW(static_cast<size_t>(config.outputs) *
            static_cast<size_t>(config.hidden + 1)),
-      hiddenAct(static_cast<size_t>(config.hidden)),
-      hidSums(static_cast<size_t>(config.hidden)),
       multNl(std::make_shared<Netlist>(
           buildMultiplierSigned(16, config.faStyle))),
       addNl(std::make_shared<Netlist>(
@@ -215,6 +211,12 @@ HardwareBackend::HardwareBackend(const AcceleratorConfig &config,
     }
     slotOf.assign(total, 0);
     slotState.resize(1);
+    for (std::vector<Fix16> *v : {&laneX, &laneP})
+        v->resize(kMaxLanes);
+    for (std::vector<Acc24> *v : {&laneAcc, &laneAddend})
+        v->resize(kMaxLanes);
+    for (std::vector<uint64_t> *v : {&laneIn, &laneOut})
+        v->resize(kMaxLanes);
 }
 
 HardwareBackend::~HardwareBackend() = default;
@@ -354,24 +356,32 @@ HardwareBackend::isFaulty(const UnitSite &site) const
     return faulty.find(physicalSite(site)) != faulty.end();
 }
 
+// The scan path drives one vector through the datapath's own unit
+// operations, so a probe reads the unit as a one-row forward would.
+
 Fix16
 HardwareBackend::bistMul(Layer layer, int neuron, int synapse, Fix16 w,
                          Fix16 x)
 {
-    return unitMul(layer, neuron, synapse, w, x);
+    Fix16 p;
+    unitMulLanes(layer, neuron, synapse, w, &x, &p, 1);
+    return p;
 }
 
 Acc24
 HardwareBackend::bistAdd(Layer layer, int neuron, int stage, Acc24 a,
                          Acc24 b)
 {
-    return unitAdd(layer, neuron, stage, a, b);
+    unitAddLanes(layer, neuron, stage, &a, &b, 1);
+    return a;
 }
 
 Fix16
 HardwareBackend::bistAct(Layer layer, int neuron, Fix16 x)
 {
-    return unitAct(layer, neuron, x);
+    Fix16 y;
+    unitActLanes(layer, neuron, &x, &y, 1);
+    return y;
 }
 
 Fix16
@@ -486,65 +496,6 @@ HardwareBackend::unitLatchStore(Layer layer, int neuron, int synapse,
     return stored;
 }
 
-Fix16
-HardwareBackend::unitMul(Layer layer, int neuron, int synapse, Fix16 w,
-                         Fix16 x)
-{
-    const UnitSlot &s = slot(UnitKind::Multiplier, layer, neuron, synapse);
-    if (s.bypassed)
-        return Fix16(); // product gated to zero
-    Fix16 clean = Fix16::hwMul(w, x);
-    if (!s.sim)
-        return clean;
-    uint64_t in = static_cast<uint64_t>(w.bits()) |
-        (static_cast<uint64_t>(x.bits()) << 16);
-    uint64_t product = s.sim->apply(in);
-    Fix16 got = Fix16::fromRaw(static_cast<int16_t>(
-        (product >> Fix16::fracBits) & 0xffff));
-    s.probe->amplitude.add(
-        std::abs(got.toDouble() - clean.toDouble()));
-    return got;
-}
-
-Acc24
-HardwareBackend::unitAdd(Layer layer, int neuron, int stage, Acc24 a,
-                         Acc24 b)
-{
-    const UnitSlot &s = slot(UnitKind::AdderStage, layer, neuron, stage);
-    if (s.bypassed)
-        return a; // stage skipped: accumulator passes through
-    Acc24 clean = Acc24::hwAdd(a, b);
-    if (!s.sim)
-        return clean;
-    uint64_t in = static_cast<uint64_t>(a.bits()) |
-        (static_cast<uint64_t>(b.bits()) << 24);
-    uint64_t sum = s.sim->apply(in) & 0xffffffull;
-    uint32_t u = static_cast<uint32_t>(sum);
-    int32_t raw = (u & 0x800000u)
-        ? static_cast<int32_t>(u | 0xff000000u)
-        : static_cast<int32_t>(u);
-    Acc24 got = Acc24::fromRaw(raw);
-    s.probe->amplitude.add(
-        std::abs(got.toDouble() - clean.toDouble()));
-    return got;
-}
-
-Fix16
-HardwareBackend::unitAct(Layer layer, int neuron, Fix16 x)
-{
-    const UnitSlot &s = slot(UnitKind::Activation, layer, neuron, 0);
-    if (s.bypassed)
-        return Fix16(); // neuron silenced
-    Fix16 clean = logisticPwlFix(x);
-    if (!s.sim)
-        return clean;
-    uint64_t y = s.sim->apply(static_cast<uint64_t>(x.bits()));
-    Fix16 got = Fix16::fromRaw(static_cast<int16_t>(y & 0xffff));
-    s.probe->amplitude.add(
-        std::abs(got.toDouble() - clean.toDouble()));
-    return got;
-}
-
 void
 HardwareBackend::unitMulLanes(Layer layer, int neuron, int synapse,
                               Fix16 w, const Fix16 *x, Fix16 *out,
@@ -561,14 +512,14 @@ HardwareBackend::unitMulLanes(Layer layer, int neuron, int synapse,
             out[l] = Fix16::hwMul(w, x[l]);
         return;
     }
-    std::array<uint64_t, kMaxLanes> in{}, product;
+    uint64_t *in = laneIn.data(), *product = laneOut.data();
     for (size_t l = 0; l < lanes; ++l)
         in[l] = static_cast<uint64_t>(w.bits()) |
             (static_cast<uint64_t>(x[l].bits()) << 16);
-    s.sim->applyLanes(in.data(), product.data(), lanes);
+    s.sim->applyLanes(in, product, lanes);
     DeviationProbe &pr = *s.probe;
     // Probe updates in lane (= row) order: the Welford accumulator
-    // is order-dependent, and bit-identity with the scalar path
+    // is order-dependent, and bit-identity with one-row calls
     // requires the same per-site sequence.
     for (size_t l = 0; l < lanes; ++l) {
         Fix16 clean = Fix16::hwMul(w, x[l]);
@@ -591,11 +542,11 @@ HardwareBackend::unitAddLanes(Layer layer, int neuron, int stage,
             acc[l] = Acc24::hwAdd(acc[l], b[l]);
         return;
     }
-    std::array<uint64_t, kMaxLanes> in{}, sum;
+    uint64_t *in = laneIn.data(), *sum = laneOut.data();
     for (size_t l = 0; l < lanes; ++l)
         in[l] = static_cast<uint64_t>(acc[l].bits()) |
             (static_cast<uint64_t>(b[l].bits()) << 24);
-    s.sim->applyLanes(in.data(), sum.data(), lanes);
+    s.sim->applyLanes(in, sum, lanes);
     DeviationProbe &pr = *s.probe;
     for (size_t l = 0; l < lanes; ++l) {
         Acc24 clean = Acc24::hwAdd(acc[l], b[l]);
@@ -624,10 +575,10 @@ HardwareBackend::unitActLanes(Layer layer, int neuron, const Fix16 *x,
             out[l] = logisticPwlFix(x[l]);
         return;
     }
-    std::array<uint64_t, kMaxLanes> in{}, y;
+    uint64_t *in = laneIn.data(), *y = laneOut.data();
     for (size_t l = 0; l < lanes; ++l)
         in[l] = static_cast<uint64_t>(x[l].bits());
-    s.sim->applyLanes(in.data(), y.data(), lanes);
+    s.sim->applyLanes(in, y, lanes);
     DeviationProbe &pr = *s.probe;
     for (size_t l = 0; l < lanes; ++l) {
         Fix16 clean = logisticPwlFix(x[l]);
@@ -665,104 +616,58 @@ HardwareBackend::setWeights(const MlpWeights &w)
     }
 }
 
-Activations
-HardwareBackend::forward(std::span<const double> input)
-{
-    dtann_assert(static_cast<int>(input.size()) == logical.inputs,
-                 "logical input arity mismatch");
-    std::vector<Fix16> phys(static_cast<size_t>(cfg.inputs));
-    for (size_t i = 0; i < input.size(); ++i)
-        phys[i] = Fix16::fromDouble(input[i]);
-
-    runLayer(Layer::Hidden, phys, hiddenAct);
-    std::vector<Fix16> out(static_cast<size_t>(cfg.outputs));
-    runLayer(Layer::Output, hiddenAct, out);
-
-    Activations act(static_cast<size_t>(logical.hidden),
-                    static_cast<size_t>(logical.outputs));
-    for (int j = 0; j < logical.hidden; ++j)
-        act.hidden()[static_cast<size_t>(j)] =
-            hiddenAct[static_cast<size_t>(j)].toDouble();
-    for (int k = 0; k < logical.outputs; ++k)
-        act.output()[static_cast<size_t>(k)] =
-            out[static_cast<size_t>(k)].toDouble();
-    return act;
-}
-
 std::vector<Activations>
 HardwareBackend::forwardBatch(std::span<const std::vector<double>> inputs)
 {
-    if (!chunkedPassesExact())
-        return rowLoopBatch(inputs);
-
+    // A stateful PE shared by both passes must see each row's hidden
+    // and output operations back to back: a chunk of one row is that
+    // schedule. (A one-row call, the training path, skips reading the
+    // lane-width knob.)
     size_t rows = inputs.size();
-    std::vector<std::vector<Fix16>> phys(
-        rows, std::vector<Fix16>(static_cast<size_t>(cfg.inputs)));
-    for (size_t r = 0; r < rows; ++r) {
-        dtann_assert(static_cast<int>(inputs[r].size()) ==
-                         logical.inputs,
-                     "logical input arity mismatch");
-        for (size_t i = 0; i < inputs[r].size(); ++i)
-            phys[r][i] = Fix16::fromDouble(inputs[r][i]);
-    }
-
-    std::vector<std::vector<Fix16>> hid(
-        rows, std::vector<Fix16>(static_cast<size_t>(cfg.hidden)));
-    std::vector<std::vector<Fix16>> outv(
-        rows, std::vector<Fix16>(static_cast<size_t>(cfg.outputs)));
-    size_t width = batchLaneWidth();
-    for (size_t pos = 0; pos < rows; pos += width) {
-        size_t lanes = std::min(width, rows - pos);
-        std::vector<const Fix16 *> inPtr(lanes);
-        std::vector<const Fix16 *> hidIn(lanes);
-        std::vector<Fix16 *> hidPtr(lanes), outPtr(lanes);
-        for (size_t l = 0; l < lanes; ++l) {
-            inPtr[l] = phys[pos + l].data();
-            hidIn[l] = hid[pos + l].data();
-            hidPtr[l] = hid[pos + l].data();
-            outPtr[l] = outv[pos + l].data();
-        }
-        runLayerLanes(Layer::Hidden, inPtr, hidPtr, lanes);
-        runLayerLanes(Layer::Output, hidIn, outPtr, lanes);
+    size_t width = rows > 1 && chunkedPassesExact() ? batchLaneWidth() : 1;
+    size_t chunk = std::min(width, rows);
+    size_t n_in = static_cast<size_t>(cfg.inputs);
+    size_t n_hid = static_cast<size_t>(cfg.hidden);
+    size_t n_out = static_cast<size_t>(cfg.outputs);
+    // Padding inputs are never written below, so they stay zero.
+    batchIn.assign(chunk * n_in, Fix16());
+    batchHid.resize(chunk * n_hid);
+    batchOut.resize(chunk * n_out);
+    batchInPtr.resize(chunk);
+    batchHidIn.resize(chunk);
+    batchHidOut.resize(chunk);
+    batchOutPtr.resize(chunk);
+    for (size_t l = 0; l < chunk; ++l) {
+        batchInPtr[l] = &batchIn[l * n_in];
+        batchHidIn[l] = batchHidOut[l] = &batchHid[l * n_hid];
+        batchOutPtr[l] = &batchOut[l * n_out];
     }
 
     std::vector<Activations> acts(rows);
-    for (size_t r = 0; r < rows; ++r) {
-        Activations &act = acts[r];
-        act = Activations(static_cast<size_t>(logical.hidden),
-                          static_cast<size_t>(logical.outputs));
-        for (int j = 0; j < logical.hidden; ++j)
-            act.hidden()[static_cast<size_t>(j)] =
-                hid[r][static_cast<size_t>(j)].toDouble();
-        for (int k = 0; k < logical.outputs; ++k)
-            act.output()[static_cast<size_t>(k)] =
-                outv[r][static_cast<size_t>(k)].toDouble();
+    for (size_t pos = 0; pos < rows; pos += width) {
+        size_t lanes = std::min(width, rows - pos);
+        for (size_t l = 0; l < lanes; ++l) {
+            const std::vector<double> &row = inputs[pos + l];
+            dtann_assert(static_cast<int>(row.size()) == logical.inputs,
+                         "logical input arity mismatch");
+            for (size_t i = 0; i < row.size(); ++i)
+                batchIn[l * n_in + i] = Fix16::fromDouble(row[i]);
+        }
+        runLayerLanes(Layer::Hidden, batchInPtr, batchHidOut, lanes);
+        runLayerLanes(Layer::Output, batchHidIn, batchOutPtr, lanes);
+        for (size_t l = 0; l < lanes; ++l) {
+            Activations &act = acts[pos + l];
+            act = Activations(static_cast<size_t>(logical.hidden),
+                              static_cast<size_t>(logical.outputs));
+            for (int j = 0; j < logical.hidden; ++j)
+                act.hidden()[static_cast<size_t>(j)] =
+                    batchHid[l * n_hid + static_cast<size_t>(j)].toDouble();
+            for (int k = 0; k < logical.outputs; ++k)
+                act.output()[static_cast<size_t>(k)] =
+                    batchOut[l * n_out + static_cast<size_t>(k)].toDouble();
+        }
     }
-    // Mirror per-row forward(): the activation scratch holds the
-    // last processed row.
-    if (rows > 0)
-        hiddenAct = hid[rows - 1];
     return acts;
-}
-
-void
-HardwareBackend::runLayer(Layer layer, std::span<const Fix16> in,
-                          std::span<Fix16> out)
-{
-    bool hid = layer == Layer::Hidden;
-    const Fix16 *weights = hid ? hidW.data() : outW.data();
-    Acc24 *sums = hid ? hidSums.data() : nullptr;
-    size_t stride = static_cast<size_t>(fanIn(layer) + 1);
-    size_t neurons = static_cast<size_t>(hid ? cfg.hidden : cfg.outputs);
-    for (size_t n = 0; n < neurons; ++n) {
-        int neuron = static_cast<int>(n);
-        Acc24 acc = neuronSum(layer, neuron, weights + n * stride, in);
-        if (sums)
-            sums[n] = acc;
-        // The clamp sits after the activation unit on the datapath
-        // only; bistAct() reads the unit raw via unitAct().
-        out[n] = clampValue(layer, unitAct(layer, neuron, acc.toFix16Sat()));
-    }
 }
 
 void
@@ -775,59 +680,30 @@ HardwareBackend::runLayerLanes(Layer layer,
                  "lane count out of range");
     bool hid = layer == Layer::Hidden;
     const Fix16 *weights = hid ? hidW.data() : outW.data();
-    Acc24 *sums = hid ? hidSums.data() : nullptr;
-    Acc24 *sums_lanes = nullptr;
+    Acc24 *sums = nullptr;
     if (hid) {
         hidSumsLanes.resize(lanes * static_cast<size_t>(cfg.hidden));
-        sums_lanes = hidSumsLanes.data();
+        sums = hidSumsLanes.data();
     }
     size_t stride = static_cast<size_t>(fanIn(layer) + 1);
     int neurons = hid ? cfg.hidden : cfg.outputs;
-    std::array<Fix16, kMaxLanes> x, y;
-    std::array<Acc24, kMaxLanes> acc;
+    // neuronSumLanes() is done with laneX/laneP when it returns.
+    Fix16 *x = laneX.data(), *y = laneP.data();
+    Acc24 *acc = laneAcc.data();
     for (int n = 0; n < neurons; ++n) {
         size_t un = static_cast<size_t>(n);
-        neuronSumLanes(layer, n, weights + un * stride, in, acc.data(),
-                       lanes);
+        neuronSumLanes(layer, n, weights + un * stride, in, acc, lanes);
         if (sums)
-            sums[un] = acc[lanes - 1];
-        if (sums_lanes)
             for (size_t l = 0; l < lanes; ++l)
-                sums_lanes[l * static_cast<size_t>(neurons) + un] = acc[l];
+                sums[l * static_cast<size_t>(neurons) + un] = acc[l];
         for (size_t l = 0; l < lanes; ++l)
             x[l] = acc[l].toFix16Sat();
-        unitActLanes(layer, n, x.data(), y.data(), lanes);
-        // Clamp in lane (= row) order after the unit, mirroring the
-        // scalar path bit for bit at every lane width.
+        unitActLanes(layer, n, x, y, lanes);
+        // The clamp sits after the activation unit, in lane (= row)
+        // order, on the datapath only: bistAct() reads the unit raw.
         for (size_t l = 0; l < lanes; ++l)
             out[l][n] = clampValue(layer, y[l]);
     }
-}
-
-Acc24
-HardwareBackend::neuronSum(Layer layer, int neuron, const Fix16 *w,
-                           std::span<const Fix16> in)
-{
-    const Fix16 one = Fix16::fromDouble(1.0);
-    int fanin = fanIn(layer);
-    const uint16_t *mul = slotRow(UnitKind::Multiplier, layer, neuron);
-    const uint16_t *add = slotRow(UnitKind::AdderStage, layer, neuron);
-    Acc24 acc = Acc24::fromFix16(unitMul(layer, neuron, 0, w[0], in[0]));
-    for (int i = 1; i <= fanin; ++i) {
-        Fix16 x = i < fanin ? in[static_cast<size_t>(i)] : one;
-        if ((mul[i] | add[i - 1]) == 0) {
-            // Multiplier i and adder stage i - 1 are both clean.
-            // hwMul(0, x) == 0 and the 24-bit add wraps exactly, so
-            // a zero weight leaves the accumulator as it is.
-            if (w[i].bits() != 0)
-                acc = Acc24::hwAdd(
-                    acc, Acc24::fromFix16(Fix16::hwMul(w[i], x)));
-            continue;
-        }
-        Fix16 p = unitMul(layer, neuron, i, w[i], x);
-        acc = unitAdd(layer, neuron, i - 1, acc, Acc24::fromFix16(p));
-    }
-    return acc;
 }
 
 void
@@ -839,29 +715,51 @@ HardwareBackend::neuronSumLanes(Layer layer, int neuron, const Fix16 *w,
     int fanin = fanIn(layer);
     const uint16_t *mul = slotRow(UnitKind::Multiplier, layer, neuron);
     const uint16_t *add = slotRow(UnitKind::AdderStage, layer, neuron);
-    std::array<Fix16, kMaxLanes> x, p;
-    std::array<Acc24, kMaxLanes> addend;
+    Fix16 *x = laneX.data(), *p = laneP.data();
+    Acc24 *addend = laneAddend.data();
     for (size_t l = 0; l < lanes; ++l)
         x[l] = in[l][0];
-    unitMulLanes(layer, neuron, 0, w[0], x.data(), p.data(), lanes);
+    unitMulLanes(layer, neuron, 0, w[0], x, p, lanes);
     for (size_t l = 0; l < lanes; ++l)
         acc[l] = Acc24::fromFix16(p[l]);
-    for (int i = 1; i <= fanin; ++i) {
-        bool bias = i == fanin;
-        if ((mul[i] | add[i - 1]) == 0) {
-            if (w[i].bits() != 0)
-                for (size_t l = 0; l < lanes; ++l)
-                    acc[l] = Acc24::hwAdd(
-                        acc[l], Acc24::fromFix16(Fix16::hwMul(
-                                    w[i], bias ? one : in[l][i])));
+    for (int i = 1; i <= fanin;) {
+        // Synapses i..end-1 have a clean multiplier and a clean adder
+        // stage i - 1: native arithmetic, one lane at a time (no unit
+        // sees them, so their order across lanes is free).
+        // hwMul(0, x) == 0 and Acc24::hwAdd wraps modulo 2^24, so a
+        // zero weight leaves the accumulator as it is, and the run
+        // sums in 32-bit unsigned arithmetic (whose low 24 bits are
+        // the same) and wraps once. The scan for the run's end also
+        // finds its last non-zero weight before the bias, so the
+        // padding past the task's fan-in is skipped once for all
+        // lanes.
+        int end = i, stop = i;
+        for (; end <= fanin && (mul[end] | add[end - 1]) == 0; ++end)
+            if (end < fanin && w[end].bits() != 0)
+                stop = end + 1;
+        if (end > i) {
+            uint32_t bias = end > fanin
+                ? static_cast<uint32_t>(Fix16::hwMul(w[fanin], one).raw())
+                : 0;
+            for (size_t l = 0; l < lanes; ++l) {
+                const Fix16 *row = in[l];
+                uint32_t a = static_cast<uint32_t>(acc[l].raw()) + bias;
+                for (int k = i; k < stop; ++k)
+                    if (w[k].bits() != 0)
+                        a += static_cast<uint32_t>(
+                            Fix16::hwMul(w[k], row[k]).raw());
+                acc[l] = Acc24::fromRaw(static_cast<int32_t>(a));
+            }
+            i = end;
             continue;
         }
         for (size_t l = 0; l < lanes; ++l)
-            x[l] = bias ? one : in[l][i];
-        unitMulLanes(layer, neuron, i, w[i], x.data(), p.data(), lanes);
+            x[l] = i == fanin ? one : in[l][i];
+        unitMulLanes(layer, neuron, i, w[i], x, p, lanes);
         for (size_t l = 0; l < lanes; ++l)
             addend[l] = Acc24::fromFix16(p[l]);
-        unitAddLanes(layer, neuron, i - 1, acc, addend.data(), lanes);
+        unitAddLanes(layer, neuron, i - 1, acc, addend, lanes);
+        ++i;
     }
 }
 

@@ -164,10 +164,10 @@ std::string backendNameList();
  * Owns the shared unit netlists and every piece of fault state:
  * gate-level simulations of faulty units, mitigation bypass muxes,
  * activation clamp windows, and deviation probes. Both backends run
- * the same two-pass forward (setWeights/forward/forwardBatch) over
- * the protected pass-addressed unit operations; a concrete backend
- * describes which physical unit executes each operation via
- * unitCount() / enumerateSites() / physicalSite().
+ * the same two-pass forward (setWeights/forwardBatch; forward() is a
+ * one-row batch) over the protected pass-addressed unit operations;
+ * a concrete backend describes which physical unit executes each
+ * operation via unitCount() / enumerateSites() / physicalSite().
  */
 class HardwareBackend : public ForwardModel
 {
@@ -201,19 +201,17 @@ class HardwareBackend : public ForwardModel
      */
     void setWeights(const MlpWeights &w) override;
 
-    /** Forward one logical input row: the hidden pass, then the
-     *  output pass, over every physical neuron. */
-    Activations forward(std::span<const double> input) override;
-
     /**
-     * Forward a batch of logical input rows, evaluating each faulty
-     * unit up to batchLaneWidth() rows per gate-level sweep
-     * (state-free fault sets; 64/256/512 lanes per the DTANN_LANES
-     * knob) or in row order through its scalar simulation
-     * otherwise. Bit-identical to calling forward() per row at
+     * Forward a batch of logical input rows: per chunk of rows, the
+     * hidden pass, then the output pass, over every physical neuron.
+     * A chunk is batchLaneWidth() rows (64/256/512 per the
+     * DTANN_LANES knob) when chunkedPassesExact() holds and one row
+     * otherwise. Each faulty unit sees a chunk's rows in one
+     * OperatorSim::applyLanes() call (one gate-level sweep for a
+     * state-free fault set, scalar evaluations in row order
+     * otherwise). Bit-identical to one-row calls (forward()) at
      * every lane width, including the per-unit deviation-probe
-     * update order. Falls back to a row loop when
-     * chunkedPassesExact() does not hold.
+     * update order.
      */
     std::vector<Activations> forwardBatch(
         std::span<const std::vector<double>> inputs) override;
@@ -225,7 +223,8 @@ class HardwareBackend : public ForwardModel
      * that hoist weight reloads across input rows (time-mux) may
      * only do so under this predicate — stateful simulations and
      * faulty weight latches depend on the exact per-row operation
-     * order. DTANN_NO_BATCH clears it, forcing the per-row paths.
+     * order. DTANN_NO_BATCH clears it, so those wrappers and the
+     * systolic forwardBatch() run one row per chunk.
      */
     bool batchPure() const;
 
@@ -305,8 +304,8 @@ class HardwareBackend : public ForwardModel
      * activation unit's output, before the value feeds the next
      * layer or leaves the array — so the BIST scan path still
      * observes raw (unclamped) unit responses and diagnosis stays
-     * honest. Scalar and lane-batched forwards clamp identically,
-     * preserving bit-identity at every lane width.
+     * honest. Clamping runs in row order after each unit, so every
+     * lane width clamps identically.
      * @{ */
     void setActivationClamp(Layer layer, Fix16 lo, Fix16 hi);
     void clearActivationClamps();
@@ -345,8 +344,8 @@ class HardwareBackend : public ForwardModel
      * bypass and injection state is keyed by the *physical* site;
      * deviation probes stay keyed by the pass address so their
      * order-dependent Welford streams remain per-pass row-ordered
-     * (and therefore identical between the scalar and lane-batched
-     * paths at any lane width).
+     * (and therefore identical between one-row and lane-batched
+     * calls at any lane width).
      */
     virtual UnitSite physicalSite(const UnitSite &pass_site) const
     {
@@ -408,11 +407,12 @@ class HardwareBackend : public ForwardModel
     }
 
     /**
-     * True when forwardBatch() may run each lane chunk's hidden
-     * sweeps before its output sweeps and still give every unit the
-     * input sequence a per-row loop would. It holds whenever each
-     * unit serves one pass (the default); a backend whose units are
-     * shared between passes overrides it.
+     * True when forwardBatch() may run a chunk of several rows (all
+     * hidden sweeps, then all output sweeps) and still give every
+     * unit the input sequence one-row chunks would. It holds
+     * whenever each unit serves one pass (the default); a backend
+     * whose units are shared between passes overrides it, and
+     * forwardBatch() then runs one row per chunk.
      */
     virtual bool chunkedPassesExact() const { return true; }
 
@@ -429,49 +429,35 @@ class HardwareBackend : public ForwardModel
     }
 
     /**
-     * Run @p layer for one input row: per physical neuron n,
-     * neuronSum() over its stored weight row, then the activation
-     * unit and the clamp. The hidden pass also leaves its
-     * pre-activation sums in hidSums.
-     */
-    void runLayer(Layer layer, std::span<const Fix16> in,
-                  std::span<Fix16> out);
-
-    /**
-     * runLayer() over <= kMaxLanes rows (one pointer each). The
-     * hidden pass leaves the last lane's sums in hidSums (the
-     * readable output latches hold the last processed row) and
-     * every lane's sums in hidSumsLanes.
+     * Run @p layer over <= kMaxLanes input rows (one pointer each):
+     * per physical neuron n, neuronSumLanes() over its stored weight
+     * row, then the activation unit and the clamp. The hidden pass
+     * leaves every lane's pre-activation sums in hidSumsLanes.
      */
     void runLayerLanes(Layer layer, const std::vector<const Fix16 *> &in,
                        const std::vector<Fix16 *> &out, size_t lanes);
 
     /**
-     * One neuron's multiply/add chain: multiplier i takes weight
-     * @p w[i] and input i (the bias synapse, i == fanIn(), takes
-     * one) and adder stage i - 1 folds product i into the
-     * accumulator. A synapse whose multiplier and adder stage are
-     * both unitClean() runs natively, and is skipped when its
-     * stored weight is zero (DESIGN.md §14); every other synapse
-     * goes through unitMul()/unitAdd(). Virtual only so tests can
-     * compare against the all-units chain.
+     * One neuron's multiply/add chain over <= kMaxLanes rows into
+     * @p acc: multiplier i takes weight @p w[i] and input i (the
+     * bias synapse, i == fanIn(), takes one) and adder stage i - 1
+     * folds product i into the accumulator. A synapse whose
+     * multiplier and adder stage are both unitClean() runs natively,
+     * and is skipped when its stored weight is zero (DESIGN.md §14);
+     * every other synapse goes through unitMulLanes()/
+     * unitAddLanes(). Virtual only so tests can compare against the
+     * all-units chain.
      */
-    virtual Acc24 neuronSum(Layer layer, int neuron, const Fix16 *w,
-                            std::span<const Fix16> in);
-
-    /** neuronSum() over <= kMaxLanes rows into @p acc. */
     virtual void neuronSumLanes(Layer layer, int neuron, const Fix16 *w,
                                 const std::vector<const Fix16 *> &in,
                                 Acc24 *acc, size_t lanes);
 
-    /** Per-unit operations (route through sim when faulty). @{ */
-    Fix16 unitMul(Layer layer, int neuron, int synapse, Fix16 w, Fix16 x);
-    Acc24 unitAdd(Layer layer, int neuron, int stage, Acc24 a, Acc24 b);
-    Fix16 unitAct(Layer layer, int neuron, Fix16 x);
+    /** One latch write (routes through the sim when faulty). */
     Fix16 unitLatchStore(Layer layer, int neuron, int synapse, Fix16 d);
-    /** @} */
 
-    /** Lane-wise unit operations (<= kMaxLanes rows at a time). @{ */
+    /** Per-unit operations over <= kMaxLanes rows at a time (route
+     *  through the sim when faulty; the BIST scans are one-lane
+     *  calls). @{ */
     void unitMulLanes(Layer layer, int neuron, int synapse, Fix16 w,
                       const Fix16 *x, Fix16 *out, size_t lanes);
     void unitAddLanes(Layer layer, int neuron, int stage, Acc24 *acc,
@@ -487,11 +473,8 @@ class HardwareBackend : public ForwardModel
     std::vector<Fix16> hidW; // [hidden][inputs+1]
     std::vector<Fix16> outW; // [outputs][hidden+1]
 
-    /** Hidden activations and pre-activation sums of the last
-     *  processed row. */
-    std::vector<Fix16> hiddenAct;
-    std::vector<Acc24> hidSums;
-    /** [lane * hidden + neuron] sums of the last lanes run. */
+    /** Hidden pre-activation sums of the last runLayerLanes() pass,
+     *  [lane * hidden + neuron]. */
     std::vector<Acc24> hidSumsLanes;
 
     /** Shared unit netlists. */
@@ -508,6 +491,18 @@ class HardwareBackend : public ForwardModel
     DeviationProbe cleanProbe; // returned for clean sites
 
   private:
+    /** Per-lane scratch of the neuron chain and the unit operations'
+     *  packed words, kMaxLanes each, sized once so a one-row call
+     *  clears no whole plane. */
+    std::vector<Fix16> laneX, laneP;
+    std::vector<Acc24> laneAcc, laneAddend;
+    std::vector<uint64_t> laneIn, laneOut;
+    /** forwardBatch() scratch: one chunk's physical rows and their
+     *  per-lane pointers, reused across calls. */
+    std::vector<Fix16> batchIn, batchHid, batchOut;
+    std::vector<const Fix16 *> batchInPtr, batchHidIn;
+    std::vector<Fix16 *> batchHidOut, batchOutPtr;
+
     /** Gate-level sims of faulty units (physical-site keyed). */
     std::map<UnitSite, std::unique_ptr<OperatorSim>> faulty;
     /** Units disconnected by the mitigation bypass muxes. */

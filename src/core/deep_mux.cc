@@ -1,6 +1,10 @@
 #include "core/deep_mux.hh"
 
+#include <algorithm>
+
+#include "circuit/lane_plane.hh"
 #include "common/logging.hh"
+#include "core/timemux.hh"
 
 namespace dtann {
 
@@ -38,59 +42,33 @@ DeepMuxedNetwork::setLayerWeights(const DeepWeights &w)
     }
 }
 
-Activations
-DeepMuxedNetwork::forward(std::span<const double> input)
-{
-    dtann_assert(static_cast<int>(input.size()) == topo.inputs(),
-                 "input arity mismatch");
-    dtann_assert(!stageRows.empty(), "setWeights() before forward()");
-
-    std::vector<Fix16> current(input.size());
-    for (size_t i = 0; i < input.size(); ++i)
-        current[i] = Fix16::fromDouble(input[i]);
-
-    Activations act;
-    for (size_t s = 0; s < topo.stages(); ++s) {
-        std::vector<Fix16> next =
-            muxRunLayer(accel, stageRows[s], current);
-        std::vector<double> as_double(next.size());
-        for (size_t j = 0; j < next.size(); ++j)
-            as_double[j] = next[j].toDouble();
-        act.layers.push_back(std::move(as_double));
-        current = std::move(next);
-    }
-    return act;
-}
-
 std::vector<Activations>
 DeepMuxedNetwork::forwardBatch(std::span<const std::vector<double>> inputs)
 {
     dtann_assert(!stageRows.empty(), "setWeights() before forward()");
-    if (!accel.batchPure())
-        return rowLoopBatch(inputs); // stateful faulty units need
-                                     // the exact per-row sequence
-    size_t N = inputs.size();
-    std::vector<std::vector<Fix16>> current(N);
-    for (size_t r = 0; r < N; ++r) {
-        dtann_assert(static_cast<int>(inputs[r].size()) ==
-                         topo.inputs(),
-                     "input arity mismatch");
-        current[r].resize(inputs[r].size());
-        for (size_t i = 0; i < inputs[r].size(); ++i)
-            current[r][i] = Fix16::fromDouble(inputs[r][i]);
-    }
-
-    std::vector<Activations> acts(N);
-    for (size_t s = 0; s < topo.stages(); ++s) {
-        std::vector<std::vector<Fix16>> next =
-            muxRunLayerBatch(accel, stageRows[s], current);
-        for (size_t r = 0; r < N; ++r) {
-            std::vector<double> as_double(next[r].size());
-            for (size_t j = 0; j < next[r].size(); ++j)
-                as_double[j] = next[r][j].toDouble();
-            acts[r].layers.push_back(std::move(as_double));
+    size_t width = accel.batchPure() ? batchLaneWidth() : 1;
+    size_t rows = inputs.size();
+    std::vector<Activations> acts(rows);
+    std::vector<std::vector<Fix16>> current;
+    for (size_t pos = 0; pos < rows; pos += width) {
+        size_t lanes = std::min(width, rows - pos);
+        current.assign(lanes, {});
+        for (size_t l = 0; l < lanes; ++l) {
+            const std::vector<double> &row = inputs[pos + l];
+            dtann_assert(static_cast<int>(row.size()) == topo.inputs(),
+                         "input arity mismatch");
+            for (double v : row)
+                current[l].push_back(Fix16::fromDouble(v));
         }
-        current = std::move(next);
+        for (size_t s = 0; s < topo.stages(); ++s) {
+            current = muxRunLayerBatch(accel, stageRows[s], current);
+            for (size_t l = 0; l < lanes; ++l) {
+                std::vector<double> &out =
+                    acts[pos + l].layers.emplace_back(current[l].size());
+                for (size_t j = 0; j < out.size(); ++j)
+                    out[j] = current[l][j].toDouble();
+            }
+        }
     }
     return acts;
 }

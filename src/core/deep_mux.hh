@@ -5,17 +5,18 @@
  * ... in order to efficiently tackle very large networks, such as
  * Deep Networks").
  *
- * Every layer of the stack is executed by the shared
- * muxRunLayer engine: neurons batched over the physical hidden
- * row, oversized fan-ins chunked through the key-logic
- * accumulator. Defects injected into the physical array therefore
- * touch every logical layer mapped across it.
+ * Every layer of the stack is executed by the time-multiplexing
+ * engine (muxRunLayerBatch(), core/timemux.hh): neurons batched over
+ * the physical hidden row, oversized fan-ins chunked through the
+ * key-logic accumulator. Defects injected into the physical array
+ * therefore touch every logical layer mapped across it. The 2-layer
+ * TimeMuxedMlp is the two-stage case of this model.
  */
 
 #ifndef DTANN_CORE_DEEP_MUX_HH
 #define DTANN_CORE_DEEP_MUX_HH
 
-#include "core/timemux.hh"
+#include "core/accelerator.hh"
 
 namespace dtann {
 
@@ -36,14 +37,15 @@ class DeepMuxedNetwork : public ForwardModel
     /** Quantize all stages; rows reload per pass. */
     void setLayerWeights(const DeepWeights &w) override;
 
-    Activations forward(std::span<const double> input) override;
-
     /**
-     * Batched forward: when every faulty unit is lane-batchable
-     * (accel.batchPure()) each stage runs through
-     * muxRunLayerBatch() — weight reloads hoisted across up to 64
-     * rows — otherwise the exact per-row loop. Outputs are
-     * bit-identical to forward() per row either way.
+     * Run the stack over chunks of rows, each chunk through every
+     * stage before the next chunk starts. When every faulty unit is
+     * a pure function (accel.batchPure()) a chunk is up to
+     * batchLaneWidth() rows (64/256/512), so each pass's weight
+     * reloads are hoisted across the chunk. Otherwise a chunk is one
+     * row: stateful faulty units and faulty latches see the exact
+     * per-row load/run sequence. Outputs are bit-identical either
+     * way.
      */
     std::vector<Activations> forwardBatch(
         std::span<const std::vector<double>> inputs) override;
@@ -57,8 +59,10 @@ class DeepMuxedNetwork : public ForwardModel
     /** Array passes per input row over the whole stack. */
     size_t passesPerRow() const;
 
-  private:
+  protected:
     Accelerator &accel;
+
+  private:
     DeepTopology topo;
     /** Quantized rows per stage: [stage][neuron][fanin + 1]. */
     std::vector<std::vector<std::vector<Fix16>>> stageRows;

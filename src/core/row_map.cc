@@ -99,12 +99,6 @@ RowMappedMlp::vote(Activations phys) const
     return act;
 }
 
-Activations
-RowMappedMlp::forward(std::span<const double> input)
-{
-    return vote(accel.forward(input));
-}
-
 std::vector<Activations>
 RowMappedMlp::forwardBatch(std::span<const std::vector<double>> inputs)
 {

@@ -72,11 +72,8 @@ class RowMappedMlp : public ForwardModel
      *  outside the plan hold zero weights). */
     void setWeights(const MlpWeights &w) override;
 
-    /** Forward, voting each logical output over its group. */
-    Activations forward(std::span<const double> input) override;
-
-    /** Batched forward through the backend's lane path, voted per
-     *  row like forward(). */
+    /** Forward through the backend, voting each row's logical
+     *  outputs over their groups. */
     std::vector<Activations> forwardBatch(
         std::span<const std::vector<double>> inputs) override;
 

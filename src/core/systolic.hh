@@ -45,7 +45,7 @@ namespace dtann {
  * (row r, column c) is site {kind, Hidden, neuron = c, index = r}.
  * physicalSite() folds both passes onto those shared addresses;
  * deviation probes stay pass-keyed and probe() merges the per-pass
- * accumulators deterministically (Chan's update), so scalar and
+ * accumulators deterministically (Chan's update), so one-row and
  * lane-batched evaluation remain bit-identical.
  */
 class SystolicBackend : public HardwareBackend
@@ -96,11 +96,11 @@ class SystolicBackend : public HardwareBackend
 
     /**
      * A stateful faulty PE observes a different operation order
-     * when a lane chunk runs all hidden sweeps, then all output
-     * sweeps, than when rows run one at a time (passes interleaved
-     * per row): the PE is shared between the passes, unlike the
-     * spatial array's dedicated units. Chunk only when every faulty
-     * simulation is a pure function.
+     * when a chunk runs all hidden sweeps, then all output sweeps,
+     * than when rows run one at a time (passes interleaved per
+     * row): the PE is shared between the passes, unlike the spatial
+     * array's dedicated units. Chunk several rows only when every
+     * faulty simulation is a pure function.
      */
     bool chunkedPassesExact() const override { return batchPure(); }
 

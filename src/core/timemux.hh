@@ -28,41 +28,25 @@
 #ifndef DTANN_CORE_TIMEMUX_HH
 #define DTANN_CORE_TIMEMUX_HH
 
-#include "core/accelerator.hh"
+#include "core/deep_mux.hh"
 
 namespace dtann {
 
 /**
  * Run one logical layer (neurons sharing a fan-in) on the physical
- * array, batching neurons over the physical hidden row and chunking
- * oversized fan-ins through the key-logic accumulator. This is the
- * engine shared by the 2-layer TimeMuxedMlp and the deep-network
- * wrapper.
+ * array for 1 to kMaxLanes input rows, batching neurons over the
+ * physical hidden row and chunking oversized fan-ins through the
+ * key-logic accumulator. Each pass loads its weight rows once and
+ * evaluates every row through the accelerator's lane-batched hidden
+ * layer. This is the engine of DeepMuxedNetwork and so of
+ * TimeMuxedMlp.
  *
- * @param accel physical array
- * @param rows quantized weight rows, [neuron][fanin + 1], bias last
- * @param input the layer's input activations (size = fanin)
- * @return one activation per row
- */
-std::vector<Fix16> muxRunLayer(
-    Accelerator &accel, const std::vector<std::vector<Fix16>> &rows,
-    std::span<const Fix16> input);
-
-/**
- * Batched muxRunLayer: run the same logical layer for up to 64
- * input rows per weight load. Each (neuron batch, chunk) weight
- * reload is hoisted out of the per-row loop and the loaded rows are
- * evaluated over all lanes through the accelerator's lane-batched
- * hidden layer, so faulty operators see 64 rows per gate-level
- * sweep instead of one.
- *
- * Caller must check accel.batchPure(): outputs are then
- * bit-identical per row to muxRunLayer() (every faulty operator is
- * a pure function, and clean latch stores are idempotent), though
- * per-unit deviation probes accumulate the same deviations in lane
- * order rather than row-major order. With stateful faulty units the
- * hoisted reload sequence would diverge — callers fall back to the
- * per-row engine instead.
+ * The loads are hoisted across rows, so callers give several rows
+ * only when accel.batchPure() holds: every faulty operator is then a
+ * pure function and clean latch stores are idempotent, so each row's
+ * outputs are those of a one-row call. With stateful faulty units
+ * the hoisted reload sequence would diverge; callers pass one row at
+ * a time instead.
  *
  * @param accel physical array
  * @param rows quantized weight rows, [neuron][fanin + 1], bias last
@@ -73,12 +57,13 @@ std::vector<std::vector<Fix16>> muxRunLayerBatch(
     Accelerator &accel, const std::vector<std::vector<Fix16>> &rows,
     const std::vector<std::vector<Fix16>> &inputs);
 
-/** Array passes needed by muxRunLayer for this geometry. */
+/** Array passes muxRunLayerBatch() needs for this geometry. */
 size_t muxLayerPasses(const AcceleratorConfig &cfg, int neurons,
                       int fanin);
 
-/** ForwardModel running an oversized MLP on a physical array. */
-class TimeMuxedMlp : public ForwardModel
+/** ForwardModel running an oversized MLP on a physical array: the
+ *  two-stage DeepMuxedNetwork. */
+class TimeMuxedMlp : public DeepMuxedNetwork
 {
   public:
     /**
@@ -87,46 +72,11 @@ class TimeMuxedMlp : public ForwardModel
      */
     TimeMuxedMlp(Accelerator &accel, MlpTopology logical);
 
-    MlpTopology topology() const override { return logical; }
-
-    /** Store and quantize weights; rows are reloaded per pass. */
-    void setWeights(const MlpWeights &w) override;
-
-    Activations forward(std::span<const double> input) override;
-
-    /**
-     * Batched forward: when every faulty unit is lane-batchable
-     * (accel.batchPure()) the weight reloads of each pass are
-     * hoisted across up to 64 input rows via muxRunLayerBatch();
-     * otherwise falls back to the exact per-row loop. Outputs are
-     * bit-identical to forward() per row either way.
-     */
-    std::vector<Activations> forwardBatch(
-        std::span<const std::vector<double>> inputs) override;
-
-    /** Work counters of the backing accelerator's faulty units. */
-    SimCounters simCounters() const override
-    {
-        return accel.simCounters();
-    }
-
-    /** Array passes needed per input row. */
-    size_t passesPerRow() const;
-
     /** Weight words written per input row (reload traffic). */
     size_t weightWordsPerRow() const;
 
     /** Logical neurons mapped to the busiest physical neuron. */
     int muxFactor() const;
-
-  private:
-    Accelerator &accel;
-    MlpTopology logical;
-
-    /** Quantized weight rows: [neuron][fanin + 1], bias last. */
-    std::vector<std::vector<Fix16>> hidRows;
-    std::vector<std::vector<Fix16>> outRows;
-
 };
 
 } // namespace dtann

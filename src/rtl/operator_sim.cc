@@ -96,9 +96,10 @@ void
 OperatorSim::applyLanes(const uint64_t *inputs, uint64_t *outputs,
                         size_t count)
 {
-    if (!batch) {
-        // Scalar fallback: evaluation order matters (memory
-        // effects), so walk the vectors in order.
+    if (!batch || count < kLaneCrossover) {
+        // Scalar path: evaluation order matters (memory effects), so
+        // walk the vectors in order. A batched sim is state-free, so
+        // taking it for a short call changes no output.
         for (size_t i = 0; i < count; ++i)
             outputs[i] = apply(inputs[i]);
         return;

@@ -73,10 +73,18 @@ class OperatorSim
      * into laneCount()-wide batches internally). Results are
      * bit-identical to calling apply() in order at every lane
      * width; fault sets that need the scalar path fall back to
-     * exactly that, preserving state order.
+     * exactly that, preserving state order. A call of fewer than
+     * kLaneCrossover vectors also walks them through apply() (memo
+     * included): below that, one plane sweep costs more than the
+     * scalar evaluations (DESIGN.md §9).
      */
     void applyLanes(const uint64_t *inputs, uint64_t *outputs,
                     size_t count);
+
+    /** Fewest vectors per applyLanes() call that take the batch
+     *  path; at least 2, so a one-row call never sweeps a plane. */
+    static constexpr size_t kLaneCrossover = 4;
+    static_assert(kLaneCrossover >= 2);
 
     /** Clear any internal (defect-induced or latch) state. */
     void reset();

@@ -7,9 +7,11 @@
  * the adder stage that folds it in are both clean, and skip it when
  * its stored weight is zero (DESIGN.md §14). This subclass keeps the
  * chain that rule replaced: every synapse of every neuron goes
- * through unitMul() and unitAdd(), clean or not. The differential
- * suite holds the native rule to it on both backends, per row and
- * lane-batched.
+ * through unitMulLanes() and unitAddLanes(), clean or not. The
+ * backends have one chain, run one row per call by forward() and a
+ * chunk of rows by forwardBatch(), so this one override is the
+ * oracle for both; the differential suite holds the native rule to
+ * it on both backends.
  */
 
 #ifndef DTANN_TESTS_CORE_REFERENCE_DATAPATH_HH
@@ -30,23 +32,6 @@ class ReferenceDatapath : public Backend
     using Backend::Backend;
 
   protected:
-    Acc24
-    neuronSum(Layer layer, int neuron, const Fix16 *w,
-              std::span<const Fix16> in) override
-    {
-        const Fix16 one = Fix16::fromDouble(1.0);
-        int fanin = this->fanIn(layer);
-        Acc24 acc = Acc24::fromFix16(
-            this->unitMul(layer, neuron, 0, w[0], in[0]));
-        for (int i = 1; i <= fanin; ++i) {
-            Fix16 x = i < fanin ? in[static_cast<size_t>(i)] : one;
-            Fix16 p = this->unitMul(layer, neuron, i, w[i], x);
-            acc = this->unitAdd(layer, neuron, i - 1, acc,
-                                Acc24::fromFix16(p));
-        }
-        return acc;
-    }
-
     void
     neuronSumLanes(Layer layer, int neuron, const Fix16 *w,
                    const std::vector<const Fix16 *> &in, Acc24 *acc,

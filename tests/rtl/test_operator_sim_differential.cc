@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "ann/sigmoid.hh"
 #include "circuit/evaluator.hh"
@@ -252,6 +253,51 @@ TEST(OperatorSimDifferential, CountersAccountForEveryVector)
     EXPECT_NEAR(c.laneOccupancy(),
                 130.0 / static_cast<double>(sweeps * width), 1e-12);
     EXPECT_LT(c.scalarFallbackRate(), 0.01);
+}
+
+TEST(OperatorSimDifferential, ShortCallsTakeTheScalarPath)
+{
+    // Below kLaneCrossover vectors a batched sim walks the call
+    // through apply(): same outputs, charged as scalar vectors. At
+    // the crossover the plane sweep takes over.
+    auto nl = std::make_shared<Netlist>(
+        buildMultiplierUnsigned(6, FaStyle::Nand9));
+    CleanFn clean = cleanMultiplierUnsigned(6);
+    FaultSet faults;
+    faults.stuckAt.push_back({3, -1, false});
+    const size_t n = OperatorSim::kLaneCrossover;
+    ASSERT_GE(n, 2u);
+
+    Rng rng(21);
+    std::vector<uint64_t> in(n);
+    for (auto &v : in)
+        v = rng.nextUint(1ull << 12);
+    for (size_t count : {size_t{1}, n - 1}) {
+        SCOPED_TRACE("count " + std::to_string(count));
+        OperatorSim sim(nl, Injection{faults, {}}, clean);
+        OperatorSim ref(nl, Injection{faults, {}}, clean);
+        ASSERT_TRUE(sim.batched());
+        std::vector<uint64_t> out(count);
+        sim.applyLanes(in.data(), out.data(), count);
+        for (size_t i = 0; i < count; ++i)
+            EXPECT_EQ(out[i], ref.apply(in[i])) << "vector " << i;
+        SimCounters c = sim.counters();
+        EXPECT_EQ(c.scalarVectors, count);
+        EXPECT_EQ(c.batchVectors, 0u);
+        EXPECT_EQ(c.batchSweeps, 0u);
+        EXPECT_EQ(c.gateEvals, ref.counters().gateEvals);
+    }
+
+    OperatorSim sim(nl, Injection{faults, {}}, clean);
+    OperatorSim ref(nl, Injection{faults, {}}, clean);
+    std::vector<uint64_t> out(n);
+    sim.applyLanes(in.data(), out.data(), n);
+    for (size_t i = 0; i < n; ++i)
+        EXPECT_EQ(out[i], ref.apply(in[i])) << "vector " << i;
+    SimCounters c = sim.counters();
+    EXPECT_EQ(c.scalarVectors, 0u);
+    EXPECT_EQ(c.batchVectors, n);
+    EXPECT_EQ(c.batchSweeps, 1u);
 }
 
 } // namespace
