@@ -1,7 +1,9 @@
 /**
  * @file
  * Activation functions: exact logistic sigmoid and its 16-segment
- * piecewise-linear approximation (the hardware's Fig 4 unit).
+ * piecewise-linear approximation (the hardware's Fig 4 unit). The
+ * logistic and the PWL coefficient table live with that unit in
+ * rtl/sigmoid_unit.hh, which this header includes.
  */
 
 #ifndef DTANN_ANN_SIGMOID_HH
@@ -12,17 +14,8 @@
 
 namespace dtann {
 
-/** Exact logistic sigmoid 1 / (1 + e^-x). */
-double logistic(double x);
-
 /** Derivative of the logistic expressed via its output y. */
 inline double logisticDerivFromY(double y) { return y * (1.0 - y); }
-
-/**
- * The hardware's 16-segment PWL coefficient table over [-8, 8),
- * segment i interpolating the logistic between integer breakpoints.
- */
-const PwlTable &logisticPwlTable();
 
 /** Evaluate the PWL approximation in double precision. */
 double logisticPwl(double x);

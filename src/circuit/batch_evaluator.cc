@@ -82,6 +82,12 @@ BatchEvaluator::BatchEvaluator(const Netlist &netlist, FaultSet faults,
         }
         if (cleanFn)
             cone = cone_in ? *cone_in : computeFaultCone(nl, faultSet);
+        if (cone.valid) {
+            const CellIndex *cells = nl.cellIndex();
+            prunedSteps = cells ? cells->prunedSteps(cone.activeGates,
+                                                     faultSet, nl)
+                                : cone.activeGates;
+        }
     }
 }
 
@@ -98,15 +104,16 @@ BatchEvaluator::setInputLanes(size_t index, uint64_t lanes)
 void
 BatchEvaluator::evaluate()
 {
-    sweepGates(nullptr);
+    sweepGates(nullptr, nl.numGates());
 }
 
 void
-BatchEvaluator::sweepGates(const std::vector<uint32_t> *active)
+BatchEvaluator::sweepGates(const std::vector<uint32_t> *steps,
+                           size_t gates)
 {
-    size_t n = active ? active->size() : nl.numGates();
+    size_t n = steps ? steps->size() : nl.numGates();
     ++sweepCount;
-    gateSweepCount += n;
+    gateSweepCount += gates;
     if (n == 0)
         return;
     // The sweep itself lives in a width-templated kernel picked at
@@ -115,8 +122,9 @@ BatchEvaluator::sweepGates(const std::vector<uint32_t> *active)
     // 3's original single-word sweep.
     LaneSweepCtx ctx;
     ctx.gates = &nl.gate(0);
-    ctx.active = active ? active->data() : nullptr;
+    ctx.active = steps ? steps->data() : nullptr;
     ctx.count = n;
+    ctx.cells = nl.cellIndex() ? nl.cellIndex()->data() : nullptr;
     ctx.haveFaults = haveFaults;
     ctx.valuePlane = haveFaults ? valuePlane.data() : nullptr;
     ctx.inputForce =
@@ -148,7 +156,10 @@ BatchEvaluator::evaluateLanes(const uint64_t *vectors, uint64_t *out,
         for (size_t l = 0; l < count; ++l)
             plane[l >> 6] |= ((vectors[l] >> i) & 1) << (l & 63);
     }
-    sweepGates(cone.valid ? &cone.activeGates : nullptr);
+    if (cone.valid)
+        sweepGates(&prunedSteps, cone.activeGates.size());
+    else
+        sweepGates(nullptr, nl.numGates());
     size_t n_out = nl.outputs().size();
     dtann_assert(n_out <= 64, "at most 64 primary outputs");
     for (size_t l = 0; l < count; ++l)

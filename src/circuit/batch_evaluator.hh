@@ -158,11 +158,16 @@ class BatchEvaluator
     /** Per-gate output stuck value (-1 = none). */
     std::vector<int8_t> outputForce;
 
+    /** The pruned sweep's steps (CellIndex::prunedSteps() on an
+     *  indexed netlist, else the cone's active gates); empty unless
+     *  conePruned(). */
+    std::vector<uint32_t> prunedSteps;
+
     uint64_t sweepCount = 0;
     uint64_t gateSweepCount = 0;
 
-    /** Sweep @p active gates (all gates when null). */
-    void sweepGates(const std::vector<uint32_t> *active);
+    /** Sweep @p steps (every gate when null), charging @p gates. */
+    void sweepGates(const std::vector<uint32_t> *steps, size_t gates);
 };
 
 } // namespace dtann

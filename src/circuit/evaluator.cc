@@ -4,6 +4,7 @@
 #include <iterator>
 #include <map>
 
+#include "circuit/cell_index.hh"
 #include "common/logging.hh"
 
 namespace dtann {
@@ -37,8 +38,9 @@ Evaluator::Evaluator(const Netlist &netlist, FaultSet faults,
                      CleanFn clean, const FaultCone *cone_in)
     : nl(netlist), faultSet(std::move(faults)),
       cleanFn(std::move(clean)),
-      // Nets, the constant-zero padding net, one store per delay.
-      netVal(netlist.numNets() + 1 + faultSet.delayed.size(), 0),
+      // Nets, the constant-zero padding net, one store per delay,
+      // the sink net.
+      netVal(netlist.numNets() + 2 + faultSet.delayed.size(), 0),
       needsRelaxation(netlist.hasFeedback())
 {
     if (cleanFn && !faultSet.empty())
@@ -60,12 +62,18 @@ Evaluator::program(bool full)
         if (pruned) {
             for (const Op &op : ops)
                 if (op.mem)
-                    stateNetList.push_back(op.out);
+                    stateNetList.push_back(op.out[0]);
             for (const Op &op : pending)
-                stateNetList.push_back(op.out);
+                stateNetList.push_back(op.out[0]);
         }
     }
     return ops;
+}
+
+size_t
+Evaluator::programGates(bool full) const
+{
+    return cone.valid && !full ? cone.activeGates.size() : nl.numGates();
 }
 
 std::vector<Evaluator::Op>
@@ -99,19 +107,43 @@ Evaluator::compile(const std::vector<uint32_t> *gates,
     }
 
     const NetId zero_net = static_cast<NetId>(nl.numNets());
+    const NetId sink = static_cast<NetId>(netVal.size() - 1);
+    // A pruned program on an indexed netlist sweeps cell steps (see
+    // CellIndex::prunedSteps()); the full program stays gate-level.
+    const CellIndex *cells = gates ? nl.cellIndex() : nullptr;
+    std::vector<uint32_t> steps;
+    if (cells) {
+        steps = cells->prunedSteps(*gates, faultSet, nl);
+        gates = &steps;
+    }
     size_t count = gates ? gates->size() : n;
     std::vector<Op> ops;
     ops.reserve(count);
     for (size_t k = 0; k < count; ++k) {
-        uint32_t gi = gates ? (*gates)[k] : static_cast<uint32_t>(k);
+        uint32_t step = gates ? (*gates)[k] : static_cast<uint32_t>(k);
+        Op op{{zero_net, zero_net, zero_net, zero_net}, {sink, sink},
+              {0, 0}, 0};
+        if (step & kCellStep) {
+            // Clean cell: its tables over its external nets.
+            const Cell &c = cells->cell(step & ~kCellStep);
+            for (int i = 0; i < c.numIn; ++i)
+                op.in[i] = c.in[i];
+            for (int o = 0; o < c.numOut; ++o) {
+                op.out[o] = c.out[o];
+                op.value[o] = c.table[o];
+            }
+            ops.push_back(op);
+            continue;
+        }
+        uint32_t gi = step;
         const Gate &g = nl.gate(gi);
-        Op op{{zero_net, zero_net, zero_net, zero_net}, g.out, 0, 0};
+        op.out[0] = g.out;
         int arity = g.arity();
         for (int i = 0; i < arity; ++i)
             op.in[i] = g.in[i];
         auto it = faulty.find(gi);
         if (it == faulty.end()) {
-            op.value = gateTable(g.kind);
+            op.value[0] = gateTable(g.kind);
             ops.push_back(op);
             continue;
         }
@@ -128,7 +160,7 @@ Evaluator::compile(const std::vector<uint32_t> *gates,
             if (lv == LogicValue::Mem)
                 op.mem |= static_cast<uint16_t>(1u << idx);
             else if (lv == LogicValue::One)
-                op.value |= static_cast<uint16_t>(1u << idx);
+                op.value[0] |= static_cast<uint16_t>(1u << idx);
         }
 
         if (gf.delayed) {
@@ -140,15 +172,15 @@ Evaluator::compile(const std::vector<uint32_t> *gates,
                               faultSet.delayed.find(gi)));
             if (pending_ops) {
                 pending_ops->push_back(op);
-                pending_ops->back().out = store;
+                pending_ops->back().out[0] = store;
             }
-            op = Op{{store, zero_net, zero_net, zero_net}, g.out,
-                    0xaaaa, 0};
+            op = Op{{store, zero_net, zero_net, zero_net}, {g.out, sink},
+                    {0xaaaa, 0}, 0};
         }
         // The output force overrides every non-MEM entry; a MEM
         // entry keeps the previous value and skips the force.
         if (gf.outputForce >= 0)
-            op.value = gf.outputForce ? 0xffff : 0;
+            op.value[0] = gf.outputForce ? 0xffff : 0;
         ops.push_back(op);
     }
     return ops;
@@ -185,36 +217,57 @@ Evaluator::setInputRange(size_t offset, size_t width, uint64_t bits)
 void
 Evaluator::evaluate()
 {
-    runSweeps(program(true));
+    runSweeps(program(true), programGates(true));
     latchDelayed();
 }
 
 void
-Evaluator::runSweeps(const std::vector<Op> &ops)
+Evaluator::runSweeps(const std::vector<Op> &ops, size_t gates)
 {
     oscillated = false;
     uint8_t *net = netVal.data();
-    // Feedback-free netlists settle in a single topological sweep
-    // (builders emit gates in dependency order); MEM entries read
-    // the previous evaluation's value, which is exactly what the
-    // floating node held.
+    // Gate ops only (the full program; a pruned one goes through
+    // sweepPruned()). Feedback-free netlists settle in a single
+    // topological sweep (builders emit gates in dependency order);
+    // MEM entries read the previous evaluation's value, which is
+    // exactly what the floating node held.
     int sweep_cap = needsRelaxation ? maxSweeps : 1;
     for (sweeps = 0; sweeps < sweep_cap; ++sweeps) {
         uint8_t changed = 0;
-        gateEvalCount += ops.size();
+        gateEvalCount += gates;
         for (const Op &op : ops) {
             uint32_t idx = tableIndex(net, op.in);
             if (op.mem >> idx & 1)
                 continue; // Floating output: keep previous value.
-            uint8_t v = op.value >> idx & 1;
-            changed |= net[op.out] ^ v;
-            net[op.out] = v;
+            uint8_t v = op.value[0] >> idx & 1;
+            changed |= net[op.out[0]] ^ v;
+            net[op.out[0]] = v;
         }
         if (!changed)
             break;
     }
     if (needsRelaxation && sweeps == maxSweeps)
         oscillated = true;
+}
+
+void
+Evaluator::sweepPruned()
+{
+    // The cone exists only on feedback-free netlists, so one
+    // topological sweep settles: every net an op reads is an input
+    // or written earlier in the sweep, or a MEM op's own output,
+    // which keeps the previous call's value.
+    uint8_t *net = netVal.data();
+    for (const Op &op : program(false)) {
+        uint32_t idx = tableIndex(net, op.in);
+        if (op.mem >> idx & 1)
+            continue; // Floating output: keep previous value.
+        net[op.out[0]] = op.value[0] >> idx & 1;
+        net[op.out[1]] = op.value[1] >> idx & 1;
+    }
+    sweeps = 1;
+    oscillated = false;
+    gateEvalCount += programGates(false);
 }
 
 void
@@ -226,7 +279,7 @@ Evaluator::latchDelayed()
     for (const Op &op : pending) {
         uint32_t idx = tableIndex(net, op.in);
         if (!(op.mem >> idx & 1))
-            net[op.out] = op.value >> idx & 1;
+            net[op.out[0]] = op.value[0] >> idx & 1;
     }
 }
 
@@ -253,6 +306,7 @@ Evaluator::replayBits(uint64_t input_bits, uint64_t output_bits,
                       uint64_t next_state)
 {
     dtann_assert(cone.valid, "replay needs the cone-pruned path");
+    program(false); // fills stateNetList
     setInputBits(input_bits, nl.inputs().size());
     size_t n_out = std::min<size_t>(nl.outputs().size(), 64);
     for (size_t o = 0; o < n_out; ++o)
@@ -261,7 +315,7 @@ Evaluator::replayBits(uint64_t input_bits, uint64_t output_bits,
         netVal[stateNetList[i]] = (next_state >> i) & 1;
     sweeps = 1;
     oscillated = false;
-    gateEvalCount += program(false).size();
+    gateEvalCount += programGates(false);
 }
 
 void
@@ -316,7 +370,7 @@ Evaluator::evaluateBits(uint64_t input_bits)
     // fault semantics (MEM retention, delayed outputs, stuck-ats)
     // depend solely on the active gates' nets, which persist across
     // calls exactly as in the full sweep.
-    runSweeps(program(false));
+    sweepPruned();
     latchDelayed();
     uint64_t sim = outputBits(n_out);
     uint64_t clean = cleanFn(input_bits);

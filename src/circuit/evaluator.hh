@@ -15,7 +15,9 @@
  * {value, mem} truth table, and the gates to sweep are laid out as a
  * flat op program (see DESIGN.md §9). The sweep loop is then the same
  * for clean and faulty gates: gather up to four input bits, index the
- * table, keep the old value on a MEM entry.
+ * table, keep the old value on a MEM entry. On the cone-pruned path
+ * of an indexed netlist each clean bit-cell folds into one such op
+ * with up to two outputs (DESIGN.md §9 "Cell ops").
  */
 
 #ifndef DTANN_CIRCUIT_EVALUATOR_HH
@@ -125,7 +127,8 @@ class Evaluator
 
     /**
      * Every value evaluate() reads: the nets, then the constant-zero
-     * padding net and the delayed gates' stored outputs. A full
+     * padding net, the delayed gates' stored outputs and the sink
+     * net (always 0). A full
      * evaluate() is a function of this vector alone, so it can key
      * an exact memo of relaxations (DESIGN.md §9 "Relaxation memo").
      */
@@ -143,16 +146,19 @@ class Evaluator
 
   private:
     /**
-     * One gate of the folded op program. Unused inputs read the
-     * constant-zero net, so the table index is always the 4-bit
-     * shift-or of the input nets. A set mem bit keeps the output
-     * net's previous value; otherwise the value bit is driven.
+     * One op of the folded program: a gate, or on the pruned
+     * program a whole clean cell (DESIGN.md §9 "Cell ops"). Unused
+     * inputs read the constant-zero net, so the table index is
+     * always the 4-bit shift-or of the input nets. Output o drives
+     * bit idx of value[o]; an unused output writes 0 to the sink
+     * net, which nothing reads (so no op waits on that store). A set
+     * mem bit (gate ops only) keeps the outputs' previous values.
      */
     struct Op
     {
         NetId in[4];
-        NetId out;
-        uint16_t value;
+        NetId out[2];
+        uint16_t value[2];
         uint16_t mem;
     };
 
@@ -163,7 +169,7 @@ class Evaluator
 
     /**
      * Per-net current value, followed by the constant-zero padding
-     * net and one stored-output net per delayed gate.
+     * net, one stored-output net per delayed gate and the sink net.
      */
     std::vector<uint8_t> netVal;
     /** Sweep program: the cone's active gates when cone-pruned,
@@ -187,6 +193,8 @@ class Evaluator
     /**
      * Fold @p gates (all gates when null) into a sweep program;
      * delayed gates' latch tables go to @p pending_ops when given.
+     * A subset (the cone's active gates) on an indexed netlist
+     * folds each clean eligible cell into one cell op.
      */
     std::vector<Op> compile(const std::vector<uint32_t> *gates,
                             std::vector<Op> *pending_ops = nullptr) const;
@@ -195,8 +203,16 @@ class Evaluator
      *  evaluateBits(); compiled on first use. */
     const std::vector<Op> &program(bool full);
 
-    /** Sweep @p ops until stable (or the sweep cap). */
-    void runSweeps(const std::vector<Op> &ops);
+    /** Gates one sweep of program(@p full) stands for: what each
+     *  sweep charges to gateEvals(). */
+    size_t programGates(bool full) const;
+
+    /** Sweep the gate ops @p ops until stable (or the sweep cap),
+     *  charging @p gates per sweep. */
+    void runSweeps(const std::vector<Op> &ops, size_t gates);
+
+    /** One sweep of the pruned program (cell and gate ops). */
+    void sweepPruned();
 
     /** Latch pending values of delayed gates for the next round. */
     void latchDelayed();

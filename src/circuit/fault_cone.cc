@@ -1,5 +1,7 @@
 #include "circuit/fault_cone.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace dtann {
@@ -20,9 +22,11 @@ computeFaultCone(const Netlist &nl, const FaultSet &faults)
 
     // Seed: every gate whose behaviour a fault can alter.
     std::vector<uint8_t> inCone(n_gates, 0);
+    size_t first_seed = n_gates;
     auto seed = [&](uint32_t gi) {
         dtann_assert(gi < n_gates, "fault on unknown gate %u", gi);
         inCone[gi] = 1;
+        first_seed = std::min<size_t>(first_seed, gi);
     };
     for (const auto &[gi, fn] : faults.overrides)
         seed(gi);
@@ -32,7 +36,8 @@ computeFaultCone(const Netlist &nl, const FaultSet &faults)
         seed(f.gate);
 
     // Forward closure: anything reading a cone net joins the cone.
-    for (size_t gi = 0; gi < n_gates; ++gi) {
+    // No gate before the first seed reads a cone net.
+    for (size_t gi = first_seed; gi < n_gates; ++gi) {
         const Gate &g = nl.gate(gi);
         for (int i = 0; i < g.arity() && !inCone[gi]; ++i)
             inCone[gi] = net[g.in[i]] & coneNet;
@@ -45,21 +50,20 @@ computeFaultCone(const Netlist &nl, const FaultSet &faults)
     // Backward closure: cone gates read clean support nets whose
     // drivers must still be simulated to have a value at all. Every
     // reader of a gate's output comes after it, so one descending
-    // pass sees all of them first.
-    std::vector<uint8_t> active(n_gates, 0);
+    // pass sees all of them first; it lists the active gates in
+    // descending order.
+    cone.activeGates.reserve(n_gates - first_seed);
     for (size_t gi = n_gates; gi-- > 0;) {
         const Gate &g = nl.gate(gi);
         if (!inCone[gi] && !(net[g.out] & supportNet))
             continue;
-        active[gi] = 1;
+        cone.activeGates.push_back(static_cast<uint32_t>(gi));
         for (int i = 0; i < g.arity(); ++i)
             net[g.in[i]] |= supportNet;
     }
+    std::reverse(cone.activeGates.begin(), cone.activeGates.end());
 
     cone.valid = true;
-    for (size_t gi = 0; gi < n_gates; ++gi)
-        if (active[gi])
-            cone.activeGates.push_back(static_cast<uint32_t>(gi));
     for (size_t o = 0; o < nl.outputs().size(); ++o)
         if (net[nl.outputs()[o]] & coneNet)
             cone.outputMask |= 1ull << o;

@@ -6,33 +6,6 @@
 
 namespace dtann {
 
-int
-gateArity(GateKind kind)
-{
-    switch (kind) {
-      case GateKind::Const0:
-      case GateKind::Const1:
-        return 0;
-      case GateKind::Not:
-        return 1;
-      case GateKind::Nand2:
-      case GateKind::Nor2:
-        return 2;
-      case GateKind::Nand3:
-      case GateKind::Nor3:
-      case GateKind::Aoi21:
-      case GateKind::Oai21:
-      case GateKind::CarryN:
-        return 3;
-      case GateKind::Aoi22:
-      case GateKind::Oai22:
-      case GateKind::MirrorSumN:
-        return 4;
-      default:
-        panic("gateArity: bad gate kind %d", static_cast<int>(kind));
-    }
-}
-
 const char *
 gateName(GateKind kind)
 {
@@ -95,22 +68,6 @@ gateTable(GateKind kind)
     dtann_assert(kind < GateKind::NumKinds, "gateTable: bad gate kind %d",
                  static_cast<int>(kind));
     return tables[static_cast<size_t>(kind)];
-}
-
-int
-gateTransistorCount(GateKind kind)
-{
-    switch (kind) {
-      case GateKind::Const0:
-      case GateKind::Const1:
-        return 0;
-      case GateKind::CarryN:
-        return 10; // 5 NMOS + 5 PMOS mirror networks.
-      case GateKind::MirrorSumN:
-        return 14; // 7 NMOS + 7 PMOS mirror networks.
-      default:
-        return 2 * gateArity(kind);
-    }
 }
 
 } // namespace dtann

@@ -17,7 +17,9 @@
 #ifndef DTANN_CIRCUIT_GATE_HH
 #define DTANN_CIRCUIT_GATE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 namespace dtann {
 
@@ -39,8 +41,27 @@ enum class GateKind : uint8_t {
     NumKinds,
 };
 
+namespace gate_detail {
+/** Inputs per kind, in GateKind order. */
+inline constexpr int arity[] = {0, 0, 1, 2, 3, 2, 3, 3, 4, 3, 4, 3, 4};
+/**
+ * Transistors per kind, in GateKind order: 2 per input for fully
+ * complementary gates, 0 for constants, and the mirror networks of
+ * CarryN (5 NMOS + 5 PMOS) and MirrorSumN (7 NMOS + 7 PMOS).
+ */
+inline constexpr int transistors[] = {0, 0, 2, 4, 6, 4, 6, 6, 8, 6, 8,
+                                      10, 14};
+static_assert(std::size(arity) == static_cast<size_t>(GateKind::NumKinds));
+static_assert(std::size(transistors) ==
+              static_cast<size_t>(GateKind::NumKinds));
+} // namespace gate_detail
+
 /** Number of inputs of a gate kind. */
-int gateArity(GateKind kind);
+constexpr int
+gateArity(GateKind kind)
+{
+    return gate_detail::arity[static_cast<size_t>(kind)];
+}
 
 /** Human-readable gate name. */
 const char *gateName(GateKind kind);
@@ -65,7 +86,11 @@ uint16_t gateTable(GateKind kind);
  * Transistor count of the static CMOS implementation (2 per input
  * for fully complementary gates; 0 for constants).
  */
-int gateTransistorCount(GateKind kind);
+constexpr int
+gateTransistorCount(GateKind kind)
+{
+    return gate_detail::transistors[static_cast<size_t>(kind)];
+}
 
 } // namespace dtann
 

@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "circuit/cell_index.hh"
 #include "circuit/netlist.hh"
 
 namespace dtann {
@@ -45,8 +46,11 @@ inline constexpr uint32_t kLaneNoOverride = UINT32_MAX;
  */
 struct LaneSweepCtx {
     const Gate *gates;        ///< contiguous gate array
-    const uint32_t *active;   ///< active gate indices, or null = all
-    size_t count;             ///< gates to sweep
+    /** Steps to sweep, or null = every gate: a gate index, or
+     *  kCellStep | group for a clean cell (CellIndex::prunedSteps) */
+    const uint32_t *active;
+    size_t count;             ///< steps to sweep
+    const Cell *cells;        ///< the netlist's cells, by group
     bool haveFaults;          ///< any fault override installed
     const uint32_t *valuePlane;  ///< per-gate truth-table plane
     const int8_t *inputForce;    ///< per-gate [4] stuck inputs

@@ -1,7 +1,8 @@
 /**
  * @file
- * The width-templated gate-sweep kernel behind every LanePlane
- * width. Included by the per-ISA translation units
+ * The width-templated sweep kernel behind every LanePlane width:
+ * gates, and on a pruned sweep whole clean cells (laneSweepCell).
+ * Included by the per-ISA translation units
  * (lane_sweep_generic/avx2/avx512.cc), each of which instantiates
  * laneSweepGates<1/4/8> under its own -m flags so the fixed-trip
  * inner loops over W words vectorize into the widest registers that
@@ -13,17 +14,60 @@
 #ifndef DTANN_CIRCUIT_LANE_SWEEP_IMPL_HH
 #define DTANN_CIRCUIT_LANE_SWEEP_IMPL_HH
 
+#include <bit>
+
 #include "circuit/lane_plane.hh"
 #include "common/logging.hh"
 
 namespace dtann {
+
+/**
+ * One clean cell on W-word planes: each external output is its
+ * table in algebraic normal form, an XOR of products of the input
+ * planes, accumulated in registers. The cell's internal nets are
+ * never materialised; only its output planes are stored.
+ */
+template <size_t W>
+inline void
+laneSweepCell(const Cell &c, uint64_t *net_lanes)
+{
+    const uint64_t *in[4] = {};
+    for (int i = 0; i < c.numIn; ++i)
+        in[i] = net_lanes + static_cast<size_t>(c.in[i]) * W;
+    for (int o = 0; o < c.numOut; ++o) {
+        uint64_t acc[W] = {};
+        for (uint32_t terms = c.anf[o]; terms; terms &= terms - 1) {
+            uint64_t prod[W];
+            for (size_t w = 0; w < W; ++w)
+                prod[w] = ~0ull;
+            for (uint32_t vars = static_cast<uint32_t>(
+                     std::countr_zero(terms));
+                 vars; vars &= vars - 1) {
+                const uint64_t *v = in[std::countr_zero(vars)];
+                for (size_t w = 0; w < W; ++w)
+                    prod[w] &= v[w];
+            }
+            for (size_t w = 0; w < W; ++w)
+                acc[w] ^= prod[w];
+        }
+        uint64_t *dst = net_lanes + static_cast<size_t>(c.out[o]) * W;
+        for (size_t w = 0; w < W; ++w)
+            dst[w] = acc[w];
+    }
+}
 
 template <size_t W>
 void
 laneSweepGates(const LaneSweepCtx &ctx)
 {
     for (size_t idx = 0; idx < ctx.count; ++idx) {
-        size_t gi = ctx.active ? ctx.active[idx] : idx;
+        uint32_t step =
+            ctx.active ? ctx.active[idx] : static_cast<uint32_t>(idx);
+        if (step & kCellStep) {
+            laneSweepCell<W>(ctx.cells[step & ~kCellStep], ctx.netLanes);
+            continue;
+        }
+        size_t gi = step;
         const Gate &g = ctx.gates[gi];
         int arity = g.arity();
         // Inputs are read in place: every gate kind is element-wise

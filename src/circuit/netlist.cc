@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "circuit/cell_index.hh"
 #include "common/logging.hh"
 
 namespace dtann {
@@ -9,6 +10,7 @@ namespace dtann {
 NetId
 Netlist::addNet()
 {
+    cells.reset();
     netFlags.push_back(0);
     return static_cast<NetId>(netFlags.size() - 1);
 }
@@ -30,6 +32,7 @@ Netlist::addGateOnto(GateKind kind, const std::vector<NetId> &ins,
                  "%s expects %d inputs, got %zu",
                  gateName(kind), arity, ins.size());
     dtann_assert(out < numNets(), "gate output uses unknown net");
+    cells.reset();
     Gate g;
     g.kind = kind;
     g.group = currentGroup;
@@ -62,6 +65,7 @@ void
 Netlist::markInput(NetId net)
 {
     dtann_assert(net < numNets(), "unknown net");
+    cells.reset();
     inputList.push_back(net);
     uint8_t &f = netFlags[net];
     if ((f & (netReadEarly | netInput)) == netReadEarly)
@@ -73,7 +77,14 @@ void
 Netlist::markOutput(NetId net)
 {
     dtann_assert(net < numNets(), "unknown net");
+    cells.reset();
     outputList.push_back(net);
+}
+
+void
+Netlist::indexCells()
+{
+    cells = std::make_shared<const CellIndex>(*this);
 }
 
 size_t

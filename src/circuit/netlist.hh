@@ -18,6 +18,7 @@
 #define DTANN_CIRCUIT_NETLIST_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,8 @@ struct Gate
     /** Number of connected inputs. */
     int arity() const { return gateArity(kind); }
 };
+
+class CellIndex;
 
 /** Structural netlist of CMOS primitive gates. */
 class Netlist
@@ -110,6 +113,16 @@ class Netlist
      */
     bool hasFeedback() const { return earlyReads != 0; }
 
+    /**
+     * The bit-cell index (circuit/cell_index.hh), or null when the
+     * netlist was built by hand. NetlistBuilder::take() attaches it;
+     * any later edit drops it, so a present index is always current.
+     */
+    const CellIndex *cellIndex() const { return cells.get(); }
+
+    /** Index the groups as they stand (see cellIndex()). */
+    void indexCells();
+
   private:
     /** netFlags bits. */
     enum : uint8_t {
@@ -129,6 +142,8 @@ class Netlist
     NetId constNets[2] = {invalidNet, invalidNet};
     uint16_t currentGroup = 0;
     uint16_t maxGroup = 0;
+    /** Immutable once built; copies of the netlist share it. */
+    std::shared_ptr<const CellIndex> cells;
 };
 
 } // namespace dtann

@@ -11,11 +11,8 @@
 #include "common/logging.hh"
 #include "core/accelerator.hh"
 #include "core/systolic.hh"
-#include "rtl/adder.hh"
 #include "rtl/clean_model.hh"
-#include "rtl/latch.hh"
-#include "rtl/multiplier.hh"
-#include "rtl/sigmoid_unit.hh"
+#include "rtl/operator_netlists.hh"
 
 namespace dtann {
 
@@ -181,13 +178,10 @@ HardwareBackend::HardwareBackend(const AcceleratorConfig &config,
            static_cast<size_t>(config.inputs + 1)),
       outW(static_cast<size_t>(config.outputs) *
            static_cast<size_t>(config.hidden + 1)),
-      multNl(std::make_shared<Netlist>(
-          buildMultiplierSigned(16, config.faStyle))),
-      addNl(std::make_shared<Netlist>(
-          buildRippleAdder(24, config.faStyle, false))),
-      latchNl(std::make_shared<Netlist>(buildLatchRegister(16))),
-      actNl(std::make_shared<Netlist>(
-          buildSigmoidUnit(logisticPwlTable(), config.faStyle)))
+      multNl(operatorNetlists(config.faStyle).multiplier),
+      addNl(operatorNetlists(config.faStyle).adder),
+      latchNl(operatorNetlists(config.faStyle).latch),
+      actNl(operatorNetlists(config.faStyle).sigmoid)
 {
     dtann_assert(logical.inputs <= cfg.inputs &&
                      logical.hidden <= cfg.hidden &&

@@ -2,11 +2,7 @@
 
 #include <cmath>
 
-#include "ann/sigmoid.hh"
-#include "rtl/adder.hh"
-#include "rtl/latch.hh"
-#include "rtl/multiplier.hh"
-#include "rtl/sigmoid_unit.hh"
+#include "rtl/operator_netlists.hh"
 
 namespace dtann {
 
@@ -40,10 +36,11 @@ CostModel::CostModel(const AcceleratorConfig &config,
                      const DmaConfig &dma_config)
     : cfg(config), dma(dma_config)
 {
-    Netlist mult = buildMultiplierSigned(16, cfg.faStyle);
-    Netlist add = buildRippleAdder(24, cfg.faStyle, false);
-    Netlist latch = buildLatchRegister(16);
-    Netlist act = buildSigmoidUnit(logisticPwlTable(), cfg.faStyle);
+    const OperatorNetlists &ops = operatorNetlists(cfg.faStyle);
+    const Netlist &mult = *ops.multiplier;
+    const Netlist &add = *ops.adder;
+    const Netlist &latch = *ops.latch;
+    const Netlist &act = *ops.sigmoid;
     multT = mult.transistorCount();
     addT = add.transistorCount();
     latchT = latch.transistorCount();

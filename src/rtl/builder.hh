@@ -48,8 +48,14 @@ class NetlistBuilder
     /** The netlist under construction. */
     Netlist &netlist() { return nl; }
 
-    /** Move the finished netlist out of the builder. */
-    Netlist take() { return std::move(nl); }
+    /** Move the finished netlist out of the builder, its cell
+     *  index attached (Netlist::cellIndex()). */
+    Netlist
+    take()
+    {
+        nl.indexCells();
+        return std::move(nl);
+    }
 
     /** Create a @p width bit primary-input bus. */
     Bus inputBus(int width);

@@ -1,59 +1,27 @@
 #include "rtl/fault_inject.hh"
 
 #include <map>
+#include <optional>
 #include <span>
 
+#include "circuit/cell_index.hh"
 #include "common/logging.hh"
 #include "transistor/reconstruct.hh"
-#include "transistor/switch_network.hh"
 
 namespace dtann {
 
 namespace {
 
 /**
- * The usable fault sites of each cell group, groups without any
- * dropped (e.g., cells made only of constants): group k (ascending
- * tag) is gates[start[k] .. start[k + 1]), in gate order. Laid out
- * flat by a counting sort, so building it per injection costs two
- * passes over the gates and a few allocations.
+ * The fault sites of @p nl grouped by cell: the netlist's own cell
+ * index, or one built into @p local for a hand-built netlist.
  */
-struct SiteGroups
+const CellIndex &
+siteIndex(const Netlist &nl, std::optional<CellIndex> &local)
 {
-    std::vector<uint32_t> gates;
-    std::vector<uint32_t> start;
-
-    size_t size() const { return start.size() - 1; }
-
-    std::span<const uint32_t>
-    group(size_t k) const
-    {
-        return {gates.data() + start[k], start[k + 1] - start[k]};
-    }
-};
-
-SiteGroups
-groupSites(const Netlist &nl)
-{
-    size_t n_groups = nl.numGroups();
-    std::vector<uint32_t> offset(n_groups + 1, 0);
-    for (uint32_t gi = 0; gi < nl.numGates(); ++gi)
-        if (hasSchematic(nl.gate(gi).kind))
-            ++offset[nl.gate(gi).group + 1u];
-    for (size_t t = 0; t < n_groups; ++t)
-        offset[t + 1] += offset[t];
-
-    SiteGroups out;
-    out.gates.resize(offset[n_groups]);
-    std::vector<uint32_t> fill(offset.begin(), offset.end() - 1);
-    for (uint32_t gi = 0; gi < nl.numGates(); ++gi)
-        if (hasSchematic(nl.gate(gi).kind))
-            out.gates[fill[nl.gate(gi).group]++] = gi;
-    for (size_t t = 0; t < n_groups; ++t)
-        if (offset[t] != offset[t + 1])
-            out.start.push_back(offset[t]);
-    out.start.push_back(offset[n_groups]);
-    return out;
+    if (const CellIndex *index = nl.cellIndex())
+        return *index;
+    return local.emplace(nl);
 }
 
 /** Pick a gate within a group, weighted by transistor count. */
@@ -80,15 +48,16 @@ Injection
 injectTransistorDefects(const Netlist &nl, int count, Rng &rng,
                         const DefectMix &mix)
 {
-    SiteGroups groups = groupSites(nl);
-    dtann_assert(groups.size() > 0, "netlist has no fault sites");
+    std::optional<CellIndex> local;
+    const CellIndex &groups = siteIndex(nl, local);
+    dtann_assert(groups.numSiteGroups() > 0, "netlist has no fault sites");
 
     // Gather per-gate defect lists, then reconstruct each touched
     // gate once with all of its defects.
     std::map<uint32_t, std::vector<Defect>> per_gate;
     Injection inj;
     for (int k = 0; k < count; ++k) {
-        auto sites = groups.group(rng.nextUint(groups.size()));
+        auto sites = groups.siteGroup(rng.nextUint(groups.numSiteGroups()));
         uint32_t gi = pickGate(nl, sites, rng);
         Defect d = randomDefect(nl.gate(gi).kind, rng, mix);
         per_gate[gi].push_back(d);
@@ -108,12 +77,13 @@ injectTransistorDefects(const Netlist &nl, int count, Rng &rng,
 Injection
 injectGateLevelFaults(const Netlist &nl, int count, Rng &rng)
 {
-    SiteGroups groups = groupSites(nl);
-    dtann_assert(groups.size() > 0, "netlist has no fault sites");
+    std::optional<CellIndex> local;
+    const CellIndex &groups = siteIndex(nl, local);
+    dtann_assert(groups.numSiteGroups() > 0, "netlist has no fault sites");
 
     Injection inj;
     for (int k = 0; k < count; ++k) {
-        auto sites = groups.group(rng.nextUint(groups.size()));
+        auto sites = groups.siteGroup(rng.nextUint(groups.numSiteGroups()));
         uint32_t gi = sites[rng.nextUint(sites.size())];
         int arity = nl.gate(gi).arity();
         // Pick an input pin, or the output, uniformly.

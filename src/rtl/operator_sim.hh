@@ -83,7 +83,7 @@ class OperatorSim
 
     /** Fewest vectors per applyLanes() call that take the batch
      *  path; at least 2, so a one-row call never sweeps a plane. */
-    static constexpr size_t kLaneCrossover = 4;
+    static constexpr size_t kLaneCrossover = 6;
     static_assert(kLaneCrossover >= 2);
 
     /** Clear any internal (defect-induced or latch) state. */

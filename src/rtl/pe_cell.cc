@@ -1,16 +1,13 @@
 #include "rtl/pe_cell.hh"
 
-#include "rtl/adder.hh"
-#include "rtl/latch.hh"
-#include "rtl/multiplier.hh"
+#include "rtl/operator_netlists.hh"
 
 namespace dtann {
 
 PeCell::PeCell(FaStyle style)
-    : latchNl(std::make_shared<Netlist>(buildLatchRegister(16))),
-      multNl(std::make_shared<Netlist>(
-          buildMultiplierSigned(16, style))),
-      addNl(std::make_shared<Netlist>(buildRippleAdder(24, style, false)))
+    : latchNl(operatorNetlists(style).latch),
+      multNl(operatorNetlists(style).multiplier),
+      addNl(operatorNetlists(style).adder)
 {
 }
 

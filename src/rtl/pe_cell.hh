@@ -48,7 +48,8 @@ struct PeCellCensus
 class PeCell
 {
   public:
-    /** Build the cell's netlists in @p style. */
+    /** The cell's netlists in @p style (the shared
+     *  operatorNetlists() set). */
     explicit PeCell(FaStyle style);
 
     /** 16-bit stationary-weight latch register. */

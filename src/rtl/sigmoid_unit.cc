@@ -1,10 +1,38 @@
 #include "rtl/sigmoid_unit.hh"
 
+#include <cmath>
+
 #include "common/logging.hh"
 #include "rtl/adder.hh"
 #include "rtl/multiplier.hh"
 
 namespace dtann {
+
+double
+logistic(double x)
+{
+    return 1.0 / (1.0 + std::exp(-x));
+}
+
+const PwlTable &
+logisticPwlTable()
+{
+    static const PwlTable table = [] {
+        PwlTable t;
+        for (int i = 0; i < 16; ++i) {
+            double x0 = -8.0 + i;
+            double x1 = x0 + 1.0;
+            double y0 = logistic(x0);
+            double y1 = logistic(x1);
+            double a = y1 - y0;
+            double b = y0 - a * x0;
+            t[static_cast<size_t>(i)] = {Fix16::fromDouble(a),
+                                         Fix16::fromDouble(b)};
+        }
+        return t;
+    }();
+    return table;
+}
 
 Fix16
 sigmoidUnitRef(const PwlTable &table, Fix16 x)

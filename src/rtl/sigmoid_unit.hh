@@ -32,6 +32,15 @@ struct PwlSegment
 /** The 16-entry coefficient table. */
 using PwlTable = std::array<PwlSegment, 16>;
 
+/** Exact logistic sigmoid 1 / (1 + e^-x). */
+double logistic(double x);
+
+/**
+ * The hardware's 16-segment PWL coefficient table over [-8, 8),
+ * segment i interpolating the logistic between integer breakpoints.
+ */
+const PwlTable &logisticPwlTable();
+
 /**
  * Build the activation unit netlist.
  *

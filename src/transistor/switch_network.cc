@@ -102,19 +102,6 @@ const auto schematicTable = buildSchematics();
 
 } // namespace
 
-bool
-hasSchematic(GateKind kind)
-{
-    switch (kind) {
-      case GateKind::Const0:
-      case GateKind::Const1:
-      case GateKind::NumKinds:
-        return false;
-      default:
-        return true;
-    }
-}
-
 const GateSchematic &
 schematicFor(GateKind kind)
 {

@@ -70,8 +70,15 @@ struct GateSchematic
  */
 const GateSchematic &schematicFor(GateKind kind);
 
-/** True when @p kind has a transistor schematic (is a fault site). */
-bool hasSchematic(GateKind kind);
+/**
+ * True when @p kind has a transistor schematic (is a fault site):
+ * every kind with transistors, i.e. all but the constants.
+ */
+constexpr bool
+hasSchematic(GateKind kind)
+{
+    return kind < GateKind::NumKinds && gateTransistorCount(kind) > 0;
+}
 
 } // namespace dtann
 
