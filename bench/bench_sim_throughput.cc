@@ -16,6 +16,7 @@
 #include <memory>
 
 #include "ann/sigmoid.hh"
+#include "ann/trainer.hh"
 #include "circuit/batch_evaluator.hh"
 #include "circuit/evaluator.hh"
 #include "circuit/lane_plane.hh"
@@ -27,6 +28,7 @@
 #include "core/injector.hh"
 #include "core/row_map.hh"
 #include "core/timemux.hh"
+#include "data/dataset.hh"
 #include "rtl/adder.hh"
 #include "rtl/clean_model.hh"
 #include "rtl/fault_inject.hh"
@@ -486,27 +488,38 @@ BM_SpatialForwardRowClean(benchmark::State &state)
 }
 BENCHMARK(BM_SpatialForwardRowClean);
 
-void
-BM_SpatialSetWeights(benchmark::State &state)
+/**
+ * The retraining benchmarks' array: an 18-10-4 task on the 90-10-10
+ * array with 8 faulty latches (4 on used synapses, 4 on padding).
+ */
+std::unique_ptr<SpatialBackend>
+faultyLatchArray(MlpTopology topo)
 {
-    // Retraining's weight load: after every SGD step the trainer
-    // stores the whole array through the weight latches. A 18-10-4
-    // task on the 90-10-10 array with 8 faulty latches (4 on used
-    // synapses, 4 on padding), loading a cycle of 4 weight sets that
-    // differ by small steps, as consecutive SGD steps do. Clean
-    // latches hold their word as written; the faulty ones relax
-    // through their gate-level simulations (and its memo).
-    MlpTopology topo{18, 10, 4};
-    SpatialBackend accel(AcceleratorConfig(), topo);
+    auto accel = std::make_unique<SpatialBackend>(AcceleratorConfig(), topo);
     Rng rng(31);
     for (int k = 0; k < 8; ++k) {
         int neuron = static_cast<int>(rng.nextUint(10));
         int synapse = k < 4 ? static_cast<int>(rng.nextUint(18))
                             : 20 + static_cast<int>(rng.nextUint(70));
-        accel.injectDefects(
+        accel->injectDefects(
             {UnitKind::WeightLatch, Layer::Hidden, neuron, synapse}, 2,
             rng);
     }
+    return accel;
+}
+
+void
+BM_SpatialSetWeights(benchmark::State &state)
+{
+    // Retraining's weight load: after every SGD step the trainer
+    // installs its weights, which writes the task's logical block
+    // and stores through every faulty latch, padding included.
+    // Loads a cycle of 4 weight sets that differ by small steps, as
+    // consecutive SGD steps do. Clean latches hold their word as
+    // written; the faulty ones relax through their gate-level
+    // simulations (and its memo).
+    MlpTopology topo{18, 10, 4};
+    auto accel = faultyLatchArray(topo);
     std::vector<MlpWeights> loads(4, MlpWeights(topo));
     Rng wr(7);
     loads[0].initRandom(wr, 1.2);
@@ -517,10 +530,10 @@ BM_SpatialSetWeights(benchmark::State &state)
     }
     size_t i = 0;
     for (auto _ : state) {
-        accel.setWeights(loads[i]);
+        accel->setWeights(loads[i]);
         i = (i + 1) % loads.size();
     }
-    SimCounters c = accel.simCounters();
+    SimCounters c = accel->simCounters();
     state.counters["hit_rate"] = static_cast<double>(c.memoHits) /
         static_cast<double>(c.scalarVectors);
     state.counters["loads/s"] = benchmark::Counter(
@@ -528,6 +541,44 @@ BM_SpatialSetWeights(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SpatialSetWeights);
+
+void
+BM_TrainerStepSpatial(benchmark::State &state)
+{
+    // Retraining's unit of work on the same faulty array: online SGD
+    // steps, each a one-row forward through the array,
+    // back-propagation on the companion core, and the weight install.
+    // An iteration is one warm-started epoch over 32 rows (32 steps
+    // after the warm start's install).
+    MlpTopology topo{18, 10, 4};
+    auto accel = faultyLatchArray(topo);
+    Dataset ds;
+    ds.numAttributes = topo.inputs;
+    ds.numClasses = topo.outputs;
+    Rng dr(5);
+    for (int r = 0; r < 32; ++r) {
+        std::vector<double> row(static_cast<size_t>(topo.inputs));
+        for (double &v : row)
+            v = dr.nextDouble();
+        ds.rows.push_back(std::move(row));
+        ds.labels.push_back(static_cast<int>(dr.nextUint(4)));
+    }
+    Hyper hyper;
+    hyper.epochs = 1;
+    Trainer trainer(hyper);
+    DeepWeights init(toLayerTopology(topo));
+    Rng wr(7);
+    init.initRandom(wr, 1.2);
+    Rng rng(3);
+    for (auto _ : state) {
+        DeepWeights w = trainer.trainLayers(*accel, ds, rng, &init);
+        benchmark::DoNotOptimize(w);
+    }
+    state.counters["steps/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * ds.size()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TrainerStepSpatial);
 
 void
 BM_LatchStoreRepeat(benchmark::State &state)

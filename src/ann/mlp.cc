@@ -22,38 +22,6 @@ MlpWeights::MlpWeights(MlpTopology t)
                  "degenerate topology");
 }
 
-double &
-MlpWeights::hid(int j, int i)
-{
-    dtann_assert(j >= 0 && j < topo.hidden && i >= 0 && i <= topo.inputs,
-                 "hid(%d, %d) out of range", j, i);
-    return hiddenW[static_cast<size_t>(j) *
-                       static_cast<size_t>(topo.inputs + 1) +
-                   static_cast<size_t>(i)];
-}
-
-double
-MlpWeights::hid(int j, int i) const
-{
-    return const_cast<MlpWeights *>(this)->hid(j, i);
-}
-
-double &
-MlpWeights::out(int k, int j)
-{
-    dtann_assert(k >= 0 && k < topo.outputs && j >= 0 && j <= topo.hidden,
-                 "out(%d, %d) out of range", k, j);
-    return outputW[static_cast<size_t>(k) *
-                       static_cast<size_t>(topo.hidden + 1) +
-                   static_cast<size_t>(j)];
-}
-
-double
-MlpWeights::out(int k, int j) const
-{
-    return const_cast<MlpWeights *>(this)->out(k, j);
-}
-
 void
 MlpWeights::initRandom(Rng &rng, double range)
 {
@@ -75,24 +43,6 @@ DeepWeights::DeepWeights(DeepTopology t) : topo(std::move(t))
             static_cast<size_t>(topo.layers[s + 1]) *
                 static_cast<size_t>(topo.layers[s] + 1),
             0.0);
-}
-
-double &
-DeepWeights::at(size_t s, int j, int i)
-{
-    dtann_assert(s < topo.stages(), "stage out of range");
-    dtann_assert(j >= 0 && j < topo.layers[s + 1] && i >= 0 &&
-                     i <= topo.layers[s],
-                 "weight index out of range");
-    return stages_[s][static_cast<size_t>(j) *
-                          static_cast<size_t>(topo.layers[s] + 1) +
-                      static_cast<size_t>(i)];
-}
-
-double
-DeepWeights::at(size_t s, int j, int i) const
-{
-    return const_cast<DeepWeights *>(this)->at(s, j, i);
 }
 
 void

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "circuit/sim_counters.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 
 namespace dtann {
@@ -62,14 +63,44 @@ class MlpWeights
 
     /** Hidden-layer weight from input @p i (or bias when i ==
      *  inputs) to hidden neuron @p j. @{ */
-    double &hid(int j, int i);
-    double hid(int j, int i) const;
+    double &
+    hid(int j, int i)
+    {
+        dtann_assert(j >= 0 && j < topo.hidden && i >= 0 &&
+                         i <= topo.inputs,
+                     "hid(%d, %d) out of range", j, i);
+        return hiddenW[static_cast<size_t>(j) *
+                           static_cast<size_t>(topo.inputs + 1) +
+                       static_cast<size_t>(i)];
+    }
+    double hid(int j, int i) const
+    {
+        return const_cast<MlpWeights *>(this)->hid(j, i);
+    }
     /** @} */
 
     /** Output-layer weight from hidden @p j (bias when j ==
      *  hidden) to output neuron @p k. @{ */
-    double &out(int k, int j);
-    double out(int k, int j) const;
+    double &
+    out(int k, int j)
+    {
+        dtann_assert(k >= 0 && k < topo.outputs && j >= 0 &&
+                         j <= topo.hidden,
+                     "out(%d, %d) out of range", k, j);
+        return outputW[static_cast<size_t>(k) *
+                           static_cast<size_t>(topo.hidden + 1) +
+                       static_cast<size_t>(j)];
+    }
+    double out(int k, int j) const
+    {
+        return const_cast<MlpWeights *>(this)->out(k, j);
+    }
+    /** @} */
+
+    /** The hidden and output weight arrays, row-major with the bias
+     *  last in each row (the layout hid()/out() index). @{ */
+    std::span<const double> hidStage() const { return hiddenW; }
+    std::span<const double> outStage() const { return outputW; }
     /** @} */
 
     /** Uniform random initialization in [-range, range]. */
@@ -95,9 +126,31 @@ class DeepWeights
 
     /** Weight from unit @p i of layer @p s (bias when i equals
      *  that layer's width) to unit @p j of layer s+1. @{ */
-    double &at(size_t s, int j, int i);
-    double at(size_t s, int j, int i) const;
+    double &
+    at(size_t s, int j, int i)
+    {
+        dtann_assert(s < topo.stages(), "stage out of range");
+        dtann_assert(j >= 0 && j < topo.layers[s + 1] && i >= 0 &&
+                         i <= topo.layers[s],
+                     "weight index out of range");
+        return stages_[s][static_cast<size_t>(j) *
+                              static_cast<size_t>(topo.layers[s] + 1) +
+                          static_cast<size_t>(i)];
+    }
+    double at(size_t s, int j, int i) const
+    {
+        return const_cast<DeepWeights *>(this)->at(s, j, i);
+    }
     /** @} */
+
+    /** Stage @p s as one array, row-major with the bias last in
+     *  each row (the layout at() indexes). */
+    std::span<const double>
+    stage(size_t s) const
+    {
+        dtann_assert(s < topo.stages(), "stage out of range");
+        return stages_[s];
+    }
 
     void initRandom(Rng &rng, double range = 0.5);
 

@@ -24,9 +24,9 @@ evalAccuracy(ForwardModel &model, const Dataset &test_set)
         return 0.0;
     size_t correct = 0;
     // Test sweeps have no feedback into the weights, so rows go
-    // through the batched forward path (64 rows per gate-level
-    // sweep on faulty hardware); training cannot do this, as it
-    // updates weights after every sample.
+    // through the batched forward path (64, 256 or 512 rows per
+    // gate-level sweep on faulty hardware); training cannot do this,
+    // as it updates weights after every sample.
     std::span<const std::vector<double>> rows(test_set.rows);
     std::vector<Activations> acts = model.forwardBatch(rows);
     for (size_t n = 0; n < acts.size(); ++n) {

@@ -5,7 +5,8 @@
  * ablations, mitigation).
  *
  * Evaluation hands the whole dataset to ForwardModel::forwardBatch
- * so faulty operators run up to 64 rows per gate-level sweep;
+ * so faulty operators run up to 64, 256 or 512 rows (the DTANN_LANES
+ * width) per gate-level sweep;
  * training cannot batch (weights change after every sample), so the
  * epoch loop dispatches one sample at a time and each trainer
  * supplies only its per-sample forward/backward/install step.

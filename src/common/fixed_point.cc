@@ -1,19 +1,6 @@
 #include "common/fixed_point.hh"
 
-#include <cmath>
-
 namespace dtann {
-
-Fix16
-Fix16::fromDouble(double x)
-{
-    double scaled = std::nearbyint(x * scale);
-    if (scaled > rawMax)
-        return Fix16(rawMax);
-    if (scaled < rawMin)
-        return Fix16(rawMin);
-    return Fix16(static_cast<int16_t>(scaled));
-}
 
 Fix16
 Fix16::satAdd(Fix16 a, Fix16 b)

@@ -20,6 +20,7 @@
 #ifndef DTANN_COMMON_FIXED_POINT_HH
 #define DTANN_COMMON_FIXED_POINT_HH
 
+#include <cmath>
 #include <cstdint>
 
 namespace dtann {
@@ -45,7 +46,16 @@ class Fix16
     static constexpr Fix16 fromRaw(int16_t raw) { return Fix16(raw); }
 
     /** Convert from double with round-to-nearest and saturation. */
-    static Fix16 fromDouble(double x);
+    static Fix16
+    fromDouble(double x)
+    {
+        double scaled = std::nearbyint(x * scale);
+        if (scaled > rawMax)
+            return Fix16(rawMax);
+        if (scaled < rawMin)
+            return Fix16(rawMin);
+        return Fix16(static_cast<int16_t>(scaled));
+    }
 
     /** Convert to double. */
     constexpr double toDouble() const

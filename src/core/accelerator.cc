@@ -11,22 +11,6 @@ SpatialBackend::SpatialBackend(const AcceleratorConfig &config,
 {
 }
 
-Fix16 &
-SpatialBackend::hidWAt(int j, int i)
-{
-    return hidW[static_cast<size_t>(j) *
-                    static_cast<size_t>(cfg.inputs + 1) +
-                static_cast<size_t>(i)];
-}
-
-Fix16 &
-SpatialBackend::outWAt(int k, int j)
-{
-    return outW[static_cast<size_t>(k) *
-                    static_cast<size_t>(cfg.hidden + 1) +
-                static_cast<size_t>(j)];
-}
-
 int
 SpatialBackend::unitCount(UnitKind kind) const
 {
@@ -56,26 +40,14 @@ void
 SpatialBackend::loadPhysicalHiddenRow(int phys_neuron,
                                       std::span<const Fix16> weights)
 {
-    dtann_assert(phys_neuron >= 0 && phys_neuron < cfg.hidden,
-                 "physical neuron index out of range");
-    dtann_assert(static_cast<int>(weights.size()) == cfg.inputs + 1,
-                 "weight row arity mismatch");
-    for (int i = 0; i <= cfg.inputs; ++i)
-        hidWAt(phys_neuron, i) = storeWeight(
-            Layer::Hidden, phys_neuron, i, weights[static_cast<size_t>(i)]);
+    loadPhysicalRow(Layer::Hidden, phys_neuron, weights);
 }
 
 void
 SpatialBackend::loadPhysicalOutputRow(int phys_neuron,
                                       std::span<const Fix16> weights)
 {
-    dtann_assert(phys_neuron >= 0 && phys_neuron < cfg.outputs,
-                 "physical neuron index out of range");
-    dtann_assert(static_cast<int>(weights.size()) == cfg.hidden + 1,
-                 "weight row arity mismatch");
-    for (int j = 0; j <= cfg.hidden; ++j)
-        outWAt(phys_neuron, j) = storeWeight(
-            Layer::Output, phys_neuron, j, weights[static_cast<size_t>(j)]);
+    loadPhysicalRow(Layer::Output, phys_neuron, weights);
 }
 
 void

@@ -105,10 +105,6 @@ class SpatialBackend : public HardwareBackend
     /** Eligible units in a fixed (layer, neuron, unit) order. */
     std::vector<UnitSite>
     enumerateSites(const SitePool &pool) const override;
-
-  private:
-    Fix16 &hidWAt(int j, int i);
-    Fix16 &outWAt(int k, int j);
 };
 
 /**

@@ -233,31 +233,70 @@ HardwareBackend::unitNetlist(UnitKind kind) const
 }
 
 void
+HardwareBackend::buildFold(UnitKind kind)
+{
+    size_t k = static_cast<size_t>(kind);
+    size_t base = slotBase[2 * k];
+    size_t count = 2 * static_cast<size_t>(slotNeurons * slotIndices[k]);
+    std::vector<uint32_t> &start = foldStart[k];
+    std::vector<uint32_t> &pass = foldPass[k];
+    // Counting sort of the pass addresses by the address they fold
+    // onto; each bucket keeps the pass addresses' own order.
+    std::vector<uint32_t> phys(count);
+    start.assign(count + 1, 0);
+    size_t p = 0;
+    for (Layer layer : {Layer::Hidden, Layer::Output}) {
+        for (int n = 0; n < slotNeurons; ++n) {
+            for (int i = 0; i < slotIndices[k]; ++i, ++p) {
+                UnitSite site = physicalSite({kind, layer, n, i});
+                dtann_assert(site.kind == kind,
+                             "physicalSite() changed the unit kind");
+                phys[p] = static_cast<uint32_t>(
+                    slotIndex(kind, site.layer, site.neuron, site.index) -
+                    base);
+                ++start[phys[p] + 1];
+            }
+        }
+    }
+    for (size_t a = 0; a < count; ++a)
+        start[a + 1] += start[a];
+    std::vector<uint32_t> next(start.begin(), start.end() - 1);
+    pass.resize(count);
+    for (p = 0; p < count; ++p)
+        pass[next[phys[p]]++] = static_cast<uint32_t>(p);
+}
+
+void
 HardwareBackend::refreshSlots(const UnitSite &site)
 {
     auto it = faulty.find(site);
     OperatorSim *sim = it == faulty.end() ? nullptr : it->second.get();
     bool off = bypassed.count(site) != 0;
-    int indices = slotIndices[static_cast<size_t>(site.kind)];
-    // Scan every pass address of the kind rather than inverting
-    // physicalSite(): the fold stays the single source of truth.
-    for (Layer layer : {Layer::Hidden, Layer::Output}) {
-        for (int n = 0; n < slotNeurons; ++n) {
-            for (int i = 0; i < indices; ++i) {
-                UnitSite pass{site.kind, layer, n, i};
-                if (!(physicalSite(pass) == site))
-                    continue;
-                uint16_t &ix = slotOf[slotIndex(site.kind, layer, n, i)];
-                if (ix == 0) {
-                    dtann_assert(slotState.size() <= UINT16_MAX,
-                                 "unit slot table full");
-                    ix = static_cast<uint16_t>(slotState.size());
-                    slotState.emplace_back();
-                }
-                slotState[ix] = {sim, sim ? &probes[pass] : nullptr, off};
-            }
+    size_t k = static_cast<size_t>(site.kind);
+    if (foldStart[k].empty())
+        buildFold(site.kind);
+    size_t base = slotBase[2 * k];
+    size_t a = slotIndex(site.kind, site.layer, site.neuron, site.index) -
+        base;
+    size_t indices = static_cast<size_t>(slotIndices[k]);
+    size_t per_layer = static_cast<size_t>(slotNeurons) * indices;
+    for (uint32_t j = foldStart[k][a]; j < foldStart[k][a + 1]; ++j) {
+        size_t p = foldPass[k][j];
+        size_t rem = p % per_layer;
+        UnitSite pass{site.kind,
+                      p < per_layer ? Layer::Hidden : Layer::Output,
+                      static_cast<int>(rem / indices),
+                      static_cast<int>(rem % indices)};
+        uint16_t &ix = slotOf[base + p];
+        if (ix == 0) {
+            dtann_assert(slotState.size() <= UINT16_MAX,
+                         "unit slot table full");
+            ix = static_cast<uint16_t>(slotState.size());
+            slotState.emplace_back();
         }
+        slotState[ix] = {sim, sim ? &probes[pass] : nullptr, off};
     }
+    installStale = true;
 }
 
 void
@@ -265,6 +304,7 @@ HardwareBackend::rebuildSlots()
 {
     std::fill(slotOf.begin(), slotOf.end(), 0);
     slotState.resize(1);
+    installStale = true;
     for (const auto &[site, sim] : faulty)
         refreshSlots(site);
     for (const UnitSite &site : bypassed)
@@ -587,27 +627,107 @@ void
 HardwareBackend::setWeights(const MlpWeights &w)
 {
     dtann_assert(w.topology() == logical, "weight topology mismatch");
+    installWeights(w.hidStage(), w.outStage());
+}
+
+void
+HardwareBackend::setLayerWeights(const DeepWeights &w)
+{
+    const std::vector<int> &layers = w.topology().layers;
+    dtann_assert(layers.size() == 3 && layers[0] == logical.inputs &&
+                     layers[1] == logical.hidden &&
+                     layers[2] == logical.outputs,
+                 "weight topology mismatch");
+    installWeights(w.stage(0), w.stage(1));
+}
+
+void
+HardwareBackend::planInstall()
+{
+    std::fill(hidW.begin(), hidW.end(), Fix16());
+    std::fill(outW.begin(), outW.end(), Fix16());
+    latchReplay.clear();
     for (Layer layer : {Layer::Hidden, Layer::Output}) {
         bool h = layer == Layer::Hidden;
         int neurons = h ? cfg.hidden : cfg.outputs;
         int used = h ? logical.hidden : logical.outputs;
         int fanin = fanIn(layer);
         int used_fanin = h ? logical.inputs : logical.hidden;
-        Fix16 *dst = h ? hidW.data() : outW.data();
         for (int n = 0; n < neurons; ++n) {
             const uint16_t *latch = slotRow(UnitKind::WeightLatch, layer, n);
             for (int i = 0; i <= fanin; ++i) {
-                // Padding sites store zero; the bias synapse is last
-                // in both the logical and the physical row.
-                Fix16 q;
-                if (n < used && (i < used_fanin || i == fanin)) {
-                    int li = std::min(i, used_fanin);
-                    q = Fix16::fromDouble(h ? w.hid(n, li) : w.out(n, li));
-                }
-                *dst++ = latch[i] ? unitLatchStore(layer, n, i, q) : q;
+                if (!latch[i])
+                    continue;
+                // The bias synapse is last in both the logical and
+                // the physical row.
+                ptrdiff_t src = -1;
+                if (n < used && (i < used_fanin || i == fanin))
+                    src = static_cast<ptrdiff_t>(n) * (used_fanin + 1) +
+                        std::min(i, used_fanin);
+                latchReplay.push_back(
+                    {layer, n, i,
+                     static_cast<size_t>(n) * static_cast<size_t>(fanin + 1) +
+                         static_cast<size_t>(i),
+                     src});
             }
         }
     }
+    installStale = false;
+}
+
+void
+HardwareBackend::installWeights(std::span<const double> hid,
+                                std::span<const double> out)
+{
+    if (installStale)
+        planInstall();
+    for (Layer layer : {Layer::Hidden, Layer::Output}) {
+        bool h = layer == Layer::Hidden;
+        int used = h ? logical.hidden : logical.outputs;
+        int used_fanin = h ? logical.inputs : logical.hidden;
+        int fanin = fanIn(layer);
+        const double *src = h ? hid.data() : out.data();
+        Fix16 *dst = h ? hidW.data() : outW.data();
+        for (int n = 0; n < used; ++n) {
+            for (int i = 0; i < used_fanin; ++i)
+                dst[i] = Fix16::fromDouble(src[i]);
+            dst[fanin] = Fix16::fromDouble(src[used_fanin]);
+            src += used_fanin + 1;
+            dst += fanin + 1;
+        }
+    }
+    // The non-clean latches overwrite their words in the order a
+    // full-array sweep visits them: shared systolic latches and
+    // every deviation probe see the historic store sequence.
+    for (const LatchReplay &r : latchReplay) {
+        bool h = r.layer == Layer::Hidden;
+        Fix16 q = r.src < 0
+            ? Fix16()
+            : Fix16::fromDouble((h ? hid : out)[static_cast<size_t>(r.src)]);
+        (h ? hidW : outW)[r.dst] =
+            unitLatchStore(r.layer, r.neuron, r.index, q);
+    }
+}
+
+void
+HardwareBackend::loadPhysicalRow(Layer layer, int neuron,
+                                 std::span<const Fix16> weights)
+{
+    bool h = layer == Layer::Hidden;
+    int fanin = fanIn(layer);
+    dtann_assert(neuron >= 0 && neuron < (h ? cfg.hidden : cfg.outputs),
+                 "physical neuron index out of range");
+    dtann_assert(static_cast<int>(weights.size()) == fanin + 1,
+                 "weight row arity mismatch");
+    const uint16_t *latch = slotRow(UnitKind::WeightLatch, layer, neuron);
+    Fix16 *dst = (h ? hidW.data() : outW.data()) +
+        static_cast<size_t>(neuron) * static_cast<size_t>(fanin + 1);
+    for (int i = 0; i <= fanin; ++i) {
+        Fix16 d = weights[static_cast<size_t>(i)];
+        dst[i] = latch[i] ? unitLatchStore(layer, neuron, i, d) : d;
+    }
+    // A clean padding word may no longer be zero.
+    installStale = true;
 }
 
 std::vector<Activations>

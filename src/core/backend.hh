@@ -30,6 +30,7 @@
 #ifndef DTANN_CORE_BACKEND_HH
 #define DTANN_CORE_BACKEND_HH
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <set>
@@ -196,10 +197,15 @@ class HardwareBackend : public ForwardModel
      * Quantize @p w and write it through the weight latches (the DMA
      * write path): each layer's logical weights fill the top-left of
      * its physical [neurons][fanin + 1] block, bias synapse last;
-     * every other site stores zero. Hidden-pass weights are written
-     * first.
+     * every other site stores zero. Faulty and bypassed latches are
+     * written in pass order (hidden pass first, row-major), as one
+     * full-array sweep would; DESIGN.md §14 has the install.
      */
     void setWeights(const MlpWeights &w) override;
+
+    /** Install a 2-stage stack, the trainer's form, with no
+     *  conversion: the same install as setWeights(). */
+    void setLayerWeights(const DeepWeights &w) override;
 
     /**
      * Forward a batch of logical input rows: per chunk of rows, the
@@ -419,14 +425,15 @@ class HardwareBackend : public ForwardModel
     /** Apply @p layer's clamp window to one datapath value. */
     Fix16 clampValue(Layer layer, Fix16 x);
 
-    /** One latch write: a clean latch holds @p d as written, any
-     *  other goes through unitLatchStore(). */
-    Fix16
-    storeWeight(Layer layer, int neuron, int synapse, Fix16 d)
-    {
-        return unitClean(UnitKind::WeightLatch, layer, neuron, synapse)
-            ? d : unitLatchStore(layer, neuron, synapse, d);
-    }
+    /**
+     * Write the full weight row of physical neuron @p neuron of
+     * @p layer through its latches (fanIn(layer) + 1 words, bias
+     * last): the raw access the time-multiplexing wrappers load
+     * with. A clean latch holds its word as written, any other goes
+     * through unitLatchStore().
+     */
+    void loadPhysicalRow(Layer layer, int neuron,
+                         std::span<const Fix16> weights);
 
     /**
      * Run @p layer over <= kMaxLanes input rows (one pointer each):
@@ -503,6 +510,43 @@ class HardwareBackend : public ForwardModel
     std::vector<const Fix16 *> batchInPtr, batchHidIn;
     std::vector<Fix16 *> batchHidOut, batchOutPtr;
 
+    /**
+     * A faulty or bypassed latch the install writes through
+     * unitLatchStore(): its pass address, its word's offset in
+     * hidW/outW, and the offset of its logical weight in the layer's
+     * stage array (-1 at a padding site, which stores zero).
+     */
+    struct LatchReplay
+    {
+        Layer layer;
+        int neuron;
+        int index;
+        size_t dst;
+        ptrdiff_t src;
+    };
+
+    /**
+     * The one weight install behind setWeights() and
+     * setLayerWeights(): @p hid and @p out are the logical stage
+     * arrays (row-major, bias last). Writes the logical block
+     * directly, then replays latchReplay in order; clean padding
+     * keeps the zero planInstall() gave it.
+     */
+    void installWeights(std::span<const double> hid,
+                        std::span<const double> out);
+
+    /** Zero hidW and outW and list the non-clean latches in pass
+     *  order (hidden pass first, row-major, padding included). */
+    void planInstall();
+
+    /** Non-clean latches in install order; valid unless
+     *  installStale. */
+    std::vector<LatchReplay> latchReplay;
+    /** Set by every slot change and raw row load: the next install
+     *  re-plans (a latch changed state, or a clean padding word may
+     *  no longer be zero). */
+    bool installStale = true;
+
     /** Gate-level sims of faulty units (physical-site keyed). */
     std::map<UnitSite, std::unique_ptr<OperatorSim>> faulty;
     /** Units disconnected by the mitigation bypass muxes. */
@@ -535,6 +579,20 @@ class HardwareBackend : public ForwardModel
         return slotBase[2 * k + static_cast<size_t>(layer)] +
             static_cast<size_t>(neuron * slotIndices[k] + index);
     }
+
+    /**
+     * Per unit kind, the inverse of physicalSite() over the kind's
+     * addresses (both layers, in slotIndex() order from the kind's
+     * base): the pass addresses folding onto address a are
+     * foldPass[k][foldStart[k][a] .. foldStart[k][a + 1]), in
+     * (layer, neuron, index) order. Built by buildFold() on the
+     * kind's first refreshSlots(), from physicalSite() itself, so
+     * the fold stays the single source of truth.
+     */
+    std::vector<uint32_t> foldStart[4], foldPass[4];
+
+    /** Fold every pass address of @p kind once into its inverse. */
+    void buildFold(UnitKind kind);
 
     /**
      * Re-resolve every pass address that folds onto physical unit

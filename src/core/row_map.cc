@@ -36,7 +36,8 @@ sparePlan(MlpTopology logical, int copies)
 
 RowMappedMlp::RowMappedMlp(HardwareBackend &a, MlpTopology logical_topo,
                            RowPlan row_plan)
-    : accel(a), logical(logical_topo), plan(std::move(row_plan))
+    : accel(a), logical(logical_topo), plan(std::move(row_plan)),
+      phys(accel.topology())
 {
     int rows = accel.config().outputs;
     dtann_assert(accel.topology() == fullRowTopology(logical, accel.config()),
@@ -73,7 +74,7 @@ void
 RowMappedMlp::setWeights(const MlpWeights &w)
 {
     dtann_assert(w.topology() == logical, "weight topology mismatch");
-    MlpWeights phys(accel.topology());
+    // Rows outside the plan keep the zeros phys was built with.
     for (int j = 0; j < logical.hidden; ++j)
         for (int i = 0; i <= logical.inputs; ++i)
             phys.hid(j, i) = w.hid(j, i);

@@ -91,6 +91,8 @@ class RowMappedMlp : public ForwardModel
     HardwareBackend &accel;
     MlpTopology logical;
     RowPlan plan;
+    /** Physical weights setWeights() writes, reused across calls. */
+    MlpWeights phys;
 
     /** Vote one row's physical activations into logical ones. */
     Activations vote(Activations phys) const;

@@ -1,7 +1,7 @@
 /**
  * @file
- * All-units reference datapath for the hardware backends (tests
- * only).
+ * Reference datapath and weight install for the hardware backends
+ * (tests only).
  *
  * The backends compute a synapse natively when its multiplier and
  * the adder stage that folds it in are both clean, and skip it when
@@ -12,11 +12,18 @@
  * chunk of rows by forwardBatch(), so this one override is the
  * oracle for both; the differential suite holds the native rule to
  * it on both backends.
+ *
+ * The backends install weights by writing the task's logical block
+ * and replaying a cached list of the faulty or bypassed latches
+ * (DESIGN.md §14). ReferenceWeightLoad keeps the install that
+ * replaced: one sweep over every latch site of the array, padding
+ * included, in pass order.
  */
 
 #ifndef DTANN_TESTS_CORE_REFERENCE_DATAPATH_HH
 #define DTANN_TESTS_CORE_REFERENCE_DATAPATH_HH
 
+#include <algorithm>
 #include <array>
 
 #include "circuit/lane_plane.hh"
@@ -57,6 +64,51 @@ class ReferenceDatapath : public Backend
             this->unitAddLanes(layer, neuron, i - 1, acc, addend.data(),
                                lanes);
         }
+    }
+};
+
+/** @p Backend with the full-array weight install. */
+template <class Backend>
+class ReferenceWeightLoad : public Backend
+{
+  public:
+    using Backend::Backend;
+
+    void
+    setWeights(const MlpWeights &w) override
+    {
+        const MlpTopology &t = this->logical;
+        dtann_assert(w.topology() == t, "weight topology mismatch");
+        for (Layer layer : {Layer::Hidden, Layer::Output}) {
+            bool h = layer == Layer::Hidden;
+            int neurons = h ? this->cfg.hidden : this->cfg.outputs;
+            int used = h ? t.hidden : t.outputs;
+            int fanin = this->fanIn(layer);
+            int used_fanin = h ? t.inputs : t.hidden;
+            Fix16 *dst = h ? this->hidW.data() : this->outW.data();
+            for (int n = 0; n < neurons; ++n) {
+                for (int i = 0; i <= fanin; ++i) {
+                    // Padding sites store zero; the bias synapse is
+                    // last in both the logical and the physical row.
+                    Fix16 q;
+                    if (n < used && (i < used_fanin || i == fanin)) {
+                        int li = std::min(i, used_fanin);
+                        q = Fix16::fromDouble(h ? w.hid(n, li)
+                                                : w.out(n, li));
+                    }
+                    *dst++ = this->unitClean(UnitKind::WeightLatch, layer,
+                                             n, i)
+                        ? q
+                        : this->unitLatchStore(layer, n, i, q);
+                }
+            }
+        }
+    }
+
+    void
+    setLayerWeights(const DeepWeights &w) override
+    {
+        setWeights(toMlpWeights(w));
     }
 };
 
