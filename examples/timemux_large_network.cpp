@@ -34,7 +34,8 @@ makeDigitsLike(Rng &rng, size_t rows)
         int label = static_cast<int>(r % 2);
         std::vector<double> row(784);
         for (size_t i = 0; i < row.size(); ++i) {
-            double base = (i / 28 + i % 28) % 2 == label ? 0.7 : 0.3;
+            bool on = static_cast<int>((i / 28 + i % 28) % 2) == label;
+            double base = on ? 0.7 : 0.3;
             row[i] = std::clamp(base + rng.nextGauss(0.0, 0.15), 0.0, 1.0);
         }
         ds.rows.push_back(std::move(row));

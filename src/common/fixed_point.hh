@@ -20,8 +20,13 @@
 #ifndef DTANN_COMMON_FIXED_POINT_HH
 #define DTANN_COMMON_FIXED_POINT_HH
 
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+
+#if defined(__FAST_MATH__) || FLT_EVAL_METHOD != 0
+#error "Fix16::fromDouble needs strict IEEE double arithmetic"
+#endif
 
 namespace dtann {
 
@@ -45,11 +50,23 @@ class Fix16
     /** Build from a raw 16-bit pattern. */
     static constexpr Fix16 fromRaw(int16_t raw) { return Fix16(raw); }
 
-    /** Convert from double with round-to-nearest and saturation. */
+    /**
+     * Convert from double with round-to-nearest and saturation.
+     *
+     * Rounds like std::nearbyint() under the default rounding mode,
+     * without its libm call (the baseline x86-64 ISA has no rounding
+     * instruction): adding and subtracting 1.5 * 2^52 leaves no
+     * fraction bit, so the sum rounds half to even exactly for
+     * |x * scale| < 2^51, and anything larger saturates either way.
+     * It relies on strict IEEE double evaluation: -ffast-math would
+     * fold the pair away, and x87 excess precision would round at
+     * the wrong bit.
+     */
     static Fix16
     fromDouble(double x)
     {
-        double scaled = std::nearbyint(x * scale);
+        constexpr double shifter = 0x1.8p52;
+        double scaled = (x * scale + shifter) - shifter;
         if (scaled > rawMax)
             return Fix16(rawMax);
         if (scaled < rawMin)

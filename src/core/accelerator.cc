@@ -7,7 +7,7 @@ namespace dtann {
 
 SpatialBackend::SpatialBackend(const AcceleratorConfig &config,
                                MlpTopology logical_topo)
-    : HardwareBackend(config, logical_topo)
+    : HardwareBackend(config, logical_topo, false)
 {
 }
 

@@ -22,10 +22,11 @@
  * structure, so they may land in unused regions — as on real
  * silicon.
  *
- * The fault-hosting machinery (shared netlists, injection, bypass,
- * clamps, probes, BIST scan) lives in HardwareBackend
- * (core/backend.hh); this file contributes the spatial dataflow:
- * one dedicated unit per (layer, neuron, synapse) operation.
+ * The fault-hosting machinery (shared netlists, the unit table of
+ * injected defects, bypasses and probes, clamps, BIST scan) lives in
+ * HardwareBackend (core/backend.hh); this file contributes the
+ * spatial dataflow: one dedicated unit per (layer, neuron, synapse)
+ * operation, so no unit is shared between the passes.
  */
 
 #ifndef DTANN_CORE_ACCELERATOR_HH
@@ -37,9 +38,9 @@ namespace dtann {
 
 /**
  * The paper's spatially expanded array: every pass-addressed
- * operation has its own dedicated hardware unit (physicalSite() is
- * the identity), so a defect corrupts exactly one (layer, neuron,
- * operand) slot of the computation.
+ * operation has its own dedicated hardware unit (the passes share
+ * none, so physicalSite() is the identity), so a defect corrupts
+ * exactly one (layer, neuron, operand) slot of the computation.
  */
 class SpatialBackend : public HardwareBackend
 {

@@ -172,7 +172,8 @@ backendNameList()
 }
 
 HardwareBackend::HardwareBackend(const AcceleratorConfig &config,
-                                 MlpTopology logical_topo)
+                                 MlpTopology logical_topo,
+                                 bool shared_passes)
     : cfg(config), logical(logical_topo),
       hidW(static_cast<size_t>(config.hidden) *
            static_cast<size_t>(config.inputs + 1)),
@@ -181,7 +182,8 @@ HardwareBackend::HardwareBackend(const AcceleratorConfig &config,
       multNl(operatorNetlists(config.faStyle).multiplier),
       addNl(operatorNetlists(config.faStyle).adder),
       latchNl(operatorNetlists(config.faStyle).latch),
-      actNl(operatorNetlists(config.faStyle).sigmoid)
+      actNl(operatorNetlists(config.faStyle).sigmoid),
+      sharedPasses(shared_passes)
 {
     dtann_assert(logical.inputs <= cfg.inputs &&
                      logical.hidden <= cfg.hidden &&
@@ -204,7 +206,7 @@ HardwareBackend::HardwareBackend(const AcceleratorConfig &config,
         total += static_cast<size_t>(slotNeurons * slotIndices[kl / 2]);
     }
     slotOf.assign(total, 0);
-    slotState.resize(1);
+    units.resize(1);
     for (std::vector<Fix16> *v : {&laneX, &laneP})
         v->resize(kMaxLanes);
     for (std::vector<Acc24> *v : {&laneAcc, &laneAddend})
@@ -232,83 +234,44 @@ HardwareBackend::unitNetlist(UnitKind kind) const
     }
 }
 
-void
-HardwareBackend::buildFold(UnitKind kind)
+HardwareBackend::Unit &
+HardwareBackend::enterUnit(const UnitSite &site)
 {
-    size_t k = static_cast<size_t>(kind);
-    size_t base = slotBase[2 * k];
-    size_t count = 2 * static_cast<size_t>(slotNeurons * slotIndices[k]);
-    std::vector<uint32_t> &start = foldStart[k];
-    std::vector<uint32_t> &pass = foldPass[k];
-    // Counting sort of the pass addresses by the address they fold
-    // onto; each bucket keeps the pass addresses' own order.
-    std::vector<uint32_t> phys(count);
-    start.assign(count + 1, 0);
-    size_t p = 0;
-    for (Layer layer : {Layer::Hidden, Layer::Output}) {
-        for (int n = 0; n < slotNeurons; ++n) {
-            for (int i = 0; i < slotIndices[k]; ++i, ++p) {
-                UnitSite site = physicalSite({kind, layer, n, i});
-                dtann_assert(site.kind == kind,
-                             "physicalSite() changed the unit kind");
-                phys[p] = static_cast<uint32_t>(
-                    slotIndex(kind, site.layer, site.neuron, site.index) -
-                    base);
-                ++start[phys[p] + 1];
-            }
-        }
+    uint16_t ix = slotOf[slotIndex(site.kind, site.layer, site.neuron,
+                                   site.index)];
+    if (ix == 0) {
+        dtann_assert(units.size() <= UINT16_MAX, "unit table full");
+        ix = static_cast<uint16_t>(units.size());
+        units.emplace_back().site = site;
+        indexUnit(ix);
+        installStale = true;
     }
-    for (size_t a = 0; a < count; ++a)
-        start[a + 1] += start[a];
-    std::vector<uint32_t> next(start.begin(), start.end() - 1);
-    pass.resize(count);
-    for (p = 0; p < count; ++p)
-        pass[next[phys[p]]++] = static_cast<uint32_t>(p);
+    return units[ix];
 }
 
 void
-HardwareBackend::refreshSlots(const UnitSite &site)
+HardwareBackend::indexUnit(size_t ix)
 {
-    auto it = faulty.find(site);
-    OperatorSim *sim = it == faulty.end() ? nullptr : it->second.get();
-    bool off = bypassed.count(site) != 0;
-    size_t k = static_cast<size_t>(site.kind);
-    if (foldStart[k].empty())
-        buildFold(site.kind);
-    size_t base = slotBase[2 * k];
-    size_t a = slotIndex(site.kind, site.layer, site.neuron, site.index) -
-        base;
-    size_t indices = static_cast<size_t>(slotIndices[k]);
-    size_t per_layer = static_cast<size_t>(slotNeurons) * indices;
-    for (uint32_t j = foldStart[k][a]; j < foldStart[k][a + 1]; ++j) {
-        size_t p = foldPass[k][j];
-        size_t rem = p % per_layer;
-        UnitSite pass{site.kind,
-                      p < per_layer ? Layer::Hidden : Layer::Output,
-                      static_cast<int>(rem / indices),
-                      static_cast<int>(rem % indices)};
-        uint16_t &ix = slotOf[base + p];
-        if (ix == 0) {
-            dtann_assert(slotState.size() <= UINT16_MAX,
-                         "unit slot table full");
-            ix = static_cast<uint16_t>(slotState.size());
-            slotState.emplace_back();
-        }
-        slotState[ix] = {sim, sim ? &probes[pass] : nullptr, off};
-    }
-    installStale = true;
+    const UnitSite &s = units[ix].site;
+    uint16_t v = static_cast<uint16_t>(ix);
+    slotOf[slotIndex(s.kind, s.layer, s.neuron, s.index)] = v;
+    // A shared unit executes its output-pass address as well.
+    if (sharedPasses)
+        slotOf[slotIndex(s.kind, Layer::Output, s.neuron, s.index)] = v;
 }
 
 void
-HardwareBackend::rebuildSlots()
+HardwareBackend::compactUnits()
 {
+    units.erase(std::remove_if(units.begin() + 1, units.end(),
+                               [](const Unit &u) {
+                                   return !u.sim && !u.bypassed;
+                               }),
+                units.end());
     std::fill(slotOf.begin(), slotOf.end(), 0);
-    slotState.resize(1);
+    for (size_t ix = 1; ix < units.size(); ++ix)
+        indexUnit(ix);
     installStale = true;
-    for (const auto &[site, sim] : faulty)
-        refreshSlots(site);
-    for (const UnitSite &site : bypassed)
-        refreshSlots(site);
 }
 
 std::vector<InjectionRecord>
@@ -342,52 +305,51 @@ HardwareBackend::injectDefects(const UnitSite &pass_site, int count,
     Injection inj = injectTransistorDefects(*nl, count, rng);
     std::vector<InjectionRecord> records = inj.records;
 
-    // Merge with any defects already present at this site.
-    auto it = faulty.find(site);
-    if (it != faulty.end()) {
-        FaultSet merged = it->second->evaluator().faults();
-        merged.merge(inj.faults);
-        Injection combined;
-        combined.faults = std::move(merged);
-        combined.records = it->second->faultRecords();
-        combined.records.insert(combined.records.end(), records.begin(),
-                                records.end());
-        it->second = std::make_unique<OperatorSim>(
-            nl, std::move(combined), std::move(clean));
+    // Merge with any defects already present at this site; the
+    // table holds the simulation itself, so replacing it in place
+    // reaches every pass address.
+    Unit &u = enterUnit(site);
+    Injection next;
+    if (u.sim) {
+        next.faults = u.sim->evaluator().faults();
+        next.faults.merge(inj.faults);
+        next.records = u.sim->faultRecords();
+        next.records.insert(next.records.end(), records.begin(),
+                            records.end());
     } else {
-        Injection fresh;
-        fresh.faults = std::move(inj.faults);
-        fresh.records = records;
-        faulty[site] = std::make_unique<OperatorSim>(
-            nl, std::move(fresh), std::move(clean));
+        next.faults = std::move(inj.faults);
+        next.records = records;
     }
-    // A merge replaced the simulation: no slot may keep the old one.
-    // Resolving the slots also creates the units' probes.
-    refreshSlots(site);
+    u.sim = std::make_unique<OperatorSim>(nl, std::move(next),
+                                          std::move(clean));
     return records;
 }
 
 void
 HardwareBackend::clearDefects()
 {
-    faulty.clear();
-    probes.clear();
-    rebuildSlots();
+    for (Unit &u : units)
+        u.sim.reset();
+    clearProbes();
+    compactUnits();
 }
 
 std::vector<UnitSite>
 HardwareBackend::faultySites() const
 {
     std::vector<UnitSite> sites;
-    for (const auto &[site, sim] : faulty)
-        sites.push_back(site);
+    for (const Unit &u : units)
+        if (u.sim)
+            sites.push_back(u.site);
+    std::sort(sites.begin(), sites.end());
     return sites;
 }
 
 bool
 HardwareBackend::isFaulty(const UnitSite &site) const
 {
-    return faulty.find(physicalSite(site)) != faulty.end();
+    return slot(site.kind, site.layer, site.neuron, site.index).sim !=
+        nullptr;
 }
 
 // The scan path drives one vector through the datapath's own unit
@@ -428,28 +390,32 @@ HardwareBackend::bistLatchStore(Layer layer, int neuron, int synapse,
 void
 HardwareBackend::bypassUnit(const UnitSite &site)
 {
-    UnitSite phys = physicalSite(site);
-    bypassed.insert(phys);
-    refreshSlots(phys);
+    enterUnit(physicalSite(site)).bypassed = true;
 }
 
 void
 HardwareBackend::clearBypasses()
 {
-    bypassed.clear();
-    rebuildSlots();
+    for (Unit &u : units)
+        u.bypassed = false;
+    compactUnits();
 }
 
 bool
 HardwareBackend::isBypassed(const UnitSite &site) const
 {
-    return bypassed.find(physicalSite(site)) != bypassed.end();
+    return slot(site.kind, site.layer, site.neuron, site.index).bypassed;
 }
 
 std::vector<UnitSite>
 HardwareBackend::bypassedSites() const
 {
-    return {bypassed.begin(), bypassed.end()};
+    std::vector<UnitSite> sites;
+    for (const Unit &u : units)
+        if (u.bypassed)
+            sites.push_back(u.site);
+    std::sort(sites.begin(), sites.end());
+    return sites;
 }
 
 void
@@ -496,36 +462,42 @@ HardwareBackend::clampValue(Layer layer, Fix16 x)
     return x;
 }
 
-const DeviationProbe &
+DeviationProbe
 HardwareBackend::probe(const UnitSite &site) const
 {
-    auto it = probes.find(site);
-    return it == probes.end() ? cleanProbe : it->second;
+    // Merging into an empty stat copies, so a unit that serves one
+    // pass reports that pass's stream bit for bit; the merge is
+    // order-independent, so the result does not depend on how the
+    // passes interleaved.
+    DeviationProbe merged;
+    for (const DeviationProbe &p :
+         slot(site.kind, site.layer, site.neuron, site.index).probes)
+        merged.amplitude.merge(p.amplitude);
+    return merged;
 }
 
 void
 HardwareBackend::clearProbes()
 {
-    for (auto &[site, p] : probes)
-        p = DeviationProbe();
+    for (Unit &u : units)
+        u.probes[0] = u.probes[1] = DeviationProbe();
 }
 
 Fix16
 HardwareBackend::unitLatchStore(Layer layer, int neuron, int synapse,
                                 Fix16 d)
 {
-    const UnitSlot &s =
-        slot(UnitKind::WeightLatch, layer, neuron, synapse);
-    if (s.bypassed)
+    Unit &u = unitAt(UnitKind::WeightLatch, layer, neuron, synapse);
+    if (u.bypassed)
         return Fix16(); // latch disconnected: weight reads as zero
-    if (!s.sim)
+    if (!u.sim)
         return d;
     // Open the latch (EN=1) with D applied, then close it.
     uint64_t bits = static_cast<uint64_t>(d.bits());
-    s.sim->apply(bits | (1ull << 16));
-    uint64_t q = s.sim->apply(bits); // EN=0
+    u.sim->apply(bits | (1ull << 16));
+    uint64_t q = u.sim->apply(bits); // EN=0
     Fix16 stored = Fix16::fromRaw(static_cast<int16_t>(q & 0xffff));
-    s.probe->amplitude.add(
+    u.probes[static_cast<size_t>(layer)].amplitude.add(
         std::abs(stored.toDouble() - d.toDouble()));
     return stored;
 }
@@ -535,13 +507,13 @@ HardwareBackend::unitMulLanes(Layer layer, int neuron, int synapse,
                               Fix16 w, const Fix16 *x, Fix16 *out,
                               size_t lanes)
 {
-    const UnitSlot &s = slot(UnitKind::Multiplier, layer, neuron, synapse);
-    if (s.bypassed) {
+    Unit &u = unitAt(UnitKind::Multiplier, layer, neuron, synapse);
+    if (u.bypassed) {
         for (size_t l = 0; l < lanes; ++l)
             out[l] = Fix16(); // product gated to zero
         return;
     }
-    if (!s.sim) {
+    if (!u.sim) {
         for (size_t l = 0; l < lanes; ++l)
             out[l] = Fix16::hwMul(w, x[l]);
         return;
@@ -550,8 +522,8 @@ HardwareBackend::unitMulLanes(Layer layer, int neuron, int synapse,
     for (size_t l = 0; l < lanes; ++l)
         in[l] = static_cast<uint64_t>(w.bits()) |
             (static_cast<uint64_t>(x[l].bits()) << 16);
-    s.sim->applyLanes(in, product, lanes);
-    DeviationProbe &pr = *s.probe;
+    u.sim->applyLanes(in, product, lanes);
+    DeviationProbe &pr = u.probes[static_cast<size_t>(layer)];
     // Probe updates in lane (= row) order: the Welford accumulator
     // is order-dependent, and bit-identity with one-row calls
     // requires the same per-site sequence.
@@ -568,10 +540,10 @@ void
 HardwareBackend::unitAddLanes(Layer layer, int neuron, int stage,
                               Acc24 *acc, const Acc24 *b, size_t lanes)
 {
-    const UnitSlot &s = slot(UnitKind::AdderStage, layer, neuron, stage);
-    if (s.bypassed)
+    Unit &u = unitAt(UnitKind::AdderStage, layer, neuron, stage);
+    if (u.bypassed)
         return; // stage skipped: accumulator passes through
-    if (!s.sim) {
+    if (!u.sim) {
         for (size_t l = 0; l < lanes; ++l)
             acc[l] = Acc24::hwAdd(acc[l], b[l]);
         return;
@@ -580,8 +552,8 @@ HardwareBackend::unitAddLanes(Layer layer, int neuron, int stage,
     for (size_t l = 0; l < lanes; ++l)
         in[l] = static_cast<uint64_t>(acc[l].bits()) |
             (static_cast<uint64_t>(b[l].bits()) << 24);
-    s.sim->applyLanes(in, sum, lanes);
-    DeviationProbe &pr = *s.probe;
+    u.sim->applyLanes(in, sum, lanes);
+    DeviationProbe &pr = u.probes[static_cast<size_t>(layer)];
     for (size_t l = 0; l < lanes; ++l) {
         Acc24 clean = Acc24::hwAdd(acc[l], b[l]);
         uint32_t u = static_cast<uint32_t>(sum[l] & 0xffffffull);
@@ -598,13 +570,13 @@ void
 HardwareBackend::unitActLanes(Layer layer, int neuron, const Fix16 *x,
                               Fix16 *out, size_t lanes)
 {
-    const UnitSlot &s = slot(UnitKind::Activation, layer, neuron, 0);
-    if (s.bypassed) {
+    Unit &u = unitAt(UnitKind::Activation, layer, neuron, 0);
+    if (u.bypassed) {
         for (size_t l = 0; l < lanes; ++l)
             out[l] = Fix16(); // neuron silenced
         return;
     }
-    if (!s.sim) {
+    if (!u.sim) {
         for (size_t l = 0; l < lanes; ++l)
             out[l] = logisticPwlFix(x[l]);
         return;
@@ -612,8 +584,8 @@ HardwareBackend::unitActLanes(Layer layer, int neuron, const Fix16 *x,
     uint64_t *in = laneIn.data(), *y = laneOut.data();
     for (size_t l = 0; l < lanes; ++l)
         in[l] = static_cast<uint64_t>(x[l].bits());
-    s.sim->applyLanes(in, y, lanes);
-    DeviationProbe &pr = *s.probe;
+    u.sim->applyLanes(in, y, lanes);
+    DeviationProbe &pr = u.probes[static_cast<size_t>(layer)];
     for (size_t l = 0; l < lanes; ++l) {
         Fix16 clean = logisticPwlFix(x[l]);
         Fix16 got =
@@ -738,7 +710,8 @@ HardwareBackend::forwardBatch(std::span<const std::vector<double>> inputs)
     // schedule. (A one-row call, the training path, skips reading the
     // lane-width knob.)
     size_t rows = inputs.size();
-    size_t width = rows > 1 && chunkedPassesExact() ? batchLaneWidth() : 1;
+    size_t width =
+        rows > 1 && (!sharedPasses || batchPure()) ? batchLaneWidth() : 1;
     size_t chunk = std::min(width, rows);
     size_t n_in = static_cast<size_t>(cfg.inputs);
     size_t n_hid = static_cast<size_t>(cfg.hidden);
@@ -880,8 +853,8 @@ HardwareBackend::neuronSumLanes(Layer layer, int neuron, const Fix16 *w,
 bool
 HardwareBackend::batchPure() const
 {
-    for (const auto &[site, sim] : faulty)
-        if (!sim->batched())
+    for (const Unit &u : units)
+        if (u.sim && !u.sim->batched())
             return false;
     return true;
 }
@@ -890,8 +863,9 @@ SimCounters
 HardwareBackend::simCounters() const
 {
     SimCounters c;
-    for (const auto &[site, sim] : faulty)
-        c.merge(sim->counters());
+    for (const Unit &u : units)
+        if (u.sim)
+            c.merge(u.sim->counters());
     return c;
 }
 

@@ -18,22 +18,21 @@
  *
  * The fault-hosting machinery (shared operator netlists, per-site
  * gate-level simulations, bypass muxes, clamp windows, deviation
- * probes) is identical across backends and lives here concretely;
- * a backend contributes its *dataflow* — which physical unit
- * executes which (pass, neuron, operand) operation — via
- * physicalSite() and its forward paths. SpatialBackend
- * (core/accelerator.hh) keeps the paper's per-layer dedicated
- * units; SystolicBackend (core/systolic.hh) time-multiplexes a
- * weight-stationary PE grid across both layers.
+ * probes) is identical across backends and lives here concretely,
+ * in one table of physical units. A backend contributes its
+ * *dataflow*: whether the two passes share their units (the one
+ * fixed fold of physicalSite()), its site enumeration and its raw
+ * access paths. SpatialBackend (core/accelerator.hh) keeps the
+ * paper's per-layer dedicated units; SystolicBackend
+ * (core/systolic.hh) time-multiplexes a weight-stationary PE grid
+ * across both layers.
  */
 
 #ifndef DTANN_CORE_BACKEND_HH
 #define DTANN_CORE_BACKEND_HH
 
 #include <cstddef>
-#include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "ann/mlp.hh"
@@ -162,23 +161,18 @@ std::string backendNameList();
 /**
  * Functional + defect model of one hardware target.
  *
- * Owns the shared unit netlists and every piece of fault state:
- * gate-level simulations of faulty units, mitigation bypass muxes,
- * activation clamp windows, and deviation probes. Both backends run
- * the same two-pass forward (setWeights/forwardBatch; forward() is a
- * one-row batch) over the protected pass-addressed unit operations;
- * a concrete backend describes which physical unit executes each
- * operation via unitCount() / enumerateSites() / physicalSite().
+ * Owns the shared unit netlists, the activation clamp windows and
+ * one table of the faulty or bypassed physical units (each with its
+ * gate-level simulation, bypass mux and per-pass deviation probes).
+ * Both backends run the same two-pass forward (setWeights/
+ * forwardBatch; forward() is a one-row batch) over the protected
+ * pass-addressed unit operations; a concrete backend describes its
+ * units via unitCount() / enumerateSites() and whether its passes
+ * share them (physicalSite()).
  */
 class HardwareBackend : public ForwardModel
 {
   public:
-    /**
-     * @param config physical array dimensions
-     * @param logical task network mapped onto the array (must fit)
-     */
-    HardwareBackend(const AcceleratorConfig &config,
-                    MlpTopology logical);
     ~HardwareBackend() override;
 
     /** Which microarchitecture this is. */
@@ -211,10 +205,12 @@ class HardwareBackend : public ForwardModel
      * Forward a batch of logical input rows: per chunk of rows, the
      * hidden pass, then the output pass, over every physical neuron.
      * A chunk is batchLaneWidth() rows (64/256/512 per the
-     * DTANN_LANES knob) when chunkedPassesExact() holds and one row
-     * otherwise. Each faulty unit sees a chunk's rows in one
-     * OperatorSim::applyLanes() call (one gate-level sweep for a
-     * state-free fault set, scalar evaluations in row order
+     * DTANN_LANES knob), or one row when the passes share their
+     * units and a faulty simulation is stateful (!batchPure()): a
+     * shared stateful unit must see each row's hidden and output
+     * operations back to back. Each faulty unit sees a chunk's rows
+     * in one OperatorSim::applyLanes() call (one gate-level sweep
+     * for a state-free fault set, scalar evaluations in row order
      * otherwise). Bit-identical to one-row calls (forward()) at
      * every lane width, including the per-unit deviation-probe
      * update order.
@@ -239,8 +235,8 @@ class HardwareBackend : public ForwardModel
      * instance chosen by the campaign (the unit becomes gate-level
      * simulated). The site folds through physicalSite(), so a pass
      * address of a shared unit hits the same silicon as its
-     * canonical address; isFaulty()/bypassUnit()/isBypassed() fold
-     * the same way.
+     * canonical address; isFaulty()/bypassUnit()/isBypassed()/probe()
+     * fold the same way.
      *
      * @return descriptions of the injected faults
      */
@@ -250,7 +246,7 @@ class HardwareBackend : public ForwardModel
     /** Remove all injected defects and probes. */
     void clearDefects();
 
-    /** Sites that currently host defects. */
+    /** Physical sites that currently host defects, ascending. */
     std::vector<UnitSite> faultySites() const;
 
     /**
@@ -301,6 +297,7 @@ class HardwareBackend : public ForwardModel
     void bypassUnit(const UnitSite &site);
     void clearBypasses();
     bool isBypassed(const UnitSite &site) const;
+    /** Bypassed physical sites, ascending. */
     std::vector<UnitSite> bypassedSites() const;
     /** @} */
 
@@ -322,11 +319,12 @@ class HardwareBackend : public ForwardModel
     /** @} */
 
     /**
-     * Deviation probe of a faulty unit (empty stats when clean).
-     * Backends whose units serve several passes merge the per-pass
-     * accumulators deterministically.
+     * Deviation record of the physical unit @p site folds onto
+     * (empty stats when clean): its hidden-pass stream merged with
+     * its output-pass stream, in that order, into an empty stat. A
+     * unit that serves one pass returns that stream bit for bit.
      */
-    virtual const DeviationProbe &probe(const UnitSite &site) const;
+    DeviationProbe probe(const UnitSite &site) const;
 
     /** Reset all deviation probes. */
     void clearProbes();
@@ -342,50 +340,61 @@ class HardwareBackend : public ForwardModel
 
   protected:
     /**
-     * Map a pass-addressed operation (kind, pass layer, neuron,
-     * operand index) to the physical unit that executes it. The
-     * default is the identity — one dedicated unit per (layer,
-     * neuron, index), the spatial dataflow. Pass-multiplexed
-     * backends collapse both passes onto shared units. Faulty-sim,
-     * bypass and injection state is keyed by the *physical* site;
-     * deviation probes stay keyed by the pass address so their
-     * order-dependent Welford streams remain per-pass row-ordered
-     * (and therefore identical between one-row and lane-batched
-     * calls at any lane width).
+     * @param config physical array dimensions
+     * @param logical task network mapped onto the array (must fit)
+     * @param shared_passes whether both passes run on one set of
+     *        units (see physicalSite())
      */
-    virtual UnitSite physicalSite(const UnitSite &pass_site) const
+    HardwareBackend(const AcceleratorConfig &config, MlpTopology logical,
+                    bool shared_passes);
+
+    /**
+     * Map a pass-addressed operation (kind, pass layer, neuron,
+     * operand index) to the physical unit that executes it: the
+     * identity on an array with one dedicated unit per (layer,
+     * neuron, index), the spatial dataflow; {kind, Hidden, neuron,
+     * index} when the passes share their units. Fault, bypass and
+     * injection state belongs to the physical unit; each unit keeps
+     * one deviation stream per pass, so the order-dependent Welford
+     * updates stay per-pass row-ordered (and therefore identical
+     * between one-row and lane-batched calls at any lane width).
+     */
+    UnitSite
+    physicalSite(const UnitSite &pass_site) const
     {
-        return pass_site;
+        if (!sharedPasses)
+            return pass_site;
+        return {pass_site.kind, Layer::Hidden, pass_site.neuron,
+                pass_site.index};
     }
 
     /**
-     * Resolved state of one pass address: the simulation of the
-     * physical unit it executes on (null when clean), whether that
-     * unit is bypassed, and the pass-keyed deviation probe (set
-     * whenever sim is). Slots are derived from the faulty/bypassed
-     * containers on every change to them, so the per-operation
-     * paths do one table lookup instead of folding the address and
-     * searching the containers.
+     * One non-clean physical unit: the gate-level simulation of its
+     * defects (null when it only is bypassed), whether its bypass
+     * mux is on, and one deviation probe per pass (indexed by the
+     * pass Layer) of the operations its simulation ran.
      */
-    struct UnitSlot
+    struct Unit
     {
-        OperatorSim *sim = nullptr;
-        DeviationProbe *probe = nullptr;
+        UnitSite site;
+        std::unique_ptr<OperatorSim> sim;
         bool bypassed = false;
+        DeviationProbe probes[2];
     };
 
-    /** The slot of pass address (@p kind, @p layer, @p neuron,
-     *  @p index). */
-    const UnitSlot &
+    /** The unit that executes pass address (@p kind, @p layer,
+     *  @p neuron, @p index); units[0], the clean unit, when it is
+     *  neither faulty nor bypassed. */
+    const Unit &
     slot(UnitKind kind, Layer layer, int neuron, int index) const
     {
-        return slotState[slotOf[slotIndex(kind, layer, neuron, index)]];
+        return units[slotOf[slotIndex(kind, layer, neuron, index)]];
     }
 
     /**
      * True when pass address (@p kind, @p layer, @p neuron,
-     * @p index) resolves to the shared clean slot: the unit it
-     * executes on is neither faulty nor bypassed, and has no probe.
+     * @p index) executes on the clean unit: its physical unit is
+     * neither faulty nor bypassed.
      */
     bool
     unitClean(UnitKind kind, Layer layer, int neuron, int index) const
@@ -411,16 +420,6 @@ class HardwareBackend : public ForwardModel
     {
         return layer == Layer::Hidden ? cfg.inputs : cfg.hidden;
     }
-
-    /**
-     * True when forwardBatch() may run a chunk of several rows (all
-     * hidden sweeps, then all output sweeps) and still give every
-     * unit the input sequence one-row chunks would. It holds
-     * whenever each unit serves one pass (the default); a backend
-     * whose units are shared between passes overrides it, and
-     * forwardBatch() then runs one row per chunk.
-     */
-    virtual bool chunkedPassesExact() const { return true; }
 
     /** Apply @p layer's clamp window to one datapath value. */
     Fix16 clampValue(Layer layer, Fix16 x);
@@ -493,11 +492,11 @@ class HardwareBackend : public ForwardModel
     /** Per-layer activation clamp windows (Hidden, Output). */
     ActivationClamp clamps[2];
     uint64_t clampHitCount = 0;
-    /** Deviation probes (pass-address keyed; see physicalSite()). */
-    std::map<UnitSite, DeviationProbe> probes;
-    DeviationProbe cleanProbe; // returned for clean sites
 
   private:
+    /** Both passes run on one set of units (see physicalSite()). */
+    const bool sharedPasses;
+
     /** Per-lane scratch of the neuron chain and the unit operations'
      *  packed words, kMaxLanes each, sized once so a one-row call
      *  clears no whole plane. */
@@ -542,29 +541,25 @@ class HardwareBackend : public ForwardModel
     /** Non-clean latches in install order; valid unless
      *  installStale. */
     std::vector<LatchReplay> latchReplay;
-    /** Set by every slot change and raw row load: the next install
-     *  re-plans (a latch changed state, or a clean padding word may
-     *  no longer be zero). */
+    /** Set whenever a unit enters or leaves the table and by every
+     *  raw row load: the next install re-plans (a latch changed
+     *  state, or a clean padding word may no longer be zero). */
     bool installStale = true;
-
-    /** Gate-level sims of faulty units (physical-site keyed). */
-    std::map<UnitSite, std::unique_ptr<OperatorSim>> faulty;
-    /** Units disconnected by the mitigation bypass muxes. */
-    std::set<UnitSite> bypassed;
 
     /**
      * Dense pass-address table, [kind][layer][neuron][index], of
-     * indices into slotState (0: the shared clean slot). Every
-     * layer spans max(hidden, outputs) neurons and, per kind, the
-     * widest operand index of either pass (activations: 1), so both
-     * backends' pass addresses and the systolic grid's physical
-     * addresses (BIST scans) all have an entry. Two bytes per
+     * indices into units (0: the clean unit). Every layer spans
+     * max(hidden, outputs) neurons and, per kind, the widest operand
+     * index of either pass (activations: 1), so both backends' pass
+     * addresses and the systolic grid's physical addresses (BIST
+     * scans) all have an entry. Every pass address that folds onto
+     * a non-clean unit holds that unit's index. Two bytes per
      * address keep the table cache-resident on the clean path.
      */
     std::vector<uint16_t> slotOf;
-    /** Resolved slots; [0] is clean, the rest one per non-clean
-     *  pass address. */
-    std::vector<UnitSlot> slotState;
+    /** [0] is the clean unit; the rest are the faulty or bypassed
+     *  physical units, in the order they entered. */
+    std::vector<Unit> units;
     int slotNeurons = 0;
     int slotIndices[4] = {};
     size_t slotBase[8] = {};
@@ -580,30 +575,28 @@ class HardwareBackend : public ForwardModel
             static_cast<size_t>(neuron * slotIndices[k] + index);
     }
 
-    /**
-     * Per unit kind, the inverse of physicalSite() over the kind's
-     * addresses (both layers, in slotIndex() order from the kind's
-     * base): the pass addresses folding onto address a are
-     * foldPass[k][foldStart[k][a] .. foldStart[k][a + 1]), in
-     * (layer, neuron, index) order. Built by buildFold() on the
-     * kind's first refreshSlots(), from physicalSite() itself, so
-     * the fold stays the single source of truth.
-     */
-    std::vector<uint32_t> foldStart[4], foldPass[4];
-
-    /** Fold every pass address of @p kind once into its inverse. */
-    void buildFold(UnitKind kind);
+    /** The unit of pass address (@p kind, @p layer, @p neuron,
+     *  @p index), for the unit operations to update. */
+    Unit &
+    unitAt(UnitKind kind, Layer layer, int neuron, int index)
+    {
+        return units[slotOf[slotIndex(kind, layer, neuron, index)]];
+    }
 
     /**
-     * Re-resolve every pass address that folds onto physical unit
-     * @p site, which must be in faulty or bypassed, from the
-     * containers. Called by every insertion into either.
+     * The unit of physical site @p site, entered into the table if
+     * it is clean: every pass address that folds onto it (both
+     * passes' addresses when the passes share units) then points
+     * at it.
      */
-    void refreshSlots(const UnitSite &site);
+    Unit &enterUnit(const UnitSite &site);
 
-    /** Reset every slot to clean and re-resolve the sites left in
-     *  faulty and bypassed (after a clear). */
-    void rebuildSlots();
+    /** Point every pass address of units[@p ix] at entry @p ix. */
+    void indexUnit(size_t ix);
+
+    /** Drop the units that are neither faulty nor bypassed any more
+     *  and re-index the rest (after a clear). */
+    void compactUnits();
 };
 
 /**

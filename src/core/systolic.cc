@@ -8,7 +8,7 @@ namespace dtann {
 
 SystolicBackend::SystolicBackend(const AcceleratorConfig &config,
                                  MlpTopology logical_topo)
-    : HardwareBackend(config, logical_topo),
+    : HardwareBackend(config, logical_topo, true),
       rows(std::max(config.inputs, config.hidden) + 1),
       cols(std::max(config.hidden, config.outputs)),
       cell(config.faStyle)
@@ -83,23 +83,6 @@ SystolicBackend::enumerateSites(const SitePool &pool) const
                 {UnitKind::Activation, Layer::Hidden, c, 0});
     }
     return sites;
-}
-
-const DeviationProbe &
-SystolicBackend::probe(const UnitSite &site) const
-{
-    // A physical unit serves both passes; its observable deviation
-    // record is the two pass-keyed streams folded together. The
-    // merge is order-independent, so the result does not depend on
-    // how the passes interleaved.
-    mergedProbe = DeviationProbe();
-    for (Layer pass : {Layer::Hidden, Layer::Output}) {
-        auto it = probes.find(
-            {site.kind, pass, site.neuron, site.index});
-        if (it != probes.end())
-            mergedProbe.amplitude.merge(it->second.amplitude);
-    }
-    return mergedProbe;
 }
 
 } // namespace dtann

@@ -43,10 +43,15 @@ namespace dtann {
  *
  * Physical unit addressing is Layer::Hidden-canonical: grid PE
  * (row r, column c) is site {kind, Hidden, neuron = c, index = r}.
- * physicalSite() folds both passes onto those shared addresses;
- * deviation probes stay pass-keyed and probe() merges the per-pass
- * accumulators deterministically (Chan's update), so one-row and
- * lane-batched evaluation remain bit-identical.
+ * The backend declares its passes shared, so physicalSite() folds
+ * both passes onto those addresses and each PE's table entry is
+ * reached from its hidden- and output-pass addresses alike. Each PE
+ * keeps one deviation stream per pass and probe() merges the two
+ * deterministically (Chan's update), so one-row and lane-batched
+ * evaluation remain bit-identical. Because a stateful faulty PE
+ * must see each row's hidden and output operations back to back,
+ * forwardBatch() chunks several rows only while every faulty
+ * simulation is a pure function.
  */
 class SystolicBackend : public HardwareBackend
 {
@@ -80,36 +85,10 @@ class SystolicBackend : public HardwareBackend
     std::vector<UnitSite>
     enumerateSites(const SitePool &pool) const override;
 
-    /**
-     * Merged deviation statistics of a shared unit: both passes'
-     * probe streams folded together (order-independent merge).
-     */
-    const DeviationProbe &probe(const UnitSite &site) const override;
-
-  protected:
-    /** Fold a pass address onto the shared PE grid. */
-    UnitSite physicalSite(const UnitSite &pass_site) const override
-    {
-        return {pass_site.kind, Layer::Hidden, pass_site.neuron,
-                pass_site.index};
-    }
-
-    /**
-     * A stateful faulty PE observes a different operation order
-     * when a chunk runs all hidden sweeps, then all output sweeps,
-     * than when rows run one at a time (passes interleaved per
-     * row): the PE is shared between the passes, unlike the spatial
-     * array's dedicated units. Chunk several rows only when every
-     * faulty simulation is a pure function.
-     */
-    bool chunkedPassesExact() const override { return batchPure(); }
-
   private:
     int rows;
     int cols;
     PeCell cell;
-
-    mutable DeviationProbe mergedProbe; // probe() scratch
 
     /** Does either eligible pass use this grid unit? */
     bool usedBy(const SitePool &pool, UnitKind kind, int r,

@@ -36,6 +36,51 @@ TEST(Fix16, FromDoubleSaturates)
     EXPECT_NEAR(Fix16::fromDouble(1000.0).toDouble(), 32.0, 0.01);
 }
 
+/** fromDouble() as std::nearbyint() rounds, then saturated. */
+int16_t
+nearbyintRaw(double x)
+{
+    double scaled = std::nearbyint(x * Fix16::scale);
+    if (scaled > Fix16::rawMax)
+        return Fix16::rawMax;
+    if (scaled < Fix16::rawMin)
+        return Fix16::rawMin;
+    return static_cast<int16_t>(scaled);
+}
+
+TEST(FixedPoint, FromDoubleMatchesNearbyint)
+{
+    // Every raw value and the rounding boundaries around it: exact
+    // halves (ties go to even), one ulp either side of them, and a
+    // hair above the value itself.
+    size_t checked = 0, mismatches = 0;
+    double first_bad = 0.0;
+    auto check = [&](double x) {
+        if (Fix16::fromDouble(x).raw() != nearbyintRaw(x) && !mismatches++)
+            first_bad = x;
+        ++checked;
+    };
+    const double inf = INFINITY;
+    for (int r = Fix16::rawMin; r <= Fix16::rawMax; ++r) {
+        for (double sign : {1.0, -1.0}) {
+            for (double d : {0.0, 0.5, 1e-12}) {
+                double x = (r + sign * d) / Fix16::scale;
+                check(x);
+                check(std::nextafter(x, inf));
+                check(std::nextafter(x, -inf));
+            }
+        }
+    }
+    Rng rng(2024);
+    for (int k = 0; k < 5000000; ++k)
+        check(rng.nextDouble(-40.0, 40.0));
+    for (double x : {inf, 1e300, 3e15})
+        for (double sign : {1.0, -1.0})
+            check(sign * x);
+    EXPECT_GT(checked, 5000000u);
+    EXPECT_EQ(mismatches, 0u) << "first at x=" << first_bad;
+}
+
 TEST(Fix16, HwAddWraps)
 {
     Fix16 max = Fix16::fromRaw(Fix16::rawMax);

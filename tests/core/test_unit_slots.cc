@@ -1,17 +1,22 @@
 /**
  * @file
- * The backends' dense unit-slot table: every pass address resolves
- * its faulty simulation, bypass mux and deviation probe once, when
- * fault or bypass state changes. These tests pin the invalidation
- * rule — a re-injection replaces the simulation a slot points at, a
- * later bypass wins, and the clear operations restore the clean
- * datapath — on both backends. Labelled asan: a slot left pointing
- * at a replaced simulation is a use-after-free.
+ * The backends' unit table: every pass address indexes the physical
+ * unit that executes it, which holds the unit's faulty simulation,
+ * bypass mux and per-pass deviation probes. These tests pin the
+ * table against a test-side record of what was injected and
+ * bypassed (a re-injection reaches every pass address, a later
+ * bypass wins, the clear operations restore the clean datapath),
+ * the ascending site lists and the probe merge, on both backends.
+ * Labelled asan: a unit table that outlived a replaced simulation
+ * would be a use-after-free.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
+#include <type_traits>
 
 #include "core/accelerator.hh"
 #include "core/systolic.hh"
@@ -32,13 +37,47 @@ smallArray()
     return cfg;
 }
 
-/** Exposes the protected slot table for consistency checks. */
+/** Exposes the protected unit table for consistency checks. */
 template <class Backend>
 struct SlotView : Backend
 {
     using Backend::Backend;
     using HardwareBackend::slot;
 };
+
+/**
+ * The documented fold, kept test-side: the systolic grid runs both
+ * passes on the PE at {kind, Hidden, neuron, index}; the spatial
+ * array has one unit per pass address.
+ */
+template <class Backend>
+UnitSite
+foldedSite(const UnitSite &pass)
+{
+    if constexpr (std::is_same_v<Backend, SystolicBackend>)
+        return {pass.kind, Layer::Hidden, pass.neuron, pass.index};
+    return pass;
+}
+
+/** Calls @p fn on every pass address of the table: both layers,
+ *  max(hidden, outputs) neurons, each kind's widest operand range. */
+template <class Fn>
+void
+forEachPassAddress(const AcceleratorConfig &cfg, Fn fn)
+{
+    int neurons = std::max(cfg.hidden, cfg.outputs);
+    int fanin = std::max(cfg.inputs, cfg.hidden);
+    for (UnitKind kind : {UnitKind::WeightLatch, UnitKind::Multiplier,
+                          UnitKind::AdderStage, UnitKind::Activation}) {
+        int indices = kind == UnitKind::Activation ? 1
+            : kind == UnitKind::AdderStage        ? fanin
+                                                  : fanin + 1;
+        for (Layer layer : {Layer::Hidden, Layer::Output})
+            for (int n = 0; n < neurons; ++n)
+                for (int i = 0; i < indices; ++i)
+                    fn(UnitSite{kind, layer, n, i});
+    }
+}
 
 /** Raw product a multiplier simulation returns for (w, x). */
 Fix16
@@ -176,53 +215,61 @@ template <class Backend>
 void
 checkSlotsMatchContainers()
 {
-    // After any sequence of injections and bypasses, every pass
-    // address's slot agrees with the isFaulty()/isBypassed() ground
-    // truth (which folds through physicalSite() on every query).
+    // After any sequence of injections, bypasses and clears, every
+    // pass address's table entry agrees with a test-side record of
+    // the physical sites injected and bypassed, folded by the
+    // documented rule; the site lists and the queries read the same.
     AcceleratorConfig cfg = smallArray();
     SlotView<Backend> accel(cfg, {12, 4, 3});
+    std::set<UnitSite> faulty, bypassed;
     Rng rng(99);
     auto check = [&](const char *when) {
-        for (UnitKind kind : {UnitKind::WeightLatch, UnitKind::Multiplier,
-                              UnitKind::AdderStage, UnitKind::Activation}) {
-            for (Layer layer : {Layer::Hidden, Layer::Output}) {
-                int neurons = layer == Layer::Hidden ? cfg.hidden
-                                                     : cfg.outputs;
-                int fanin = layer == Layer::Hidden ? cfg.inputs
-                                                   : cfg.hidden;
-                int indices = kind == UnitKind::Activation ? 1
-                    : kind == UnitKind::AdderStage        ? fanin
-                                                          : fanin + 1;
-                for (int n = 0; n < neurons; ++n) {
-                    for (int i = 0; i < indices; ++i) {
-                        UnitSite pass{kind, layer, n, i};
-                        const auto &s = accel.slot(kind, layer, n, i);
-                        ASSERT_EQ(s.sim != nullptr, accel.isFaulty(pass))
-                            << when << " " << pass.describe();
-                        ASSERT_EQ(s.probe != nullptr, s.sim != nullptr)
-                            << when << " " << pass.describe();
-                        ASSERT_EQ(s.bypassed, accel.isBypassed(pass))
-                            << when << " " << pass.describe();
-                    }
-                }
-            }
-        }
+        forEachPassAddress(cfg, [&](const UnitSite &pass) {
+            UnitSite phys = foldedSite<Backend>(pass);
+            const auto &s =
+                accel.slot(pass.kind, pass.layer, pass.neuron, pass.index);
+            ASSERT_EQ(s.sim != nullptr, faulty.count(phys) != 0)
+                << when << " " << pass.describe();
+            ASSERT_EQ(s.bypassed, bypassed.count(phys) != 0)
+                << when << " " << pass.describe();
+            ASSERT_EQ(accel.isFaulty(pass), faulty.count(phys) != 0)
+                << when << " " << pass.describe();
+            ASSERT_EQ(accel.isBypassed(pass), bypassed.count(phys) != 0)
+                << when << " " << pass.describe();
+        });
+        EXPECT_EQ(accel.faultySites(),
+                  std::vector<UnitSite>(faulty.begin(), faulty.end()))
+            << when;
+        EXPECT_EQ(accel.bypassedSites(),
+                  std::vector<UnitSite>(bypassed.begin(), bypassed.end()))
+            << when;
     };
     std::vector<UnitSite> pool = accel.enumerateSites(SitePool::all());
     for (int round = 0; round < 3; ++round) {
         for (int k = 0; k < 12; ++k) {
             const UnitSite &s = pool[rng.nextUint(pool.size())];
-            if (rng.nextBool(0.7))
+            if (rng.nextBool(0.7)) {
                 accel.injectDefects(s, 1, rng);
-            else
+                faulty.insert(foldedSite<Backend>(s));
+            } else {
                 accel.bypassUnit(s);
+                bypassed.insert(foldedSite<Backend>(s));
+            }
         }
+        // The output-pass address of a unit either pass uses.
+        UnitSite out{UnitKind::Multiplier, Layer::Output,
+                     static_cast<int>(rng.nextUint(3)),
+                     static_cast<int>(rng.nextUint(5))};
+        accel.injectDefects(out, 1, rng);
+        faulty.insert(foldedSite<Backend>(out));
         check("after inject/bypass");
         if (round % 2) {
             accel.clearBypasses();
+            bypassed.clear();
             check("after clearBypasses");
         } else {
             accel.clearDefects();
+            faulty.clear();
             check("after clearDefects");
         }
     }
@@ -236,6 +283,121 @@ TEST(UnitSlots, SpatialSlotsMatchContainers)
 TEST(UnitSlots, SystolicSlotsMatchContainers)
 {
     checkSlotsMatchContainers<SystolicBackend>();
+}
+
+template <class Backend>
+void
+checkSitesAscending()
+{
+    Backend accel(smallArray(), {12, 4, 3});
+    std::vector<UnitSite> pool = accel.enumerateSites(SitePool::all());
+    Rng rng(17);
+    rng.shuffle(pool);
+    std::set<UnitSite> faulty, bypassed;
+    for (size_t k = 0; k < 40; ++k) {
+        const UnitSite &s = pool[k];
+        if (k % 3) {
+            accel.injectDefects(s, 1, rng);
+            faulty.insert(s);
+        } else {
+            accel.bypassUnit(s);
+            bypassed.insert(s);
+        }
+    }
+    // Shuffled entry order must not leak into the lists.
+    std::vector<UnitSite> entered(pool.begin(), pool.begin() + 40);
+    ASSERT_FALSE(std::is_sorted(entered.begin(), entered.end()));
+    EXPECT_EQ(accel.faultySites(),
+              std::vector<UnitSite>(faulty.begin(), faulty.end()));
+    EXPECT_EQ(accel.bypassedSites(),
+              std::vector<UnitSite>(bypassed.begin(), bypassed.end()));
+}
+
+TEST(UnitSlots, SitesListedInAscendingOrder)
+{
+    checkSitesAscending<SpatialBackend>();
+    checkSitesAscending<SystolicBackend>();
+}
+
+void
+expectSameStat(const RunningStat &got, const RunningStat &want)
+{
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.mean(), want.mean());
+    EXPECT_EQ(got.variance(), want.variance());
+    EXPECT_EQ(got.min(), want.min());
+    EXPECT_EQ(got.max(), want.max());
+}
+
+/**
+ * Drives @p vectors scan multiplies through the pass addresses of
+ * multiplier (@p neuron, @p index) in a fixed interleaving and
+ * records, per pass, the deviation stream a probe must hold.
+ */
+template <class Backend>
+void
+scanBothPasses(SlotView<Backend> &accel, int neuron, int index,
+               int vectors, RunningStat want[2])
+{
+    Rng rng(23);
+    for (int v = 0; v < vectors; ++v) {
+        Layer pass = rng.nextUint(3) ? Layer::Hidden : Layer::Output;
+        Fix16 w = Fix16::fromRaw(static_cast<int16_t>(rng.nextUint(65536)));
+        Fix16 x = Fix16::fromRaw(static_cast<int16_t>(rng.nextUint(65536)));
+        Fix16 got = accel.bistMul(pass, neuron, index, w, x);
+        want[static_cast<size_t>(pass)].add(
+            std::abs(got.toDouble() - Fix16::hwMul(w, x).toDouble()));
+    }
+}
+
+TEST(UnitSlots, ProbeMergesPassStreams)
+{
+    AcceleratorConfig cfg = smallArray();
+    {
+        // Spatial: two dedicated units, one per pass; each probe is
+        // its own pass stream bit for bit.
+        SlotView<SpatialBackend> accel(cfg, {12, 4, 3});
+        UnitSite hid{UnitKind::Multiplier, Layer::Hidden, 1, 2};
+        UnitSite out{UnitKind::Multiplier, Layer::Output, 1, 2};
+        Rng rng(8);
+        accel.injectDefects(hid, 4, rng);
+        accel.injectDefects(out, 4, rng);
+        RunningStat want[2];
+        scanBothPasses(accel, 1, 2, 300, want);
+        ASSERT_GT(want[0].count(), 0u);
+        ASSERT_GT(want[1].count(), 0u);
+        ASSERT_GT(want[0].max() + want[1].max(), 0.0);
+        expectSameStat(accel.probe(hid).amplitude, want[0]);
+        expectSameStat(accel.probe(out).amplitude, want[1]);
+        expectSameStat(accel.slot(UnitKind::Multiplier, Layer::Hidden, 1, 2)
+                           .probes[0].amplitude,
+                       want[0]);
+        expectSameStat(accel.slot(UnitKind::Multiplier, Layer::Output, 1, 2)
+                           .probes[1].amplitude,
+                       want[1]);
+    }
+    {
+        // Systolic: one shared PE; its probe is the hidden stream
+        // merged with the output stream, from either address.
+        SlotView<SystolicBackend> accel(cfg, {12, 4, 3});
+        UnitSite hid{UnitKind::Multiplier, Layer::Hidden, 1, 2};
+        UnitSite out{UnitKind::Multiplier, Layer::Output, 1, 2};
+        Rng rng(8);
+        accel.injectDefects(out, 4, rng);
+        RunningStat want[2];
+        scanBothPasses(accel, 1, 2, 300, want);
+        ASSERT_GT(want[0].count(), 0u);
+        ASSERT_GT(want[1].count(), 0u);
+        ASSERT_GT(want[0].max() + want[1].max(), 0.0);
+        RunningStat merged;
+        merged.merge(want[0]);
+        merged.merge(want[1]);
+        expectSameStat(accel.probe(hid).amplitude, merged);
+        expectSameStat(accel.probe(out).amplitude, merged);
+        const auto &u = accel.slot(UnitKind::Multiplier, Layer::Output, 1, 2);
+        expectSameStat(u.probes[0].amplitude, want[0]);
+        expectSameStat(u.probes[1].amplitude, want[1]);
+    }
 }
 
 } // namespace

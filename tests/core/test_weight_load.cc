@@ -10,9 +10,9 @@
  * other unit kinds; bypasses; the clears; and, on the spatial array,
  * raw physical row loads that leave non-zero words on padding sites.
  * After every operation the twins must agree on the stored weights,
- * a batch and a one-row forward, the hidden sums, every pass-keyed
- * deviation probe and the simulation counters. Labelled backend,
- * asan and ubsan.
+ * a batch and a one-row forward, the hidden sums, the unit state
+ * and deviation probe stream of every pass address, and the
+ * simulation counters. Labelled backend, asan and ubsan.
  */
 
 #include <gtest/gtest.h>
@@ -38,7 +38,7 @@ smallArray()
     return cfg;
 }
 
-/** Exposes the stored words, hidden sums and pass-keyed probes. */
+/** Exposes the stored words, hidden sums and the unit table. */
 template <class Base>
 struct View : Base
 {
@@ -46,7 +46,7 @@ struct View : Base
     using HardwareBackend::hidSumsLanes;
     using HardwareBackend::hidW;
     using HardwareBackend::outW;
-    using HardwareBackend::probes;
+    using HardwareBackend::slot;
 };
 
 /** A cycle of weight sets a few small SGD-like steps apart. */
@@ -128,18 +128,37 @@ expectSameState(View<ReferenceWeightLoad<Backend>> &ref,
     ASSERT_TRUE(got.hidW == ref.hidW);
     ASSERT_TRUE(got.outW == ref.outW);
     ASSERT_TRUE(got.hidSumsLanes == ref.hidSumsLanes);
-    ASSERT_EQ(got.probes.size(), ref.probes.size());
-    for (const auto &[site, want] : ref.probes) {
-        SCOPED_TRACE(site.describe());
-        auto it = got.probes.find(site);
-        ASSERT_TRUE(it != got.probes.end());
-        const RunningStat &a = want.amplitude;
-        const RunningStat &b = it->second.amplitude;
-        EXPECT_EQ(b.count(), a.count());
-        EXPECT_EQ(b.mean(), a.mean());
-        EXPECT_EQ(b.variance(), a.variance());
-        EXPECT_EQ(b.min(), a.min());
-        EXPECT_EQ(b.max(), a.max());
+    // Every pass address of the table, clean ones included: its
+    // unit's state and the address's own probe stream.
+    const AcceleratorConfig &cfg = got.config();
+    int neurons = std::max(cfg.hidden, cfg.outputs);
+    int fanin = std::max(cfg.inputs, cfg.hidden);
+    for (UnitKind kind : {UnitKind::WeightLatch, UnitKind::Multiplier,
+                          UnitKind::AdderStage, UnitKind::Activation}) {
+        int indices = kind == UnitKind::Activation ? 1
+            : kind == UnitKind::AdderStage        ? fanin
+                                                  : fanin + 1;
+        for (Layer layer : {Layer::Hidden, Layer::Output}) {
+            for (int n = 0; n < neurons; ++n) {
+                for (int i = 0; i < indices; ++i) {
+                    const auto &g = got.slot(kind, layer, n, i);
+                    const auto &r = ref.slot(kind, layer, n, i);
+                    const RunningStat &a =
+                        r.probes[static_cast<size_t>(layer)].amplitude;
+                    const RunningStat &b =
+                        g.probes[static_cast<size_t>(layer)].amplitude;
+                    UnitSite at{kind, layer, n, i};
+                    ASSERT_EQ(g.sim != nullptr, r.sim != nullptr)
+                        << at.describe();
+                    ASSERT_EQ(g.bypassed, r.bypassed) << at.describe();
+                    ASSERT_EQ(b.count(), a.count()) << at.describe();
+                    ASSERT_EQ(b.mean(), a.mean()) << at.describe();
+                    ASSERT_EQ(b.variance(), a.variance()) << at.describe();
+                    ASSERT_EQ(b.min(), a.min()) << at.describe();
+                    ASSERT_EQ(b.max(), a.max()) << at.describe();
+                }
+            }
+        }
     }
     SimCounters rc = ref.simCounters(), gc = got.simCounters();
     EXPECT_EQ(gc.toJson(), rc.toJson());

@@ -80,8 +80,9 @@ TEST(Builder, ReductionTrees)
         Evaluator ev(nl);
         uint64_t all = (1ull << width) - 1;
         EXPECT_EQ(ev.evaluateBits(all), 1u) << "width " << width;
-        if (width > 1)
+        if (width > 1) {
             EXPECT_EQ(ev.evaluateBits(all - 1), 0u);
+        }
         EXPECT_EQ(ev.evaluateBits(0), width == 0 ? 1u : 0u);
     }
     NetlistBuilder bld;

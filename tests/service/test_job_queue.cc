@@ -32,6 +32,18 @@ struct StateDir
         fs::remove_all(path);
     }
     ~StateDir() { fs::remove_all(path); }
+
+    /** An in-process queue over this directory. */
+    JobQueue::Config
+    queueConfig(int threads, int runners) const
+    {
+        JobQueue::Config c;
+        c.stateDir = path;
+        c.threads = threads;
+        c.runners = runners;
+        return c;
+    }
+
     std::string path;
 };
 
@@ -84,7 +96,7 @@ TEST(JobQueue, SubmitRunsToDoneBitIdenticalToDirectRun)
 {
     StateDir dir("jq_done");
     ScenarioSpec spec = tinyFig5("t");
-    JobQueue queue({dir.path, /*threads=*/2, /*runners=*/1});
+    JobQueue queue(dir.queueConfig(2, 1));
     uint64_t id = queue.submit(spec.toJson());
 
     std::string status = awaitTerminal(queue, id);
@@ -101,7 +113,7 @@ TEST(JobQueue, SubmitRunsToDoneBitIdenticalToDirectRun)
 TEST(JobQueue, RejectsBadSpecsBeforeQueueing)
 {
     StateDir dir("jq_bad");
-    JobQueue queue({dir.path, 1, 1});
+    JobQueue queue(dir.queueConfig(1, 1));
     EXPECT_THROW(queue.submit("not json"), JsonError);
     EXPECT_THROW(queue.submit("{\"kind\":\"nope\"}"), JsonError);
     // planSpec validates task names without uciTask()'s fatal().
@@ -124,7 +136,7 @@ TEST(JobQueue, CancelQueuedAndRunning)
 {
     StateDir dir("jq_cancel");
     // One runner so the second submission has to wait its turn.
-    JobQueue queue({dir.path, 1, 1});
+    JobQueue queue(dir.queueConfig(1, 1));
     uint64_t running =
         queue.submit(tinyFig5("long", /*reps=*/500).toJson());
     uint64_t waiting = queue.submit(tinyFig5("waiting").toJson());
@@ -150,7 +162,7 @@ TEST(JobQueue, RestartServesFinishedJobsAndContinuesIds)
     ScenarioSpec spec = tinyFig5("t");
     std::string first_result;
     {
-        JobQueue queue({dir.path, 2, 1});
+        JobQueue queue(dir.queueConfig(2, 1));
         uint64_t id = queue.submit(spec.toJson());
         awaitTerminal(queue, id);
         ASSERT_EQ(queue.result(id, first_result),
@@ -159,7 +171,7 @@ TEST(JobQueue, RestartServesFinishedJobsAndContinuesIds)
 
     // A new queue over the same state dir serves the finished job
     // and numbers new jobs after it.
-    JobQueue queue({dir.path, 2, 1});
+    JobQueue queue(dir.queueConfig(2, 1));
     std::string status = queue.statusJson(1);
     EXPECT_NE(status.find("\"state\":\"done\""), std::string::npos)
         << status;
@@ -180,7 +192,7 @@ TEST(JobQueue, ConcurrentIdenticalJobsShareTheCache)
     // Two runners: both fig10 jobs run concurrently and want the
     // same task context (same seed/rows/epochs -> same cache key);
     // one builds, the other must block on the shared future.
-    JobQueue queue({dir.path, 2, 2});
+    JobQueue queue(dir.queueConfig(2, 2));
     ScenarioSpec a = tinyFig10("a"), b = tinyFig10("b");
     uint64_t ja = queue.submit(a.toJson());
     uint64_t jb = queue.submit(b.toJson());
@@ -206,7 +218,7 @@ TEST(JobQueue, ConcurrentIdenticalJobsShareTheCache)
 TEST(JobQueue, MetricsCountsStates)
 {
     StateDir dir("jq_metrics");
-    JobQueue queue({dir.path, 1, 1});
+    JobQueue queue(dir.queueConfig(1, 1));
     uint64_t id = queue.submit(tinyFig5("t").toJson());
     awaitTerminal(queue, id);
 
@@ -223,7 +235,7 @@ TEST(JobQueue, ShutdownDrainFinishesQueuedWork)
 {
     StateDir dir("jq_drain");
     ScenarioSpec spec = tinyFig5("t");
-    JobQueue queue({dir.path, 1, 1});
+    JobQueue queue(dir.queueConfig(1, 1));
     uint64_t id = queue.submit(spec.toJson());
     queue.shutdown(/*cancelRunning=*/false);
 

@@ -31,6 +31,18 @@ struct StateDir
         fs::remove_all(path);
     }
     ~StateDir() { fs::remove_all(path); }
+
+    /** An in-process queue over this directory. */
+    JobQueue::Config
+    queueConfig(int threads, int runners) const
+    {
+        JobQueue::Config c;
+        c.stateDir = path;
+        c.threads = threads;
+        c.runners = runners;
+        return c;
+    }
+
     std::string path;
 };
 
@@ -71,7 +83,7 @@ makeRequest(const std::string &method, const std::string &target,
 struct ServerFixture
 {
     explicit ServerFixture(const std::string &stem)
-        : dir(stem), queue({dir.path, /*threads=*/2, /*runners=*/1}),
+        : dir(stem), queue(dir.queueConfig(2, 1)),
           server(queue, "127.0.0.1:0")
     {
     }

@@ -44,11 +44,13 @@ TEST_P(ReconstructClean, ShortsNeverFlipZeroToOne)
         if (d.kind != DefectKind::ShortSD)
             continue;
         ReconstructedGate rec = reconstruct(kind, {{d}});
-        for (uint32_t in = 0; in < (1u << gateArity(kind)); ++in)
-            if (clean.eval(in) == LogicValue::Zero)
+        for (uint32_t in = 0; in < (1u << gateArity(kind)); ++in) {
+            if (clean.eval(in) == LogicValue::Zero) {
                 EXPECT_EQ(rec.function.eval(in), LogicValue::Zero)
                     << gateName(kind) << " " << d.describe()
                     << " in=" << in;
+            }
+        }
     }
 }
 
@@ -62,11 +64,13 @@ TEST_P(ReconstructClean, OpensNeverFlipOneToZero)
         if (d.kind != DefectKind::Open)
             continue;
         ReconstructedGate rec = reconstruct(kind, {{d}});
-        for (uint32_t in = 0; in < (1u << gateArity(kind)); ++in)
-            if (clean.eval(in) == LogicValue::One)
+        for (uint32_t in = 0; in < (1u << gateArity(kind)); ++in) {
+            if (clean.eval(in) == LogicValue::One) {
                 EXPECT_NE(rec.function.eval(in), LogicValue::Zero)
                     << gateName(kind) << " " << d.describe()
                     << " in=" << in;
+            }
+        }
     }
 }
 

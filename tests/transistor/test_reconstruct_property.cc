@@ -62,10 +62,11 @@ TEST_P(ReconstructProperty, SingleOpenNeverRemovesDrivenValueToOpposite)
         for (uint32_t in = 0; in < (1u << gateArity(kind)); ++in) {
             LogicValue before = clean.eval(in);
             LogicValue after = rec.function.eval(in);
-            if (after != LogicValue::Mem)
+            if (after != LogicValue::Mem) {
                 EXPECT_EQ(after, before)
                     << gateName(kind) << " " << d.describe()
                     << " in=" << in;
+            }
         }
     }
 }
@@ -87,10 +88,11 @@ TEST_P(ReconstructProperty, ShortOnTopOfOpensCanOnlyShrinkMemSet)
             std::vector<Defect> both = {open, sh};
             ReconstructedGate rec = reconstruct(kind, both);
             for (uint32_t in = 0; in < (1u << gateArity(kind)); ++in) {
-                if (rec.function.eval(in) == LogicValue::Mem)
+                if (rec.function.eval(in) == LogicValue::Mem) {
                     EXPECT_EQ(base.function.eval(in), LogicValue::Mem)
                         << gateName(kind) << " " << open.describe()
                         << "+" << sh.describe() << " in=" << in;
+                }
             }
         }
     }
