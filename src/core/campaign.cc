@@ -141,118 +141,148 @@ campaignEnvelope(const std::string &kind, const std::string &configJson,
 // ---------------------------------------------------------------
 // Fig 5
 
-Fig5Result
-runFig5(const Fig5Config &config)
+namespace {
+
+/** Output histograms of one Fig 5 cell. */
+struct Fig5Hists
 {
-    const char *op_name = fig5OperatorName(config.op);
-    auto build_netlist = [&] {
-        return config.op == Fig5Operator::Adder4
-            ? buildRippleAdder(4, config.style, true)
-            : buildMultiplierUnsigned(4, config.style);
-    };
-    std::shared_ptr<const Netlist> nl = config.contextCache != nullptr
-        ? config.contextCache->netlist(
-              std::string("netlist/") + op_name + "/" +
-                  faStyleName(config.style),
-              build_netlist)
-        : std::make_shared<const Netlist>(build_netlist());
-    size_t out_bits = nl->outputs().size();
+    IntHistogram none, gate, trans;
+    SimCounters sim;
+};
 
-    Fig5Result result;
-    result.op = config.op;
-    result.defects = config.defects;
-    result.repetitions = config.repetitions;
-    result.style = config.style;
-    result.seed = config.seed;
+} // namespace
 
-    // One independent injection per repetition; each evaluates all
-    // 256 input pairs in random order to avoid special behaviour
-    // from defect-induced memory (paper Section III-A). The pairs
-    // reach each faulty operator through applyLanes(): state-free
-    // fault sets run 64 pairs per bit-parallel sweep, stateful ones
-    // fall back to the scalar path in the same order, so histograms
-    // are bit-identical either way.
-    struct RepHists
-    {
-        IntHistogram none, gate, trans;
-        SimCounters sim;
-    };
-    size_t reps = static_cast<size_t>(std::max(0, config.repetitions));
-    std::vector<RepHists> hists(reps);
-
-    CleanFn clean_fn = config.op == Fig5Operator::Adder4
-        ? cleanAdder(4, true)
-        : cleanMultiplierUnsigned(4);
-
-    CampaignEngine engine(config);
-    engine.beginCampaign(reps);
-    const std::string variant = "d" + std::to_string(config.defects);
-    engine.parallelFor(reps, [&](size_t rep) {
-        RepHists &h = hists[rep];
-        CellKey key{"fig5", op_name, variant, rep};
-        if (journalLookup(config.journal, key, [&](const JsonValue &v) {
-                h.none = IntHistogram::fromJson(v.at("none"));
-                h.gate = IntHistogram::fromJson(v.at("gate"));
-                h.trans = IntHistogram::fromJson(v.at("trans"));
-                h.sim = SimCounters::fromJson(v.at("sim"));
-            })) {
-            engine.reportCell(op_name, config.defects,
-                              static_cast<int>(rep), 0.0);
-            return;
+std::vector<CellKey>
+cellKeys(const std::vector<Fig5Config> &variants,
+         std::vector<CellCoords> *coords)
+{
+    std::vector<CellKey> keys;
+    for (size_t v = 0; v < variants.size(); ++v) {
+        const Fig5Config &c = variants[v];
+        std::string variant = "d" + std::to_string(c.defects);
+        for (int rep = 0; rep < c.repetitions; ++rep) {
+            keys.push_back({"fig5", fig5OperatorName(c.op), variant,
+                            static_cast<uint64_t>(rep)});
+            if (coords != nullptr)
+                coords->push_back({v, 0, 0});
         }
-        // Sharded worker: cells owned by other shards are left for
-        // their processes; the merged journals replay them later.
-        if (!config.inShard(rep))
-            return;
-        Rng rng = Rng::substream(config.seed, {kStreamCell, rep});
-        Injection trans_inj =
-            injectTransistorDefects(*nl, config.defects, rng);
-        Injection gate_inj =
-            injectGateLevelFaults(*nl, config.defects, rng);
+    }
+    checkUniqueKeys(keys);
+    return keys;
+}
+
+std::vector<Fig5Result>
+runFig5(const std::vector<Fig5Config> &variants)
+{
+    std::vector<CellCoords> coords;
+    CellTable<Fig5Hists> table;
+    table.keys = cellKeys(variants, &coords);
+    if (variants.empty())
+        return {};
+
+    std::vector<std::shared_ptr<const Netlist>> nets;
+    for (const Fig5Config &c : variants) {
+        auto build_netlist = [&] {
+            return c.op == Fig5Operator::Adder4
+                ? buildRippleAdder(4, c.style, true)
+                : buildMultiplierUnsigned(4, c.style);
+        };
+        nets.push_back(c.contextCache != nullptr
+                           ? c.contextCache->netlist(
+                                 std::string("netlist/") +
+                                     fig5OperatorName(c.op) + "/" +
+                                     faStyleName(c.style),
+                                 build_netlist)
+                           : std::make_shared<const Netlist>(
+                                 build_netlist()));
+    }
+
+    // One random injection per cell, evaluated on all 256 input
+    // pairs in random order to avoid special behaviour from
+    // defect-induced memory (paper Section III-A). The pairs reach
+    // each faulty operator through applyLanes(): state-free fault
+    // sets run 64 pairs per bit-parallel sweep, stateful ones fall
+    // back to the scalar path in the same order, so histograms are
+    // bit-identical either way.
+    table.run = [&](size_t i) {
+        const Fig5Config &c = variants[coords[i].task];
+        const std::shared_ptr<const Netlist> &nl = nets[coords[i].task];
+        CleanFn clean_fn = c.op == Fig5Operator::Adder4
+            ? cleanAdder(4, true)
+            : cleanMultiplierUnsigned(4);
+        Rng rng = Rng::substream(c.seed, {kStreamCell, table.keys[i].rep});
+        Injection trans_inj = injectTransistorDefects(*nl, c.defects, rng);
+        Injection gate_inj = injectGateLevelFaults(*nl, c.defects, rng);
         OperatorSim trans_sim(nl, std::move(trans_inj), clean_fn);
         OperatorSim gate_sim(nl, std::move(gate_inj), clean_fn);
 
         std::vector<uint64_t> pairs(256);
-        for (uint64_t i = 0; i < 256; ++i)
-            pairs[i] = i;
+        for (uint64_t p = 0; p < 256; ++p)
+            pairs[p] = p;
         rng.shuffle(pairs);
 
         std::vector<uint64_t> trans_out(256), gate_out(256);
         trans_sim.applyLanes(pairs.data(), trans_out.data(), 256);
         gate_sim.applyLanes(pairs.data(), gate_out.data(), 256);
 
-        for (size_t i = 0; i < 256; ++i) {
-            uint64_t in = pairs[i];
-            uint64_t a = in & 0xf, b = in >> 4;
-            int64_t clean = config.op == Fig5Operator::Adder4
-                ? static_cast<int64_t>(a + b)
-                : static_cast<int64_t>(a * b);
-            h.none.add(clean);
-            h.trans.add(static_cast<int64_t>(
-                trans_out[i] & ((1ull << out_bits) - 1)));
-            h.gate.add(static_cast<int64_t>(
-                gate_out[i] & ((1ull << out_bits) - 1)));
+        Fig5Hists h;
+        uint64_t out_mask = (1ull << nl->outputs().size()) - 1;
+        for (size_t p = 0; p < 256; ++p) {
+            uint64_t a = pairs[p] & 0xf, b = pairs[p] >> 4;
+            h.none.add(static_cast<int64_t>(
+                c.op == Fig5Operator::Adder4 ? a + b : a * b));
+            h.trans.add(static_cast<int64_t>(trans_out[p] & out_mask));
+            h.gate.add(static_cast<int64_t>(gate_out[p] & out_mask));
         }
         h.sim.merge(trans_sim.counters());
         h.sim.merge(gate_sim.counters());
-        if (config.journal)
-            config.journal->store(
-                key, "{\"none\":" + h.none.toJson() +
-                    ",\"gate\":" + h.gate.toJson() +
-                    ",\"trans\":" + h.trans.toJson() +
-                    ",\"sim\":" + h.sim.toJson() + "}");
-        engine.reportCell(op_name, config.defects,
-                          static_cast<int>(rep), 0.0);
-    });
+        return h;
+    };
+    table.encode = [](const Fig5Hists &h) {
+        return "{\"none\":" + h.none.toJson() +
+            ",\"gate\":" + h.gate.toJson() +
+            ",\"trans\":" + h.trans.toJson() +
+            ",\"sim\":" + h.sim.toJson() + "}";
+    };
+    table.decode = [](const JsonValue &v) {
+        return Fig5Hists{IntHistogram::fromJson(v.at("none")),
+                         IntHistogram::fromJson(v.at("gate")),
+                         IntHistogram::fromJson(v.at("trans")),
+                         SimCounters::fromJson(v.at("sim"))};
+    };
+    table.label = [&](size_t i, const Fig5Hists &) {
+        const CellKey &key = table.keys[i];
+        return CellReport{key.task, variants[coords[i].task].defects,
+                          static_cast<int>(key.rep), 0.0};
+    };
 
-    for (const RepHists &h : hists) {
-        result.none.merge(h.none);
-        result.gate.merge(h.gate);
-        result.trans.merge(h.trans);
-        result.sim.merge(h.sim);
-    }
-    logSimCounters("fig5", result.sim);
-    return result;
+    // All variants run as one campaign (one progress count, one
+    // batch) under the sweep's execution knobs, which every variant
+    // carries verbatim.
+    CampaignEngine engine(variants.front());
+    auto cells = engine.runCells(variants.front(), table);
+
+    std::vector<Fig5Result> results;
+    for (const Fig5Config &c : variants)
+        results.push_back(
+            {c.op, c.defects, c.repetitions, c.style, c.seed, {}, {}, {}, {}});
+    for (size_t i = 0; i < cells.size(); ++i)
+        if (cells[i]) {
+            Fig5Result &r = results[coords[i].task];
+            r.none.merge(cells[i]->none);
+            r.gate.merge(cells[i]->gate);
+            r.trans.merge(cells[i]->trans);
+            r.sim.merge(cells[i]->sim);
+        }
+    for (const Fig5Result &r : results)
+        logSimCounters("fig5", r.sim);
+    return results;
+}
+
+Fig5Result
+runFig5(const Fig5Config &config)
+{
+    return runFig5(std::vector<Fig5Config>{config}).front();
 }
 
 // ---------------------------------------------------------------
@@ -283,6 +313,25 @@ selectTasks(const std::vector<std::string> &names)
     for (const auto &n : names)
         out.push_back(uciTask(n));
     return out;
+}
+
+std::vector<std::string>
+taskNames(const CampaignConfig &config)
+{
+    std::vector<std::string> known;
+    for (const UciTaskSpec &spec : uciTasks())
+        known.push_back(spec.name);
+    if (config.tasks.empty())
+        return known;
+    for (const std::string &name : config.tasks)
+        if (std::find(known.begin(), known.end(), name) == known.end()) {
+            std::string names;
+            for (const std::string &k : known)
+                names += (names.empty() ? "" : ", ") + k;
+            throw JsonError("unknown task '" + name +
+                            "' (expected one of: " + names + ")");
+        }
+    return config.tasks;
 }
 
 Hyper
@@ -371,58 +420,61 @@ prepareCampaignTasks(CampaignEngine &engine,
 // ---------------------------------------------------------------
 // Fig 10
 
+namespace {
+
+/** Outcome of one Fig 10 cell. */
+struct Fig10Outcome
+{
+    double accuracy = 0.0;
+    SimCounters sim;
+};
+
+} // namespace
+
+std::vector<CellKey>
+cellKeys(const Fig10Config &config, std::vector<CellCoords> *coords)
+{
+    std::vector<std::string> tasks = taskNames(config);
+    std::vector<CellKey> keys;
+    for (size_t t = 0; t < tasks.size(); ++t)
+        for (size_t d = 0; d < config.defectCounts.size(); ++d) {
+            int defects = config.defectCounts[d];
+            int reps = defects == 0 ? 1 : config.repetitions;
+            std::string variant =
+                "v" + std::to_string(d) + ":d" + std::to_string(defects);
+            for (int rep = 0; rep < reps; ++rep) {
+                keys.push_back({"fig10", tasks[t], variant,
+                                static_cast<uint64_t>(rep)});
+                if (coords != nullptr)
+                    coords->push_back({t, d, 0});
+            }
+        }
+    checkUniqueKeys(keys);
+    return keys;
+}
+
 std::vector<Fig10Curve>
 runFig10(const Fig10Config &config)
 {
+    std::vector<CellCoords> coords;
+    CellTable<Fig10Outcome> table;
+    table.keys = cellKeys(config, &coords);
+
     std::vector<UciTaskSpec> specs = selectTasks(config.tasks);
     CampaignEngine engine(config);
     auto ctx = prepareCampaignTasks(engine, config, specs);
 
-    // Flatten the campaign into independent cells. The defect-free
-    // point is a single evaluation (no injection randomness).
-    struct Cell
-    {
-        size_t task;
-        size_t variant; ///< index into defectCounts
-        int rep;
-    };
-    std::vector<Cell> cells;
-    for (size_t t = 0; t < specs.size(); ++t)
-        for (size_t d = 0; d < config.defectCounts.size(); ++d) {
-            int reps =
-                config.defectCounts[d] == 0 ? 1 : config.repetitions;
-            for (int rep = 0; rep < reps; ++rep)
-                cells.push_back({t, d, rep});
-        }
-
-    std::vector<double> accuracy(cells.size());
-    std::vector<SimCounters> cellSim(cells.size());
-    engine.beginCampaign(cells.size());
-    engine.parallelFor(cells.size(), [&](size_t i) {
-        const Cell &c = cells[i];
+    table.run = [&](size_t i) {
+        const CellCoords &c = coords[i];
         const TaskContext &t = *ctx[c.task];
         int defects = config.defectCounts[c.variant];
-
-        CellKey key{"fig10", t.spec.name,
-                    "v" + std::to_string(c.variant) + ":d" +
-                        std::to_string(defects),
-                    static_cast<uint64_t>(c.rep)};
-        if (journalLookup(config.journal, key, [&](const JsonValue &v) {
-                accuracy[i] = v.at("accuracy").asNumber();
-                cellSim[i] = SimCounters::fromJson(v.at("sim"));
-            })) {
-            engine.reportCell(t.spec.name, defects, c.rep, accuracy[i]);
-            return;
-        }
-        if (!config.inShard(i))
-            return;
 
         // The cell's whole randomness budget comes from one
         // counter-derived stream: injection first, then fold
         // shuffling and retraining.
         Rng rng = Rng::substream(
             config.seed, {kStreamCell, c.task, c.variant,
-                          static_cast<uint64_t>(c.rep)});
+                          table.keys[i].rep});
 
         auto accel = makeBackend(config.backend, config.array,
                                  t.logical);
@@ -432,38 +484,50 @@ runFig10(const Fig10Config &config)
             injector.inject(defects, rng);
         }
 
-        double acc;
+        Fig10Outcome o;
         if (config.retrain) {
             Trainer retrainer(
                 retrainHyper(t.hyper, config.retrainScale));
-            acc = crossValidate(*accel, t.ds, config.folds, retrainer,
-                                rng, &t.baseline)
-                      .meanAccuracy;
+            o.accuracy = crossValidate(*accel, t.ds, config.folds,
+                                       retrainer, rng, &t.baseline)
+                             .meanAccuracy;
         } else {
             // Ablation: no retraining, test the baseline weights
             // through the faulty hardware.
             accel->setWeights(t.baseline);
-            acc = evalAccuracy(*accel, t.ds);
+            o.accuracy = evalAccuracy(*accel, t.ds);
         }
-        accuracy[i] = acc;
-        cellSim[i] = accel->simCounters();
-        if (config.journal)
-            config.journal->store(
-                key, "{\"accuracy\":" + jsonNumber(acc) +
-                    ",\"sim\":" + cellSim[i].toJson() + "}");
-        engine.reportCell(t.spec.name, defects, c.rep, acc);
-    });
+        o.sim = accel->simCounters();
+        return o;
+    };
+    table.encode = [](const Fig10Outcome &o) {
+        return "{\"accuracy\":" + jsonNumber(o.accuracy) +
+            ",\"sim\":" + o.sim.toJson() + "}";
+    };
+    table.decode = [](const JsonValue &v) {
+        return Fig10Outcome{v.at("accuracy").asNumber(),
+                            SimCounters::fromJson(v.at("sim"))};
+    };
+    table.label = [&](size_t i, const Fig10Outcome &o) {
+        const CellKey &key = table.keys[i];
+        return CellReport{key.task,
+                          config.defectCounts[coords[i].variant],
+                          static_cast<int>(key.rep), o.accuracy};
+    };
+    auto cells = engine.runCells(config, table);
 
-    // Deterministic accumulation: cells are folded into the curves
-    // in cell-index order, never in completion order.
+    // Deterministic accumulation: computed cells are folded into
+    // the curves in cell-index order, never in completion order.
     std::vector<Fig10Curve> curves(specs.size());
     std::vector<RunningStat> stats(specs.size() *
                                    config.defectCounts.size());
     for (size_t i = 0; i < cells.size(); ++i) {
-        stats[cells[i].task * config.defectCounts.size() +
-              cells[i].variant]
-            .add(accuracy[i]);
-        curves[cells[i].task].sim.merge(cellSim[i]);
+        if (!cells[i])
+            continue;
+        const CellCoords &c = coords[i];
+        stats[c.task * config.defectCounts.size() + c.variant].add(
+            cells[i]->accuracy);
+        curves[c.task].sim.merge(cells[i]->sim);
     }
     SimCounters total;
     for (size_t t = 0; t < specs.size(); ++t) {
@@ -483,41 +547,51 @@ runFig10(const Fig10Config &config)
 // ---------------------------------------------------------------
 // Fig 11
 
+namespace {
+
+/** Outcome of one Fig 11 cell (its task is the curve's). */
+struct Fig11Outcome
+{
+    double amplitude = 0.0;
+    double accuracy = 0.0;
+    std::string site;
+    SimCounters sim;
+};
+
+} // namespace
+
+std::vector<CellKey>
+cellKeys(const Fig11Config &config, std::vector<CellCoords> *coords)
+{
+    std::vector<std::string> tasks = taskNames(config);
+    std::vector<CellKey> keys;
+    for (size_t t = 0; t < tasks.size(); ++t)
+        for (int rep = 0; rep < config.repetitions; ++rep) {
+            keys.push_back(
+                {"fig11", tasks[t], "v0", static_cast<uint64_t>(rep)});
+            if (coords != nullptr)
+                coords->push_back({t, 0, 0});
+        }
+    checkUniqueKeys(keys);
+    return keys;
+}
+
 std::vector<Fig11Curve>
 runFig11(const Fig11Config &config)
 {
+    std::vector<CellCoords> coords;
+    CellTable<Fig11Outcome> table;
+    table.keys = cellKeys(config, &coords);
+
     std::vector<UciTaskSpec> specs = selectTasks(config.tasks);
     CampaignEngine engine(config);
     auto ctx = prepareCampaignTasks(engine, config, specs);
 
-    size_t reps = static_cast<size_t>(std::max(0, config.repetitions));
-    std::vector<Fig11Sample> samples(specs.size() * reps);
-    std::vector<SimCounters> cellSim(samples.size());
-
-    engine.beginCampaign(samples.size());
-    engine.parallelFor(samples.size(), [&](size_t i) {
-        size_t task = i / reps;
-        size_t rep = i % reps;
+    table.run = [&](size_t i) {
+        size_t task = coords[i].task;
         const TaskContext &t = *ctx[task];
-
-        CellKey key{"fig11", t.spec.name, "v0", rep};
-        if (journalLookup(config.journal, key, [&](const JsonValue &v) {
-                Fig11Sample &s = samples[i];
-                s.task = t.spec.name;
-                s.amplitude = v.at("amplitude").asNumber();
-                s.accuracy = v.at("accuracy").asNumber();
-                s.site = v.at("site").asString();
-                cellSim[i] = SimCounters::fromJson(v.at("sim"));
-            })) {
-            engine.reportCell(t.spec.name, 1, static_cast<int>(rep),
-                              samples[i].accuracy);
-            return;
-        }
-        if (!config.inShard(i))
-            return;
-
-        Rng rng = Rng::substream(config.seed,
-                                 {kStreamCell, task, 0, rep});
+        Rng rng = Rng::substream(
+            config.seed, {kStreamCell, task, 0, table.keys[i].rep});
 
         auto accel = makeBackend(config.backend, config.array,
                                  t.logical);
@@ -543,41 +617,51 @@ runFig11(const Fig11Config &config)
             if (p.amplitude.count() > 0)
                 amp_stat.add(p.amplitude.mean());
         }
-        Fig11Sample &sample = samples[i];
-        sample.task = t.spec.name;
-        sample.accuracy = acc_stat.mean();
-        sample.amplitude = amp_stat.mean();
-        sample.site = records.empty() ? site.describe()
-                                      : records.front().what;
-        cellSim[i] = accel->simCounters();
-        if (config.journal)
-            config.journal->store(
-                key, "{\"amplitude\":" + jsonNumber(sample.amplitude) +
-                    ",\"accuracy\":" + jsonNumber(sample.accuracy) +
-                    ",\"site\":" + jsonString(sample.site) +
-                    ",\"sim\":" + cellSim[i].toJson() + "}");
-        engine.reportCell(t.spec.name, 1, static_cast<int>(rep),
-                          sample.accuracy);
-    });
+        return Fig11Outcome{
+            amp_stat.mean(), acc_stat.mean(),
+            records.empty() ? site.describe() : records.front().what,
+            accel->simCounters()};
+    };
+    table.encode = [](const Fig11Outcome &o) {
+        return "{\"amplitude\":" + jsonNumber(o.amplitude) +
+            ",\"accuracy\":" + jsonNumber(o.accuracy) +
+            ",\"site\":" + jsonString(o.site) +
+            ",\"sim\":" + o.sim.toJson() + "}";
+    };
+    table.decode = [](const JsonValue &v) {
+        return Fig11Outcome{v.at("amplitude").asNumber(),
+                            v.at("accuracy").asNumber(),
+                            v.at("site").asString(),
+                            SimCounters::fromJson(v.at("sim"))};
+    };
+    table.label = [&](size_t i, const Fig11Outcome &o) {
+        const CellKey &key = table.keys[i];
+        return CellReport{key.task, 1, static_cast<int>(key.rep),
+                          o.accuracy};
+    };
+    auto cells = engine.runCells(config, table);
 
-    // Bin in cell-index order for deterministic curves.
+    // Bin computed cells in cell-index order for deterministic
+    // curves.
     std::vector<Fig11Curve> curves(specs.size());
+    std::vector<LogBins> bins(specs.size(), LogBins(-3, 3, 1));
+    for (size_t i = 0; i < cells.size(); ++i)
+        if (cells[i]) {
+            size_t task = coords[i].task;
+            Fig11Outcome &o = *cells[i];
+            bins[task].add(o.amplitude, o.accuracy);
+            curves[task].samples.push_back({specs[task].name, o.amplitude,
+                                            o.accuracy, std::move(o.site)});
+            curves[task].sim.merge(o.sim);
+        }
     SimCounters total;
     for (size_t task = 0; task < specs.size(); ++task) {
-        Fig11Curve &curve = curves[task];
-        curve.task = specs[task].name;
-        LogBins bins(-3, 3, 1);
-        for (size_t rep = 0; rep < reps; ++rep) {
-            Fig11Sample &s = samples[task * reps + rep];
-            bins.add(s.amplitude, s.accuracy);
-            curve.samples.push_back(std::move(s));
-            curve.sim.merge(cellSim[task * reps + rep]);
-        }
-        for (size_t b = 0; b < bins.numBins(); ++b)
-            if (bins.binStat(b).count() > 0)
-                curve.binAccuracy.push_back(
-                    {bins.binCenter(b), bins.binStat(b).mean()});
-        total.merge(curve.sim);
+        curves[task].task = specs[task].name;
+        for (size_t b = 0; b < bins[task].numBins(); ++b)
+            if (bins[task].binStat(b).count() > 0)
+                curves[task].binAccuracy.push_back(
+                    {bins[task].binCenter(b), bins[task].binStat(b).mean()});
+        total.merge(curves[task].sim);
     }
     logSimCounters("fig11", total);
     return curves;

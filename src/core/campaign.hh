@@ -9,10 +9,15 @@
  * Fig 11: accuracy vs error amplitude for single defects in the
  * output layer's adders/activation functions.
  *
- * All campaigns run on the CampaignEngine (core/engine.hh): every
- * (task, defect count, repetition) cell is an independent work unit
- * with a counter-derived RNG stream, so results are bit-identical
- * for any thread count. Curves carry toJson() exporters; benches
+ * Each campaign kind is a cell table (core/engine.hh): cellKeys()
+ * lists its cells without building anything, and its runner gives
+ * CampaignEngine::runCells() one function per cell, which derives
+ * its own counter-based RNG stream, plus the cell's journal payload
+ * codec and progress label. The engine loop owns journal replay,
+ * sharding and progress; the runner folds the computed cells in
+ * cell-index order, so results are bit-identical for any thread
+ * count. The same key lists are the admission plan
+ * (service/plan.hh). Curves carry toJson() exporters; benches
  * mirror them to $DTANN_JSON_OUT for the perf-trajectory tooling.
  */
 
@@ -83,9 +88,23 @@ struct Fig5Result
 };
 
 /**
- * Run one Fig 5 configuration: @p config.repetitions random
- * injections, each evaluated on all 256 input pairs in random order.
+ * Cell keys of the Fig 5 @p variants, variant-major:
+ * {"fig5", operator, "d<defects>", rep}; @p coords (when given)
+ * receives each cell's variant index as its task. Throws JsonError
+ * when two variants share an (operator, defect count) pair.
  */
+std::vector<CellKey> cellKeys(const std::vector<Fig5Config> &variants,
+                              std::vector<CellCoords> *coords = nullptr);
+
+/**
+ * Run Fig 5 @p variants as one campaign: each variant's
+ * repetitions are random injections, each evaluated on all 256
+ * input pairs in random order. Execution knobs (threads, journal,
+ * progress) are read from the first variant.
+ */
+std::vector<Fig5Result> runFig5(const std::vector<Fig5Config> &variants);
+
+/** Run one Fig 5 configuration. */
 Fig5Result runFig5(const Fig5Config &config);
 
 // ---------------------------------------------------------------
@@ -128,6 +147,15 @@ struct Fig10Curve
     std::string toJson() const;
 };
 
+/**
+ * Cell keys of the Fig 10 campaign, task-major then by defect
+ * count: {"fig10", task, "v<index>:d<defects>", rep}, one
+ * repetition at 0 defects; @p coords (when given) receives each
+ * cell's indices. Throws JsonError on an unknown or repeated task.
+ */
+std::vector<CellKey> cellKeys(const Fig10Config &config,
+                              std::vector<CellCoords> *coords = nullptr);
+
 /** Run the Fig 10 campaign. */
 std::vector<Fig10Curve> runFig10(const Fig10Config &config);
 
@@ -164,6 +192,14 @@ struct Fig11Curve
     std::string toJson() const;
 };
 
+/**
+ * Cell keys of the Fig 11 campaign, task-major:
+ * {"fig11", task, "v0", rep}; @p coords (when given) receives each
+ * cell's indices. Throws JsonError on an unknown or repeated task.
+ */
+std::vector<CellKey> cellKeys(const Fig11Config &config,
+                              std::vector<CellCoords> *coords = nullptr);
+
 /** Run the Fig 11 campaign. */
 std::vector<Fig11Curve> runFig11(const Fig11Config &config);
 
@@ -172,6 +208,13 @@ std::vector<Fig11Curve> runFig11(const Fig11Config &config);
 
 /** Task specs selected by a campaign config (empty = all 10). */
 std::vector<UciTaskSpec> selectTasks(const std::vector<std::string> &names);
+
+/**
+ * Task names selected by @p config (empty = all 10), validated
+ * without uciTask(), which exits the process on an unknown name:
+ * throws JsonError instead, so a daemon can refuse the spec.
+ */
+std::vector<std::string> taskNames(const CampaignConfig &config);
 
 /**
  * Per-task state shared (read-only) by every cell of that task:

@@ -1,5 +1,7 @@
 #include "core/engine.hh"
 
+#include <unordered_set>
+
 #include "common/json.hh"
 #include "common/logging.hh"
 
@@ -10,6 +12,29 @@ CellKey::toString() const
 {
     return campaign + "/" + task + "/" + variant + "/" +
         std::to_string(rep);
+}
+
+void
+checkUniqueKeys(const std::vector<CellKey> &keys)
+{
+    // Keys are compared in place: admission enumerates every cell
+    // of a spec, so no per-key string is built.
+    auto hash = [](const CellKey *k) {
+        std::hash<std::string> h;
+        return h(k->campaign) ^ (h(k->task) * 3) ^ (h(k->variant) * 5) ^
+            (std::hash<uint64_t>()(k->rep) * 7);
+    };
+    auto equal = [](const CellKey *a, const CellKey *b) {
+        return a->rep == b->rep && a->variant == b->variant &&
+            a->task == b->task && a->campaign == b->campaign;
+    };
+    std::unordered_set<const CellKey *, decltype(hash), decltype(equal)>
+        seen(keys.size(), hash, equal);
+    for (const CellKey &key : keys)
+        if (!seen.insert(&key).second)
+            throw JsonError("cell key '" + key.toString() +
+                            "' names two cells (repeated task, "
+                            "operator, defect count or strategy)");
 }
 
 bool
@@ -102,12 +127,6 @@ CampaignEngine::CampaignEngine(const CampaignRunConfig &config)
 {
 }
 
-CampaignEngine::CampaignEngine(int threads, ProgressCallback on_cell_done)
-    : owned(std::make_unique<ThreadPool>(threads)), pool(owned.get()),
-      onCellDone(std::move(on_cell_done))
-{
-}
-
 void
 CampaignEngine::parallelFor(size_t n,
                             const std::function<void(size_t)> &fn)
@@ -137,13 +156,13 @@ CampaignEngine::beginCampaign(size_t total_cells)
 }
 
 void
-CampaignEngine::reportCell(const std::string &task, int defects, int rep,
-                           double accuracy)
+CampaignEngine::reportCell(CellReport report)
 {
     std::lock_guard<std::mutex> lk(mu);
-    ++done;
+    report.cellsDone = ++done;
+    report.cellsTotal = total;
     if (onCellDone)
-        onCellDone({task, defects, rep, accuracy, done, total});
+        onCellDone(report);
 }
 
 } // namespace dtann

@@ -1,13 +1,19 @@
 /**
  * @file
- * Parallel campaign engine.
+ * Parallel campaign engine and the one cell loop every campaign
+ * kind runs through.
  *
- * The paper's defect-injection campaigns (Figs 10/11 and the
- * ablations) are embarrassingly parallel: tasks x defect counts x
- * ~100 faulty-network repetitions, each an independent
- * inject -> retrain -> cross-validate run. The engine schedules each
- * such (task, variant, repetition) cell as one work unit on a
- * fixed-size worker pool.
+ * The paper's defect-injection campaigns (Figs 5/10/11 and the
+ * mitigation sweep) are embarrassingly parallel: each cell is one
+ * independent faulty repetition (inject, optionally retrain, test).
+ * A campaign kind describes itself as a CellTable: its cell keys in
+ * index order, how to compute one cell, how to encode and decode
+ * the cell's journal payload, and its progress label.
+ * CampaignEngine::runCells() owns everything else, in one place:
+ * progress accounting, journal replay, the shard filter, journal
+ * stores and the per-cell "computed" mark. Kinds fold the returned
+ * results in cell-index order and skip cells that were not
+ * computed (a sharded run leaves other shards' cells empty).
  *
  * Determinism: every cell derives all of its randomness with
  * Rng::substream(seed, {stream, task, variant, rep}) — counter-based
@@ -25,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -36,6 +43,7 @@
 
 namespace dtann {
 
+class JsonValue;          // common/json.hh
 class SharedContextCache; // core/campaign.hh
 
 /**
@@ -58,8 +66,8 @@ struct CellReport
     int defects;       ///< defect count of the cell
     int rep;           ///< repetition index within (task, defects)
     double accuracy;   ///< cell outcome
-    size_t cellsDone;  ///< cells finished so far (including this one)
-    size_t cellsTotal; ///< total cells in the campaign
+    size_t cellsDone = 0;  ///< cells finished so far (including this one)
+    size_t cellsTotal = 0; ///< total cells in the campaign
 };
 
 /**
@@ -91,6 +99,25 @@ struct CellKey
     /** Canonical "campaign/task/variant/rep" form (map key). */
     std::string toString() const;
 };
+
+/**
+ * Sweep indices one cell's work derives from (its CellKey carries
+ * the names). Filled in by the kinds' cellKeys() enumerations.
+ */
+struct CellCoords
+{
+    size_t task = 0;     ///< task index (fig5: variant index)
+    size_t variant = 0;  ///< defect-count index
+    size_t strategy = 0; ///< mitigation strategy index
+};
+
+/**
+ * Throw JsonError naming the first key of @p keys that repeats an
+ * earlier one. Two cells with one key would share a journal entry
+ * (the second replays the first's payload), so every kind's key
+ * enumeration ends with this check.
+ */
+void checkUniqueKeys(const std::vector<CellKey> &keys);
 
 /**
  * Checkpoint store consulted by the campaign runners: before a cell
@@ -219,22 +246,36 @@ struct CampaignConfig : CampaignRunConfig
 };
 
 /**
+ * One campaign kind as a table of independent cells, indexed
+ * 0 .. keys.size()-1. @p Result is the kind's per-cell outcome.
+ */
+template <typename Result>
+struct CellTable
+{
+    /** Every cell's journal key, in cell-index order. */
+    std::vector<CellKey> keys;
+    /** Compute cell i; derives its own Rng::substream. */
+    std::function<Result(size_t)> run;
+    /** Journal payload of a computed cell. */
+    std::function<std::string(const Result &)> encode;
+    /** Inverse of encode; throws JsonError on a missing field. */
+    std::function<Result(const JsonValue &)> decode;
+    /** Progress label of cell i (cellsDone/cellsTotal left 0). */
+    std::function<CellReport(size_t, const Result &)> label;
+};
+
+/**
  * Fixed-size worker pool plus campaign progress accounting.
  *
  * Campaign code uses it in two phases: parallelFor over tasks to
  * prepare shared per-task state (dataset, baseline weights), then
- * parallelFor over the flattened cell list. Cells report through
- * reportCell() so long campaigns surface progress.
+ * runCells() over the kind's cell table.
  */
 class CampaignEngine
 {
   public:
     /** Engine for @p config (thread count and progress callback). */
     explicit CampaignEngine(const CampaignRunConfig &config);
-
-    /** Standalone engine (benches, non-figure campaigns). */
-    explicit CampaignEngine(int threads,
-                            ProgressCallback on_cell_done = {});
 
     /** Resolved execution width (>= 1). */
     int threads() const { return pool->size(); }
@@ -248,17 +289,30 @@ class CampaignEngine
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 
+    /**
+     * Run every cell of @p table under @p config: progress counts
+     * 1 .. keys.size(), a journaled cell replays its payload, a
+     * cell outside this run's shard stays empty, and a computed
+     * cell is stored to the journal before it is reported.
+     *
+     * @return cell i's result, or nullopt when this run neither
+     *         replayed nor computed it; in cell-index order
+     */
+    template <typename Result>
+    std::vector<std::optional<Result>>
+    runCells(const CampaignRunConfig &config,
+             const CellTable<Result> &table);
+
+  private:
     /** Arm progress accounting for a campaign of @p total cells. */
     void beginCampaign(size_t total);
 
     /**
-     * Record one finished cell: bumps the done counter and invokes
-     * the progress callback (if any). Thread-safe.
+     * Record one finished cell: fills in the done/total counters
+     * and invokes the progress callback (if any). Thread-safe.
      */
-    void reportCell(const std::string &task, int defects, int rep,
-                    double accuracy);
+    void reportCell(CellReport report);
 
-  private:
     std::unique_ptr<ThreadPool> owned; ///< empty with a shared pool
     ThreadPool *pool;                  ///< owned.get() or borrowed
     const std::atomic<bool> *cancel = nullptr;
@@ -267,6 +321,33 @@ class CampaignEngine
     size_t done = 0;
     size_t total = 0;
 };
+
+template <typename Result>
+std::vector<std::optional<Result>>
+CampaignEngine::runCells(const CampaignRunConfig &config,
+                         const CellTable<Result> &table)
+{
+    std::vector<std::optional<Result>> out(table.keys.size());
+    beginCampaign(out.size());
+    parallelFor(out.size(), [&](size_t i) {
+        const CellKey &key = table.keys[i];
+        // Decoded whole before it is committed: a payload missing a
+        // field throws inside decode and leaves out[i] untouched.
+        if (!journalLookup(config.journal, key, [&](const JsonValue &v) {
+                out[i] = table.decode(v);
+            })) {
+            // Sharded worker: cells owned by other shards are left
+            // for their processes; the merged journals replay them.
+            if (!config.inShard(i))
+                return;
+            out[i] = table.run(i);
+            if (config.journal != nullptr)
+                config.journal->store(key, table.encode(*out[i]));
+        }
+        reportCell(table.label(i, *out[i]));
+    });
+    return out;
+}
 
 } // namespace dtann
 

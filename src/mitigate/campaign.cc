@@ -30,14 +30,14 @@ enum StreamRoot : uint64_t {
  * Journal-compat contract: a payload written by a different build
  * may lack fields this build knows (or carry extras it doesn't).
  * Every result field is *required for replay* — a missing one
- * throws JsonError here, which journalLookup turns into a warn +
+ * throws JsonError here, which the engine turns into a warn +
  * recompute of just that cell, because substituting a default
  * would silently change the merged export (the byte-identity
  * contract). Extra unknown fields are ignored, and *within* the
  * sim object genuinely derivable counters default (see
  * SimCounters::fromJson, e.g. pre-wide-lane lane slots). The
- * outcome is built locally and committed whole, so a mid-decode
- * throw can never leave a half-rehydrated cell behind.
+ * outcome is built locally and the engine commits it whole, so a
+ * mid-decode throw can never leave a half-rehydrated cell behind.
  */
 MitigationOutcome
 decodeJournaledCell(const JsonValue &v)
@@ -245,9 +245,38 @@ MitigationConfig::fromJson(const JsonValue &v)
     return c;
 }
 
+std::vector<CellKey>
+cellKeys(const MitigationConfig &config, std::vector<CellCoords> *coords)
+{
+    std::vector<std::string> tasks = taskNames(config);
+    std::vector<CellKey> keys;
+    for (size_t t = 0; t < tasks.size(); ++t)
+        for (size_t d = 0; d < config.defectCounts.size(); ++d) {
+            int defects = config.defectCounts[d];
+            int reps = defects == 0 ? 1 : config.repetitions;
+            for (size_t s = 0; s < config.strategies.size(); ++s) {
+                std::string variant = "v" + std::to_string(d) + ":d" +
+                    std::to_string(defects) + ":" +
+                    strategyName(config.strategies[s]);
+                for (int rep = 0; rep < reps; ++rep) {
+                    keys.push_back({"mitigation", tasks[t], variant,
+                                    static_cast<uint64_t>(rep)});
+                    if (coords != nullptr)
+                        coords->push_back({t, d, s});
+                }
+            }
+        }
+    checkUniqueKeys(keys);
+    return keys;
+}
+
 std::vector<MitigationCurve>
 runMitigationCampaign(const MitigationConfig &config)
 {
+    std::vector<CellCoords> coords;
+    CellTable<MitigationOutcome> table;
+    table.keys = cellKeys(config, &coords);
+
     std::vector<UciTaskSpec> specs = selectTasks(config.tasks);
     CampaignEngine engine(config);
 
@@ -256,57 +285,12 @@ runMitigationCampaign(const MitigationConfig &config)
     // so a daemon's context cache is shared across campaign kinds.
     auto ctx = prepareCampaignTasks(engine, config, specs);
 
-    // Flatten into independent cells. The defect-free point runs a
-    // single repetition per strategy (no injection randomness).
-    struct Cell
-    {
-        size_t task;
-        size_t variant; ///< index into defectCounts
-        size_t strat;   ///< index into strategies
-        int rep;
-    };
-    std::vector<Cell> cells;
-    for (size_t t = 0; t < specs.size(); ++t)
-        for (size_t d = 0; d < config.defectCounts.size(); ++d) {
-            int reps =
-                config.defectCounts[d] == 0 ? 1 : config.repetitions;
-            for (size_t s = 0; s < config.strategies.size(); ++s)
-                for (int rep = 0; rep < reps; ++rep)
-                    cells.push_back({t, d, s, rep});
-        }
-
-    std::vector<MitigationOutcome> outcomes(cells.size());
-    // A sharded run computes only its own cells (plus whatever the
-    // journal replays); the rest stay default-constructed and must
-    // not leak into the aggregates below.
-    std::vector<uint8_t> computed(cells.size(), 0);
-    engine.beginCampaign(cells.size());
-    engine.parallelFor(cells.size(), [&](size_t i) {
-        const Cell &c = cells[i];
+    table.run = [&](size_t i) {
+        const CellCoords &c = coords[i];
         const TaskContext &t = *ctx[c.task];
         int defects = config.defectCounts[c.variant];
-        Strategy strategy = config.strategies[c.strat];
-
-        CellKey key{"mitigation", t.spec.name,
-                    "v" + std::to_string(c.variant) + ":d" +
-                        std::to_string(defects) + ":" +
-                        strategyName(strategy),
-                    static_cast<uint64_t>(c.rep)};
-        if (journalLookup(config.journal, key, [&](const JsonValue &v) {
-                // Decode into a local and commit whole: if an older
-                // build's payload misses a field, the JsonError
-                // escapes *before* outcomes[i] is touched and
-                // journalLookup recomputes this cell.
-                outcomes[i] = decodeJournaledCell(v);
-            })) {
-            computed[i] = 1;
-            engine.reportCell(t.spec.name + std::string(":") +
-                                  strategyName(strategy),
-                              defects, c.rep, outcomes[i].accuracy);
-            return;
-        }
-        if (!config.inShard(i))
-            return;
+        Strategy strategy = config.strategies[c.strategy];
+        uint64_t rep = table.keys[i].rep;
 
         MitigationSetup setup{
             config.array,
@@ -326,8 +310,7 @@ runMitigationCampaign(const MitigationConfig &config)
             if (defects <= 0)
                 return;
             Rng inject_rng = Rng::substream(
-                config.seed, {kStreamInject, c.task, c.variant,
-                              static_cast<uint64_t>(c.rep)});
+                config.seed, {kStreamInject, c.task, c.variant, rep});
             DefectInjector injector(accel, config.injectPool,
                                     config.weighting);
             injector.inject(defects, inject_rng);
@@ -338,24 +321,26 @@ runMitigationCampaign(const MitigationConfig &config)
         // move when the lineup around it is reordered or trimmed.
         Rng rng = Rng::substream(
             config.seed, {kStreamCell, c.task, c.variant,
-                          static_cast<uint64_t>(strategy),
-                          static_cast<uint64_t>(c.rep)});
-        outcomes[i] = makeMitigator(strategy)->run(setup, inject, rng);
-        computed[i] = 1;
-        if (config.journal) {
-            const MitigationOutcome &o = outcomes[i];
-            config.journal->store(
-                key, "{\"accuracy\":" + jsonNumber(o.accuracy) +
-                    ",\"coverage\":" + jsonNumber(o.coverage) +
-                    ",\"diagnosed\":" + std::to_string(o.diagnosed) +
-                    ",\"mitigated_units\":" +
-                    std::to_string(o.mitigatedUnits) +
-                    ",\"sim\":" + o.sim.toJson() + "}");
-        }
-        engine.reportCell(t.spec.name + std::string(":") +
-                              strategyName(strategy),
-                          defects, c.rep, outcomes[i].accuracy);
-    });
+                          static_cast<uint64_t>(strategy), rep});
+        return makeMitigator(strategy)->run(setup, inject, rng);
+    };
+    table.encode = [](const MitigationOutcome &o) {
+        return "{\"accuracy\":" + jsonNumber(o.accuracy) +
+            ",\"coverage\":" + jsonNumber(o.coverage) +
+            ",\"diagnosed\":" + std::to_string(o.diagnosed) +
+            ",\"mitigated_units\":" + std::to_string(o.mitigatedUnits) +
+            ",\"sim\":" + o.sim.toJson() + "}";
+    };
+    table.decode = decodeJournaledCell;
+    table.label = [&](size_t i, const MitigationOutcome &o) {
+        const CellKey &key = table.keys[i];
+        const CellCoords &c = coords[i];
+        return CellReport{key.task + ":" +
+                              strategyName(config.strategies[c.strategy]),
+                          config.defectCounts[c.variant],
+                          static_cast<int>(key.rep), o.accuracy};
+    };
+    auto cells = engine.runCells(config, table);
 
     // Deterministic accumulation in cell-index order. Only computed
     // cells contribute: a shard split can starve a (strategy, defect)
@@ -373,16 +358,17 @@ runMitigationCampaign(const MitigationConfig &config)
     std::vector<SimCounters> curveSim(specs.size() * n_strat);
     SimCounters totalSim;
     for (size_t i = 0; i < cells.size(); ++i) {
-        if (!computed[i])
+        if (!cells[i])
             continue;
-        const Cell &c = cells[i];
-        PointStat &p = stats[(c.task * n_strat + c.strat) * n_var +
+        const CellCoords &c = coords[i];
+        const MitigationOutcome &o = *cells[i];
+        PointStat &p = stats[(c.task * n_strat + c.strategy) * n_var +
                              c.variant];
-        p.accuracy.add(outcomes[i].accuracy);
-        p.coverage.add(outcomes[i].coverage);
-        p.mitigated.add(outcomes[i].mitigatedUnits);
-        curveSim[c.task * n_strat + c.strat].merge(outcomes[i].sim);
-        totalSim.merge(outcomes[i].sim);
+        p.accuracy.add(o.accuracy);
+        p.coverage.add(o.coverage);
+        p.mitigated.add(o.mitigatedUnits);
+        curveSim[c.task * n_strat + c.strategy].merge(o.sim);
+        totalSim.merge(o.sim);
     }
     logSimCounters("mitigation", totalSim);
 

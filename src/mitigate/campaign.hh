@@ -3,7 +3,7 @@
  * Head-to-head mitigation campaign.
  *
  * Sweeps defect counts x mitigation strategies over the benchmark
- * tasks on the parallel CampaignEngine, producing one
+ * tasks as one cell table on the CampaignEngine, producing one
  * accuracy-vs-defects curve per (task, strategy) — directly
  * comparable to Fig 10 — annotated with the measured diagnosis
  * coverage. Every strategy of a given (task, defect count,
@@ -111,6 +111,17 @@ struct MitigationCurve
     /** Machine-readable export (single JSON object). */
     std::string toJson() const;
 };
+
+/**
+ * Cell keys of the mitigation campaign, task-major, then by defect
+ * count, then by strategy:
+ * {"mitigation", task, "v<index>:d<defects>:<strategy>", rep}, one
+ * repetition at 0 defects; @p coords (when given) receives each
+ * cell's indices. Throws JsonError on an unknown or repeated task,
+ * or a repeated strategy.
+ */
+std::vector<CellKey> cellKeys(const MitigationConfig &config,
+                              std::vector<CellCoords> *coords = nullptr);
 
 /**
  * Run the mitigation campaign; curves are ordered task-major, then

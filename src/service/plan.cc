@@ -1,49 +1,8 @@
 #include "service/plan.hh"
 
 #include "common/json.hh"
-#include "mitigate/campaign.hh"
 
 namespace dtann {
-
-namespace {
-
-/**
- * Task names selected by @p config, validated without touching
- * uciTask() (which exits the process on unknown names — fine for a
- * bench, fatal for a daemon admitting untrusted specs).
- */
-std::vector<std::string>
-plannedTasks(const CampaignConfig &config)
-{
-    std::vector<std::string> known;
-    for (const UciTaskSpec &spec : uciTasks())
-        known.push_back(spec.name);
-    if (config.tasks.empty())
-        return known;
-    for (const std::string &name : config.tasks) {
-        bool ok = false;
-        for (const std::string &k : known)
-            ok = ok || k == name;
-        if (!ok) {
-            std::string names;
-            for (const std::string &k : known)
-                names += (names.empty() ? "" : ", ") + k;
-            throw JsonError("unknown task '" + name +
-                            "' (expected one of: " + names + ")");
-        }
-    }
-    return config.tasks;
-}
-
-void
-addRow(SpecPlan &plan, std::string task, std::string variant,
-       size_t reps)
-{
-    plan.cells += reps;
-    plan.rows.push_back({std::move(task), std::move(variant), reps});
-}
-
-} // namespace
 
 std::string
 SpecPlan::toJson() const
@@ -64,50 +23,14 @@ SpecPlan::toJson() const
 SpecPlan
 planSpec(const ScenarioSpec &spec)
 {
+    // Consecutive keys of one (task, variant) form a row.
     SpecPlan plan;
-    if (spec.kind == "fig5") {
-        // Mirrors Fig5Sweep::expand() + runFig5: one cell per
-        // repetition of each (operator, defect count) variant.
-        size_t reps = static_cast<size_t>(
-            std::max(0, spec.fig5.repetitions));
-        for (Fig5Operator op : spec.fig5.operators)
-            for (int defects : spec.fig5.defectCounts)
-                addRow(plan, fig5OperatorName(op),
-                       "d" + std::to_string(defects), reps);
-    } else if (spec.kind == "fig10") {
-        for (const std::string &task : plannedTasks(spec.fig10))
-            for (size_t d = 0; d < spec.fig10.defectCounts.size();
-                 ++d) {
-                int defects = spec.fig10.defectCounts[d];
-                addRow(plan, task,
-                       "v" + std::to_string(d) + ":d" +
-                           std::to_string(defects),
-                       defects == 0
-                           ? 1
-                           : static_cast<size_t>(
-                                 spec.fig10.repetitions));
-            }
-    } else if (spec.kind == "fig11") {
-        for (const std::string &task : plannedTasks(spec.fig11))
-            addRow(plan, task, "v0",
-                   static_cast<size_t>(
-                       std::max(0, spec.fig11.repetitions)));
-    } else if (spec.kind == "mitigation") {
-        const MitigationConfig &c = spec.mitigation;
-        for (const std::string &task : plannedTasks(c))
-            for (size_t d = 0; d < c.defectCounts.size(); ++d) {
-                int defects = c.defectCounts[d];
-                for (Strategy s : c.strategies)
-                    addRow(plan, task,
-                           "v" + std::to_string(d) + ":d" +
-                               std::to_string(defects) + ":" +
-                               strategyName(s),
-                           defects == 0
-                               ? 1
-                               : static_cast<size_t>(c.repetitions));
-            }
-    } else {
-        throw JsonError("unknown campaign kind '" + spec.kind + "'");
+    for (const CellKey &key : spec.cellKeys()) {
+        if (plan.rows.empty() || plan.rows.back().task != key.task ||
+            plan.rows.back().variant != key.variant)
+            plan.rows.push_back({key.task, key.variant, 0});
+        ++plan.rows.back().reps;
+        ++plan.cells;
     }
     return plan;
 }

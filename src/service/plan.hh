@@ -3,14 +3,15 @@
  * Spec admission: expand a parsed scenario spec into its cell plan
  * without running anything.
  *
- * planSpec() enumerates exactly the (task, variant, repetitions)
- * groups the campaign runners will schedule — the daemon admits
- * every submitted job through it (rejecting bad specs before they
- * reach the queue, and sizing the job's progress fraction), and
- * `dtann_campaign --validate` prints it as a dry run. Keeping one
- * enumeration path means the daemon's advertised cell count always
- * matches what the runners actually execute (ScenarioResult.cells),
- * which the service tests assert.
+ * planSpec() groups the spec's cell keys (ScenarioSpec::cellKeys(),
+ * the list the campaign runners schedule and journal) into
+ * (task, variant, repetitions) rows. The daemon admits every
+ * submitted job through it (rejecting bad specs before they reach
+ * the queue, and sizing the job's progress fraction), and
+ * `dtann_campaign --validate` prints it as a dry run. The plan *is*
+ * the run's key list, so the daemon's advertised cell count is what
+ * the runners execute (ScenarioResult.cells), which the service
+ * tests assert.
  */
 
 #ifndef DTANN_SERVICE_PLAN_HH
@@ -44,8 +45,8 @@ struct SpecPlan
 
 /**
  * Expand @p spec into its plan. Performs the same validation the
- * runners would (unknown task names etc. throw), so a spec that
- * plans cleanly is admissible.
+ * runners would (unknown task names and colliding cell keys throw
+ * JsonError), so a spec that plans cleanly is admissible.
  */
 SpecPlan planSpec(const ScenarioSpec &spec);
 

@@ -25,6 +25,16 @@ echoJson(const Config &config)
     return echo.toJson();
 }
 
+/** Merge @p results' SimCounters into @p r; return their export. */
+template <typename Result>
+std::string
+exportResults(ScenarioResult &r, const std::vector<Result> &results)
+{
+    for (const Result &res : results)
+        r.sim.merge(res.sim);
+    return toJson(results);
+}
+
 } // namespace
 
 ScenarioResult
@@ -33,60 +43,30 @@ runScenario(const ScenarioSpec &spec)
     ScenarioResult r;
     r.kind = spec.kind;
     r.name = spec.name.empty() ? spec.kind : spec.name;
+    r.cells = spec.cellKeys().size();
 
-    std::string results;
+    std::string config, results;
     if (spec.kind == "fig5") {
-        // The sweep expander turns the spec axes into independent
-        // per-variant configs; each variant parallelises its
-        // repetitions internally.
-        results = "[";
-        for (const Fig5Config &cell : spec.fig5.expand()) {
-            Fig5Result res = runFig5(cell);
-            r.sim.merge(res.sim);
-            r.cells += static_cast<size_t>(res.repetitions);
-            if (results.size() > 1)
-                results += ",";
-            results += res.toJson();
-            r.fig5.push_back(std::move(res));
-        }
-        results += "]";
-        r.json = campaignEnvelope(r.kind, echoJson(spec.fig5),
-                                  spec.fig5.seed, r.sim, results);
+        // The sweep expander turns the spec axes into per-variant
+        // configs, which run as one campaign.
+        r.fig5 = runFig5(spec.fig5.expand());
+        results = exportResults(r, r.fig5);
+        config = echoJson(spec.fig5);
     } else if (spec.kind == "fig10") {
         r.fig10 = runFig10(spec.fig10);
-        for (const Fig10Curve &c : r.fig10) {
-            r.sim.merge(c.sim);
-            for (const Fig10Point &p : c.points)
-                r.cells += p.defects == 0
-                    ? 1
-                    : static_cast<size_t>(spec.fig10.repetitions);
-        }
-        r.json = campaignEnvelope(r.kind, echoJson(spec.fig10),
-                                  spec.fig10.seed, r.sim,
-                                  toJson(r.fig10));
+        results = exportResults(r, r.fig10);
+        config = echoJson(spec.fig10);
     } else if (spec.kind == "fig11") {
         r.fig11 = runFig11(spec.fig11);
-        for (const Fig11Curve &c : r.fig11) {
-            r.sim.merge(c.sim);
-            r.cells += c.samples.size();
-        }
-        r.json = campaignEnvelope(r.kind, echoJson(spec.fig11),
-                                  spec.fig11.seed, r.sim,
-                                  toJson(r.fig11));
+        results = exportResults(r, r.fig11);
+        config = echoJson(spec.fig11);
     } else {
         r.mitigation = runMitigationCampaign(spec.mitigation);
-        for (const MitigationCurve &c : r.mitigation) {
-            r.sim.merge(c.sim);
-            for (const MitigationPoint &p : c.points)
-                r.cells += p.defects == 0
-                    ? 1
-                    : static_cast<size_t>(
-                          spec.mitigation.repetitions);
-        }
-        r.json = campaignEnvelope(r.kind, echoJson(spec.mitigation),
-                                  spec.mitigation.seed, r.sim,
-                                  toJson(r.mitigation));
+        results = exportResults(r, r.mitigation);
+        config = echoJson(spec.mitigation);
     }
+    r.json = campaignEnvelope(r.kind, config, spec.runConfig().seed,
+                              r.sim, results);
     return r;
 }
 

@@ -120,6 +120,20 @@ ScenarioSpec::toJson() const
         ",\"name\":" + jsonString(name) + "," + config.substr(1);
 }
 
+std::vector<CellKey>
+ScenarioSpec::cellKeys() const
+{
+    if (kind == "fig5")
+        return dtann::cellKeys(fig5.expand());
+    if (kind == "fig10")
+        return dtann::cellKeys(fig10);
+    if (kind == "fig11")
+        return dtann::cellKeys(fig11);
+    if (kind == "mitigation")
+        return dtann::cellKeys(mitigation);
+    throw JsonError("unknown campaign kind '" + kind + "'");
+}
+
 std::string
 ScenarioSpec::journalEcho() const
 {
@@ -154,6 +168,9 @@ ScenarioSpec::fromJson(const JsonValue &v)
         spec.fig11 = Fig11Config::fromJson(v);
     else
         spec.mitigation = MitigationConfig::fromJson(v);
+    // Refuse colliding cell keys (and unknown tasks) before any
+    // journal is opened or any cell runs.
+    spec.cellKeys();
     return spec;
 }
 

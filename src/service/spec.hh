@@ -101,7 +101,18 @@ struct ScenarioSpec
      */
     std::string journalEcho() const;
 
-    /** Symmetric counterpart of toJson(); throws JsonError. */
+    /**
+     * Every cell of the active kind, in the order the runner
+     * schedules them: the run's journal keys, the admission plan
+     * (planSpec) and ScenarioResult.cells all come from this list.
+     * Throws JsonError on an unknown task or a repeated key.
+     */
+    std::vector<CellKey> cellKeys() const;
+
+    /**
+     * Symmetric counterpart of toJson(); throws JsonError, also
+     * when two cells of the spec would share one key.
+     */
     static ScenarioSpec fromJson(const JsonValue &v);
 
     /** Parse a spec document; throws JsonError with position info. */

@@ -169,6 +169,43 @@ TEST(Fig11, TinyCampaignProducesAmplitudes)
     EXPECT_FALSE(c.binAccuracy.empty());
 }
 
+TEST(Fig11, ShardedRunFoldsOnlyItsOwnSamples)
+{
+    // Shard 0 of 2 owns cells 0 and 2 of 3. Its curve holds exactly
+    // those samples, equal to the unsharded run's, and no empty
+    // placeholder of the other shard's cell.
+    Fig11Config cfg;
+    cfg.tasks = {"iris"};
+    cfg.repetitions = 3;
+    cfg.folds = 2;
+    cfg.rows = 90;
+    cfg.epochScale = 0.4;
+    cfg.retrainScale = 0.3;
+    cfg.seed = 9;
+    cfg.array.inputs = 16;
+    cfg.array.hidden = 8;
+    cfg.array.outputs = 3;
+    auto full = runFig11(cfg);
+    cfg.shardCount = 2;
+    cfg.shardIndex = 0;
+    auto shard = runFig11(cfg);
+
+    ASSERT_EQ(full.size(), 1u);
+    ASSERT_EQ(shard.size(), 1u);
+    ASSERT_EQ(full[0].samples.size(), 3u);
+    ASSERT_EQ(shard[0].samples.size(), 2u);
+    for (size_t k = 0; k < 2; ++k) {
+        const Fig11Sample &s = shard[0].samples[k];
+        const Fig11Sample &ref = full[0].samples[2 * k];
+        EXPECT_FALSE(s.task.empty());
+        EXPECT_FALSE(s.site.empty());
+        EXPECT_EQ(s.task, ref.task);
+        EXPECT_EQ(s.site, ref.site);
+        EXPECT_EQ(s.amplitude, ref.amplitude);
+        EXPECT_EQ(s.accuracy, ref.accuracy);
+    }
+}
+
 TEST(HardwareHyper, CapsHiddenAtPhysical)
 {
     AcceleratorConfig a; // 10 hidden

@@ -165,6 +165,44 @@ TEST(MitigationCampaign, StarvedShardReportsZeroSamplesNotNaN)
     EXPECT_EQ(j.find("inf"), std::string::npos);
 }
 
+TEST(Fig10, StarvedShardFoldsOnlyComputedCells)
+{
+    // The Fig 10 counterpart of the check above. Cells are
+    // (d0, rep 0), (d3, rep 0), (d3, rep 1); shard 1 of 2 computes
+    // only (d3, rep 0). The starved defect-free point reports
+    // all-zero statistics, and the d3 point is that one cell's
+    // accuracy, not averaged with an uncomputed placeholder.
+    Fig10Config cfg;
+    cfg.tasks = {"iris"};
+    cfg.defectCounts = {0, 3};
+    cfg.repetitions = 1;
+    cfg.folds = 2;
+    cfg.rows = 90;
+    cfg.epochScale = 0.4;
+    cfg.retrainScale = 0.3;
+    cfg.seed = 7;
+    cfg.array.inputs = 16;
+    cfg.array.hidden = 8;
+    cfg.array.outputs = 3;
+    // One repetition unsharded computes the same (d3, rep 0) cell.
+    auto single = runFig10(cfg);
+    cfg.repetitions = 2;
+    cfg.shardCount = 2;
+    cfg.shardIndex = 1;
+    auto shard = runFig10(cfg);
+
+    ASSERT_EQ(shard.size(), 1u);
+    ASSERT_EQ(shard[0].points.size(), 2u);
+    const Fig10Point &starved = shard[0].points[0];
+    EXPECT_EQ(starved.accuracy, 0.0);
+    EXPECT_EQ(starved.stddev, 0.0);
+    EXPECT_FALSE(std::isnan(starved.stddev));
+    const Fig10Point &fed = shard[0].points[1];
+    EXPECT_GT(fed.accuracy, 0.0);
+    EXPECT_EQ(fed.accuracy, single[0].points[1].accuracy);
+    EXPECT_EQ(fed.stddev, 0.0);
+}
+
 TEST(MitigationCampaign, CurvesCarryCostAndPareto)
 {
     MitigationConfig cfg = tinyConfig();

@@ -4,7 +4,9 @@
  * truncated journal must produce byte-for-byte the same export as
  * an uninterrupted run — the tentpole contract of the service
  * layer. Also covers the corrupt-payload path (recompute, don't
- * crash) and full-journal replays that do no simulation work.
+ * crash), full-journal replays that do no simulation work, and the
+ * agreement of the admission plan with what a run journals and
+ * reports.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +17,9 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/json.hh"
 #include "service/journal.hh"
+#include "service/plan.hh"
 #include "service/runner.hh"
 
 namespace dtann {
@@ -89,6 +93,22 @@ tinyFig5()
     spec.fig5.repetitions = 4;
     spec.fig5.seed = 5;
     spec.fig5.threads = 2;
+    return spec;
+}
+
+ScenarioSpec
+tinyFig11()
+{
+    ScenarioSpec spec;
+    spec.kind = spec.name = "fig11";
+    spec.fig11.tasks = {"iris"};
+    spec.fig11.repetitions = 4;
+    spec.fig11.folds = 2;
+    spec.fig11.rows = 90;
+    spec.fig11.epochScale = 0.1;
+    spec.fig11.retrainScale = 0.2;
+    spec.fig11.seed = 17;
+    spec.fig11.threads = 2;
     return spec;
 }
 
@@ -243,7 +263,7 @@ TEST_P(ResumeBitIdentity, DeadShardCellsAreRecomputedOnReplay)
 INSTANTIATE_TEST_SUITE_P(
     Campaigns, ResumeBitIdentity,
     testing::Values(Scenario{&tinyFig10}, Scenario{&tinyFig5},
-                    Scenario{&tinyMitigation}),
+                    Scenario{&tinyFig11}, Scenario{&tinyMitigation}),
     [](const testing::TestParamInfo<Scenario> &info) {
         return info.param.make().kind;
     });
@@ -332,6 +352,64 @@ TEST(Resume, ThreadCountInvariantWithJournal)
     wide.fig10.threads = 4;
     EXPECT_EQ(runWithJournal(wide, path), expected);
     std::remove(path.c_str());
+}
+
+TEST(CellPlan, OneProgressCountPerScenario)
+{
+    // Fig 5 variants run as one campaign and a multi-task Fig 10 as
+    // one cell list: progress counts 1 .. plan.cells exactly once.
+    ScenarioSpec twoTasks = tinyFig10();
+    twoTasks.fig10.tasks = {"iris", "wine"};
+    for (ScenarioSpec spec : {tinyFig5(), twoTasks}) {
+        size_t cells = planSpec(spec).cells;
+        std::vector<CellReport> seen;
+        // The engine serializes the callback; no lock needed.
+        spec.runConfig().onCellDone = [&](const CellReport &r) {
+            seen.push_back(r);
+        };
+        runScenario(spec);
+        ASSERT_EQ(seen.size(), cells) << spec.kind;
+        for (size_t i = 0; i < seen.size(); ++i) {
+            EXPECT_EQ(seen[i].cellsDone, i + 1) << spec.kind;
+            EXPECT_EQ(seen[i].cellsTotal, cells) << spec.kind;
+        }
+    }
+}
+
+TEST(CellPlan, JournaledKeysArePlanRowsInOrder)
+{
+    // The plan is the run's key list: at one thread the journal
+    // holds exactly the plan's rows expanded in order, and the run
+    // reports the plan's cell count.
+    for (auto make : {&tinyFig5, &tinyFig10, &tinyFig11, &tinyMitigation}) {
+        ScenarioSpec spec = make();
+        spec.runConfig().threads = 1;
+        std::string path = tempPath("plan_" + spec.kind);
+        std::remove(path.c_str());
+        ScenarioResult result;
+        {
+            ResultJournal journal(path, spec.journalEcho());
+            spec.runConfig().journal = &journal;
+            result = runScenario(spec);
+        }
+        SpecPlan plan = planSpec(spec);
+        EXPECT_EQ(result.cells, plan.cells) << spec.kind;
+
+        std::vector<std::string> expected;
+        for (const PlanRow &row : plan.rows)
+            for (size_t rep = 0; rep < row.reps; ++rep)
+                expected.push_back(spec.kind + "/" + row.task + "/" +
+                                   row.variant + "/" +
+                                   std::to_string(rep));
+        std::vector<std::string> lines = readLines(path);
+        std::vector<std::string> journaled;
+        for (size_t i = 1; i < lines.size(); ++i)
+            journaled.push_back(
+                jsonParse(lines[i]).at("cell").asString());
+        EXPECT_EQ(journaled, expected) << spec.kind;
+        EXPECT_EQ(journaled.size(), plan.cells) << spec.kind;
+        std::remove(path.c_str());
+    }
 }
 
 } // namespace

@@ -133,6 +133,22 @@ TEST(CampaignServer, BadSpecIs400WithParserMessage)
     EXPECT_NE(jsonParse(r.body).at("error").asString(), "");
 }
 
+TEST(CampaignServer, CollidingCellKeysAre400BeforeAnyState)
+{
+    // A repeated task gives two cells one journal key; admission
+    // refuses the spec, naming the key, before a job file exists.
+    ServerFixture fx("srv_collide");
+    HttpMessage r = parseResponse(fx.server.handle(makeRequest(
+        "POST", "/jobs",
+        R"({"kind":"fig10","tasks":["iris","iris"],"repetitions":1})")));
+    EXPECT_EQ(r.status, 400);
+    EXPECT_NE(jsonParse(r.body).at("error").asString().find(
+                  "fig10/iris/v0:d0/0"),
+              std::string::npos)
+        << r.body;
+    EXPECT_TRUE(fs::is_empty(fx.dir.path));
+}
+
 TEST(CampaignServer, ErrorRoutes)
 {
     ServerFixture fx("srv_errors");

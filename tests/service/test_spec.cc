@@ -11,6 +11,7 @@
 
 #include "common/json.hh"
 #include "service/builtin_specs.hh"
+#include "service/plan.hh"
 #include "service/runner.hh"
 #include "service/spec.hh"
 
@@ -129,6 +130,60 @@ TEST(ScenarioSpec, MalformedSpecsNameTheProblem)
         "{\"kind\": \"fig10\", \"weighting\": \"alphabetical\"}",
         "unknown weighting");
     expectSpecError("{\"kind\": \"fig10\",", "line 1");
+}
+
+TEST(ScenarioSpec, CollidingCellKeysAreRefused)
+{
+    // Two cells with one key would share one journal entry (the
+    // second would replay the first's payload), so parsing names
+    // the first repeated key.
+    expectSpecError(R"({"kind":"fig5","operators":["adder4","adder4"]})",
+                    "cell key 'fig5/adder4/d1/0'");
+    expectSpecError(R"({"kind":"fig5","defect_counts":[3,3]})",
+                    "cell key 'fig5/adder4/d3/0'");
+    expectSpecError(R"({"kind":"fig10","tasks":["iris","iris"]})",
+                    "cell key 'fig10/iris/v0:d0/0'");
+    expectSpecError(R"({"kind":"fig11","tasks":["wine","wine"]})",
+                    "cell key 'fig11/wine/v0/0'");
+    expectSpecError(R"({"kind":"mitigation","tasks":["iris","iris"]})",
+                    "cell key 'mitigation/iris/v0:d0:");
+    expectSpecError(R"({"kind":"mitigation","tasks":["iris"],
+                        "strategies":["noop","retrain","noop"]})",
+                    "cell key 'mitigation/iris/v0:d0:noop/0'");
+}
+
+TEST(ScenarioSpec, RepeatedDefectCountsKeepDistinctKeys)
+{
+    // Fig 10 and mitigation keys carry the variant index, so a
+    // repeated defect count is two distinct points, not a collision.
+    ScenarioSpec fig10 = ScenarioSpec::parse(
+        R"({"kind":"fig10","tasks":["iris"],"defect_counts":[3,3],
+            "repetitions":2})");
+    SpecPlan plan = planSpec(fig10);
+    EXPECT_EQ(plan.cells, 4u);
+    ASSERT_EQ(plan.rows.size(), 2u);
+    EXPECT_EQ(plan.rows[0].variant, "v0:d3");
+    EXPECT_EQ(plan.rows[1].variant, "v1:d3");
+
+    ScenarioSpec mitigation = ScenarioSpec::parse(
+        R"({"kind":"mitigation","tasks":["iris"],"defect_counts":[4,4],
+            "strategies":["retrain"],"repetitions":2})");
+    EXPECT_EQ(planSpec(mitigation).cells, 4u);
+}
+
+TEST(ScenarioSpec, RunnersRefuseCollidingKeysToo)
+{
+    // Programmatic configs skip the parser; the runners check the
+    // same key list before any task context is built.
+    Fig11Config fig11;
+    fig11.tasks = {"iris", "iris"};
+    EXPECT_THROW(runFig11(fig11), JsonError);
+    MitigationConfig mitigation;
+    mitigation.tasks = {"iris"};
+    mitigation.strategies = {Strategy::NoOp, Strategy::NoOp};
+    EXPECT_THROW(runMitigationCampaign(mitigation), JsonError);
+    Fig5Config fig5;
+    EXPECT_THROW(runFig5(std::vector<Fig5Config>{fig5, fig5}), JsonError);
 }
 
 TEST(Fig5Sweep, ExpandCrossProductsOperatorByDefects)
