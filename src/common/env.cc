@@ -114,12 +114,6 @@ noBatch()
     return boolKnob("DTANN_NO_BATCH");
 }
 
-bool
-noCone()
-{
-    return boolKnob("DTANN_NO_CONE");
-}
-
 int
 laneConfig()
 {
@@ -149,12 +143,11 @@ dump()
     inform("DTANN knobs: DTANN_FULL=%s (scale=%s) DTANN_SEED=%s "
            "(seed=%lu) DTANN_THREADS=%s (threads=%d) "
            "DTANN_JSON_OUT=%s DTANN_NO_BATCH=%s (batch=%s) "
-           "DTANN_NO_CONE=%s (cone=%s) DTANN_LANES=%s (lanes=%d)",
+           "DTANN_LANES=%s (lanes=%d)",
            raw("DTANN_FULL"), fullScale() ? "full" : "quick",
            raw("DTANN_SEED"), experimentSeed(), raw("DTANN_THREADS"),
            threadCount(), raw("DTANN_JSON_OUT"),
            raw("DTANN_NO_BATCH"), noBatch() ? "off" : "on",
-           raw("DTANN_NO_CONE"), noCone() ? "off" : "on",
            raw("DTANN_LANES"), laneConfig());
 }
 

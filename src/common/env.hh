@@ -53,12 +53,6 @@ std::string jsonOutDir();
 bool noBatch();
 
 /**
- * True when DTANN_NO_CONE=1 disables fault-cone pruning, forcing
- * full-netlist sweeps. Same contract as noBatch().
- */
-bool noCone();
-
-/**
  * Requested batch lane width from DTANN_LANES: 64, 256 or 512, or
  * 0 when unset (auto: the widest plane the machine backs with
  * native SIMD — see circuit/lane_plane.hh, which resolves this).

@@ -152,31 +152,28 @@ struct Fig5Hists
 
 } // namespace
 
-std::vector<CellKey>
-cellKeys(const std::vector<Fig5Config> &variants,
-         std::vector<CellCoords> *coords)
+std::vector<CellRow>
+cellRows(const std::vector<Fig5Config> &variants)
 {
-    std::vector<CellKey> keys;
+    std::vector<CellRow> rows;
+    size_t cells = 0;
     for (size_t v = 0; v < variants.size(); ++v) {
         const Fig5Config &c = variants[v];
-        std::string variant = "d" + std::to_string(c.defects);
-        for (int rep = 0; rep < c.repetitions; ++rep) {
-            keys.push_back({"fig5", fig5OperatorName(c.op), variant,
-                            static_cast<uint64_t>(rep)});
-            if (coords != nullptr)
-                coords->push_back({v, 0, 0});
-        }
+        std::string variant = 'd' + std::to_string(c.defects);
+        rows.push_back({fig5OperatorName(c.op), variant,
+                        static_cast<size_t>(c.repetitions), {v, 0, 0}});
+        checkCellBound(cells += rows.back().reps);
     }
-    checkUniqueKeys(keys);
-    return keys;
+    checkRows("fig5", rows);
+    return rows;
 }
 
 std::vector<Fig5Result>
 runFig5(const std::vector<Fig5Config> &variants)
 {
-    std::vector<CellCoords> coords;
     CellTable<Fig5Hists> table;
-    table.keys = cellKeys(variants, &coords);
+    table.campaign = "fig5";
+    table.rows = cellRows(variants);
     if (variants.empty())
         return {};
 
@@ -204,13 +201,13 @@ runFig5(const std::vector<Fig5Config> &variants)
     // sets run 64 pairs per bit-parallel sweep, stateful ones fall
     // back to the scalar path in the same order, so histograms are
     // bit-identical either way.
-    table.run = [&](size_t i) {
-        const Fig5Config &c = variants[coords[i].task];
-        const std::shared_ptr<const Netlist> &nl = nets[coords[i].task];
+    table.run = [&](const CellRow &row, uint64_t rep) {
+        const Fig5Config &c = variants[row.coords.task];
+        const std::shared_ptr<const Netlist> &nl = nets[row.coords.task];
         CleanFn clean_fn = c.op == Fig5Operator::Adder4
             ? cleanAdder(4, true)
             : cleanMultiplierUnsigned(4);
-        Rng rng = Rng::substream(c.seed, {kStreamCell, table.keys[i].rep});
+        Rng rng = Rng::substream(c.seed, {kStreamCell, rep});
         Injection trans_inj = injectTransistorDefects(*nl, c.defects, rng);
         Injection gate_inj = injectGateLevelFaults(*nl, c.defects, rng);
         OperatorSim trans_sim(nl, std::move(trans_inj), clean_fn);
@@ -250,10 +247,10 @@ runFig5(const std::vector<Fig5Config> &variants)
                          IntHistogram::fromJson(v.at("trans")),
                          SimCounters::fromJson(v.at("sim"))};
     };
-    table.label = [&](size_t i, const Fig5Hists &) {
-        const CellKey &key = table.keys[i];
-        return CellReport{key.task, variants[coords[i].task].defects,
-                          static_cast<int>(key.rep), 0.0};
+    table.label = [&](const CellRow &row, uint64_t rep,
+                      const Fig5Hists &) {
+        return CellReport{row.task, variants[row.coords.task].defects,
+                          static_cast<int>(rep), 0.0};
     };
 
     // All variants run as one campaign (one progress count, one
@@ -266,14 +263,16 @@ runFig5(const std::vector<Fig5Config> &variants)
     for (const Fig5Config &c : variants)
         results.push_back(
             {c.op, c.defects, c.repetitions, c.style, c.seed, {}, {}, {}, {}});
-    for (size_t i = 0; i < cells.size(); ++i)
-        if (cells[i]) {
-            Fig5Result &r = results[coords[i].task];
-            r.none.merge(cells[i]->none);
-            r.gate.merge(cells[i]->gate);
-            r.trans.merge(cells[i]->trans);
-            r.sim.merge(cells[i]->sim);
-        }
+    size_t i = 0;
+    for (const CellRow &row : table.rows)
+        for (size_t rep = 0; rep < row.reps; ++rep, ++i)
+            if (cells[i]) {
+                Fig5Result &r = results[row.coords.task];
+                r.none.merge(cells[i]->none);
+                r.gate.merge(cells[i]->gate);
+                r.trans.merge(cells[i]->trans);
+                r.sim.merge(cells[i]->sim);
+            }
     for (const Fig5Result &r : results)
         logSimCounters("fig5", r.sim);
     return results;
@@ -431,50 +430,48 @@ struct Fig10Outcome
 
 } // namespace
 
-std::vector<CellKey>
-cellKeys(const Fig10Config &config, std::vector<CellCoords> *coords)
+std::vector<CellRow>
+cellRows(const Fig10Config &config)
 {
     std::vector<std::string> tasks = taskNames(config);
-    std::vector<CellKey> keys;
+    std::vector<CellRow> rows;
+    size_t cells = 0;
     for (size_t t = 0; t < tasks.size(); ++t)
         for (size_t d = 0; d < config.defectCounts.size(); ++d) {
             int defects = config.defectCounts[d];
-            int reps = defects == 0 ? 1 : config.repetitions;
             std::string variant =
-                "v" + std::to_string(d) + ":d" + std::to_string(defects);
-            for (int rep = 0; rep < reps; ++rep) {
-                keys.push_back({"fig10", tasks[t], variant,
-                                static_cast<uint64_t>(rep)});
-                if (coords != nullptr)
-                    coords->push_back({t, d, 0});
-            }
+                'v' + std::to_string(d) + ":d" + std::to_string(defects);
+            rows.push_back(
+                {tasks[t], variant,
+                 defects == 0 ? 1 : static_cast<size_t>(config.repetitions),
+                 {t, d, 0}});
+            checkCellBound(cells += rows.back().reps);
         }
-    checkUniqueKeys(keys);
-    return keys;
+    checkRows("fig10", rows);
+    return rows;
 }
 
 std::vector<Fig10Curve>
 runFig10(const Fig10Config &config)
 {
-    std::vector<CellCoords> coords;
     CellTable<Fig10Outcome> table;
-    table.keys = cellKeys(config, &coords);
+    table.campaign = "fig10";
+    table.rows = cellRows(config);
 
     std::vector<UciTaskSpec> specs = selectTasks(config.tasks);
     CampaignEngine engine(config);
     auto ctx = prepareCampaignTasks(engine, config, specs);
 
-    table.run = [&](size_t i) {
-        const CellCoords &c = coords[i];
+    table.run = [&](const CellRow &row, uint64_t rep) {
+        const CellCoords &c = row.coords;
         const TaskContext &t = *ctx[c.task];
         int defects = config.defectCounts[c.variant];
 
         // The cell's whole randomness budget comes from one
         // counter-derived stream: injection first, then fold
         // shuffling and retraining.
-        Rng rng = Rng::substream(
-            config.seed, {kStreamCell, c.task, c.variant,
-                          table.keys[i].rep});
+        Rng rng = Rng::substream(config.seed,
+                                 {kStreamCell, c.task, c.variant, rep});
 
         auto accel = makeBackend(config.backend, config.array,
                                  t.logical);
@@ -508,11 +505,11 @@ runFig10(const Fig10Config &config)
         return Fig10Outcome{v.at("accuracy").asNumber(),
                             SimCounters::fromJson(v.at("sim"))};
     };
-    table.label = [&](size_t i, const Fig10Outcome &o) {
-        const CellKey &key = table.keys[i];
-        return CellReport{key.task,
-                          config.defectCounts[coords[i].variant],
-                          static_cast<int>(key.rep), o.accuracy};
+    table.label = [&](const CellRow &row, uint64_t rep,
+                      const Fig10Outcome &o) {
+        return CellReport{row.task,
+                          config.defectCounts[row.coords.variant],
+                          static_cast<int>(rep), o.accuracy};
     };
     auto cells = engine.runCells(config, table);
 
@@ -521,13 +518,16 @@ runFig10(const Fig10Config &config)
     std::vector<Fig10Curve> curves(specs.size());
     std::vector<RunningStat> stats(specs.size() *
                                    config.defectCounts.size());
-    for (size_t i = 0; i < cells.size(); ++i) {
-        if (!cells[i])
-            continue;
-        const CellCoords &c = coords[i];
-        stats[c.task * config.defectCounts.size() + c.variant].add(
-            cells[i]->accuracy);
-        curves[c.task].sim.merge(cells[i]->sim);
+    size_t i = 0;
+    for (const CellRow &row : table.rows) {
+        const CellCoords &c = row.coords;
+        for (size_t rep = 0; rep < row.reps; ++rep, ++i) {
+            if (!cells[i])
+                continue;
+            stats[c.task * config.defectCounts.size() + c.variant].add(
+                cells[i]->accuracy);
+            curves[c.task].sim.merge(cells[i]->sim);
+        }
     }
     SimCounters total;
     for (size_t t = 0; t < specs.size(); ++t) {
@@ -560,38 +560,38 @@ struct Fig11Outcome
 
 } // namespace
 
-std::vector<CellKey>
-cellKeys(const Fig11Config &config, std::vector<CellCoords> *coords)
+std::vector<CellRow>
+cellRows(const Fig11Config &config)
 {
     std::vector<std::string> tasks = taskNames(config);
-    std::vector<CellKey> keys;
-    for (size_t t = 0; t < tasks.size(); ++t)
-        for (int rep = 0; rep < config.repetitions; ++rep) {
-            keys.push_back(
-                {"fig11", tasks[t], "v0", static_cast<uint64_t>(rep)});
-            if (coords != nullptr)
-                coords->push_back({t, 0, 0});
-        }
-    checkUniqueKeys(keys);
-    return keys;
+    std::vector<CellRow> rows;
+    size_t cells = 0;
+    for (size_t t = 0; t < tasks.size(); ++t) {
+        rows.push_back({tasks[t], "v0",
+                        static_cast<size_t>(config.repetitions),
+                        {t, 0, 0}});
+        checkCellBound(cells += rows.back().reps);
+    }
+    checkRows("fig11", rows);
+    return rows;
 }
 
 std::vector<Fig11Curve>
 runFig11(const Fig11Config &config)
 {
-    std::vector<CellCoords> coords;
     CellTable<Fig11Outcome> table;
-    table.keys = cellKeys(config, &coords);
+    table.campaign = "fig11";
+    table.rows = cellRows(config);
 
     std::vector<UciTaskSpec> specs = selectTasks(config.tasks);
     CampaignEngine engine(config);
     auto ctx = prepareCampaignTasks(engine, config, specs);
 
-    table.run = [&](size_t i) {
-        size_t task = coords[i].task;
+    table.run = [&](const CellRow &row, uint64_t rep) {
+        size_t task = row.coords.task;
         const TaskContext &t = *ctx[task];
-        Rng rng = Rng::substream(
-            config.seed, {kStreamCell, task, 0, table.keys[i].rep});
+        Rng rng =
+            Rng::substream(config.seed, {kStreamCell, task, 0, rep});
 
         auto accel = makeBackend(config.backend, config.array,
                                  t.logical);
@@ -634,9 +634,9 @@ runFig11(const Fig11Config &config)
                             v.at("site").asString(),
                             SimCounters::fromJson(v.at("sim"))};
     };
-    table.label = [&](size_t i, const Fig11Outcome &o) {
-        const CellKey &key = table.keys[i];
-        return CellReport{key.task, 1, static_cast<int>(key.rep),
+    table.label = [](const CellRow &row, uint64_t rep,
+                     const Fig11Outcome &o) {
+        return CellReport{row.task, 1, static_cast<int>(rep),
                           o.accuracy};
     };
     auto cells = engine.runCells(config, table);
@@ -645,15 +645,19 @@ runFig11(const Fig11Config &config)
     // curves.
     std::vector<Fig11Curve> curves(specs.size());
     std::vector<LogBins> bins(specs.size(), LogBins(-3, 3, 1));
-    for (size_t i = 0; i < cells.size(); ++i)
-        if (cells[i]) {
-            size_t task = coords[i].task;
+    size_t i = 0;
+    for (const CellRow &row : table.rows) {
+        size_t task = row.coords.task;
+        for (size_t rep = 0; rep < row.reps; ++rep, ++i) {
+            if (!cells[i])
+                continue;
             Fig11Outcome &o = *cells[i];
             bins[task].add(o.amplitude, o.accuracy);
             curves[task].samples.push_back({specs[task].name, o.amplitude,
                                             o.accuracy, std::move(o.site)});
             curves[task].sim.merge(o.sim);
         }
+    }
     SimCounters total;
     for (size_t task = 0; task < specs.size(); ++task) {
         curves[task].task = specs[task].name;

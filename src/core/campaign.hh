@@ -9,16 +9,17 @@
  * Fig 11: accuracy vs error amplitude for single defects in the
  * output layer's adders/activation functions.
  *
- * Each campaign kind is a cell table (core/engine.hh): cellKeys()
- * lists its cells without building anything, and its runner gives
- * CampaignEngine::runCells() one function per cell, which derives
- * its own counter-based RNG stream, plus the cell's journal payload
- * codec and progress label. The engine loop owns journal replay,
- * sharding and progress; the runner folds the computed cells in
- * cell-index order, so results are bit-identical for any thread
- * count. The same key lists are the admission plan
- * (service/plan.hh). Curves carry toJson() exporters; benches
- * mirror them to $DTANN_JSON_OUT for the perf-trajectory tooling.
+ * Each campaign kind is a cell table (core/engine.hh): cellRows()
+ * lists its (task, variant, repetitions) rows without building
+ * anything, and its runner gives CampaignEngine::runCells() one
+ * function per (row, rep) cell, which derives its own counter-based
+ * RNG stream, plus the cell's journal payload codec and progress
+ * label. The engine loop owns cell keys, journal replay, sharding
+ * and progress; the runner folds the computed cells by walking rows
+ * x reps, so results are bit-identical for any thread count. The
+ * same rows are the admission plan (ScenarioSpec::cellRows()).
+ * Curves carry toJson() exporters; benches mirror them to
+ * $DTANN_JSON_OUT for the perf-trajectory tooling.
  */
 
 #ifndef DTANN_CORE_CAMPAIGN_HH
@@ -88,13 +89,13 @@ struct Fig5Result
 };
 
 /**
- * Cell keys of the Fig 5 @p variants, variant-major:
- * {"fig5", operator, "d<defects>", rep}; @p coords (when given)
- * receives each cell's variant index as its task. Throws JsonError
- * when two variants share an (operator, defect count) pair.
+ * Cell rows of the Fig 5 @p variants, one per variant:
+ * (operator, "d<defects>", repetitions), with the variant index as
+ * the row's task coordinate. Throws JsonError when two variants
+ * share an (operator, defect count) pair (checkRows()) or past
+ * kMaxCells cells (checkCellBound()).
  */
-std::vector<CellKey> cellKeys(const std::vector<Fig5Config> &variants,
-                              std::vector<CellCoords> *coords = nullptr);
+std::vector<CellRow> cellRows(const std::vector<Fig5Config> &variants);
 
 /**
  * Run Fig 5 @p variants as one campaign: each variant's
@@ -148,13 +149,12 @@ struct Fig10Curve
 };
 
 /**
- * Cell keys of the Fig 10 campaign, task-major then by defect
- * count: {"fig10", task, "v<index>:d<defects>", rep}, one
- * repetition at 0 defects; @p coords (when given) receives each
- * cell's indices. Throws JsonError on an unknown or repeated task.
+ * Cell rows of the Fig 10 campaign, task-major then by defect
+ * count: (task, "v<index>:d<defects>", repetitions), one
+ * repetition at 0 defects. Throws JsonError on an unknown or
+ * repeated task (checkRows()) and past kMaxCells cells.
  */
-std::vector<CellKey> cellKeys(const Fig10Config &config,
-                              std::vector<CellCoords> *coords = nullptr);
+std::vector<CellRow> cellRows(const Fig10Config &config);
 
 /** Run the Fig 10 campaign. */
 std::vector<Fig10Curve> runFig10(const Fig10Config &config);
@@ -193,12 +193,11 @@ struct Fig11Curve
 };
 
 /**
- * Cell keys of the Fig 11 campaign, task-major:
- * {"fig11", task, "v0", rep}; @p coords (when given) receives each
- * cell's indices. Throws JsonError on an unknown or repeated task.
+ * Cell rows of the Fig 11 campaign, one per task:
+ * (task, "v0", repetitions). Throws JsonError on an unknown or
+ * repeated task (checkRows()) and past kMaxCells cells.
  */
-std::vector<CellKey> cellKeys(const Fig11Config &config,
-                              std::vector<CellCoords> *coords = nullptr);
+std::vector<CellRow> cellRows(const Fig11Config &config);
 
 /** Run the Fig 11 campaign. */
 std::vector<Fig11Curve> runFig11(const Fig11Config &config);

@@ -1,6 +1,7 @@
 #include "core/engine.hh"
 
-#include <unordered_set>
+#include <set>
+#include <utility>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -14,25 +15,33 @@ CellKey::toString() const
         std::to_string(rep);
 }
 
-void
-checkUniqueKeys(const std::vector<CellKey> &keys)
+size_t
+cellCount(const std::vector<CellRow> &rows)
 {
-    // Keys are compared in place: admission enumerates every cell
-    // of a spec, so no per-key string is built.
-    auto hash = [](const CellKey *k) {
-        std::hash<std::string> h;
-        return h(k->campaign) ^ (h(k->task) * 3) ^ (h(k->variant) * 5) ^
-            (std::hash<uint64_t>()(k->rep) * 7);
-    };
-    auto equal = [](const CellKey *a, const CellKey *b) {
-        return a->rep == b->rep && a->variant == b->variant &&
-            a->task == b->task && a->campaign == b->campaign;
-    };
-    std::unordered_set<const CellKey *, decltype(hash), decltype(equal)>
-        seen(keys.size(), hash, equal);
-    for (const CellKey &key : keys)
-        if (!seen.insert(&key).second)
-            throw JsonError("cell key '" + key.toString() +
+    size_t n = 0;
+    for (const CellRow &row : rows)
+        n += row.reps;
+    return n;
+}
+
+void
+checkCellBound(size_t cells)
+{
+    if (cells > kMaxCells)
+        throw JsonError("campaign lists at least " +
+                        std::to_string(cells) + " cells; at most " +
+                        std::to_string(kMaxCells) + " are allowed");
+}
+
+void
+checkRows(const std::string &campaign, const std::vector<CellRow> &rows)
+{
+    std::set<std::pair<std::string, std::string>> seen;
+    for (const CellRow &row : rows)
+        if (!seen.insert({row.task, row.variant}).second)
+            throw JsonError("cell key '" +
+                            CellKey{campaign, row.task, row.variant, 0}
+                                .toString() +
                             "' names two cells (repeated task, "
                             "operator, defect count or strategy)");
 }

@@ -6,14 +6,18 @@
  * The paper's defect-injection campaigns (Figs 5/10/11 and the
  * mitigation sweep) are embarrassingly parallel: each cell is one
  * independent faulty repetition (inject, optionally retrain, test).
- * A campaign kind describes itself as a CellTable: its cell keys in
- * index order, how to compute one cell, how to encode and decode
- * the cell's journal payload, and its progress label.
- * CampaignEngine::runCells() owns everything else, in one place:
- * progress accounting, journal replay, the shard filter, journal
- * stores and the per-cell "computed" mark. Kinds fold the returned
- * results in cell-index order and skip cells that were not
- * computed (a sharded run leaves other shards' cells empty).
+ * A campaign kind describes itself as a CellTable: its rows of
+ * identical-shape cells (task, variant, repetitions), how to
+ * compute one repetition of a row, how to encode and decode the
+ * cell's journal payload, and its progress label. The rows are the
+ * whole plan: admission, `--validate` and the cell count read them
+ * without expanding one key per cell. CampaignEngine::runCells()
+ * owns everything else, in one place: it maps flat cell index i to
+ * (row, rep) row-major, derives the CellKey when a journal is set,
+ * and does progress accounting, journal replay, the shard filter,
+ * journal stores and the per-cell "computed" mark. Kinds fold the
+ * returned results by walking rows x reps and skip cells that were
+ * not computed (a sharded run leaves other shards' cells empty).
  *
  * Determinism: every cell derives all of its randomness with
  * Rng::substream(seed, {stream, task, variant, rep}) — counter-based
@@ -26,6 +30,7 @@
 #ifndef DTANN_CORE_ENGINE_HH
 #define DTANN_CORE_ENGINE_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -100,10 +105,8 @@ struct CellKey
     std::string toString() const;
 };
 
-/**
- * Sweep indices one cell's work derives from (its CellKey carries
- * the names). Filled in by the kinds' cellKeys() enumerations.
- */
+/** Sweep indices one row's work derives from (the row carries the
+ *  names). */
 struct CellCoords
 {
     size_t task = 0;     ///< task index (fig5: variant index)
@@ -112,12 +115,43 @@ struct CellCoords
 };
 
 /**
- * Throw JsonError naming the first key of @p keys that repeats an
- * earlier one. Two cells with one key would share a journal entry
- * (the second replays the first's payload), so every kind's key
- * enumeration ends with this check.
+ * One (task, variant) group of identical-shape cells: repetitions
+ * 0 .. reps-1 of cell key {campaign, task, variant, rep}.
  */
-void checkUniqueKeys(const std::vector<CellKey> &keys);
+struct CellRow
+{
+    std::string task;    ///< task or operator name (CellKey form)
+    std::string variant; ///< swept-axis coordinates (CellKey form)
+    size_t reps = 0;     ///< repetitions scheduled for the row
+    CellCoords coords;   ///< sweep indices of the row
+};
+
+/**
+ * Most cells one campaign may list. Every cell has a result slot
+ * while the campaign runs, so an unbounded spec would exhaust
+ * memory; the full paper-scale Fig 10 lists 9,010.
+ */
+constexpr size_t kMaxCells = size_t(1) << 20;
+
+/** Total cells of @p rows (the sum of their repetitions). */
+size_t cellCount(const std::vector<CellRow> &rows);
+
+/**
+ * Throw JsonError naming @p cells, a count the campaign lists at
+ * least, when it exceeds kMaxCells. The kinds call it as each row
+ * is appended, so neither the rows nor the cells of an oversized
+ * spec are built past the bound.
+ */
+void checkCellBound(size_t cells);
+
+/**
+ * Check the rows every kind's cellRows() enumeration ends with:
+ * throws JsonError naming the first key that repeats an earlier
+ * row's (two rows sharing (task, variant) share every journal key,
+ * so the second would replay the first's payload).
+ */
+void checkRows(const std::string &campaign,
+               const std::vector<CellRow> &rows);
 
 /**
  * Checkpoint store consulted by the campaign runners: before a cell
@@ -246,22 +280,26 @@ struct CampaignConfig : CampaignRunConfig
 };
 
 /**
- * One campaign kind as a table of independent cells, indexed
- * 0 .. keys.size()-1. @p Result is the kind's per-cell outcome.
+ * One campaign kind as a table of independent cells: flat cell
+ * index i walks @p rows row-major, then by repetition. @p Result is
+ * the kind's per-cell outcome.
  */
 template <typename Result>
 struct CellTable
 {
-    /** Every cell's journal key, in cell-index order. */
-    std::vector<CellKey> keys;
-    /** Compute cell i; derives its own Rng::substream. */
-    std::function<Result(size_t)> run;
+    std::string campaign;      ///< CellKey campaign component
+    std::vector<CellRow> rows; ///< the cells, as cellRows() lists them
+    /** Compute one repetition of a row; derives its own
+     *  Rng::substream. */
+    std::function<Result(const CellRow &, uint64_t)> run;
     /** Journal payload of a computed cell. */
     std::function<std::string(const Result &)> encode;
     /** Inverse of encode; throws JsonError on a missing field. */
     std::function<Result(const JsonValue &)> decode;
-    /** Progress label of cell i (cellsDone/cellsTotal left 0). */
-    std::function<CellReport(size_t, const Result &)> label;
+    /** Progress label of a cell (cellsDone/cellsTotal left 0). */
+    std::function<CellReport(const CellRow &, uint64_t,
+                             const Result &)>
+        label;
 };
 
 /**
@@ -291,7 +329,7 @@ class CampaignEngine
 
     /**
      * Run every cell of @p table under @p config: progress counts
-     * 1 .. keys.size(), a journaled cell replays its payload, a
+     * 1 .. cellCount(rows), a journaled cell replays its payload, a
      * cell outside this run's shard stays empty, and a computed
      * cell is stored to the journal before it is reported.
      *
@@ -327,24 +365,39 @@ std::vector<std::optional<Result>>
 CampaignEngine::runCells(const CampaignRunConfig &config,
                          const CellTable<Result> &table)
 {
-    std::vector<std::optional<Result>> out(table.keys.size());
-    beginCampaign(out.size());
-    parallelFor(out.size(), [&](size_t i) {
-        const CellKey &key = table.keys[i];
+    // starts[r] is the flat index of row r's repetition 0.
+    std::vector<size_t> starts;
+    size_t n = 0;
+    for (const CellRow &row : table.rows) {
+        starts.push_back(n);
+        n += row.reps;
+    }
+    std::vector<std::optional<Result>> out(n);
+    beginCampaign(n);
+    parallelFor(n, [&](size_t i) {
+        size_t r = static_cast<size_t>(
+            std::upper_bound(starts.begin(), starts.end(), i) -
+            starts.begin() - 1);
+        const CellRow &row = table.rows[r];
+        uint64_t rep = i - starts[r];
+        std::optional<CellKey> key;
+        if (config.journal != nullptr)
+            key = CellKey{table.campaign, row.task, row.variant, rep};
         // Decoded whole before it is committed: a payload missing a
         // field throws inside decode and leaves out[i] untouched.
-        if (!journalLookup(config.journal, key, [&](const JsonValue &v) {
-                out[i] = table.decode(v);
-            })) {
+        if (!key || !journalLookup(config.journal, *key,
+                                   [&](const JsonValue &v) {
+                                       out[i] = table.decode(v);
+                                   })) {
             // Sharded worker: cells owned by other shards are left
             // for their processes; the merged journals replay them.
             if (!config.inShard(i))
                 return;
-            out[i] = table.run(i);
-            if (config.journal != nullptr)
-                config.journal->store(key, table.encode(*out[i]));
+            out[i] = table.run(row, rep);
+            if (key)
+                config.journal->store(*key, table.encode(*out[i]));
         }
-        reportCell(table.label(i, *out[i]));
+        reportCell(table.label(row, rep, *out[i]));
     });
     return out;
 }

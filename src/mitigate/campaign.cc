@@ -245,37 +245,35 @@ MitigationConfig::fromJson(const JsonValue &v)
     return c;
 }
 
-std::vector<CellKey>
-cellKeys(const MitigationConfig &config, std::vector<CellCoords> *coords)
+std::vector<CellRow>
+cellRows(const MitigationConfig &config)
 {
     std::vector<std::string> tasks = taskNames(config);
-    std::vector<CellKey> keys;
+    std::vector<CellRow> rows;
+    size_t cells = 0;
     for (size_t t = 0; t < tasks.size(); ++t)
         for (size_t d = 0; d < config.defectCounts.size(); ++d) {
             int defects = config.defectCounts[d];
-            int reps = defects == 0 ? 1 : config.repetitions;
+            size_t reps =
+                defects == 0 ? 1 : static_cast<size_t>(config.repetitions);
             for (size_t s = 0; s < config.strategies.size(); ++s) {
-                std::string variant = "v" + std::to_string(d) + ":d" +
+                std::string variant = 'v' + std::to_string(d) + ":d" +
                     std::to_string(defects) + ":" +
                     strategyName(config.strategies[s]);
-                for (int rep = 0; rep < reps; ++rep) {
-                    keys.push_back({"mitigation", tasks[t], variant,
-                                    static_cast<uint64_t>(rep)});
-                    if (coords != nullptr)
-                        coords->push_back({t, d, s});
-                }
+                rows.push_back({tasks[t], variant, reps, {t, d, s}});
+                checkCellBound(cells += reps);
             }
         }
-    checkUniqueKeys(keys);
-    return keys;
+    checkRows("mitigation", rows);
+    return rows;
 }
 
 std::vector<MitigationCurve>
 runMitigationCampaign(const MitigationConfig &config)
 {
-    std::vector<CellCoords> coords;
     CellTable<MitigationOutcome> table;
-    table.keys = cellKeys(config, &coords);
+    table.campaign = "mitigation";
+    table.rows = cellRows(config);
 
     std::vector<UciTaskSpec> specs = selectTasks(config.tasks);
     CampaignEngine engine(config);
@@ -285,12 +283,11 @@ runMitigationCampaign(const MitigationConfig &config)
     // so a daemon's context cache is shared across campaign kinds.
     auto ctx = prepareCampaignTasks(engine, config, specs);
 
-    table.run = [&](size_t i) {
-        const CellCoords &c = coords[i];
+    table.run = [&](const CellRow &row, uint64_t rep) {
+        const CellCoords &c = row.coords;
         const TaskContext &t = *ctx[c.task];
         int defects = config.defectCounts[c.variant];
         Strategy strategy = config.strategies[c.strategy];
-        uint64_t rep = table.keys[i].rep;
 
         MitigationSetup setup{
             config.array,
@@ -332,13 +329,13 @@ runMitigationCampaign(const MitigationConfig &config)
             ",\"sim\":" + o.sim.toJson() + "}";
     };
     table.decode = decodeJournaledCell;
-    table.label = [&](size_t i, const MitigationOutcome &o) {
-        const CellKey &key = table.keys[i];
-        const CellCoords &c = coords[i];
-        return CellReport{key.task + ":" +
+    table.label = [&](const CellRow &row, uint64_t rep,
+                      const MitigationOutcome &o) {
+        const CellCoords &c = row.coords;
+        return CellReport{row.task + ":" +
                               strategyName(config.strategies[c.strategy]),
                           config.defectCounts[c.variant],
-                          static_cast<int>(key.rep), o.accuracy};
+                          static_cast<int>(rep), o.accuracy};
     };
     auto cells = engine.runCells(config, table);
 
@@ -357,18 +354,21 @@ runMitigationCampaign(const MitigationConfig &config)
     std::vector<PointStat> stats(specs.size() * n_strat * n_var);
     std::vector<SimCounters> curveSim(specs.size() * n_strat);
     SimCounters totalSim;
-    for (size_t i = 0; i < cells.size(); ++i) {
-        if (!cells[i])
-            continue;
-        const CellCoords &c = coords[i];
-        const MitigationOutcome &o = *cells[i];
-        PointStat &p = stats[(c.task * n_strat + c.strategy) * n_var +
-                             c.variant];
-        p.accuracy.add(o.accuracy);
-        p.coverage.add(o.coverage);
-        p.mitigated.add(o.mitigatedUnits);
-        curveSim[c.task * n_strat + c.strategy].merge(o.sim);
-        totalSim.merge(o.sim);
+    size_t i = 0;
+    for (const CellRow &row : table.rows) {
+        const CellCoords &c = row.coords;
+        for (size_t rep = 0; rep < row.reps; ++rep, ++i) {
+            if (!cells[i])
+                continue;
+            const MitigationOutcome &o = *cells[i];
+            PointStat &p = stats[(c.task * n_strat + c.strategy) * n_var +
+                                 c.variant];
+            p.accuracy.add(o.accuracy);
+            p.coverage.add(o.coverage);
+            p.mitigated.add(o.mitigatedUnits);
+            curveSim[c.task * n_strat + c.strategy].merge(o.sim);
+            totalSim.merge(o.sim);
+        }
     }
     logSimCounters("mitigation", totalSim);
 

@@ -113,15 +113,14 @@ struct MitigationCurve
 };
 
 /**
- * Cell keys of the mitigation campaign, task-major, then by defect
+ * Cell rows of the mitigation campaign, task-major, then by defect
  * count, then by strategy:
- * {"mitigation", task, "v<index>:d<defects>:<strategy>", rep}, one
- * repetition at 0 defects; @p coords (when given) receives each
- * cell's indices. Throws JsonError on an unknown or repeated task,
- * or a repeated strategy.
+ * (task, "v<index>:d<defects>:<strategy>", repetitions), one
+ * repetition at 0 defects. Throws JsonError on an unknown or
+ * repeated task, a repeated strategy (checkRows()), and past
+ * kMaxCells cells.
  */
-std::vector<CellKey> cellKeys(const MitigationConfig &config,
-                              std::vector<CellCoords> *coords = nullptr);
+std::vector<CellRow> cellRows(const MitigationConfig &config);
 
 /**
  * Run the mitigation campaign; curves are ordered task-major, then

@@ -12,16 +12,15 @@ namespace dtann {
 OperatorSim::OperatorSim(std::shared_ptr<const Netlist> netlist,
                          Injection injection, CleanFn clean)
     : nl(std::move(netlist)), records(std::move(injection.records)),
-      eval(*nl, injection.faults, noCone() ? CleanFn{} : clean),
+      eval(*nl, injection.faults, clean),
       // The evaluator's cone is the batch evaluator's too: computed
       // once per simulation.
       batch(noBatch()
                 ? std::optional<BatchEvaluator>{}
                 : BatchEvaluator::tryCreate(
                       *nl, std::move(injection.faults),
-                      noCone() ? CleanFn{} : std::move(clean),
-                      batchLaneWidth(), &eval.faultCone())),
-      relaxMemo(nl->hasFeedback() && !noCone())
+                      std::move(clean), batchLaneWidth(),
+                      &eval.faultCone()))
 {
 }
 
@@ -33,7 +32,7 @@ OperatorSim::apply(uint64_t input_bits)
         memoDecided = true;
         if (eval.conePruned() && eval.stateNets().size() <= 64) {
             memo.assign(memoSlots, {emptyKey, 0, 0, 0});
-        } else if (relaxMemo) {
+        } else if (nl->hasFeedback()) {
             relax.assign(relaxSlots, {0, 0, 0, false, false});
             relaxNets.assign(relaxSlots * 2 * eval.netValues().size(), 0);
         }

@@ -19,11 +19,12 @@
  *    feedback netlists behind an exact direct-mapped memo keyed by
  *    the evaluator's whole net vector.
  *
- * All paths are bit-identical to the full scalar sweep; the env
- * knobs DTANN_NO_BATCH / DTANN_NO_CONE force the slower paths for
- * equivalence testing (DTANN_NO_CONE also turns both memos off). The
- * underlying netlist is shared (immutable) across instances of the
- * same operator shape.
+ * All paths are bit-identical to the full scalar sweep. The env
+ * knob DTANN_NO_BATCH forces the scalar path for equivalence
+ * testing; a sim built without a clean model (CleanFn{}) runs the
+ * unpruned full program, which is how tests reach the full sweep.
+ * The underlying netlist is shared (immutable) across instances of
+ * the same operator shape.
  */
 
 #ifndef DTANN_RTL_OPERATOR_SIM_HH
@@ -169,8 +170,6 @@ class OperatorSim
      *  vector (2 x netValues().size() bytes). */
     std::vector<RelaxEntry> relax;
     std::vector<uint8_t> relaxNets;
-    /** Feedback netlist and DTANN_NO_CONE unset at construction. */
-    bool relaxMemo;
     bool memoDecided = false;
     uint64_t memoHits = 0;
     uint64_t scalarVectors = 0;

@@ -43,7 +43,7 @@ runScenario(const ScenarioSpec &spec)
     ScenarioResult r;
     r.kind = spec.kind;
     r.name = spec.name.empty() ? spec.kind : spec.name;
-    r.cells = spec.cellKeys().size();
+    r.cells = cellCount(spec.cellRows());
 
     std::string config, results;
     if (spec.kind == "fig5") {

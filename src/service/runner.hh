@@ -33,7 +33,7 @@ struct ScenarioResult
     std::string name; ///< export name (JSON file stem)
     std::string json; ///< campaignEnvelope() document
     SimCounters sim;  ///< total gate-simulation work
-    size_t cells = 0; ///< campaign cells (ScenarioSpec::cellKeys())
+    size_t cells = 0; ///< campaign cells (sum of cellRows() reps)
 
     std::vector<Fig5Result> fig5;
     std::vector<Fig10Curve> fig10;

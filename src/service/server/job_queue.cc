@@ -164,7 +164,7 @@ JobQueue::scanStateDir()
         try {
             job->specText = readFile(entry.path().string());
             job->spec = ScenarioSpec::parse(job->specText);
-            job->plan = planSpec(job->spec);
+            job->cells = cellCount(job->spec.cellRows());
         } catch (const std::exception &e) {
             // An admitted spec no longer loading means the state dir
             // was damaged; keep the job visible as failed.
@@ -177,7 +177,7 @@ JobQueue::scanStateDir()
         if (job->state != JobState::Failed) {
             if (fs::exists(jobPath(id, ".result.json"))) {
                 job->state = JobState::Done;
-                job->cellsDone = job->plan.cells;
+                job->cellsDone = job->cells;
             } else if (fs::exists(jobPath(id, ".cancelled"))) {
                 job->state = JobState::Cancelled;
             } else if (fs::exists(jobPath(id, ".error"))) {
@@ -214,13 +214,13 @@ JobQueue::scanStateDir()
 uint64_t
 JobQueue::submit(const std::string &specText)
 {
-    // Admission: a spec that parses and plans is runnable; anything
-    // else is rejected here with the parser's message, before any
-    // state exists.
+    // Admission: a spec that parses is runnable; anything else is
+    // rejected here with the parser's message, before any state
+    // exists.
     auto job = std::make_unique<Job>();
     job->specText = specText;
     job->spec = ScenarioSpec::parse(specText);
-    job->plan = planSpec(job->spec);
+    job->cells = cellCount(job->spec.cellRows());
 
     std::unique_lock<std::mutex> lock(mu);
     if (stopping)
@@ -260,7 +260,7 @@ JobQueue::statusJson(uint64_t id) const
     out += ",\"name\":" + jsonString(job.spec.name);
     out += ",\"cells_done\":" +
            std::to_string(job.cellsDone.load());
-    out += ",\"cells_total\":" + std::to_string(job.plan.cells);
+    out += ",\"cells_total\":" + std::to_string(job.cells);
     if (job.state == JobState::Failed)
         out += ",\"error\":" + jsonString(job.error);
     out += "}";
@@ -568,7 +568,7 @@ JobQueue::runShardWorkers(Job &job)
 
     inform("job %llu: sharding %zu cell(s) across %d worker "
            "processes",
-           (unsigned long long)job.id, job.plan.cells, n);
+           (unsigned long long)job.id, job.cells, n);
     for (int k = 0; k < n; ++k)
         spawn(k);
 

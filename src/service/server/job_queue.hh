@@ -2,9 +2,10 @@
  * @file
  * The daemon's campaign job queue.
  *
- * A job is one admitted scenario spec. Submission parses and plans
- * the spec (service/plan.hh) so a malformed spec is rejected with
- * the parser's message before anything is queued, then persists the
+ * A job is one admitted scenario spec. Submission parses the spec
+ * and counts its cell rows (ScenarioSpec::cellRows()), so a
+ * malformed or oversized spec is rejected with the parser's message
+ * before anything is queued, then persists the
  * submitted bytes under the state directory and enqueues the job.
  * A small crew of runner threads executes queued jobs in submission
  * order; every job runs with
@@ -58,7 +59,6 @@
 
 #include "circuit/sim_counters.hh"
 #include "common/thread_pool.hh"
-#include "service/plan.hh"
 #include "service/server/shared_cache.hh"
 #include "service/spec.hh"
 
@@ -96,11 +96,12 @@ class JobQueue
     ~JobQueue();
 
     /**
-     * Admit one spec document. @p specText is parsed and planned;
+     * Admit one spec document. @p specText is parsed and its cells
+     * counted;
      * the exact bytes are persisted for restart and audit.
      *
      * @return the new job's id
-     * @throws JsonError when the spec does not parse or plan
+     * @throws JsonError when the spec does not parse
      * @throws std::runtime_error after shutdown() or on I/O failure
      */
     uint64_t submit(const std::string &specText);
@@ -163,7 +164,7 @@ class JobQueue
         uint64_t id = 0;
         std::string specText; ///< exact submitted bytes
         ScenarioSpec spec;
-        SpecPlan plan;
+        size_t cells = 0; ///< cellCount() of the spec's rows
         JobState state = JobState::Queued;
         std::atomic<bool> cancelFlag{false};
         std::atomic<size_t> cellsDone{0};

@@ -51,6 +51,9 @@ Fig5Sweep::fromJson(const JsonValue &v)
 std::vector<Fig5Config>
 Fig5Sweep::expand() const
 {
+    // Every variant holds at least one cell: refuse an oversized
+    // cross product before it is built.
+    checkCellBound(operators.size() * defectCounts.size());
     std::vector<Fig5Config> cells;
     for (size_t o = 0; o < operators.size(); ++o)
         for (int defects : defectCounts) {
@@ -120,17 +123,17 @@ ScenarioSpec::toJson() const
         ",\"name\":" + jsonString(name) + "," + config.substr(1);
 }
 
-std::vector<CellKey>
-ScenarioSpec::cellKeys() const
+std::vector<CellRow>
+ScenarioSpec::cellRows() const
 {
     if (kind == "fig5")
-        return dtann::cellKeys(fig5.expand());
+        return dtann::cellRows(fig5.expand());
     if (kind == "fig10")
-        return dtann::cellKeys(fig10);
+        return dtann::cellRows(fig10);
     if (kind == "fig11")
-        return dtann::cellKeys(fig11);
+        return dtann::cellRows(fig11);
     if (kind == "mitigation")
-        return dtann::cellKeys(mitigation);
+        return dtann::cellRows(mitigation);
     throw JsonError("unknown campaign kind '" + kind + "'");
 }
 
@@ -168,9 +171,9 @@ ScenarioSpec::fromJson(const JsonValue &v)
         spec.fig11 = Fig11Config::fromJson(v);
     else
         spec.mitigation = MitigationConfig::fromJson(v);
-    // Refuse colliding cell keys (and unknown tasks) before any
-    // journal is opened or any cell runs.
-    spec.cellKeys();
+    // Refuse unknown tasks, colliding cell keys and oversized
+    // campaigns before any journal is opened or any cell runs.
+    spec.cellRows();
     return spec;
 }
 

@@ -10,6 +10,12 @@
  * runs any spec through the campaign runners (service/runner.hh);
  * the benches build their specs from service/builtin_specs.hh.
  *
+ * Parsing lists the spec's cell rows (cellRows()) once, so a spec
+ * that names an unknown task, gives two cells one journal key or
+ * lists more than kMaxCells cells is refused before anything runs;
+ * the rows are also the admission plan, at O(rows) cost whatever
+ * the repetition count.
+ *
  * Fig 5 is the one kind whose paper experiment sweeps an axis the
  * per-run config cannot express (operator x defect count), so its
  * spec level is a Fig5Sweep that expand()s into per-variant
@@ -102,16 +108,19 @@ struct ScenarioSpec
     std::string journalEcho() const;
 
     /**
-     * Every cell of the active kind, in the order the runner
-     * schedules them: the run's journal keys, the admission plan
-     * (planSpec) and ScenarioResult.cells all come from this list.
-     * Throws JsonError on an unknown task or a repeated key.
+     * The active kind's cell rows, in the order the runner
+     * schedules them: the admission plan (`--validate`, the
+     * daemon's cells_total) and ScenarioResult.cells read this
+     * list, and the engine derives each cell's journal key from
+     * its row. Throws JsonError on an unknown task, a repeated key
+     * (checkRows()) or more than kMaxCells cells
+     * (checkCellBound()).
      */
-    std::vector<CellKey> cellKeys() const;
+    std::vector<CellRow> cellRows() const;
 
     /**
      * Symmetric counterpart of toJson(); throws JsonError, also
-     * when two cells of the spec would share one key.
+     * when cellRows() refuses the spec.
      */
     static ScenarioSpec fromJson(const JsonValue &v);
 

@@ -70,17 +70,15 @@ TEST(Fig5, MultiplierConfigurationRuns)
 
 TEST(Fig5, BatchAndConePathsAreBitIdenticalToScalar)
 {
-    // The campaign's 64-lane / cone-pruned hot path must reproduce
-    // the scalar relaxation results exactly: force the slow paths
-    // via the env knobs and compare whole histograms.
+    // The campaign's 64-lane hot path must reproduce the scalar
+    // results exactly: force the scalar path via DTANN_NO_BATCH and
+    // compare whole histograms.
     Fig5Config cfg = fig5Config(Fig5Operator::Adder4, 3, 30, 9);
     Fig5Result fast = runFig5(cfg);
 
     setenv("DTANN_NO_BATCH", "1", 1);
-    setenv("DTANN_NO_CONE", "1", 1);
     Fig5Result slow = runFig5(cfg);
     unsetenv("DTANN_NO_BATCH");
-    unsetenv("DTANN_NO_CONE");
 
     EXPECT_EQ(fast.none.totalVariation(slow.none), 0.0);
     EXPECT_EQ(fast.trans.totalVariation(slow.trans), 0.0);

@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 
+#include "common/json.hh"
 #include "core/campaign.hh"
 
 namespace dtann {
@@ -141,6 +144,55 @@ TEST(Engine, ProgressCallbackSeesEveryCell)
     EXPECT_EQ(last_done, 3u);
     EXPECT_EQ(reported_total, 3u);
     EXPECT_TRUE(monotone) << "cellsDone must increment by 1 per report";
+}
+
+TEST(Engine, RunCellsMapsFlatIndexToRowThenRep)
+{
+    // Flat index i walks the rows row-major, then by repetition; an
+    // empty row takes no index. Journal keys come from (row, rep).
+    struct Keys final : CellCache
+    {
+        std::mutex mu;
+        std::vector<std::string> stored;
+        bool lookup(const CellKey &, std::string &) override
+        {
+            return false;
+        }
+        void store(const CellKey &key, const std::string &) override
+        {
+            std::lock_guard<std::mutex> lk(mu);
+            stored.push_back(key.toString());
+        }
+    };
+    CellTable<std::string> table;
+    table.campaign = "t";
+    table.rows = {{"a", "x", 2, {}}, {"b", "y", 0, {}}, {"c", "z", 3, {}}};
+    table.run = [](const CellRow &row, uint64_t rep) {
+        return row.task + std::to_string(rep);
+    };
+    table.encode = [](const std::string &s) { return s; };
+    table.decode = [](const JsonValue &v) { return v.asString(); };
+    table.label = [](const CellRow &row, uint64_t rep,
+                     const std::string &) {
+        return CellReport{row.task, 0, static_cast<int>(rep), 0.0};
+    };
+
+    CampaignRunConfig config;
+    config.threads = 3;
+    using Cells = std::vector<std::optional<std::string>>;
+    EXPECT_EQ(CampaignEngine(config).runCells(config, table),
+              (Cells{"a0", "a1", "c0", "c1", "c2"}));
+
+    // Shard 1 of 2 owns the odd flat indices.
+    Keys journal;
+    config.journal = &journal;
+    config.shardCount = 2;
+    config.shardIndex = 1;
+    EXPECT_EQ(CampaignEngine(config).runCells(config, table),
+              (Cells{std::nullopt, "a1", std::nullopt, "c1", std::nullopt}));
+    std::sort(journal.stored.begin(), journal.stored.end());
+    EXPECT_EQ(journal.stored,
+              (std::vector<std::string>{"t/a/x/1", "t/c/z/1"}));
 }
 
 TEST(Engine, ThreadsFieldAndEnvironmentResolve)

@@ -5,7 +5,7 @@
  * under the spare, remap and replicate plans, deep stacks)
  * forwardBatch() must be
  * bit-identical per row to scalar forward(), with defects injected
- * and under the DTANN_NO_BATCH / DTANN_NO_CONE escape hatches.
+ * and under the DTANN_NO_BATCH escape hatch.
  *
  * Faulty operators can be stateful (latch faults), which makes
  * comparing forward() then forwardBatch() on one instance invalid —
@@ -223,8 +223,7 @@ TEST(ForwardBatchDifferential, DeepStackMatchesScalar)
 TEST(ForwardBatchDifferential, EnvKnobsPreserveBits)
 {
     // DTANN_NO_BATCH forces every faulty sim (and thus batchPure())
-    // off the lane path; DTANN_NO_CONE additionally disables cone
-    // pruning. The knobs are read at injection time, so each
+    // off the lane path. The knob is read at injection time, so each
     // configuration gets freshly built twins; outputs must not move
     // by a single bit relative to the fast-path baseline.
     MlpTopology logical{12, 12, 3};
@@ -261,12 +260,8 @@ TEST(ForwardBatchDifferential, EnvKnobsPreserveBits)
         EXPECT_FALSE(accel.batchPure());
         expectBitIdentical(want_batch, mux.forwardBatch(rows));
     }
-    setenv("DTANN_NO_CONE", "1", 1);
-    expectBitIdentical(want_batch, run(true));
     expectBitIdentical(want_scalar, run(false));
     unsetenv("DTANN_NO_BATCH");
-    expectBitIdentical(want_batch, run(true));
-    unsetenv("DTANN_NO_CONE");
     expectBitIdentical(want_batch, run(true));
 }
 

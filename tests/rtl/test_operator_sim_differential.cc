@@ -131,9 +131,9 @@ TEST(OperatorSimDifferential, LatchRegister16)
 
 TEST(OperatorSimDifferential, EnvKnobsForceSlowPaths)
 {
-    // DTANN_NO_BATCH / DTANN_NO_CONE are the equivalence-testing
-    // escape hatches: they must force the fallback paths without
-    // changing a single output bit.
+    // DTANN_NO_BATCH is the equivalence-testing escape hatch, and a
+    // sim without a clean model runs unpruned: both must force the
+    // fallback paths without changing a single output bit.
     auto nl = std::make_shared<Netlist>(
         buildMultiplierUnsigned(8, FaStyle::Nand9));
     CleanFn clean = cleanMultiplierUnsigned(8);
@@ -163,9 +163,8 @@ TEST(OperatorSimDifferential, EnvKnobsForceSlowPaths)
         sim.applyLanes(in.data(), got.data(), in.size());
         EXPECT_EQ(got, want);
     }
-    setenv("DTANN_NO_CONE", "1", 1);
     {
-        OperatorSim sim(nl, Injection{faults, {}}, clean);
+        OperatorSim sim(nl, Injection{faults, {}}, CleanFn{});
         EXPECT_FALSE(sim.batched());
         EXPECT_FALSE(sim.conePruned());
         std::vector<uint64_t> got(in.size());
@@ -174,14 +173,13 @@ TEST(OperatorSimDifferential, EnvKnobsForceSlowPaths)
     }
     unsetenv("DTANN_NO_BATCH");
     {
-        OperatorSim sim(nl, Injection{faults, {}}, clean);
+        OperatorSim sim(nl, Injection{faults, {}}, CleanFn{});
         EXPECT_TRUE(sim.batched());
         EXPECT_FALSE(sim.conePruned());
         std::vector<uint64_t> got(in.size());
         sim.applyLanes(in.data(), got.data(), in.size());
         EXPECT_EQ(got, want);
     }
-    unsetenv("DTANN_NO_CONE");
 }
 
 TEST(OperatorSimDifferential, BitIdenticalAcrossLaneWidths)

@@ -249,16 +249,14 @@ TEST(OperatorSimMemo, HitsCountedOnCyclesOnly)
     EXPECT_EQ(total.memoHits, 2 * sim.counters().memoHits);
     EXPECT_EQ(total.toJson().find("memo"), std::string::npos);
 
-    // DTANN_NO_CONE keeps the full-sweep oracle memo-free.
-    setenv("DTANN_NO_CONE", "1", 1);
+    // Without a clean model the full-sweep oracle stays memo-free.
     {
-        OperatorSim slow(u.nl, Injection{mem, {}}, u.clean);
+        OperatorSim slow(u.nl, Injection{mem, {}}, CleanFn{});
         EXPECT_FALSE(slow.conePruned());
         for (int i = 0; i < 120; ++i)
             slow.apply(cycle[static_cast<size_t>(i) % cycle.size()]);
         EXPECT_EQ(slow.counters().memoHits, 0u);
     }
-    unsetenv("DTANN_NO_CONE");
 }
 
 /**
@@ -362,20 +360,6 @@ TEST(OperatorSimMemo, LatchRelaxationsMatchBareEvaluatorCallByCall)
     }
     // The oscillating family must really reach the sweep cap.
     EXPECT_TRUE(oscillated);
-}
-
-TEST(OperatorSimMemo, NoConeKeepsLatchRelaxationsMemoFree)
-{
-    auto nl = std::make_shared<const Netlist>(buildLatchRegister(16));
-    Rng rng(13);
-    Injection inj = injectTransistorDefects(*nl, 2, rng);
-    setenv("DTANN_NO_CONE", "1", 1);
-    OperatorSim sim(nl, std::move(inj));
-    unsetenv("DTANN_NO_CONE");
-    for (int i = 0; i < 100; ++i)
-        sim.apply(i % 2 ? 0x0abcdu : 0x1abcdu);
-    EXPECT_EQ(sim.counters().memoHits, 0u);
-    EXPECT_EQ(sim.counters().scalarVectors, 100u);
 }
 
 } // namespace

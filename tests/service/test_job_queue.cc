@@ -116,7 +116,7 @@ TEST(JobQueue, RejectsBadSpecsBeforeQueueing)
     JobQueue queue(dir.queueConfig(1, 1));
     EXPECT_THROW(queue.submit("not json"), JsonError);
     EXPECT_THROW(queue.submit("{\"kind\":\"nope\"}"), JsonError);
-    // planSpec validates task names without uciTask()'s fatal().
+    // Parsing validates task names without uciTask()'s fatal().
     EXPECT_THROW(
         queue.submit("{\"kind\":\"fig10\",\"tasks\":[\"bogus\"]}"),
         JsonError);

@@ -19,7 +19,6 @@
 
 #include "common/json.hh"
 #include "service/journal.hh"
-#include "service/plan.hh"
 #include "service/runner.hh"
 
 namespace dtann {
@@ -361,7 +360,7 @@ TEST(CellPlan, OneProgressCountPerScenario)
     ScenarioSpec twoTasks = tinyFig10();
     twoTasks.fig10.tasks = {"iris", "wine"};
     for (ScenarioSpec spec : {tinyFig5(), twoTasks}) {
-        size_t cells = planSpec(spec).cells;
+        size_t cells = cellCount(spec.cellRows());
         std::vector<CellReport> seen;
         // The engine serializes the callback; no lock needed.
         spec.runConfig().onCellDone = [&](const CellReport &r) {
@@ -376,11 +375,11 @@ TEST(CellPlan, OneProgressCountPerScenario)
     }
 }
 
-TEST(CellPlan, JournaledKeysArePlanRowsInOrder)
+TEST(CellPlan, JournaledKeysAreCellRowsInOrder)
 {
-    // The plan is the run's key list: at one thread the journal
-    // holds exactly the plan's rows expanded in order, and the run
-    // reports the plan's cell count.
+    // The rows are the run's key list: at one thread the journal
+    // holds exactly the spec's rows expanded in order, and the run
+    // reports their cell count.
     for (auto make : {&tinyFig5, &tinyFig10, &tinyFig11, &tinyMitigation}) {
         ScenarioSpec spec = make();
         spec.runConfig().threads = 1;
@@ -392,11 +391,11 @@ TEST(CellPlan, JournaledKeysArePlanRowsInOrder)
             spec.runConfig().journal = &journal;
             result = runScenario(spec);
         }
-        SpecPlan plan = planSpec(spec);
-        EXPECT_EQ(result.cells, plan.cells) << spec.kind;
+        std::vector<CellRow> rows = spec.cellRows();
+        EXPECT_EQ(result.cells, cellCount(rows)) << spec.kind;
 
         std::vector<std::string> expected;
-        for (const PlanRow &row : plan.rows)
+        for (const CellRow &row : rows)
             for (size_t rep = 0; rep < row.reps; ++rep)
                 expected.push_back(spec.kind + "/" + row.task + "/" +
                                    row.variant + "/" +
@@ -407,7 +406,7 @@ TEST(CellPlan, JournaledKeysArePlanRowsInOrder)
             journaled.push_back(
                 jsonParse(lines[i]).at("cell").asString());
         EXPECT_EQ(journaled, expected) << spec.kind;
-        EXPECT_EQ(journaled.size(), plan.cells) << spec.kind;
+        EXPECT_EQ(journaled.size(), cellCount(rows)) << spec.kind;
         std::remove(path.c_str());
     }
 }

@@ -149,6 +149,23 @@ TEST(CampaignServer, CollidingCellKeysAre400BeforeAnyState)
     EXPECT_TRUE(fs::is_empty(fx.dir.path));
 }
 
+TEST(CampaignServer, OversizedCampaignIs400BeforeAnyState)
+{
+    // One cell over kMaxCells: admission counts the spec's rows and
+    // refuses it, naming the count, before a job file exists.
+    ServerFixture fx("srv_oversized");
+    HttpMessage r = parseResponse(fx.server.handle(makeRequest(
+        "POST", "/jobs",
+        R"({"kind":"fig11","tasks":["iris"],"repetitions":)" +
+            std::to_string(kMaxCells + 1) + "}")));
+    EXPECT_EQ(r.status, 400);
+    EXPECT_NE(jsonParse(r.body).at("error").asString().find(
+                  std::to_string(kMaxCells + 1) + " cells"),
+              std::string::npos)
+        << r.body;
+    EXPECT_TRUE(fs::is_empty(fx.dir.path));
+}
+
 TEST(CampaignServer, ErrorRoutes)
 {
     ServerFixture fx("srv_errors");

@@ -11,7 +11,6 @@
 
 #include "common/json.hh"
 #include "service/builtin_specs.hh"
-#include "service/plan.hh"
 #include "service/runner.hh"
 #include "service/spec.hh"
 
@@ -159,16 +158,62 @@ TEST(ScenarioSpec, RepeatedDefectCountsKeepDistinctKeys)
     ScenarioSpec fig10 = ScenarioSpec::parse(
         R"({"kind":"fig10","tasks":["iris"],"defect_counts":[3,3],
             "repetitions":2})");
-    SpecPlan plan = planSpec(fig10);
-    EXPECT_EQ(plan.cells, 4u);
-    ASSERT_EQ(plan.rows.size(), 2u);
-    EXPECT_EQ(plan.rows[0].variant, "v0:d3");
-    EXPECT_EQ(plan.rows[1].variant, "v1:d3");
+    std::vector<CellRow> rows = fig10.cellRows();
+    EXPECT_EQ(cellCount(rows), 4u);
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].variant, "v0:d3");
+    EXPECT_EQ(rows[1].variant, "v1:d3");
 
     ScenarioSpec mitigation = ScenarioSpec::parse(
         R"({"kind":"mitigation","tasks":["iris"],"defect_counts":[4,4],
             "strategies":["retrain"],"repetitions":2})");
-    EXPECT_EQ(planSpec(mitigation).cells, 4u);
+    EXPECT_EQ(cellCount(mitigation.cellRows()), 4u);
+}
+
+/** A one-task Fig 11 spec of @p reps repetitions. */
+std::string
+fig11Reps(size_t reps)
+{
+    return R"({"kind":"fig11","tasks":["iris"],"repetitions":)" +
+        std::to_string(reps) + "}";
+}
+
+TEST(ScenarioSpec, CellBoundIsInclusive)
+{
+    // Parsing lists one row however many repetitions it holds, and
+    // nothing runs.
+    ScenarioSpec spec = ScenarioSpec::parse(fig11Reps(kMaxCells));
+    std::vector<CellRow> rows = spec.cellRows();
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].task, "iris");
+    EXPECT_EQ(rows[0].reps, kMaxCells);
+    EXPECT_EQ(cellCount(rows), kMaxCells);
+}
+
+TEST(ScenarioSpec, OneCellOverTheBoundIsRefused)
+{
+    // The refusal names the count, before any cell or task context.
+    expectSpecError(fig11Reps(kMaxCells + 1),
+                    std::to_string(kMaxCells + 1) + " cells");
+    Fig11Config fig11;
+    fig11.tasks = {"iris"};
+    fig11.repetitions = static_cast<int>(kMaxCells) + 1;
+    EXPECT_THROW(runFig11(fig11), JsonError);
+    // Rows add up across tasks: two halves plus one is over.
+    expectSpecError(
+        R"({"kind":"fig11","tasks":["iris","wine"],"repetitions":)" +
+            std::to_string(kMaxCells / 2 + 1) + "}",
+        std::to_string(kMaxCells + 2) + " cells");
+    // A fig5 sweep is refused before its variants are built: 1025
+    // operators x 1025 defect counts is over, one cell each.
+    std::string ops, counts;
+    for (int i = 0; i < 1025; ++i) {
+        ops += std::string(i ? "," : "") + "\"adder4\"";
+        counts += (i ? "," : "") + std::to_string(i);
+    }
+    expectSpecError(R"({"kind":"fig5","repetitions":1,"operators":[)" +
+                        ops + "],\"defect_counts\":[" + counts + "]}",
+                    std::to_string(1025 * 1025) + " cells");
 }
 
 TEST(ScenarioSpec, RunnersRefuseCollidingKeysToo)

@@ -46,7 +46,6 @@
 #include "service/builtin_specs.hh"
 #include "service/client.hh"
 #include "service/journal.hh"
-#include "service/plan.hh"
 #include "service/runner.hh"
 
 using namespace dtann;
@@ -163,7 +162,7 @@ writeOut(const std::string &out_path, const std::string &document)
 int
 validateSpec(const ScenarioSpec &spec)
 {
-    SpecPlan plan = planSpec(spec);
+    std::vector<CellRow> rows = spec.cellRows();
     // Network campaigns name their resolved hardware target; fig5
     // sweeps bare operators and has none.
     std::string backend = spec.backendLabel();
@@ -171,16 +170,16 @@ validateSpec(const ScenarioSpec &spec)
         backend = " backend=" + backend;
     std::printf("spec ok: kind=%s name=%s seed=%llu cells=%zu%s\n",
                 spec.kind.c_str(), spec.name.c_str(),
-                (unsigned long long)spec.runConfig().seed, plan.cells,
-                backend.c_str());
+                (unsigned long long)spec.runConfig().seed,
+                cellCount(rows), backend.c_str());
     size_t task_w = std::strlen("task"), var_w = std::strlen("variant");
-    for (const PlanRow &row : plan.rows) {
+    for (const CellRow &row : rows) {
         task_w = std::max(task_w, row.task.size());
         var_w = std::max(var_w, row.variant.size());
     }
     std::printf("  %-*s  %-*s  %s\n", (int)task_w, "task", (int)var_w,
                 "variant", "reps");
-    for (const PlanRow &row : plan.rows)
+    for (const CellRow &row : rows)
         std::printf("  %-*s  %-*s  %zu\n", (int)task_w,
                     row.task.c_str(), (int)var_w, row.variant.c_str(),
                     row.reps);
