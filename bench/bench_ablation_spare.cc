@@ -50,7 +50,7 @@ main()
         // Plain network.
         Accelerator a1(cfg, logical);
         Rng t1 = rng.split();
-        MlpWeights w1 = Trainer(hyper).train(a1, ds, t1);
+        DeepWeights w1 = Trainer(hyper).train(a1, ds, t1);
         {
             Rng ir(defect_seed);
             DefectInjector inj(a1, SitePool::outputCritical());
@@ -71,7 +71,7 @@ main()
         Accelerator a2(cfg, fullRowTopology(logical, cfg));
         RowMappedMlp spared(a2, logical, sparePlan(logical, copies));
         Rng t2 = rng.split();
-        MlpWeights w2 = Trainer(hyper).train(spared, ds, t2);
+        DeepWeights w2 = Trainer(hyper).train(spared, ds, t2);
         {
             Rng ir(defect_seed);
             DefectInjector inj(a2, SitePool::outputCritical());

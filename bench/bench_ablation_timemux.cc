@@ -95,8 +95,8 @@ main()
 
         RunningStat spatial_rate, mux_rate;
         for (int r = 0; r < reps; ++r) {
-            MlpWeights wfit(fit);
-            MlpWeights wbig(big);
+            DeepWeights wfit(fit);
+            DeepWeights wbig(big);
             Rng wr = rng.split();
             wfit.initRandom(wr, 1.0);
             wbig.initRandom(wr, 1.0);

@@ -28,10 +28,10 @@ class DecodedAccelerator : public ForwardModel
     {
     }
 
-    MlpTopology topology() const override { return accel.topology(); }
+    DeepTopology topology() const override { return accel.topology(); }
 
     void
-    setWeights(const MlpWeights &w) override
+    setWeights(const DeepWeights &w) override
     {
         writeWeightsThroughDecoder(accel, w, decoder);
     }
@@ -84,7 +84,7 @@ main()
         WriteDecoder d0(cfg.hidden + cfg.outputs);
         DecodedAccelerator m0(a0, d0);
         Rng t0 = rng.split();
-        MlpWeights w0 = Trainer(hyper).train(m0, ds, t0);
+        DeepWeights w0 = Trainer(hyper).train(m0, ds, t0);
         Rng c0 = rng.split();
         clean_acc.add(
             crossValidate(m0, ds, 2, Trainer(retrain), c0, &w0)
@@ -95,7 +95,7 @@ main()
         WriteDecoder d1(cfg.hidden + cfg.outputs);
         DecodedAccelerator m1(a1, d1);
         Rng t1 = rng.split();
-        MlpWeights w1 = Trainer(hyper).train(m1, ds, t1);
+        DeepWeights w1 = Trainer(hyper).train(m1, ds, t1);
         Rng i1 = rng.split();
         DefectInjector inj(a1, SitePool::inputAndHidden());
         inj.inject(1, i1);
@@ -110,7 +110,7 @@ main()
         WriteDecoder d2(cfg.hidden + cfg.outputs);
         DecodedAccelerator m2(a2, d2);
         Rng t2 = rng.split();
-        MlpWeights w2 = Trainer(hyper).train(m2, ds, t2);
+        DeepWeights w2 = Trainer(hyper).train(m2, ds, t2);
         Rng i2 = rng.split();
         d2.inject(1, i2);
         Rng c2 = rng.split();

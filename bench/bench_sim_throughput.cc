@@ -471,7 +471,7 @@ BM_SpatialForwardRowClean(benchmark::State &state)
     // forwards every sample this way.
     MlpTopology topo{90, 10, 10};
     SpatialBackend accel(AcceleratorConfig(), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng wr(7);
     w.initRandom(wr, 1.2);
     accel.setWeights(w);
@@ -520,13 +520,13 @@ BM_SpatialSetWeights(benchmark::State &state)
     // simulations (and its memo).
     MlpTopology topo{18, 10, 4};
     auto accel = faultyLatchArray(topo);
-    std::vector<MlpWeights> loads(4, MlpWeights(topo));
+    std::vector<DeepWeights> loads(4, DeepWeights(topo));
     Rng wr(7);
     loads[0].initRandom(wr, 1.2);
     for (size_t i = 1; i < loads.size(); ++i) {
         loads[i] = loads[i - 1];
         for (int j = 0; j < topo.hidden; ++j)
-            loads[i].hid(j, static_cast<int>(wr.nextUint(18))) += 0.004;
+            loads[i].at(0, j, static_cast<int>(wr.nextUint(18))) += 0.004;
     }
     size_t i = 0;
     for (auto _ : state) {
@@ -566,12 +566,12 @@ BM_TrainerStepSpatial(benchmark::State &state)
     Hyper hyper;
     hyper.epochs = 1;
     Trainer trainer(hyper);
-    DeepWeights init(toLayerTopology(topo));
+    DeepWeights init(topo);
     Rng wr(7);
     init.initRandom(wr, 1.2);
     Rng rng(3);
     for (auto _ : state) {
-        DeepWeights w = trainer.trainLayers(*accel, ds, rng, &init);
+        DeepWeights w = trainer.train(*accel, ds, rng, &init);
         benchmark::DoNotOptimize(w);
     }
     state.counters["steps/s"] = benchmark::Counter(
@@ -619,7 +619,7 @@ BM_AcceleratorForwardFaulty(benchmark::State &state)
     // The plain-Accelerator sweep: the per-vector cost baseline the
     // wrapper batch paths are held to (within 2x).
     auto accel = pureFaultyArray({12, 4, 3}, 21);
-    MlpWeights w({12, 4, 3});
+    DeepWeights w({{12, 4, 3}});
     Rng wr(7);
     w.initRandom(wr, 1.2);
     accel->setWeights(w);
@@ -634,7 +634,7 @@ BM_TimeMuxForwardFaulty(benchmark::State &state)
     // per-pass weight-reload overhead against the plain sweep.
     auto accel = pureFaultyArray({12, 4, 3}, 21);
     TimeMuxedMlp mux(*accel, {12, 4, 3});
-    MlpWeights w({12, 4, 3});
+    DeepWeights w({{12, 4, 3}});
     Rng wr(7);
     w.initRandom(wr, 1.2);
     mux.setWeights(w);
@@ -649,7 +649,7 @@ BM_TimeMuxForwardFaultyMuxed(benchmark::State &state)
     // campaign shape where batching pays the most.
     auto accel = pureFaultyArray({12, 4, 3}, 21);
     TimeMuxedMlp mux(*accel, {12, 12, 3});
-    MlpWeights w({12, 12, 3});
+    DeepWeights w({{12, 12, 3}});
     Rng wr(7);
     w.initRandom(wr, 1.2);
     mux.setWeights(w);
@@ -674,7 +674,7 @@ BM_SpareForwardFaulty(benchmark::State &state)
         inj.inject(1, rng);
     } while (!accel->batchPure());
     RowMappedMlp spared(*accel, logical, sparePlan(logical, 3));
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng wr(7);
     w.initRandom(wr, 1.2);
     spared.setWeights(w);
@@ -692,7 +692,7 @@ BM_DeepMuxForwardFaulty(benchmark::State &state)
     DeepWeights w(topo);
     Rng wr(7);
     w.initRandom(wr, 1.0);
-    deep.setLayerWeights(w);
+    deep.setWeights(w);
     sweepModel(state, deep, sweepRows(12, 8));
 }
 BENCHMARK(BM_DeepMuxForwardFaulty)->Arg(0)->Arg(1);

@@ -85,7 +85,7 @@ BM_ForwardCleanRow(benchmark::State &state)
 {
     MlpTopology topo{90, 10, 10};
     Accelerator accel((AcceleratorConfig()), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(1);
     w.initRandom(rng);
     accel.setWeights(w);
@@ -105,7 +105,7 @@ BM_ForwardFaultyRow(benchmark::State &state)
 {
     MlpTopology topo{90, 10, 10};
     Accelerator accel((AcceleratorConfig()), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(1);
     w.initRandom(rng);
     accel.setWeights(w);

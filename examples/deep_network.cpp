@@ -41,7 +41,7 @@ main()
     Trainer trainer({10, 60, 0.3, 0.3});
     DeepWeights init(topo);
     init.initRandom(rng, 1.2);
-    DeepWeights w = trainer.trainLayers(deep, ds, rng, &init);
+    DeepWeights w = trainer.train(deep, ds, rng, &init);
     std::printf("clean accuracy        : %.3f\n",
                 evalAccuracy(deep, ds));
 
@@ -53,7 +53,7 @@ main()
                 evalAccuracy(deep, ds));
 
     Trainer retrainer({10, 20, 0.3, 0.3});
-    retrainer.trainLayers(deep, ds, rng, &w);
+    retrainer.train(deep, ds, rng, &w);
     std::printf("after retraining      : %.3f\n",
                 evalAccuracy(deep, ds));
     return 0;

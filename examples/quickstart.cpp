@@ -39,7 +39,7 @@ main()
     // 3. Off-line training on a companion core, forward passes
     //    through the (bit-exact fixed-point) hardware.
     Trainer trainer({6, 120, 0.2, 0.1});
-    MlpWeights weights = trainer.train(accel, ds, rng);
+    DeepWeights weights = trainer.train(accel, ds, rng);
     std::printf("clean accuracy      : %.3f\n",
                 evalAccuracy(accel, ds));
 

@@ -6,7 +6,7 @@ namespace dtann {
 
 CrossValResult
 crossValidate(ForwardModel &model, const Dataset &ds, int k,
-              const Trainer &trainer, Rng &rng, const MlpWeights *init)
+              const Trainer &trainer, Rng &rng, const DeepWeights *init)
 {
     dtann_assert(k >= 2, "need at least 2 folds");
     auto folds = kFoldIndices(ds.size(), k);

@@ -36,7 +36,7 @@ struct CrossValResult
  */
 CrossValResult crossValidate(ForwardModel &model, const Dataset &ds,
                              int k, const Trainer &trainer, Rng &rng,
-                             const MlpWeights *init = nullptr);
+                             const DeepWeights *init = nullptr);
 
 } // namespace dtann
 

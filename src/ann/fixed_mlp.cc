@@ -16,21 +16,15 @@ FixedMlp::FixedMlp(MlpTopology t)
 }
 
 void
-FixedMlp::setWeights(const MlpWeights &w)
+FixedMlp::setWeights(const DeepWeights &w)
 {
     dtann_assert(w.topology() == topo, "weight topology mismatch");
-    for (int j = 0; j < topo.hidden; ++j)
-        for (int i = 0; i <= topo.inputs; ++i)
-            hiddenW[static_cast<size_t>(j) *
-                        static_cast<size_t>(topo.inputs + 1) +
-                    static_cast<size_t>(i)] =
-                Fix16::fromDouble(w.hid(j, i));
-    for (int k = 0; k < topo.outputs; ++k)
-        for (int j = 0; j <= topo.hidden; ++j)
-            outputW[static_cast<size_t>(k) *
-                        static_cast<size_t>(topo.hidden + 1) +
-                    static_cast<size_t>(j)] =
-                Fix16::fromDouble(w.out(k, j));
+    // Both stages share the stores' layout: row-major, bias last.
+    std::span<const double> hid = w.stage(0), out = w.stage(1);
+    for (size_t n = 0; n < hiddenW.size(); ++n)
+        hiddenW[n] = Fix16::fromDouble(hid[n]);
+    for (size_t n = 0; n < outputW.size(); ++n)
+        outputW[n] = Fix16::fromDouble(out[n]);
 }
 
 Fix16

@@ -23,10 +23,10 @@ class FixedMlp : public ForwardModel
   public:
     explicit FixedMlp(MlpTopology topo);
 
-    MlpTopology topology() const override { return topo; }
+    DeepTopology topology() const override { return topo; }
 
-    /** Quantize and install weights. */
-    void setWeights(const MlpWeights &w) override;
+    /** Quantize and install a two-stage stack. */
+    void setWeights(const DeepWeights &w) override;
 
     Activations forward(std::span<const double> input) override;
 

@@ -42,7 +42,7 @@ gridSearch(const Dataset &ds, const HyperSpace &space, int folds,
                 for (double mom : space.momentum) {
                     Hyper hp{h, e, lr, mom};
                     FloatMlp model(
-                        {ds.numAttributes, h, ds.numClasses});
+                        {{ds.numAttributes, h, ds.numClasses}});
                     Rng fold_rng = rng.split();
                     CrossValResult cv = crossValidate(
                         model, ds, folds, Trainer(hp), fold_rng);

@@ -6,9 +6,11 @@
  * The paper's network is a 2-layer MLP (one hidden layer, sigmoid
  * activations); the Section VII extensions stack more layers. Each
  * neuron has a bias, modelled as one extra synapse whose input is
- * the constant 1. One model hierarchy serves both shapes: every
- * ForwardModel produces the full layer stack of activations, and
- * batched evaluation is the canonical entry point.
+ * the constant 1. One weight type (DeepWeights, a stack of stages)
+ * and one model hierarchy serve both shapes: the 2-layer network is
+ * the two-stage stack, every ForwardModel produces the full layer
+ * stack of activations, and batched evaluation is the canonical
+ * entry point.
  */
 
 #ifndef DTANN_ANN_MLP_HH
@@ -23,7 +25,13 @@
 
 namespace dtann {
 
-/** Layer sizes of a 2-layer MLP. */
+struct DeepTopology;
+
+/**
+ * Layer sizes of a 2-layer MLP: the shape of the physical array's
+ * logical mapping (backends map exactly one hidden and one output
+ * layer). Converts implicitly to the equivalent 3-entry layer stack.
+ */
 struct MlpTopology
 {
     int inputs;
@@ -31,6 +39,9 @@ struct MlpTopology
     int outputs;
 
     bool operator==(const MlpTopology &o) const = default;
+
+    /** The layer stack {inputs, hidden, outputs}. */
+    operator DeepTopology() const;
 };
 
 /** Layer widths, input first, output last (>= 3 entries). */
@@ -46,76 +57,25 @@ struct DeepTopology
     bool operator==(const DeepTopology &o) const = default;
 };
 
-/** View a 2-layer topology as a layer stack. */
-DeepTopology toLayerTopology(MlpTopology t);
+inline MlpTopology::operator DeepTopology() const
+{
+    return DeepTopology{{inputs, hidden, outputs}};
+}
+
+/** A stack equals a 2-layer topology when it is that topology's
+ *  3-entry stack (compared without building one). */
+inline bool
+operator==(const DeepTopology &d, const MlpTopology &m)
+{
+    return d.layers.size() == 3 && d.layers[0] == m.inputs &&
+        d.layers[1] == m.hidden && d.layers[2] == m.outputs;
+}
 
 /**
- * Dense weight storage: hidden weights are [hidden][inputs + 1]
- * (bias last), output weights are [outputs][hidden + 1].
+ * Dense weights, the one weight store for every layer count: stage
+ * s maps layer s to layer s+1 as a [width][fanin + 1] matrix with
+ * the bias last in each row. A 2-layer network has two stages.
  */
-class MlpWeights
-{
-  public:
-    MlpWeights() = default;
-    explicit MlpWeights(MlpTopology topo);
-
-    const MlpTopology &topology() const { return topo; }
-
-    /** Hidden-layer weight from input @p i (or bias when i ==
-     *  inputs) to hidden neuron @p j. @{ */
-    double &
-    hid(int j, int i)
-    {
-        dtann_assert(j >= 0 && j < topo.hidden && i >= 0 &&
-                         i <= topo.inputs,
-                     "hid(%d, %d) out of range", j, i);
-        return hiddenW[static_cast<size_t>(j) *
-                           static_cast<size_t>(topo.inputs + 1) +
-                       static_cast<size_t>(i)];
-    }
-    double hid(int j, int i) const
-    {
-        return const_cast<MlpWeights *>(this)->hid(j, i);
-    }
-    /** @} */
-
-    /** Output-layer weight from hidden @p j (bias when j ==
-     *  hidden) to output neuron @p k. @{ */
-    double &
-    out(int k, int j)
-    {
-        dtann_assert(k >= 0 && k < topo.outputs && j >= 0 &&
-                         j <= topo.hidden,
-                     "out(%d, %d) out of range", k, j);
-        return outputW[static_cast<size_t>(k) *
-                           static_cast<size_t>(topo.hidden + 1) +
-                       static_cast<size_t>(j)];
-    }
-    double out(int k, int j) const
-    {
-        return const_cast<MlpWeights *>(this)->out(k, j);
-    }
-    /** @} */
-
-    /** The hidden and output weight arrays, row-major with the bias
-     *  last in each row (the layout hid()/out() index). @{ */
-    std::span<const double> hidStage() const { return hiddenW; }
-    std::span<const double> outStage() const { return outputW; }
-    /** @} */
-
-    /** Uniform random initialization in [-range, range]. */
-    void initRandom(Rng &rng, double range = 0.5);
-
-    /** Total number of weights (including biases). */
-    size_t count() const { return hiddenW.size() + outputW.size(); }
-
-  private:
-    MlpTopology topo{0, 0, 0};
-    std::vector<double> hiddenW;
-    std::vector<double> outputW;
-};
-
-/** Dense weights: stage s maps layer s to layer s+1, bias last. */
 class DeepWeights
 {
   public:
@@ -152,20 +112,17 @@ class DeepWeights
         return stages_[s];
     }
 
+    /** Uniform random initialization in [-range, range], stage by
+     *  stage. */
     void initRandom(Rng &rng, double range = 0.5);
 
+    /** Total number of weights (including biases). */
     size_t count() const;
 
   private:
     DeepTopology topo;
     std::vector<std::vector<double>> stages_;
 };
-
-/** View 2-layer weights as a 2-stage stack (exact value copy). */
-DeepWeights toLayerWeights(const MlpWeights &w);
-
-/** Collapse a 2-stage stack to 2-layer weights (exact value copy). */
-MlpWeights toMlpWeights(const DeepWeights &w);
 
 /**
  * Post-activation values of every layer after the input:
@@ -209,36 +166,26 @@ struct Activations
  * hardware accelerator model. This is how retraining "factors in
  * the faulty elements".
  *
- * forwardBatch() is the canonical evaluation entry point: campaign
- * test sweeps hand whole datasets to the model so faulty operators
- * can be evaluated up to 64, 256 or 512 rows per gate-level sweep
- * (the DTANN_LANES width). The scalar forward() is defined in terms
- * of it, which is all the hardware models use; native models with a
- * cheaper scalar path override forward() and may implement
- * forwardBatch() with rowLoopBatch(). A concrete model must override
- * at least one of the two.
+ * A model has one topology (its layer stack), one weight setter
+ * taking that stack, and one evaluation entry point,
+ * forwardBatch(): campaign test sweeps hand whole datasets to the
+ * model so faulty operators can be evaluated up to 64, 256 or 512
+ * rows per gate-level sweep (the DTANN_LANES width). The scalar
+ * forward() defaults to a one-row batch, which is all the hardware
+ * models use; native models with a cheaper scalar path override
+ * forward() and implement forwardBatch() with rowLoopBatch().
  */
 class ForwardModel
 {
   public:
     virtual ~ForwardModel() = default;
 
-    /** Network dimensions, collapsed to the 2-layer view
-     *  {inputs, width of the layer feeding the output, outputs}
-     *  (exact for 2-layer models). */
-    virtual MlpTopology topology() const = 0;
+    /** The layer stack the model evaluates, input first. */
+    virtual DeepTopology topology() const = 0;
 
-    /** Full layer stack; the default is the 2-layer topology(). */
-    virtual DeepTopology layerTopology() const;
-
-    /** Install 2-layer weights (hardware models quantize/write
-     *  latches). The default wraps them into a 2-stage stack and
-     *  calls setLayerWeights(). */
-    virtual void setWeights(const MlpWeights &w);
-
-    /** Install a full weight stack. The default requires a 2-stage
-     *  stack and calls setWeights(). */
-    virtual void setLayerWeights(const DeepWeights &w);
+    /** Install weights for topology() (hardware models quantize
+     *  and write latches). */
+    virtual void setWeights(const DeepWeights &w) = 0;
 
     /** Run one input row; the default evaluates a 1-row batch. */
     virtual Activations forward(std::span<const double> input);
@@ -270,14 +217,18 @@ class ForwardModel
     std::vector<std::vector<double>> oneRow;
 };
 
-/** Double-precision reference MLP (exact sigmoid). */
+/** Double-precision reference network over any layer stack (exact
+ *  sigmoid); a 2-layer MlpTopology converts to its 3-entry stack. */
 class FloatMlp : public ForwardModel
 {
   public:
-    explicit FloatMlp(MlpTopology topo) : topo(topo), weights(topo) {}
+    explicit FloatMlp(DeepTopology topo)
+        : topo(std::move(topo)), weights(this->topo)
+    {
+    }
 
-    MlpTopology topology() const override { return topo; }
-    void setWeights(const MlpWeights &w) override;
+    DeepTopology topology() const override { return topo; }
+    void setWeights(const DeepWeights &w) override;
     Activations forward(std::span<const double> input) override;
     std::vector<Activations> forwardBatch(
         std::span<const std::vector<double>> inputs) override
@@ -287,8 +238,8 @@ class FloatMlp : public ForwardModel
     }
 
   private:
-    MlpTopology topo;
-    MlpWeights weights;
+    DeepTopology topo;
+    DeepWeights weights;
 };
 
 } // namespace dtann

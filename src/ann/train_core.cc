@@ -48,7 +48,7 @@ evalMse(ForwardModel &model, const Dataset &test_set)
     if (test_set.size() == 0)
         return 0.0;
     double total = 0.0;
-    int outputs = model.topology().outputs;
+    int outputs = model.topology().outputs();
     std::span<const std::vector<double>> rows(test_set.rows);
     std::vector<Activations> acts = model.forwardBatch(rows);
     for (size_t n = 0; n < acts.size(); ++n) {
@@ -67,7 +67,7 @@ runTrainingEpochs(ForwardModel &model, const Dataset &train_set,
                   Rng &rng, int epochs,
                   const std::function<void(size_t)> &step)
 {
-    DeepTopology topo = model.layerTopology();
+    DeepTopology topo = model.topology();
     dtann_assert(topo.inputs() == train_set.numAttributes,
                  "dataset arity mismatch");
     dtann_assert(topo.outputs() >= train_set.numClasses,

@@ -1,14 +1,14 @@
 /**
  * @file
- * The one batch-first evaluation/training core shared by every
- * trainer (float, fixed-point) and every campaign (Fig 5/10/11,
- * ablations, mitigation).
+ * The one batch-first evaluation/training core shared by the
+ * Trainer (whatever model it drives) and every campaign (Fig
+ * 5/10/11, ablations, mitigation).
  *
  * Evaluation hands the whole dataset to ForwardModel::forwardBatch
  * so faulty operators run up to 64, 256 or 512 rows (the DTANN_LANES
  * width) per gate-level sweep;
  * training cannot batch (weights change after every sample), so the
- * epoch loop dispatches one sample at a time and each trainer
+ * epoch loop dispatches one sample at a time and the Trainer
  * supplies only its per-sample forward/backward/install step.
  */
 

@@ -6,15 +6,11 @@
 namespace dtann {
 
 DeepWeights
-Trainer::trainLayers(ForwardModel &model, const Dataset &train_set,
-                     Rng &rng, const DeepWeights *init) const
+Trainer::train(ForwardModel &model, const Dataset &train_set, Rng &rng,
+               const DeepWeights *init) const
 {
-    DeepTopology topo = model.layerTopology();
-    dtann_assert(topo.inputs() == train_set.numAttributes,
-                 "dataset arity mismatch");
-    dtann_assert(topo.outputs() >= train_set.numClasses,
-                 "too few outputs for dataset classes");
-
+    // runTrainingEpochs() checks the stack against train_set.
+    DeepTopology topo = model.topology();
     DeepWeights w(topo);
     if (init) {
         dtann_assert(init->topology() == topo,
@@ -40,7 +36,7 @@ Trainer::trainLayers(ForwardModel &model, const Dataset &train_set,
         }
     };
     applyPruneMask();
-    model.setLayerWeights(w);
+    model.setWeights(w);
 
     // Per-layer gradient buffers.
     std::vector<std::vector<double>> grad(topo.stages());
@@ -99,21 +95,9 @@ Trainer::trainLayers(ForwardModel &model, const Dataset &train_set,
                 }
             }
             applyPruneMask();
-            model.setLayerWeights(w);
+            model.setWeights(w);
         });
     return w;
-}
-
-MlpWeights
-Trainer::train(ForwardModel &model, const Dataset &train_set,
-               Rng &rng, const MlpWeights *init) const
-{
-    if (init) {
-        DeepWeights init_layers = toLayerWeights(*init);
-        return toMlpWeights(
-            trainLayers(model, train_set, rng, &init_layers));
-    }
-    return toMlpWeights(trainLayers(model, train_set, rng));
 }
 
 } // namespace dtann

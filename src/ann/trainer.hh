@@ -5,12 +5,14 @@
  * The trainer owns double-precision shadow weights and updates them
  * with classic online back-propagation (learning rate + momentum,
  * MSE objective) through an arbitrary stack of sigmoid layers — the
- * 2-layer paper networks and the Section VII deep stacks share this
- * one implementation. Forward activations come from a ForwardModel
- * — the float reference, the fixed-point model, or the (possibly
- * defective) accelerator — so retraining silences faulty elements
- * exactly as the paper describes. Evaluation helpers (accuracy,
- * MSE) live in ann/train_core.hh and run batch-first.
+ * 2-layer paper networks (two stages) and the Section VII deep
+ * stacks share this one implementation, its one entry point
+ * (train()) and its one weight type (DeepWeights). Forward
+ * activations come from a ForwardModel — the float reference, the
+ * fixed-point model, or the (possibly defective) accelerator — so
+ * retraining silences faulty elements exactly as the paper
+ * describes. Evaluation helpers (accuracy, MSE) live in
+ * ann/train_core.hh and run batch-first.
  */
 
 #ifndef DTANN_ANN_TRAINER_HH
@@ -55,8 +57,8 @@ class Trainer
     explicit Trainer(Hyper hyper) : hyper(hyper) {}
 
     /**
-     * Train @p model on @p train_set (2-layer convenience wrapper
-     * around trainLayers()).
+     * Train @p model through its full layer stack
+     * (model.topology()).
      *
      * @param model forward path; receives weight updates each step
      * @param train_set training examples (normalized to [0, 1])
@@ -65,17 +67,8 @@ class Trainer
      *        random initialization
      * @return the final shadow weights
      */
-    MlpWeights train(ForwardModel &model, const Dataset &train_set,
-                     Rng &rng, const MlpWeights *init = nullptr) const;
-
-    /**
-     * Train @p model through its full layer stack
-     * (model.layerTopology()); the canonical entry point — the
-     * 2-layer train() is defined in terms of it.
-     */
-    DeepWeights trainLayers(ForwardModel &model,
-                            const Dataset &train_set, Rng &rng,
-                            const DeepWeights *init = nullptr) const;
+    DeepWeights train(ForwardModel &model, const Dataset &train_set,
+                      Rng &rng, const DeepWeights *init = nullptr) const;
 
     const Hyper &hyperParams() const { return hyper; }
 

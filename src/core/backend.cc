@@ -596,24 +596,6 @@ HardwareBackend::unitActLanes(Layer layer, int neuron, const Fix16 *x,
 }
 
 void
-HardwareBackend::setWeights(const MlpWeights &w)
-{
-    dtann_assert(w.topology() == logical, "weight topology mismatch");
-    installWeights(w.hidStage(), w.outStage());
-}
-
-void
-HardwareBackend::setLayerWeights(const DeepWeights &w)
-{
-    const std::vector<int> &layers = w.topology().layers;
-    dtann_assert(layers.size() == 3 && layers[0] == logical.inputs &&
-                     layers[1] == logical.hidden &&
-                     layers[2] == logical.outputs,
-                 "weight topology mismatch");
-    installWeights(w.stage(0), w.stage(1));
-}
-
-void
 HardwareBackend::planInstall()
 {
     std::fill(hidW.begin(), hidW.end(), Fix16());
@@ -648,9 +630,10 @@ HardwareBackend::planInstall()
 }
 
 void
-HardwareBackend::installWeights(std::span<const double> hid,
-                                std::span<const double> out)
+HardwareBackend::setWeights(const DeepWeights &w)
 {
+    dtann_assert(w.topology() == logical, "weight topology mismatch");
+    std::span<const double> hid = w.stage(0), out = w.stage(1);
     if (installStale)
         planInstall();
     for (Layer layer : {Layer::Hidden, Layer::Output}) {

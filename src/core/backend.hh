@@ -178,8 +178,12 @@ class HardwareBackend : public ForwardModel
     /** Which microarchitecture this is. */
     virtual BackendKind backendKind() const = 0;
 
-    /** The mapped logical topology. */
-    MlpTopology topology() const override { return logical; }
+    /** The mapped logical topology as a layer stack. */
+    DeepTopology topology() const override { return logical; }
+
+    /** The mapped logical topology: one hidden and one output
+     *  layer, as the physical array has. */
+    const MlpTopology &mapping() const { return logical; }
 
     /** Physical configuration. */
     const AcceleratorConfig &config() const { return cfg; }
@@ -188,18 +192,16 @@ class HardwareBackend : public ForwardModel
     SimCounters simCounters() const override;
 
     /**
-     * Quantize @p w and write it through the weight latches (the DMA
-     * write path): each layer's logical weights fill the top-left of
-     * its physical [neurons][fanin + 1] block, bias synapse last;
-     * every other site stores zero. Faulty and bypassed latches are
-     * written in pass order (hidden pass first, row-major), as one
-     * full-array sweep would; DESIGN.md §14 has the install.
+     * Quantize the two-stage stack @p w and write it through the
+     * weight latches (the DMA write path): each stage fills the
+     * top-left of its layer's physical [neurons][fanin + 1] block,
+     * bias synapse last; every other site stores zero. The logical
+     * block is written directly; faulty and bypassed latches then
+     * store in pass order (hidden pass first, row-major), as one
+     * full-array sweep would, and clean padding keeps the zero
+     * planInstall() gave it. DESIGN.md §14 has the install.
      */
-    void setWeights(const MlpWeights &w) override;
-
-    /** Install a 2-stage stack, the trainer's form, with no
-     *  conversion: the same install as setWeights(). */
-    void setLayerWeights(const DeepWeights &w) override;
+    void setWeights(const DeepWeights &w) override;
 
     /**
      * Forward a batch of logical input rows: per chunk of rows, the
@@ -523,16 +525,6 @@ class HardwareBackend : public ForwardModel
         size_t dst;
         ptrdiff_t src;
     };
-
-    /**
-     * The one weight install behind setWeights() and
-     * setLayerWeights(): @p hid and @p out are the logical stage
-     * arrays (row-major, bias last). Writes the logical block
-     * directly, then replays latchReplay in order; clean padding
-     * keeps the zero planInstall() gave it.
-     */
-    void installWeights(std::span<const double> hid,
-                        std::span<const double> out);
 
     /** Zero hidW and outW and list the non-clean latches in pass
      *  order (hidden pass first, row-major, padding included). */

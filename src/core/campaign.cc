@@ -155,14 +155,16 @@ struct Fig5Hists
 std::vector<CellRow>
 cellRows(const std::vector<Fig5Config> &variants)
 {
-    std::vector<CellRow> rows;
     size_t cells = 0;
+    for (const Fig5Config &c : variants)
+        cells += static_cast<size_t>(c.repetitions);
+    checkCellBound(cells);
+    std::vector<CellRow> rows;
     for (size_t v = 0; v < variants.size(); ++v) {
         const Fig5Config &c = variants[v];
         std::string variant = 'd' + std::to_string(c.defects);
         rows.push_back({fig5OperatorName(c.op), variant,
                         static_cast<size_t>(c.repetitions), {v, 0, 0}});
-        checkCellBound(cells += rows.back().reps);
     }
     checkRows("fig5", rows);
     return rows;
@@ -434,18 +436,20 @@ std::vector<CellRow>
 cellRows(const Fig10Config &config)
 {
     std::vector<std::string> tasks = taskNames(config);
+    auto reps = [&](int defects) {
+        return defects == 0 ? 1 : static_cast<size_t>(config.repetitions);
+    };
+    size_t task_cells = 0;
+    for (int defects : config.defectCounts)
+        task_cells += reps(defects);
+    checkCellBound(cellProduct(tasks.size(), task_cells));
     std::vector<CellRow> rows;
-    size_t cells = 0;
     for (size_t t = 0; t < tasks.size(); ++t)
         for (size_t d = 0; d < config.defectCounts.size(); ++d) {
             int defects = config.defectCounts[d];
             std::string variant =
                 'v' + std::to_string(d) + ":d" + std::to_string(defects);
-            rows.push_back(
-                {tasks[t], variant,
-                 defects == 0 ? 1 : static_cast<size_t>(config.repetitions),
-                 {t, d, 0}});
-            checkCellBound(cells += rows.back().reps);
+            rows.push_back({tasks[t], variant, reps(defects), {t, d, 0}});
         }
     checkRows("fig10", rows);
     return rows;
@@ -564,14 +568,13 @@ std::vector<CellRow>
 cellRows(const Fig11Config &config)
 {
     std::vector<std::string> tasks = taskNames(config);
+    checkCellBound(cellProduct(
+        tasks.size(), static_cast<size_t>(config.repetitions)));
     std::vector<CellRow> rows;
-    size_t cells = 0;
-    for (size_t t = 0; t < tasks.size(); ++t) {
+    for (size_t t = 0; t < tasks.size(); ++t)
         rows.push_back({tasks[t], "v0",
                         static_cast<size_t>(config.repetitions),
                         {t, 0, 0}});
-        checkCellBound(cells += rows.back().reps);
-    }
     checkRows("fig11", rows);
     return rows;
 }

@@ -231,7 +231,7 @@ struct TaskContext
     Dataset ds;
     Hyper hyper;
     MlpTopology logical;
-    MlpWeights baseline;
+    DeepWeights baseline;
 };
 
 /**

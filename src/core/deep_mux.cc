@@ -15,15 +15,8 @@ DeepMuxedNetwork::DeepMuxedNetwork(Accelerator &a, DeepTopology t)
                  "deep topology needs input, >=1 hidden, output");
 }
 
-MlpTopology
-DeepMuxedNetwork::topology() const
-{
-    return {topo.inputs(), topo.layers[topo.layers.size() - 2],
-            topo.outputs()};
-}
-
 void
-DeepMuxedNetwork::setLayerWeights(const DeepWeights &w)
+DeepMuxedNetwork::setWeights(const DeepWeights &w)
 {
     dtann_assert(w.topology() == topo, "weight topology mismatch");
     stageRows.assign(topo.stages(), {});

@@ -10,7 +10,8 @@
  * the physical hidden row, oversized fan-ins chunked through the
  * key-logic accumulator. Defects injected into the physical array
  * therefore touch every logical layer mapped across it. The 2-layer
- * TimeMuxedMlp is the two-stage case of this model.
+ * TimeMuxedMlp is the two-stage case of this model: both take the
+ * one DeepWeights stack every ForwardModel installs.
  */
 
 #ifndef DTANN_CORE_DEEP_MUX_HH
@@ -30,12 +31,10 @@ class DeepMuxedNetwork : public ForwardModel
      */
     DeepMuxedNetwork(Accelerator &accel, DeepTopology topo);
 
-    /** 2-layer view: {inputs, last hidden width, outputs}. */
-    MlpTopology topology() const override;
-    DeepTopology layerTopology() const override { return topo; }
+    DeepTopology topology() const override { return topo; }
 
     /** Quantize all stages; rows reload per pass. */
-    void setLayerWeights(const DeepWeights &w) override;
+    void setWeights(const DeepWeights &w) override;
 
     /**
      * Run the stack over chunks of rows, each chunk through every

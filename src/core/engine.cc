@@ -1,5 +1,6 @@
 #include "core/engine.hh"
 
+#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -31,6 +32,13 @@ checkCellBound(size_t cells)
         throw JsonError("campaign lists at least " +
                         std::to_string(cells) + " cells; at most " +
                         std::to_string(kMaxCells) + " are allowed");
+}
+
+size_t
+cellProduct(size_t a, size_t b)
+{
+    constexpr size_t cap = size_t(1) << 31;
+    return std::min(std::min(a, cap) * std::min(b, cap), cap);
 }
 
 void

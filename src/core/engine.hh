@@ -138,11 +138,18 @@ size_t cellCount(const std::vector<CellRow> &rows);
 
 /**
  * Throw JsonError naming @p cells, a count the campaign lists at
- * least, when it exceeds kMaxCells. The kinds call it as each row
- * is appended, so neither the rows nor the cells of an oversized
- * spec are built past the bound.
+ * least, when it exceeds kMaxCells. Each kind's cellRows() computes
+ * its cell count from the config and calls it once, before it
+ * builds any row, so no row of an oversized spec is built.
  */
 void checkCellBound(size_t cells);
+
+/**
+ * @p a times @p b for cell counts: exact up to 2^31, saturated
+ * there beyond (still past kMaxCells), so the product of a spec's
+ * axis lengths never wraps.
+ */
+size_t cellProduct(size_t a, size_t b);
 
 /**
  * Check the rows every kind's cellRows() enumeration ends with:

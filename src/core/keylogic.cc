@@ -77,11 +77,11 @@ WriteDecoder::select(int address)
 }
 
 void
-writeWeightsThroughDecoder(Accelerator &accel, const MlpWeights &w,
+writeWeightsThroughDecoder(Accelerator &accel, const DeepWeights &w,
                            WriteDecoder &decoder)
 {
     const AcceleratorConfig &cfg = accel.config();
-    MlpTopology logical = accel.topology();
+    const MlpTopology &logical = accel.mapping();
     dtann_assert(decoder.lines() == cfg.hidden + cfg.outputs,
                  "decoder must have one line per neuron");
     dtann_assert(w.topology() == logical, "weight topology mismatch");
@@ -93,9 +93,9 @@ writeWeightsThroughDecoder(Accelerator &accel, const MlpWeights &w,
     for (int j = 0; j < logical.hidden; ++j) {
         for (int i = 0; i < logical.inputs; ++i)
             hid_rows[static_cast<size_t>(j)][static_cast<size_t>(i)] =
-                Fix16::fromDouble(w.hid(j, i));
+                Fix16::fromDouble(w.at(0, j, i));
         hid_rows[static_cast<size_t>(j)][static_cast<size_t>(cfg.inputs)] =
-            Fix16::fromDouble(w.hid(j, logical.inputs));
+            Fix16::fromDouble(w.at(0, j, logical.inputs));
     }
     std::vector<std::vector<Fix16>> out_rows(
         static_cast<size_t>(cfg.outputs),
@@ -103,9 +103,9 @@ writeWeightsThroughDecoder(Accelerator &accel, const MlpWeights &w,
     for (int k = 0; k < logical.outputs; ++k) {
         for (int j = 0; j < logical.hidden; ++j)
             out_rows[static_cast<size_t>(k)][static_cast<size_t>(j)] =
-                Fix16::fromDouble(w.out(k, j));
+                Fix16::fromDouble(w.at(1, k, j));
         out_rows[static_cast<size_t>(k)][static_cast<size_t>(cfg.hidden)] =
-            Fix16::fromDouble(w.out(k, logical.hidden));
+            Fix16::fromDouble(w.at(1, k, logical.hidden));
     }
 
     // Sequence every row write through the decoder: the asserted

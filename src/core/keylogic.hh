@@ -76,7 +76,7 @@ class WriteDecoder
  * @param w logical weights mapped like Accelerator::setWeights
  * @param decoder the write decoder (needs hidden + outputs lines)
  */
-void writeWeightsThroughDecoder(Accelerator &accel, const MlpWeights &w,
+void writeWeightsThroughDecoder(Accelerator &accel, const DeepWeights &w,
                                 WriteDecoder &decoder);
 
 } // namespace dtann

@@ -37,10 +37,10 @@ sparePlan(MlpTopology logical, int copies)
 RowMappedMlp::RowMappedMlp(HardwareBackend &a, MlpTopology logical_topo,
                            RowPlan row_plan)
     : accel(a), logical(logical_topo), plan(std::move(row_plan)),
-      phys(accel.topology())
+      phys(accel.mapping())
 {
     int rows = accel.config().outputs;
-    dtann_assert(accel.topology() == fullRowTopology(logical, accel.config()),
+    dtann_assert(accel.mapping() == fullRowTopology(logical, accel.config()),
                  "accelerator must be mapped with fullRowTopology()");
     dtann_assert(static_cast<int>(plan.size()) == logical.outputs,
                  "plan arity mismatch");
@@ -71,17 +71,17 @@ RowMappedMlp::spareRowsUsed() const
 }
 
 void
-RowMappedMlp::setWeights(const MlpWeights &w)
+RowMappedMlp::setWeights(const DeepWeights &w)
 {
     dtann_assert(w.topology() == logical, "weight topology mismatch");
     // Rows outside the plan keep the zeros phys was built with.
     for (int j = 0; j < logical.hidden; ++j)
         for (int i = 0; i <= logical.inputs; ++i)
-            phys.hid(j, i) = w.hid(j, i);
+            phys.at(0, j, i) = w.at(0, j, i);
     for (int k = 0; k < logical.outputs; ++k)
         for (int row : plan[static_cast<size_t>(k)])
             for (int j = 0; j <= logical.hidden; ++j)
-                phys.out(row, j) = w.out(k, j);
+                phys.at(1, row, j) = w.at(1, k, j);
     accel.setWeights(phys);
 }
 

@@ -66,11 +66,11 @@ class RowMappedMlp : public ForwardModel
     RowMappedMlp(HardwareBackend &accel, MlpTopology logical,
                  RowPlan plan);
 
-    MlpTopology topology() const override { return logical; }
+    DeepTopology topology() const override { return logical; }
 
     /** Write logical output row k onto every row of its group (rows
      *  outside the plan hold zero weights). */
-    void setWeights(const MlpWeights &w) override;
+    void setWeights(const DeepWeights &w) override;
 
     /** Forward through the backend, voting each row's logical
      *  outputs over their groups. */
@@ -92,7 +92,7 @@ class RowMappedMlp : public ForwardModel
     MlpTopology logical;
     RowPlan plan;
     /** Physical weights setWeights() writes, reused across calls. */
-    MlpWeights phys;
+    DeepWeights phys;
 
     /** Vote one row's physical activations into logical ones. */
     Activations vote(Activations phys) const;

@@ -8,7 +8,7 @@
 namespace dtann {
 
 TimeMuxedMlp::TimeMuxedMlp(Accelerator &a, MlpTopology logical)
-    : DeepMuxedNetwork(a, toLayerTopology(logical))
+    : DeepMuxedNetwork(a, logical)
 {
     dtann_assert(logical.inputs >= 1 && logical.hidden >= 1 &&
                      logical.outputs >= 1,
@@ -132,8 +132,8 @@ int
 TimeMuxedMlp::muxFactor() const
 {
     const AcceleratorConfig &cfg = accel.config();
-    MlpTopology logical = topology();
-    int total = logical.hidden + logical.outputs;
+    DeepTopology logical = topology();
+    int total = logical.layers[1] + logical.outputs();
     int phys = cfg.hidden;
     return (total + phys - 1) / phys;
 }

@@ -249,19 +249,24 @@ std::vector<CellRow>
 cellRows(const MitigationConfig &config)
 {
     std::vector<std::string> tasks = taskNames(config);
+    auto reps = [&](int defects) {
+        return defects == 0 ? 1 : static_cast<size_t>(config.repetitions);
+    };
+    size_t strategy_cells = 0;
+    for (int defects : config.defectCounts)
+        strategy_cells += reps(defects);
+    checkCellBound(cellProduct(
+        cellProduct(tasks.size(), config.strategies.size()),
+        strategy_cells));
     std::vector<CellRow> rows;
-    size_t cells = 0;
     for (size_t t = 0; t < tasks.size(); ++t)
         for (size_t d = 0; d < config.defectCounts.size(); ++d) {
             int defects = config.defectCounts[d];
-            size_t reps =
-                defects == 0 ? 1 : static_cast<size_t>(config.repetitions);
             for (size_t s = 0; s < config.strategies.size(); ++s) {
                 std::string variant = 'v' + std::to_string(d) + ":d" +
                     std::to_string(defects) + ":" +
                     strategyName(config.strategies[s]);
-                rows.push_back({tasks[t], variant, reps, {t, d, s}});
-                checkCellBound(cells += reps);
+                rows.push_back({tasks[t], variant, reps(defects), {t, d, s}});
             }
         }
     checkRows("mitigation", rows);

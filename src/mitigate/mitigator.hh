@@ -98,7 +98,7 @@ struct MitigationSetup
     MlpTopology logical;         ///< task network
     const Dataset &ds;           ///< task dataset
     Hyper retrain;               ///< retraining hyper-parameters
-    const MlpWeights &baseline;  ///< clean-trained warm-start weights
+    const DeepWeights &baseline; ///< clean-trained warm-start weights
     int folds = 10;              ///< cross-validation folds
     BistConfig bist;             ///< diagnosis budget
     /** Hardware target the strategy instantiates. Strategies that

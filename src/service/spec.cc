@@ -1,5 +1,7 @@
 #include "service/spec.hh"
 
+#include <algorithm>
+
 #include "common/json.hh"
 
 namespace dtann {
@@ -45,6 +47,18 @@ Fig5Sweep::fromJson(const JsonValue &v)
     if (!faStyleFromName(style, s.style))
         throw JsonError("unknown fa_style '" + style +
                         "' (expected nand9 or mirror)");
+    // Refuse what expand() would build first: an oversized sweep,
+    // then a repeated operator, whose rows all repeat the first
+    // occurrence's keys (checkRows() names the first shared key).
+    checkCellBound(cellProduct(s.operators.size(), s.defectCounts.size()));
+    for (auto op = s.operators.begin();
+         op != s.operators.end() && !s.defectCounts.empty(); ++op) {
+        if (std::find(s.operators.begin(), op, *op) == op)
+            continue;
+        CellRow first{fig5OperatorName(*op),
+                      'd' + std::to_string(s.defectCounts.front()), 1, {}};
+        checkRows("fig5", {first, first});
+    }
     return s;
 }
 
@@ -53,7 +67,7 @@ Fig5Sweep::expand() const
 {
     // Every variant holds at least one cell: refuse an oversized
     // cross product before it is built.
-    checkCellBound(operators.size() * defectCounts.size());
+    checkCellBound(cellProduct(operators.size(), defectCounts.size()));
     std::vector<Fig5Config> cells;
     for (size_t o = 0; o < operators.size(); ++o)
         for (int defects : defectCounts) {

@@ -47,7 +47,9 @@ struct Fig5Sweep : CampaignRunConfig
 
     /** JSON object (spec echo). */
     std::string toJson() const;
-    /** Symmetric counterpart of toJson(); throws JsonError. */
+    /** Symmetric counterpart of toJson(); throws JsonError, also
+     *  for a sweep past kMaxCells cells or a repeated operator, so
+     *  expand() never builds a refused cross product. */
     static Fig5Sweep fromJson(const JsonValue &v);
 
     /**

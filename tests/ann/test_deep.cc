@@ -1,16 +1,14 @@
 /**
  * @file
- * Tests for deep (multi-hidden-layer) networks on the unified
- * ForwardModel hierarchy and the staged Trainer.
+ * Tests for the layer-stack weight store and for deep
+ * (multi-hidden-layer) networks through FloatMlp and the Trainer.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "ann/deep.hh"
 #include "ann/mlp.hh"
-#include "ann/sigmoid.hh"
 #include "ann/trainer.hh"
 
 namespace dtann {
@@ -42,48 +40,58 @@ TEST(DeepTopology, Accessors)
 
 TEST(DeepWeights, CountAndIndexing)
 {
-    DeepTopology t{{4, 8, 6, 3}};
-    DeepWeights w(t);
-    EXPECT_EQ(w.count(), 8u * 5u + 6u * 9u + 3u * 7u);
-    w.at(0, 7, 4) = 1.5; // bias of hidden-1 unit 7
-    w.at(2, 2, 6) = -2.0;
-    EXPECT_DOUBLE_EQ(w.at(0, 7, 4), 1.5);
-    EXPECT_DOUBLE_EQ(w.at(2, 2, 6), -2.0);
-    EXPECT_DOUBLE_EQ(w.at(1, 0, 0), 0.0);
+    // Counts include one bias synapse per neuron, and every cell is
+    // independent, for the 2-layer paper network and a deep stack.
+    struct Case
+    {
+        DeepTopology topo;
+        size_t count;
+    };
+    for (const Case &c :
+         {Case{{{4, 3, 2}}, 3u * 5u + 2u * 4u},
+          Case{{{4, 8, 6, 3}}, 8u * 5u + 6u * 9u + 3u * 7u}}) {
+        SCOPED_TRACE(c.topo.stages());
+        DeepWeights w(c.topo);
+        EXPECT_EQ(w.count(), c.count);
+        size_t last = c.topo.stages() - 1;
+        int fanin = c.topo.layers[last];
+        w.at(0, 1, c.topo.inputs()) = 1.5; // bias of hidden unit 1
+        w.at(0, 0, 0) = 2.5;
+        w.at(last, c.topo.outputs() - 1, fanin) = -2.0;
+        EXPECT_DOUBLE_EQ(w.at(0, 1, c.topo.inputs()), 1.5);
+        EXPECT_DOUBLE_EQ(w.at(0, 0, 0), 2.5);
+        EXPECT_DOUBLE_EQ(w.at(last, c.topo.outputs() - 1, fanin), -2.0);
+        EXPECT_DOUBLE_EQ(w.at(0, 0, 1), 0.0);
+        EXPECT_DOUBLE_EQ(w.at(last, 0, 0), 0.0);
+    }
 }
 
-TEST(FloatDeepMlp, SingleStageMatchesManual)
+TEST(DeepWeights, InitRandomWithinRange)
 {
-    DeepTopology t{{2, 2, 1}};
-    DeepWeights w(t);
-    w.at(0, 0, 0) = 1.0;
-    w.at(0, 0, 1) = -1.0;
-    w.at(0, 0, 2) = 0.5;
-    w.at(0, 1, 0) = 2.0;
-    w.at(0, 1, 2) = -1.0;
-    w.at(1, 0, 0) = 1.5;
-    w.at(1, 0, 1) = -0.5;
-    w.at(1, 0, 2) = 0.25;
-    FloatDeepMlp m(t);
-    m.setLayerWeights(w);
-    Activations act = m.forward(std::vector<double>{0.3, 0.7});
-    double h0 = logistic(0.3 - 0.7 + 0.5);
-    double h1 = logistic(0.6 - 1.0);
-    double o = logistic(1.5 * h0 - 0.5 * h1 + 0.25);
-    ASSERT_EQ(act.layers.size(), 2u);
-    EXPECT_NEAR(act.hidden()[0], h0, 1e-12);
-    EXPECT_NEAR(act.hidden()[1], h1, 1e-12);
-    EXPECT_NEAR(act.output()[0], o, 1e-12);
+    for (DeepTopology t : {DeepTopology{{10, 5, 3}},
+                           DeepTopology{{10, 5, 4, 3}}}) {
+        DeepWeights w(t);
+        Rng rng(1);
+        w.initRandom(rng, 0.5);
+        for (size_t s = 0; s < t.stages(); ++s) {
+            bool nonzero = false;
+            for (double v : w.stage(s)) {
+                EXPECT_LE(std::abs(v), 0.5);
+                nonzero |= v != 0.0;
+            }
+            EXPECT_TRUE(nonzero) << "stage " << s;
+        }
+    }
 }
 
-TEST(FloatDeepMlp, BatchMatchesScalar)
+TEST(FloatMlp, BatchMatchesScalar)
 {
     DeepTopology t{{3, 5, 4, 2}};
-    FloatDeepMlp m(t);
+    FloatMlp m(t);
     DeepWeights w(t);
     Rng rng(21);
     w.initRandom(rng, 1.0);
-    m.setLayerWeights(w);
+    m.setWeights(w);
 
     std::vector<std::vector<double>> rows;
     for (int r = 0; r < 17; ++r) {
@@ -108,12 +116,12 @@ TEST(DeepTrainer, TwoHiddenLayersLearnXor)
     // it.
     Dataset ds = xorDataset();
     DeepTopology t{{2, 6, 4, 2}};
-    FloatDeepMlp model(t);
+    FloatMlp model(t);
     Rng rng(3);
     DeepWeights init(t);
     init.initRandom(rng, 1.5);
     Trainer trainer({4, 400, 0.5, 0.5});
-    trainer.trainLayers(model, ds, rng, &init);
+    trainer.train(model, ds, rng, &init);
     EXPECT_GT(evalAccuracy(model, ds), 0.9);
 }
 
@@ -121,12 +129,12 @@ TEST(DeepTrainer, DeeperStackStillTrains)
 {
     Dataset ds = xorDataset();
     DeepTopology t{{2, 8, 6, 4, 2}};
-    FloatDeepMlp model(t);
+    FloatMlp model(t);
     Rng rng(9);
     DeepWeights init(t);
     init.initRandom(rng, 1.5);
     Trainer trainer({4, 600, 0.4, 0.5});
-    trainer.trainLayers(model, ds, rng, &init);
+    trainer.train(model, ds, rng, &init);
     EXPECT_GT(evalAccuracy(model, ds), 0.85);
 }
 
@@ -134,74 +142,14 @@ TEST(DeepTrainer, WarmStartKeepsAccuracy)
 {
     Dataset ds = xorDataset();
     DeepTopology t{{2, 6, 4, 2}};
-    FloatDeepMlp model(t);
+    FloatMlp model(t);
     Rng rng(5);
     DeepWeights w =
-        Trainer({4, 400, 0.5, 0.5}).trainLayers(model, ds, rng);
+        Trainer({4, 400, 0.5, 0.5}).train(model, ds, rng);
     double before = evalAccuracy(model, ds);
     EXPECT_GT(before, 0.9);
-    Trainer({4, 10, 0.5, 0.5}).trainLayers(model, ds, rng, &w);
+    Trainer({4, 10, 0.5, 0.5}).train(model, ds, rng, &w);
     EXPECT_GT(evalAccuracy(model, ds), before - 0.1);
-}
-
-TEST(DeepTrainer, MatchesTwoLayerSemantics)
-{
-    // A {in, h, out} deep topology is an ordinary 2-layer MLP;
-    // its forward must match FloatMlp exactly for equal weights.
-    DeepTopology t{{3, 4, 2}};
-    DeepWeights dw(t);
-    Rng rng(11);
-    dw.initRandom(rng, 1.0);
-    FloatDeepMlp deep(t);
-    deep.setLayerWeights(dw);
-
-    // Mirror the weights into the 2-layer structures.
-    MlpTopology topo{3, 4, 2};
-    MlpWeights w(topo);
-    for (int j = 0; j < 4; ++j)
-        for (int i = 0; i <= 3; ++i)
-            w.hid(j, i) = dw.at(0, j, i);
-    for (int k = 0; k < 2; ++k)
-        for (int j = 0; j <= 4; ++j)
-            w.out(k, j) = dw.at(1, k, j);
-    FloatMlp flat(topo);
-    flat.setWeights(w);
-
-    std::vector<double> in{0.2, 0.5, 0.9};
-    Activations deep_acts = deep.forward(in);
-    Activations flat_acts = flat.forward(in);
-    for (size_t j = 0; j < 4; ++j)
-        EXPECT_NEAR(deep_acts.hidden()[j], flat_acts.hidden()[j],
-                    1e-12);
-    for (size_t k = 0; k < 2; ++k)
-        EXPECT_NEAR(deep_acts.output()[k], flat_acts.output()[k],
-                    1e-12);
-}
-
-TEST(DeepTrainer, StagedTrainerMatchesTwoLayerWrapper)
-{
-    // train() (2-layer MlpWeights API) must be bit-identical to
-    // trainLayers() on the equivalent layer stack: same RNG draw
-    // order, same FP expression shapes.
-    Dataset ds = xorDataset();
-    MlpTopology topo{2, 6, 2};
-    Hyper h{6, 40, 0.5, 0.5};
-
-    FloatMlp flat(topo);
-    Rng r1(31);
-    MlpWeights flat_w = Trainer(h).train(flat, ds, r1);
-
-    FloatDeepMlp deep(toLayerTopology(topo));
-    Rng r2(31);
-    DeepWeights deep_w = Trainer(h).trainLayers(deep, ds, r2);
-
-    MlpWeights collapsed = toMlpWeights(deep_w);
-    for (int j = 0; j < topo.hidden; ++j)
-        for (int i = 0; i <= topo.inputs; ++i)
-            EXPECT_EQ(flat_w.hid(j, i), collapsed.hid(j, i));
-    for (int k = 0; k < topo.outputs; ++k)
-        for (int j = 0; j <= topo.hidden; ++j)
-            EXPECT_EQ(flat_w.out(k, j), collapsed.out(k, j));
 }
 
 } // namespace

@@ -14,8 +14,8 @@ namespace {
 TEST(FixedMlp, QuantizesWeights)
 {
     MlpTopology topo{2, 2, 1};
-    MlpWeights w(topo);
-    w.hid(0, 0) = 0.123456; // quantizes to nearest 1/1024
+    DeepWeights w(topo);
+    w.at(0, 0, 0) = 0.123456; // quantizes to nearest 1/1024
     FixedMlp m(topo);
     m.setWeights(w);
     EXPECT_EQ(m.hidWeight(0, 0).raw(),
@@ -25,11 +25,11 @@ TEST(FixedMlp, QuantizesWeights)
 TEST(FixedMlp, ForwardFixManualCheck)
 {
     MlpTopology topo{1, 1, 1};
-    MlpWeights w(topo);
-    w.hid(0, 0) = 2.0;
-    w.hid(0, 1) = 0.0;
-    w.out(0, 0) = 1.0;
-    w.out(0, 1) = 0.0;
+    DeepWeights w(topo);
+    w.at(0, 0, 0) = 2.0;
+    w.at(0, 0, 1) = 0.0;
+    w.at(1, 0, 0) = 1.0;
+    w.at(1, 0, 1) = 0.0;
     FixedMlp m(topo);
     m.setWeights(w);
 
@@ -47,10 +47,10 @@ TEST(FixedMlp, SaturationBeforeActivation)
     // Large weights push the accumulator beyond Q6.10: the
     // activation input saturates, the output pins near 1.
     MlpTopology topo{4, 1, 1};
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     for (int i = 0; i < 4; ++i)
-        w.hid(0, i) = 31.0;
-    w.out(0, 0) = 31.0;
+        w.at(0, 0, i) = 31.0;
+    w.at(1, 0, 0) = 31.0;
     FixedMlp m(topo);
     m.setWeights(w);
     std::vector<double> in{1.0, 1.0, 1.0, 1.0};
@@ -62,11 +62,11 @@ TEST(FixedMlp, SaturationBeforeActivation)
 TEST(FixedMlp, BiasContributes)
 {
     MlpTopology topo{1, 1, 1};
-    MlpWeights w(topo);
-    w.hid(0, 0) = 0.0;
-    w.hid(0, 1) = 3.0; // bias only
-    w.out(0, 0) = 0.0;
-    w.out(0, 1) = -3.0;
+    DeepWeights w(topo);
+    w.at(0, 0, 0) = 0.0;
+    w.at(0, 0, 1) = 3.0; // bias only
+    w.at(1, 0, 0) = 0.0;
+    w.at(1, 0, 1) = -3.0;
     FixedMlp m(topo);
     m.setWeights(w);
     Activations act = m.forward(std::vector<double>{0.0});
@@ -77,7 +77,7 @@ TEST(FixedMlp, BiasContributes)
 TEST(FixedMlp, AgreesWithFloatWithinQuantization)
 {
     MlpTopology topo{6, 4, 3};
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(31);
     w.initRandom(rng, 1.0);
     FixedMlp qm(topo);
@@ -98,7 +98,7 @@ TEST(FixedMlp, AgreesWithFloatWithinQuantization)
 TEST(FixedMlp, DeterministicForward)
 {
     MlpTopology topo{3, 2, 2};
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(5);
     w.initRandom(rng, 1.0);
     FixedMlp m(topo);

@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for MLP weight storage and the float reference model.
+ * Tests for the float reference model on the 2-layer paper
+ * network (deep stacks and weight storage: test_deep.cc).
  */
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "ann/mlp.hh"
 #include "ann/sigmoid.hh"
@@ -13,51 +12,19 @@
 namespace dtann {
 namespace {
 
-TEST(MlpWeights, CountIncludesBiases)
-{
-    MlpWeights w({4, 3, 2});
-    EXPECT_EQ(w.count(), 3u * 5u + 2u * 4u);
-}
-
-TEST(MlpWeights, IndependentCells)
-{
-    MlpWeights w({2, 2, 2});
-    w.hid(0, 0) = 1.0;
-    w.hid(1, 2) = 2.0; // bias of hidden neuron 1
-    w.out(1, 0) = 3.0;
-    EXPECT_DOUBLE_EQ(w.hid(0, 0), 1.0);
-    EXPECT_DOUBLE_EQ(w.hid(1, 2), 2.0);
-    EXPECT_DOUBLE_EQ(w.out(1, 0), 3.0);
-    EXPECT_DOUBLE_EQ(w.hid(0, 1), 0.0);
-}
-
-TEST(MlpWeights, InitRandomWithinRange)
-{
-    MlpWeights w({10, 5, 3});
-    Rng rng(1);
-    w.initRandom(rng, 0.5);
-    bool nonzero = false;
-    for (int j = 0; j < 5; ++j)
-        for (int i = 0; i <= 10; ++i) {
-            EXPECT_LE(std::abs(w.hid(j, i)), 0.5);
-            nonzero |= w.hid(j, i) != 0.0;
-        }
-    EXPECT_TRUE(nonzero);
-}
-
 TEST(FloatMlp, ForwardMatchesManualComputation)
 {
     MlpTopology topo{2, 2, 1};
-    MlpWeights w(topo);
-    w.hid(0, 0) = 1.0;
-    w.hid(0, 1) = -1.0;
-    w.hid(0, 2) = 0.5;  // bias
-    w.hid(1, 0) = 2.0;
-    w.hid(1, 1) = 0.0;
-    w.hid(1, 2) = -1.0;
-    w.out(0, 0) = 1.5;
-    w.out(0, 1) = -0.5;
-    w.out(0, 2) = 0.25;
+    DeepWeights w(topo);
+    w.at(0, 0, 0) = 1.0;
+    w.at(0, 0, 1) = -1.0;
+    w.at(0, 0, 2) = 0.5;  // bias
+    w.at(0, 1, 0) = 2.0;
+    w.at(0, 1, 1) = 0.0;
+    w.at(0, 1, 2) = -1.0;
+    w.at(1, 0, 0) = 1.5;
+    w.at(1, 0, 1) = -0.5;
+    w.at(1, 0, 2) = 0.25;
 
     FloatMlp mlp(topo);
     mlp.setWeights(w);
@@ -78,7 +45,7 @@ TEST(FloatMlp, OutputsBoundedBySigmoid)
 {
     MlpTopology topo{5, 4, 3};
     FloatMlp mlp(topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(2);
     w.initRandom(rng, 5.0);
     mlp.setWeights(w);
@@ -94,7 +61,7 @@ TEST(FloatMlp, ZeroWeightsGiveHalfOutputs)
 {
     MlpTopology topo{3, 2, 2};
     FloatMlp mlp(topo);
-    mlp.setWeights(MlpWeights(topo));
+    mlp.setWeights(DeepWeights(topo));
     Activations act = mlp.forward(std::vector<double>{0.2, 0.4, 0.6});
     for (double y : act.output())
         EXPECT_DOUBLE_EQ(y, 0.5);

@@ -75,7 +75,7 @@ class ReferenceWeightLoad : public Backend
     using Backend::Backend;
 
     void
-    setWeights(const MlpWeights &w) override
+    setWeights(const DeepWeights &w) override
     {
         const MlpTopology &t = this->logical;
         dtann_assert(w.topology() == t, "weight topology mismatch");
@@ -93,8 +93,8 @@ class ReferenceWeightLoad : public Backend
                     Fix16 q;
                     if (n < used && (i < used_fanin || i == fanin)) {
                         int li = std::min(i, used_fanin);
-                        q = Fix16::fromDouble(h ? w.hid(n, li)
-                                                : w.out(n, li));
+                        q = Fix16::fromDouble(h ? w.at(0, n, li)
+                                                : w.at(1, n, li));
                     }
                     *dst++ = this->unitClean(UnitKind::WeightLatch, layer,
                                              n, i)
@@ -103,12 +103,6 @@ class ReferenceWeightLoad : public Backend
                 }
             }
         }
-    }
-
-    void
-    setLayerWeights(const DeepWeights &w) override
-    {
-        setWeights(toMlpWeights(w));
     }
 };
 

@@ -34,7 +34,7 @@ TEST(Accelerator, CleanForwardMatchesFixedMlpBitExact)
     MlpTopology topo{12, 4, 3};
     Accelerator accel(smallArray(), topo);
     FixedMlp ref(topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(2);
     w.initRandom(rng, 2.0);
     accel.setWeights(w);
@@ -57,7 +57,7 @@ TEST(Accelerator, LogicalSubsetMatchesFixedMlp)
     MlpTopology topo{5, 3, 2};
     Accelerator accel(smallArray(), topo);
     FixedMlp ref(topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(3);
     w.initRandom(rng, 2.0);
     accel.setWeights(w);
@@ -126,7 +126,7 @@ TEST(Accelerator, ManyMultiplierDefectsChangeOutputs)
     MlpTopology topo{12, 4, 3};
     Accelerator accel(smallArray(), topo);
     FixedMlp ref(topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(7);
     w.initRandom(rng, 2.0);
     accel.setWeights(w);
@@ -154,7 +154,7 @@ TEST(Accelerator, FaultyWeightLatchCorruptsStorage)
     UnitSite site{UnitKind::WeightLatch, Layer::Hidden, 2, 5};
     accel.injectDefects(site, 20, rng);
 
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     w.initRandom(rng, 2.0);
     accel.setWeights(w);
     // The probe recorded the |stored - intended| deviation.
@@ -166,7 +166,7 @@ TEST(Accelerator, ProbeRecordsMultiplierDeviation)
 {
     MlpTopology topo{12, 4, 3};
     Accelerator accel(smallArray(), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(13);
     w.initRandom(rng, 2.0);
     accel.setWeights(w);
@@ -201,7 +201,7 @@ TEST(Accelerator, TrainableThroughFaultyForward)
 
     Trainer trainer({6, 60, 0.2, 0.1});
     Rng rng(5);
-    MlpWeights clean = trainer.train(accel, ds, rng);
+    DeepWeights clean = trainer.train(accel, ds, rng);
     double clean_acc = evalAccuracy(accel, ds);
     EXPECT_GT(clean_acc, 0.8);
 
@@ -223,7 +223,7 @@ TEST(Accelerator, ForwardBatchMatchesPerRowForward)
     MlpTopology topo{12, 4, 3};
     Accelerator a(smallArray(), topo);
     Accelerator b(smallArray(), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(23);
     w.initRandom(rng, 2.0);
 
@@ -270,7 +270,7 @@ TEST(Accelerator, ActivationClampSaturatesDatapath)
     // and clearActivationClamps() restores the exact raw forward.
     MlpTopology topo{12, 4, 3};
     Accelerator accel(smallArray(), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(41);
     w.initRandom(rng, 2.0);
     accel.setWeights(w);
@@ -333,7 +333,7 @@ TEST(Accelerator, ClampedBatchMatchesScalarForward)
     MlpTopology topo{12, 4, 3};
     Accelerator a(smallArray(), topo);
     Accelerator b(smallArray(), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(43);
     w.initRandom(rng, 2.0);
 

@@ -39,7 +39,7 @@ TEST_P(UnitKindProperty, HeavyDefectsEventuallyObservableWhenExcited)
     for (uint64_t seed = 0; seed < 8; ++seed) {
         Accelerator accel(smallArray(), topo);
         FixedMlp ref(topo);
-        MlpWeights w(topo);
+        DeepWeights w(topo);
         Rng rng(seed + 100);
         w.initRandom(rng, 2.0);
         UnitSite site{kind, Layer::Hidden, 1,
@@ -66,7 +66,7 @@ TEST_P(UnitKindProperty, ProbesOnlyCountWhenUnitIsUsed)
     UnitKind kind = GetParam();
     MlpTopology topo{10, 4, 3};
     Accelerator accel(smallArray(), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(3);
     w.initRandom(rng, 1.0);
     UnitSite site{kind, Layer::Hidden, 0,
@@ -105,9 +105,9 @@ TEST(AcceleratorMapping, OneOutputTaskWorks)
     // Degenerate-but-legal logical shapes map cleanly.
     MlpTopology topo{1, 1, 1};
     Accelerator accel(smallArray(), topo);
-    MlpWeights w(topo);
-    w.hid(0, 0) = 2.0;
-    w.out(0, 0) = 2.0;
+    DeepWeights w(topo);
+    w.at(0, 0, 0) = 2.0;
+    w.at(1, 0, 0) = 2.0;
     accel.setWeights(w);
     Activations act = accel.forward(std::vector<double>{1.0});
     EXPECT_GT(act.output()[0], 0.5);
@@ -128,7 +128,7 @@ TEST(AcceleratorMapping, UnusedRegionWeightsStayZero)
     // but are never read logically.
     MlpTopology topo{2, 2, 2};
     Accelerator accel(smallArray(), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(9);
     w.initRandom(rng, 1.0);
     accel.setWeights(w);

@@ -79,7 +79,7 @@ TEST(Backend, CleanForwardAgreesAcrossBackendsOnAllPaperTasks)
         auto spatial = makeBackend(BackendKind::Spatial, cfg, topo);
         auto systolic = makeBackend(BackendKind::Systolic, cfg, topo);
         FixedMlp ref(topo);
-        MlpWeights w(topo);
+        DeepWeights w(topo);
         Rng rng(101);
         w.initRandom(rng, 2.0);
         spatial->setWeights(w);
@@ -106,7 +106,7 @@ TEST(Backend, CleanForwardBatchAgreesAcrossBackends)
     auto spatial = makeBackend(BackendKind::Spatial, smallArray(), topo);
     auto systolic =
         makeBackend(BackendKind::Systolic, smallArray(), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(103);
     w.initRandom(rng, 2.0);
     spatial->setWeights(w);

@@ -46,14 +46,14 @@ smallArray()
 const MlpTopology kLogical{8, 3, 2};
 
 /** Random logical weights with exact zeros at two used synapses. */
-MlpWeights
+DeepWeights
 weightsFor(uint64_t seed)
 {
-    MlpWeights w(kLogical);
+    DeepWeights w(kLogical);
     Rng rng(seed);
     w.initRandom(rng, 1.5);
-    w.hid(0, 2) = 0.0; // folded in by hidden adder stage 1
-    w.out(1, 1) = 0.0; // folded in by output adder stage 0
+    w.at(0, 0, 2) = 0.0; // folded in by hidden adder stage 1
+    w.at(1, 1, 1) = 0.0; // folded in by output adder stage 0
     return w;
 }
 
@@ -250,7 +250,7 @@ checkScenario(const Scenario &sc, uint64_t seed, size_t lanes,
     // A full plane plus a partial one.
     auto rows = randomRows(lanes ? lanes + 37 : 40, rr);
     for (uint64_t load : {seed, seed + 100}) {
-        MlpWeights w = weightsFor(load);
+        DeepWeights w = weightsFor(load);
         ref.setWeights(w);
         got.setWeights(w);
         if (lanes) {

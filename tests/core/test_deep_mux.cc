@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "ann/deep.hh"
 #include "ann/fixed_mlp.hh"
 #include "ann/trainer.hh"
 #include "core/deep_mux.hh"
@@ -37,8 +36,8 @@ TEST(DeepMux, TwoStageStackMatchesFixedMlp)
     DeepWeights dw(t);
     Rng rng(3);
     dw.initRandom(rng, 1.2);
-    deep.setLayerWeights(dw);
-    ref.setLayerWeights(dw);
+    deep.setWeights(dw);
+    ref.setWeights(dw);
 
     for (int tcase = 0; tcase < 25; ++tcase) {
         std::vector<double> in(10);
@@ -58,7 +57,7 @@ TEST(DeepMux, ThreeHiddenLayersRun)
     DeepWeights w(t);
     Rng rng(5);
     w.initRandom(rng, 1.0);
-    deep.setLayerWeights(w);
+    deep.setWeights(w);
     std::vector<double> in(12, 0.5);
     Activations act = deep.forward(in);
     ASSERT_EQ(act.layers.size(), 4u);
@@ -92,7 +91,7 @@ TEST(DeepMux, TrainsOnIris)
     DeepMuxedNetwork deep(accel, DeepTopology{{4, 6, 5, 3}});
     Trainer trainer({5, 60, 0.3, 0.2});
     Rng rng(7);
-    trainer.trainLayers(deep, ds, rng);
+    trainer.train(deep, ds, rng);
     EXPECT_GT(evalAccuracy(deep, ds), 0.8);
 }
 
@@ -103,12 +102,12 @@ TEST(DeepMux, PhysicalDefectTouchesMultipleLayers)
     DeepTopology t{{12, 8, 8, 3}};
     Accelerator accel(smallArray(), {12, 4, 3});
     DeepMuxedNetwork deep(accel, t);
-    FloatDeepMlp ref(t);
+    FloatMlp ref(t);
     DeepWeights w(t);
     Rng rng(17);
     w.initRandom(rng, 1.0);
-    deep.setLayerWeights(w);
-    ref.setLayerWeights(w);
+    deep.setWeights(w);
+    ref.setWeights(w);
 
     UnitSite site{UnitKind::Activation, Layer::Hidden, 1, 0};
     accel.injectDefects(site, 25, rng);
@@ -137,7 +136,7 @@ TEST(DeepMux, CountersAggregateAcceleratorWork)
     DeepWeights w(t);
     Rng rng(23);
     w.initRandom(rng, 1.0);
-    deep.setLayerWeights(w);
+    deep.setWeights(w);
     UnitSite site{UnitKind::Multiplier, Layer::Hidden, 0, 2};
     accel.injectDefects(site, 10, rng);
 

@@ -17,7 +17,6 @@
 
 #include <cstdlib>
 
-#include "ann/deep.hh"
 #include "core/deep_mux.hh"
 #include "core/injector.hh"
 #include "core/row_map.hh"
@@ -77,7 +76,7 @@ TEST(ForwardBatchDifferential, TimeMuxedMatchesScalar)
     MlpTopology logical{12, 12, 3}; // mux factor (12+3)/4 = 4
     int pure_runs = 0, fallback_runs = 0;
     for (uint64_t seed = 1; seed <= 8; ++seed) {
-        MlpWeights w(logical);
+        DeepWeights w(logical);
         Rng wr(seed * 11);
         w.initRandom(wr, 1.2);
 
@@ -123,7 +122,7 @@ TEST(ForwardBatchDifferential, SparedOutputsMatchScalar)
     // faults on the unused row and padding synapses.
     for (SitePool pool : {SitePool::outputCritical(), SitePool::all()}) {
         for (uint64_t seed = 1; seed <= 4; ++seed) {
-            MlpWeights w(logical);
+            DeepWeights w(logical);
             Rng wr(seed * 19);
             w.initRandom(wr, 1.2);
 
@@ -163,7 +162,7 @@ TEST(ForwardBatchDifferential, RemappedOutputsMatchScalar)
     for (const RowPlan &plan :
          {RowPlan{{0}, {3}, {2}}, RowPlan{{0}, {1, 3, 4}, {2}}}) {
         for (uint64_t seed = 1; seed <= 4; ++seed) {
-            MlpWeights w(logical);
+            DeepWeights w(logical);
             Rng wr(seed * 31);
             w.initRandom(wr, 1.2);
 
@@ -198,10 +197,10 @@ TEST(ForwardBatchDifferential, DeepStackMatchesScalar)
 
         Accelerator scalar_accel(smallArray(), {12, 4, 3});
         DeepMuxedNetwork scalar_model(scalar_accel, topo);
-        scalar_model.setLayerWeights(w);
+        scalar_model.setWeights(w);
         Accelerator batch_accel(smallArray(), {12, 4, 3});
         DeepMuxedNetwork batch_model(batch_accel, topo);
-        batch_model.setLayerWeights(w);
+        batch_model.setWeights(w);
 
         DefectInjector scalar_inj(scalar_accel,
                                   SitePool::inputAndHidden());
@@ -228,7 +227,7 @@ TEST(ForwardBatchDifferential, EnvKnobsPreserveBits)
     // by a single bit relative to the fast-path baseline.
     MlpTopology logical{12, 12, 3};
     const uint64_t seed = 3;
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng wr(seed);
     w.initRandom(wr, 1.2);
     Rng rr(seed * 61);
@@ -271,7 +270,7 @@ TEST(ForwardBatchDifferential, BatchBitIdenticalAcrossLaneWidths)
     // the fault-plane width underneath forwardBatch; no activation
     // bit may move across 64/256/512/auto.
     MlpTopology logical{12, 12, 3}; // mux factor 4
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng wr(5);
     w.initRandom(wr, 1.2);
 

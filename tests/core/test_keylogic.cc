@@ -71,7 +71,7 @@ TEST(WriteDecoder, CleanDecodedWritesEqualDirectWrites)
     MlpTopology logical{12, 4, 3};
     Accelerator via_decoder(smallArray(), logical);
     Accelerator direct(smallArray(), logical);
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(3);
     w.initRandom(rng, 1.5);
 
@@ -93,7 +93,7 @@ TEST(WriteDecoder, FaultyDecoderCorruptsNetworkFunction)
     // Find a decoder defect that misroutes, then show the written
     // network computes something else.
     MlpTopology logical{12, 4, 3};
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng wrng(5);
     w.initRandom(wrng, 1.5);
 

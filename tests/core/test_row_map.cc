@@ -49,7 +49,7 @@ TEST(Spare, CleanForwardEqualsUnsparedNetwork)
     RowMappedMlp spared(spared_accel, logical, sparePlan(logical, 2));
     Accelerator plain_accel(smallArray(), logical);
 
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(3);
     w.initRandom(rng, 1.5);
     spared.setWeights(w);
@@ -77,7 +77,7 @@ TEST(Spare, HalvesImpactOfOutputActivationFault)
     RowMappedMlp spared(spared_accel, logical, sparePlan(logical, 2));
     Accelerator plain_accel(smallArray(), logical);
 
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(5);
     w.initRandom(rng, 1.5);
     spared.setWeights(w);
@@ -122,7 +122,7 @@ TEST(Spare, MedianOfThreeRejectsSingleBrokenCopyExactly)
     RowMappedMlp spared(accel, logical, sparePlan(logical, 3));
     Accelerator clean(cfg, logical);
 
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(7);
     w.initRandom(rng, 1.5);
     spared.setWeights(w);

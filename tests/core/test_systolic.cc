@@ -34,7 +34,7 @@ TEST(Systolic, LogicalSubsetMatchesSpatialBitExact)
     MlpTopology topo{5, 3, 2};
     SpatialBackend spatial(smallArray(), topo);
     SystolicBackend systolic(smallArray(), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(3);
     w.initRandom(rng, 2.0);
     spatial.setWeights(w);
@@ -75,7 +75,7 @@ TEST(Systolic, SharedPeProbeMergesBothPassStreams)
     // the merged two-pass stream under either pass address.
     MlpTopology topo{12, 4, 3};
     SystolicBackend accel(smallArray(), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(13);
     w.initRandom(rng, 2.0);
     accel.setWeights(w);
@@ -107,7 +107,7 @@ TEST(Systolic, FaultyLatchIsReloadedByBothPasses)
     Rng rng(11);
     UnitSite site{UnitKind::WeightLatch, Layer::Hidden, 2, 3};
     accel.injectDefects(site, 20, rng);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     w.initRandom(rng, 2.0);
     accel.setWeights(w);
     EXPECT_EQ(accel.probe(site).amplitude.count(), 2u);
@@ -121,7 +121,7 @@ TEST(Systolic, BypassedColumnFootSilencesBothPasses)
     // two bypasses for the same effect.
     MlpTopology topo{12, 4, 3};
     SystolicBackend accel(smallArray(), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(17);
     w.initRandom(rng, 2.0);
     accel.setWeights(w);
@@ -155,7 +155,7 @@ TEST(Systolic, FaultyForwardBatchMatchesPerRowForward)
     MlpTopology topo{12, 4, 3};
     SystolicBackend a(smallArray(), topo);
     SystolicBackend b(smallArray(), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(23);
     w.initRandom(rng, 2.0);
 
@@ -197,7 +197,7 @@ TEST(Systolic, PureFaultBatchUsesTheLanePath)
     MlpTopology topo{12, 4, 3};
     SystolicBackend a(smallArray(), topo);
     SystolicBackend b(smallArray(), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(29);
     w.initRandom(rng, 2.0);
 

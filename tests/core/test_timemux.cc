@@ -23,10 +23,10 @@ smallArray()
 }
 
 /** Random weights for a topology. */
-MlpWeights
+DeepWeights
 randomWeights(MlpTopology topo, uint64_t seed, double range = 1.5)
 {
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(seed);
     w.initRandom(rng, range);
     return w;
@@ -38,7 +38,7 @@ TEST(TimeMux, FittingNetworkMatchesFixedMlpBitExact)
     Accelerator accel(smallArray(), {10, 4, 3});
     TimeMuxedMlp mux(accel, topo);
     FixedMlp ref(topo);
-    MlpWeights w = randomWeights(topo, 5);
+    DeepWeights w = randomWeights(topo, 5);
     mux.setWeights(w);
     ref.setWeights(w);
     Rng rng(6);
@@ -57,7 +57,7 @@ TEST(TimeMux, MoreHiddenNeuronsThanPhysical)
     Accelerator accel(smallArray(), {10, 4, 3});
     TimeMuxedMlp mux(accel, topo);
     FixedMlp ref(topo);
-    MlpWeights w = randomWeights(topo, 7);
+    DeepWeights w = randomWeights(topo, 7);
     mux.setWeights(w);
     ref.setWeights(w);
     Rng rng(8);
@@ -77,7 +77,7 @@ TEST(TimeMux, OversizedFaninUsesChunkAccumulation)
     Accelerator accel(smallArray(), {12, 4, 3});
     TimeMuxedMlp mux(accel, topo);
     FixedMlp ref(topo);
-    MlpWeights w = randomWeights(topo, 9, 0.8);
+    DeepWeights w = randomWeights(topo, 9, 0.8);
     mux.setWeights(w);
     ref.setWeights(w);
     Rng rng(10);
@@ -120,7 +120,7 @@ TEST(TimeMux, DefectAffectsManyLogicalNeurons)
     Accelerator accel(smallArray(), {10, 4, 3});
     TimeMuxedMlp mux(accel, topo);
     FixedMlp ref(topo);
-    MlpWeights w = randomWeights(topo, 11);
+    DeepWeights w = randomWeights(topo, 11);
     mux.setWeights(w);
     ref.setWeights(w);
 

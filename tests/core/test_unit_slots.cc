@@ -145,7 +145,7 @@ checkBypassWinsThenClears()
     Backend accel(smallArray(), {12, 4, 3});
     Backend clean(smallArray(), {12, 4, 3});
     MlpTopology topo{12, 4, 3};
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng wr(3);
     w.initRandom(wr, 2.0);
 

@@ -4,7 +4,7 @@
  * (ReferenceWeightLoad, reference_datapath.hh), on both backends.
  *
  * A twin pair runs one random interleaving of the operations that
- * change what an install writes: setWeights() and setLayerWeights();
+ * change what an install writes: setWeights();
  * latch injections on logical sites, on padding sites and (through
  * output-pass addresses) on shared systolic PEs; injections into
  * other unit kinds; bypasses; the clears; and, on the spatial array,
@@ -50,17 +50,17 @@ struct View : Base
 };
 
 /** A cycle of weight sets a few small SGD-like steps apart. */
-std::vector<MlpWeights>
+std::vector<DeepWeights>
 weightCycle(MlpTopology topo, Rng &rng)
 {
-    std::vector<MlpWeights> sets(5, MlpWeights(topo));
+    std::vector<DeepWeights> sets(5, DeepWeights(topo));
     sets[0].initRandom(rng, 1.5);
     for (size_t k = 1; k < sets.size(); ++k) {
         sets[k] = sets[k - 1];
         for (int j = 0; j < topo.hidden; ++j)
-            sets[k].hid(j, static_cast<int>(rng.nextUint(
+            sets[k].at(0, j, static_cast<int>(rng.nextUint(
                 static_cast<uint64_t>(topo.inputs + 1)))) += 0.004;
-        sets[k].out(0, 0) -= 0.002;
+        sets[k].at(1, 0, 0) -= 0.002;
     }
     return sets;
 }
@@ -178,10 +178,7 @@ checkInterleaving(const AcceleratorConfig &cfg, MlpTopology topo,
     View<ReferenceWeightLoad<Backend>> ref(cfg, topo);
     View<Backend> got(cfg, topo);
     Rng rng(seed);
-    std::vector<MlpWeights> flat = weightCycle(topo, rng);
-    std::vector<DeepWeights> layered;
-    for (const MlpWeights &w : flat)
-        layered.push_back(toLayerWeights(w));
+    std::vector<DeepWeights> flat = weightCycle(topo, rng);
     std::vector<std::vector<double>> rows(3);
     for (auto &row : rows) {
         row.resize(static_cast<size_t>(topo.inputs));
@@ -203,19 +200,13 @@ checkInterleaving(const AcceleratorConfig &cfg, MlpTopology topo,
         std::string what;
         switch (op) {
           case 0:
-          case 1: {
+          case 1:
+          case 2:
+          case 3: {
             size_t k = static_cast<size_t>(pick(rng, 5));
             ref.setWeights(flat[k]);
             got.setWeights(flat[k]);
             what = "setWeights";
-            break;
-          }
-          case 2:
-          case 3: {
-            size_t k = static_cast<size_t>(pick(rng, 5));
-            ref.setLayerWeights(layered[k]);
-            got.setLayerWeights(layered[k]);
-            what = "setLayerWeights";
             break;
           }
           case 4:

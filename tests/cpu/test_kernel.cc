@@ -34,7 +34,7 @@ TEST(Kernel, MatchesFixedMlpBitExact)
     // The trimmed-down C model performs the same operations as the
     // hardware (paper Section V) -- verify bit-exact equivalence.
     MlpTopology topo{6, 3, 2};
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(3);
     w.initRandom(rng, 2.0);
     FixedMlp ref(topo);

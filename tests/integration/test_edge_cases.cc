@@ -81,7 +81,7 @@ TEST(EdgeCases, TimeMuxSingleNeuronLayers)
     cfg.outputs = 2;
     Accelerator accel(cfg, {6, 3, 2});
     TimeMuxedMlp mux(accel, {6, 1, 1});
-    MlpWeights w({6, 1, 1});
+    DeepWeights w({{6, 1, 1}});
     Rng rng(4);
     w.initRandom(rng, 1.0);
     mux.setWeights(w);
@@ -111,11 +111,11 @@ TEST(EdgeCases, AcceleratorBiasOnlyNetwork)
     cfg.outputs = 2;
     MlpTopology topo{4, 2, 2};
     Accelerator accel(cfg, topo);
-    MlpWeights w(topo);
-    w.hid(0, 4) = 4.0;  // bias -> hidden 0 saturates high
-    w.hid(1, 4) = -4.0; // hidden 1 low
-    w.out(0, 2) = 2.0;  // output biases
-    w.out(1, 2) = -2.0;
+    DeepWeights w(topo);
+    w.at(0, 0, 4) = 4.0;  // bias -> hidden 0 saturates high
+    w.at(0, 1, 4) = -4.0; // hidden 1 low
+    w.at(1, 0, 2) = 2.0;  // output biases
+    w.at(1, 1, 2) = -2.0;
     accel.setWeights(w);
     Activations act = accel.forward(std::vector<double>(4, 0.0));
     EXPECT_GT(act.hidden()[0], 0.95);
@@ -136,7 +136,7 @@ TEST(EdgeCases, InjectingIntoAllUnitsOfATinyArrayStillRuns)
     DefectInjector inj(accel, SitePool::all());
     Rng rng(7);
     inj.inject(60, rng);
-    MlpWeights w({3, 2, 2});
+    DeepWeights w({{3, 2, 2}});
     w.initRandom(rng, 1.0);
     accel.setWeights(w);
     Activations act = accel.forward(std::vector<double>{0.2, 0.5, 0.8});

@@ -35,7 +35,7 @@ TEST(EndToEnd, TrainedAcceleratorKernelAndFixedMlpAgreeBitwise)
     MlpTopology topo{13, 4, 3};
     Accelerator accel(cfg, topo);
     Rng rng(5);
-    MlpWeights w = Trainer({4, 40, 0.2, 0.1}).train(accel, ds, rng);
+    DeepWeights w = Trainer({4, 40, 0.2, 0.1}).train(accel, ds, rng);
 
     FixedMlp fixed(topo);
     fixed.setWeights(w);
@@ -71,7 +71,7 @@ TEST(EndToEnd, DmaStreamedInferenceEqualsDirectCalls)
     cfg.hidden = 4;
     cfg.outputs = 3;
     Accelerator accel(cfg, {4, 4, 3});
-    MlpWeights w({4, 4, 3});
+    DeepWeights w({{4, 4, 3}});
     Rng rng(9);
     w.initRandom(rng, 1.0);
     accel.setWeights(w);
@@ -177,7 +177,7 @@ TEST(EndToEnd, TimeMuxedDefectiveNetworkRetrains)
     Accelerator accel(cfg, {8, 3, 3});
     TimeMuxedMlp mux(accel, {4, 6, 3}); // 2 batches of hidden
     Rng rng(13);
-    MlpWeights w = Trainer({6, 40, 0.3, 0.1}).train(mux, ds, rng);
+    DeepWeights w = Trainer({6, 40, 0.3, 0.1}).train(mux, ds, rng);
     double clean = evalAccuracy(mux, ds);
     EXPECT_GT(clean, 0.7);
 
@@ -199,19 +199,19 @@ TEST(EndToEnd, SparedAndDecodedPathsCompose)
     Accelerator accel(cfg, fullRowTopology(logical, cfg));
     RowPlan plan = sparePlan(logical, 2);
     RowMappedMlp spared(accel, logical, plan);
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(17);
     w.initRandom(rng, 1.0);
 
     // Route the replicated weights through the write decoder.
-    MlpWeights dup(fullRowTopology(logical, cfg));
+    DeepWeights dup(fullRowTopology(logical, cfg));
     for (int j = 0; j < logical.hidden; ++j)
         for (int i = 0; i <= logical.inputs; ++i)
-            dup.hid(j, i) = w.hid(j, i);
+            dup.at(0, j, i) = w.at(0, j, i);
     for (int k = 0; k < logical.outputs; ++k)
         for (int row : plan[static_cast<size_t>(k)])
             for (int j = 0; j <= logical.hidden; ++j)
-                dup.out(row, j) = w.out(k, j);
+                dup.at(1, row, j) = w.at(1, k, j);
     WriteDecoder dec(cfg.hidden + cfg.outputs);
     writeWeightsThroughDecoder(accel, dup, dec);
 

@@ -24,7 +24,7 @@ struct Fixture
     MlpTopology logical;
     Dataset ds;
     Hyper hyper{6, 40, 0.2, 0.1};
-    MlpWeights baseline;
+    DeepWeights baseline;
 
     Fixture() : logical{4, 6, 3}, baseline(logical)
     {

@@ -103,7 +103,7 @@ TEST(ReplicatedOutputMlp, CleanForwardMatchesPlainNetwork)
     EXPECT_EQ(rep.spareRowsUsed(), 3);
     Accelerator plain(smallArray(), logical);
 
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(3);
     w.initRandom(rng, 1.5);
     rep.setWeights(w);
@@ -128,7 +128,7 @@ TEST(ReplicatedOutputMlp, BatchAgreesWithScalarForward)
     Accelerator accel(smallArray(), fullRowTopology(logical, smallArray()));
     RowMappedMlp rep(accel, logical, {{0, 3, 4}, {1}, {2, 5}});
 
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(11);
     w.initRandom(rng, 1.5);
     // Wreck one replicated row so the vote actually matters.
@@ -161,7 +161,7 @@ TEST(ReplicatedOutputMlp, MedianOfThreeRejectsBrokenCopyExactly)
     RowMappedMlp rep(accel, logical, {{0}, {1, 3, 4}, {2}});
     Accelerator clean(smallArray(), logical);
 
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(7);
     w.initRandom(rng, 1.5);
     rep.setWeights(w);
@@ -191,7 +191,7 @@ TEST(ReplicatedOutputMlp, PairAverageHalvesDeviation)
     Accelerator plain(smallArray(), logical);
     Accelerator clean(smallArray(), logical);
 
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(5);
     w.initRandom(rng, 1.5);
     rep.setWeights(w);
@@ -235,7 +235,7 @@ TEST(ReplicatedOutputMlp, VoteAgreesWithMedianVoteRule)
           RowPlan{{3}, {1}, {5}}}) {
         RowMappedMlp rep(accel, logical, groups);
 
-        MlpWeights w(logical);
+        DeepWeights w(logical);
         w.initRandom(rng, 1.5);
         rep.setWeights(w);
 

@@ -149,6 +149,13 @@ TEST(ScenarioSpec, CollidingCellKeysAreRefused)
     expectSpecError(R"({"kind":"mitigation","tasks":["iris"],
                         "strategies":["noop","retrain","noop"]})",
                     "cell key 'mitigation/iris/v0:d0:noop/0'");
+    // A repeated fig5 operator is refused by the sweep parser itself,
+    // before expand() builds the cross product.
+    const char *repeated_op =
+        R"({"kind":"fig5","repetitions":1,"defect_counts":[5,6],
+            "operators":["adder4","multiplier4","adder4"]})";
+    expectSpecError(repeated_op, "cell key 'fig5/adder4/d5/0'");
+    EXPECT_THROW(Fig5Sweep::fromJson(jsonParse(repeated_op)), JsonError);
 }
 
 TEST(ScenarioSpec, RepeatedDefectCountsKeepDistinctKeys)
@@ -214,6 +221,35 @@ TEST(ScenarioSpec, OneCellOverTheBoundIsRefused)
     expectSpecError(R"({"kind":"fig5","repetitions":1,"operators":[)" +
                         ops + "],\"defect_counts\":[" + counts + "]}",
                     std::to_string(1025 * 1025) + " cells");
+    // The count is exact before any row is built: fig10 and
+    // mitigation count one cell at 0 defects, and axis products
+    // past the bound are named in full.
+    std::string over = std::to_string(kMaxCells);
+    expectSpecError(R"({"kind":"fig10","tasks":["iris"],"defect_counts":[0,1],
+                        "repetitions":)" + over + "}",
+                    std::to_string(kMaxCells + 1) + " cells");
+    std::string half = std::to_string(kMaxCells / 2);
+    expectSpecError(R"({"kind":"mitigation","tasks":["iris"],
+                        "strategies":["noop","retrain"],
+                        "defect_counts":[0,1],"repetitions":)" +
+                        half + "}",
+                    std::to_string(kMaxCells + 2) + " cells");
+    expectSpecError(R"({"kind":"fig11","tasks":["iris","wine"],
+                        "repetitions":1073741824})",
+                    "2147483648 cells");
+    // 4096 tasks x 4096 strategies x 1024 counts x 2^30 repetitions
+    // is 2^64 cells: the count saturates instead of wrapping to 0.
+    std::string tasks, strategies, ones;
+    for (int i = 0; i < 4096; ++i) {
+        tasks += std::string(i ? "," : "") + "\"iris\"";
+        strategies += std::string(i ? "," : "") + "\"noop\"";
+        if (i < 1024)
+            ones += std::string(i ? "," : "") + "1";
+    }
+    expectSpecError(R"({"kind":"mitigation","repetitions":1073741824,)"
+                    R"("tasks":[)" + tasks + "],\"strategies\":[" +
+                        strategies + "],\"defect_counts\":[" + ones + "]}",
+                    "2147483648 cells");
 }
 
 TEST(ScenarioSpec, RunnersRefuseCollidingKeysToo)
