@@ -1,5 +1,7 @@
 #include "ann/mlp.hh"
 
+#include <algorithm>
+
 #include "ann/sigmoid.hh"
 #include "common/logging.hh"
 
@@ -39,10 +41,25 @@ DeepWeights::count() const
 Activations
 ForwardModel::forward(std::span<const double> input)
 {
-    oneRow.resize(1);
-    oneRow[0].assign(input.begin(), input.end());
-    std::vector<Activations> acts = forwardBatch(oneRow);
-    return std::move(acts.front());
+    oneRow.assign(input.begin(), input.end());
+    return forwardRow(oneRow);
+}
+
+void
+ForwardModel::forwardBatchInto(std::span<const std::vector<double>> inputs,
+                               std::span<Activations> out)
+{
+    dtann_assert(out.size() == inputs.size(),
+                 "one activation record per input row");
+    std::vector<Activations> acts = forwardBatch(inputs);
+    std::move(acts.begin(), acts.end(), out.begin());
+}
+
+const Activations &
+ForwardModel::forwardRow(const std::vector<double> &input)
+{
+    forwardBatchInto({&input, 1}, {&rowAct, 1});
+    return rowAct;
 }
 
 std::vector<Activations>

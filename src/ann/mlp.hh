@@ -104,13 +104,18 @@ class DeepWeights
     /** @} */
 
     /** Stage @p s as one array, row-major with the bias last in
-     *  each row (the layout at() indexes). */
-    std::span<const double>
-    stage(size_t s) const
+     *  each row (the layout at() indexes). @{ */
+    std::span<double>
+    stage(size_t s)
     {
         dtann_assert(s < topo.stages(), "stage out of range");
         return stages_[s];
     }
+    std::span<const double> stage(size_t s) const
+    {
+        return const_cast<DeepWeights *>(this)->stage(s);
+    }
+    /** @} */
 
     /** Uniform random initialization in [-range, range], stage by
      *  stage. */
@@ -174,6 +179,12 @@ struct Activations
  * forward() defaults to a one-row batch, which is all the hardware
  * models use; native models with a cheaper scalar path override
  * forward() and implement forwardBatch() with rowLoopBatch().
+ *
+ * forwardBatchInto() is the same evaluation into caller-owned
+ * records. The hardware backends implement it, and their
+ * forwardBatch() is a wrapper over it. forwardRow() runs one row
+ * into a record the model keeps and reuses across calls, so a
+ * training step on a backend allocates nothing.
  */
 class ForwardModel
 {
@@ -200,6 +211,21 @@ class ForwardModel
     virtual std::vector<Activations>
     forwardBatch(std::span<const std::vector<double>> inputs) = 0;
 
+    /**
+     * forwardBatch() into @p out, one record per input row. A record
+     * that already has the model's layer widths keeps its storage.
+     * The default moves forwardBatch()'s records in.
+     */
+    virtual void forwardBatchInto(std::span<const std::vector<double>> inputs,
+                                  std::span<Activations> out);
+
+    /**
+     * Run one row into the model's reused one-row record (the
+     * training step's forward). The reference stays valid until the
+     * next forwardRow() or forward() call.
+     */
+    const Activations &forwardRow(const std::vector<double> &input);
+
     /** Gate-evaluation work of any underlying faulty-operator
      *  simulations (zero for native models). Wrapper models report
      *  their backing Accelerator's counters. */
@@ -212,9 +238,11 @@ class ForwardModel
     rowLoopBatch(std::span<const std::vector<double>> inputs);
 
   private:
-    /** The default forward()'s one-row batch, reused across calls
-     *  so a training step copies its row without allocating. */
-    std::vector<std::vector<double>> oneRow;
+    /** The default forward()'s copy of its row, reused across
+     *  calls. */
+    std::vector<double> oneRow;
+    /** forwardRow()'s record, reused across calls. */
+    Activations rowAct;
 };
 
 /** Double-precision reference network over any layer stack (exact

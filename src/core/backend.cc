@@ -207,6 +207,7 @@ HardwareBackend::HardwareBackend(const AcceleratorConfig &config,
     }
     slotOf.assign(total, 0);
     units.resize(1);
+    nonZeroEnd.assign(static_cast<size_t>(cfg.hidden + cfg.outputs), 0);
     for (std::vector<Fix16> *v : {&laneX, &laneP})
         v->resize(kMaxLanes);
     for (std::vector<Acc24> *v : {&laneAcc, &laneAddend})
@@ -244,7 +245,7 @@ HardwareBackend::enterUnit(const UnitSite &site)
         ix = static_cast<uint16_t>(units.size());
         units.emplace_back().site = site;
         indexUnit(ix);
-        installStale = true;
+        installStale = runsStale = true;
     }
     return units[ix];
 }
@@ -271,7 +272,7 @@ HardwareBackend::compactUnits()
     std::fill(slotOf.begin(), slotOf.end(), 0);
     for (size_t ix = 1; ix < units.size(); ++ix)
         indexUnit(ix);
-    installStale = true;
+    installStale = runsStale = true;
 }
 
 std::vector<InjectionRecord>
@@ -641,8 +642,10 @@ HardwareBackend::setWeights(const DeepWeights &w)
         int used = h ? logical.hidden : logical.outputs;
         int used_fanin = h ? logical.inputs : logical.hidden;
         int fanin = fanIn(layer);
+        int neurons = h ? cfg.hidden : cfg.outputs;
         const double *src = h ? hid.data() : out.data();
         Fix16 *dst = h ? hidW.data() : outW.data();
+        int *bound = &nonZeroEnd[neuronRow(layer, 0)];
         for (int n = 0; n < used; ++n) {
             for (int i = 0; i < used_fanin; ++i)
                 dst[i] = Fix16::fromDouble(src[i]);
@@ -650,6 +653,9 @@ HardwareBackend::setWeights(const DeepWeights &w)
             src += used_fanin + 1;
             dst += fanin + 1;
         }
+        // Clean padding words hold planInstall()'s zero.
+        std::fill(bound, bound + used, used_fanin);
+        std::fill(bound + used, bound + neurons, 0);
     }
     // The non-clean latches overwrite their words in the order a
     // full-array sweep visits them: shared systolic latches and
@@ -659,8 +665,13 @@ HardwareBackend::setWeights(const DeepWeights &w)
         Fix16 q = r.src < 0
             ? Fix16()
             : Fix16::fromDouble((h ? hid : out)[static_cast<size_t>(r.src)]);
-        (h ? hidW : outW)[r.dst] =
-            unitLatchStore(r.layer, r.neuron, r.index, q);
+        Fix16 stored = unitLatchStore(r.layer, r.neuron, r.index, q);
+        (h ? hidW : outW)[r.dst] = stored;
+        // A faulty latch may store a non-zero word past the task's
+        // fan-in, a padding neuron's included.
+        int &bound = nonZeroEnd[neuronRow(r.layer, r.neuron)];
+        if (stored.bits() != 0 && r.index < fanIn(r.layer))
+            bound = std::max(bound, r.index + 1);
     }
 }
 
@@ -681,13 +692,37 @@ HardwareBackend::loadPhysicalRow(Layer layer, int neuron,
         Fix16 d = weights[static_cast<size_t>(i)];
         dst[i] = latch[i] ? unitLatchStore(layer, neuron, i, d) : d;
     }
+    storedRowChanged(layer, neuron);
     // A clean padding word may no longer be zero.
     installStale = true;
+}
+
+void
+HardwareBackend::storedRowChanged(Layer layer, int neuron)
+{
+    int fanin = fanIn(layer);
+    const Fix16 *w = (layer == Layer::Hidden ? hidW.data() : outW.data()) +
+        static_cast<size_t>(neuron) * static_cast<size_t>(fanin + 1);
+    int end = fanin;
+    while (end > 0 && w[end - 1].bits() == 0)
+        --end;
+    nonZeroEnd[neuronRow(layer, neuron)] = end;
 }
 
 std::vector<Activations>
 HardwareBackend::forwardBatch(std::span<const std::vector<double>> inputs)
 {
+    std::vector<Activations> acts(inputs.size());
+    forwardBatchInto(inputs, acts);
+    return acts;
+}
+
+void
+HardwareBackend::forwardBatchInto(std::span<const std::vector<double>> inputs,
+                                  std::span<Activations> out)
+{
+    dtann_assert(out.size() == inputs.size(),
+                 "one activation record per input row");
     // A stateful PE shared by both passes must see each row's hidden
     // and output operations back to back: a chunk of one row is that
     // schedule. (A one-row call, the training path, skips reading the
@@ -713,7 +748,8 @@ HardwareBackend::forwardBatch(std::span<const std::vector<double>> inputs)
         batchOutPtr[l] = &batchOut[l * n_out];
     }
 
-    std::vector<Activations> acts(rows);
+    size_t hid = static_cast<size_t>(logical.hidden);
+    size_t outs = static_cast<size_t>(logical.outputs);
     for (size_t pos = 0; pos < rows; pos += width) {
         size_t lanes = std::min(width, rows - pos);
         for (size_t l = 0; l < lanes; ++l) {
@@ -726,18 +762,17 @@ HardwareBackend::forwardBatch(std::span<const std::vector<double>> inputs)
         runLayerLanes(Layer::Hidden, batchInPtr, batchHidOut, lanes);
         runLayerLanes(Layer::Output, batchHidIn, batchOutPtr, lanes);
         for (size_t l = 0; l < lanes; ++l) {
-            Activations &act = acts[pos + l];
-            act = Activations(static_cast<size_t>(logical.hidden),
-                              static_cast<size_t>(logical.outputs));
-            for (int j = 0; j < logical.hidden; ++j)
-                act.hidden()[static_cast<size_t>(j)] =
-                    batchHid[l * n_hid + static_cast<size_t>(j)].toDouble();
-            for (int k = 0; k < logical.outputs; ++k)
-                act.output()[static_cast<size_t>(k)] =
-                    batchOut[l * n_out + static_cast<size_t>(k)].toDouble();
+            // A reused record keeps its storage.
+            std::vector<std::vector<double>> &layers = out[pos + l].layers;
+            layers.resize(2);
+            layers[0].resize(hid);
+            layers[1].resize(outs);
+            for (size_t j = 0; j < hid; ++j)
+                layers[0][j] = batchHid[l * n_hid + j].toDouble();
+            for (size_t k = 0; k < outs; ++k)
+                layers[1][k] = batchOut[l * n_out + k].toDouble();
         }
     }
-    return acts;
 }
 
 void
@@ -748,6 +783,8 @@ HardwareBackend::runLayerLanes(Layer layer,
 {
     dtann_assert(lanes >= 1 && lanes <= kMaxLanes,
                  "lane count out of range");
+    if (runsStale)
+        planRuns();
     bool hid = layer == Layer::Hidden;
     const Fix16 *weights = hid ? hidW.data() : outW.data();
     Acc24 *sums = nullptr;
@@ -777,14 +814,42 @@ HardwareBackend::runLayerLanes(Layer layer,
 }
 
 void
+HardwareBackend::planRuns()
+{
+    cleanRuns.clear();
+    runStart.clear();
+    for (Layer layer : {Layer::Hidden, Layer::Output}) {
+        int fanin = fanIn(layer);
+        int neurons = layer == Layer::Hidden ? cfg.hidden : cfg.outputs;
+        for (int n = 0; n < neurons; ++n) {
+            runStart.push_back(static_cast<uint32_t>(cleanRuns.size()));
+            const uint16_t *mul = slotRow(UnitKind::Multiplier, layer, n);
+            const uint16_t *add = slotRow(UnitKind::AdderStage, layer, n);
+            for (int i = 1; i <= fanin;) {
+                int end = i;
+                while (end <= fanin && (mul[end] | add[end - 1]) == 0)
+                    ++end;
+                if (end > i)
+                    cleanRuns.push_back({i, end});
+                i = end + 1; // synapse end is not clean
+            }
+        }
+    }
+    runStart.push_back(static_cast<uint32_t>(cleanRuns.size()));
+    runsStale = false;
+}
+
+void
 HardwareBackend::neuronSumLanes(Layer layer, int neuron, const Fix16 *w,
                                 const std::vector<const Fix16 *> &in,
                                 Acc24 *acc, size_t lanes)
 {
     const Fix16 one = Fix16::fromDouble(1.0);
     int fanin = fanIn(layer);
-    const uint16_t *mul = slotRow(UnitKind::Multiplier, layer, neuron);
-    const uint16_t *add = slotRow(UnitKind::AdderStage, layer, neuron);
+    size_t row = neuronRow(layer, neuron);
+    const CleanRun *run = cleanRuns.data() + runStart[row];
+    const CleanRun *runs_end = cleanRuns.data() + runStart[row + 1];
+    int bound = nonZeroEnd[row];
     Fix16 *x = laneX.data(), *p = laneP.data();
     Acc24 *addend = laneAddend.data();
     for (size_t l = 0; l < lanes; ++l)
@@ -793,34 +858,32 @@ HardwareBackend::neuronSumLanes(Layer layer, int neuron, const Fix16 *w,
     for (size_t l = 0; l < lanes; ++l)
         acc[l] = Acc24::fromFix16(p[l]);
     for (int i = 1; i <= fanin;) {
-        // Synapses i..end-1 have a clean multiplier and a clean adder
-        // stage i - 1: native arithmetic, one lane at a time (no unit
-        // sees them, so their order across lanes is free).
-        // hwMul(0, x) == 0 and Acc24::hwAdd wraps modulo 2^24, so a
-        // zero weight leaves the accumulator as it is, and the run
-        // sums in 32-bit unsigned arithmetic (whose low 24 bits are
-        // the same) and wraps once. The scan for the run's end also
-        // finds its last non-zero weight before the bias, so the
-        // padding past the task's fan-in is skipped once for all
-        // lanes.
-        int end = i, stop = i;
-        for (; end <= fanin && (mul[end] | add[end - 1]) == 0; ++end)
-            if (end < fanin && w[end].bits() != 0)
-                stop = end + 1;
-        if (end > i) {
+        if (run != runs_end && run->begin == i) {
+            // Synapses i..end-1 have a clean multiplier and a clean
+            // adder stage i - 1: native arithmetic, one lane at a
+            // time (no unit sees them, so their order across lanes
+            // is free). hwMul(0, x) == 0 and Acc24::hwAdd wraps
+            // modulo 2^24, so a zero weight leaves the accumulator
+            // as it is, and the run sums in 32-bit unsigned
+            // arithmetic (whose low 24 bits are the same) and wraps
+            // once. Every word from the row's bound to the bias is
+            // zero, so the padding past the task's fan-in is never
+            // visited.
+            int end = run->end, stop = std::min(end, bound);
             uint32_t bias = end > fanin
                 ? static_cast<uint32_t>(Fix16::hwMul(w[fanin], one).raw())
                 : 0;
             for (size_t l = 0; l < lanes; ++l) {
-                const Fix16 *row = in[l];
+                const Fix16 *r = in[l];
                 uint32_t a = static_cast<uint32_t>(acc[l].raw()) + bias;
                 for (int k = i; k < stop; ++k)
                     if (w[k].bits() != 0)
                         a += static_cast<uint32_t>(
-                            Fix16::hwMul(w[k], row[k]).raw());
+                            Fix16::hwMul(w[k], r[k]).raw());
                 acc[l] = Acc24::fromRaw(static_cast<int32_t>(a));
             }
             i = end;
+            ++run;
             continue;
         }
         for (size_t l = 0; l < lanes; ++l)

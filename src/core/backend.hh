@@ -204,7 +204,8 @@ class HardwareBackend : public ForwardModel
     void setWeights(const DeepWeights &w) override;
 
     /**
-     * Forward a batch of logical input rows: per chunk of rows, the
+     * Forward a batch of logical input rows into @p out (one record
+     * per row, storage reused): per chunk of rows, the
      * hidden pass, then the output pass, over every physical neuron.
      * A chunk is batchLaneWidth() rows (64/256/512 per the
      * DTANN_LANES knob), or one row when the passes share their
@@ -217,6 +218,10 @@ class HardwareBackend : public ForwardModel
      * every lane width, including the per-unit deviation-probe
      * update order.
      */
+    void forwardBatchInto(std::span<const std::vector<double>> inputs,
+                          std::span<Activations> out) override;
+
+    /** forwardBatchInto() into a fresh record per row. */
     std::vector<Activations> forwardBatch(
         std::span<const std::vector<double>> inputs) override;
 
@@ -437,6 +442,13 @@ class HardwareBackend : public ForwardModel
                          std::span<const Fix16> weights);
 
     /**
+     * The stored words of (@p layer, @p neuron) were rewritten
+     * outside setWeights(): rescan the row for its last non-zero
+     * word before the bias, the bound neuronSumLanes() stops at.
+     */
+    void storedRowChanged(Layer layer, int neuron);
+
+    /**
      * Run @p layer over <= kMaxLanes input rows (one pointer each):
      * per physical neuron n, neuronSumLanes() over its stored weight
      * row, then the activation unit and the clamp. The hidden pass
@@ -449,12 +461,14 @@ class HardwareBackend : public ForwardModel
      * One neuron's multiply/add chain over <= kMaxLanes rows into
      * @p acc: multiplier i takes weight @p w[i] and input i (the
      * bias synapse, i == fanIn(), takes one) and adder stage i - 1
-     * folds product i into the accumulator. A synapse whose
-     * multiplier and adder stage are both unitClean() runs natively,
-     * and is skipped when its stored weight is zero (DESIGN.md §14);
-     * every other synapse goes through unitMulLanes()/
-     * unitAddLanes(). Virtual only so tests can compare against the
-     * all-units chain.
+     * folds product i into the accumulator. It walks the neuron's
+     * run plan: each cached run of synapses whose multiplier and
+     * adder stage are both unitClean() runs natively, stops at the
+     * row's last non-zero stored word before the bias and skips
+     * zero words (DESIGN.md §14); every synapse between runs goes
+     * through unitMulLanes()/unitAddLanes(). runLayerLanes() has
+     * rebuilt a stale plan first. Virtual only so tests can compare
+     * against the all-units chain.
      */
     virtual void neuronSumLanes(Layer layer, int neuron, const Fix16 *w,
                                 const std::vector<const Fix16 *> &in,
@@ -529,6 +543,38 @@ class HardwareBackend : public ForwardModel
     /** Zero hidW and outW and list the non-clean latches in pass
      *  order (hidden pass first, row-major, padding included). */
     void planInstall();
+
+    /** A maximal run [begin, end) of synapses >= 1 whose
+     *  multiplier and adder stage are both clean. */
+    struct CleanRun
+    {
+        int begin;
+        int end;
+    };
+
+    /** Row of (@p layer, @p neuron) in the per-neuron arrays:
+     *  hidden neurons first, then output neurons. */
+    size_t
+    neuronRow(Layer layer, int neuron) const
+    {
+        return static_cast<size_t>(
+            (layer == Layer::Hidden ? 0 : cfg.hidden) + neuron);
+    }
+
+    /** Rebuild cleanRuns from the slot table. */
+    void planRuns();
+
+    /** Every neuron's clean runs in order, neuronRow() by
+     *  neuronRow(); neuron r's are [runStart[r], runStart[r + 1]).
+     *  Valid unless runsStale. */
+    std::vector<CleanRun> cleanRuns;
+    std::vector<uint32_t> runStart;
+    /** Set whenever a unit enters or leaves the table (where
+     *  installStale is): runLayerLanes() then re-plans. */
+    bool runsStale = true;
+    /** Per neuronRow(): every stored word from here up to the bias
+     *  is zero (an upper bound on the last non-zero one). */
+    std::vector<int> nonZeroEnd;
 
     /** Non-clean latches in install order; valid unless
      *  installStale. */

@@ -11,6 +11,7 @@
 #include "ann/crossval.hh"
 #include "ann/fixed_mlp.hh"
 #include "ann/trainer.hh"
+#include "core/backend.hh"
 #include "core/timemux.hh"
 #include "data/synth_uci.hh"
 
@@ -160,13 +161,32 @@ weightDigest(const DeepWeights &w)
     return h;
 }
 
+/** The first seed from 1 whose 3 defects make the latch at @p site
+ *  store a non-zero word when zero is written into it from reset. */
+uint64_t
+nonZeroLatchSeed(BackendKind kind, const AcceleratorConfig &cfg,
+                 const MlpTopology &topo, const UnitSite &site)
+{
+    for (uint64_t s = 1; s < 2000; ++s) {
+        auto b = makeBackend(kind, cfg, topo);
+        Rng rng(s);
+        b->injectDefects(site, 3, rng);
+        if (b->bistLatchStore(site.layer, site.neuron, site.index,
+                              Fix16()) != Fix16())
+            return s;
+    }
+    ADD_FAILURE() << "no draw stores a non-zero word at " << site.describe();
+    return 1;
+}
+
 TEST(Trainer, TrainedWeightsMatchPreRefactorRecording)
 {
     // Bit-exact trained weights, recorded before the 2-layer weight
-    // type was folded into the layer stack. Every model family the
-    // trainer drives is pinned: a change in RNG draw order, FP
-    // expression shape or weight install shows up here even when
-    // accuracy bounds would still pass.
+    // type was folded into the layer stack (the two backend digests
+    // before the neuron run plan and the one-row forward buffer).
+    // Every model family the trainer drives is pinned: a change in
+    // RNG draw order, FP expression shape or weight install shows up
+    // here even when accuracy bounds would still pass.
     Dataset xor_ds = xorDataset();
     Rng gen(17);
     Dataset iris = makeSyntheticTask(uciTask("iris"), gen, 60);
@@ -213,6 +233,27 @@ TEST(Trainer, TrainedWeightsMatchPreRefactorRecording)
     pruned.setPruneMask({{0, 1, 2}, {1, 2, 6}});
     DeepWeights mux_w = pruned.train(mux, iris, r4, &base);
     EXPECT_EQ(weightDigest(mux_w), 0x310765a6f98f5e16ull);
+
+    // Retraining through faulty hardware on both backends: an output
+    // padding latch that stores a non-zero word (it weighs hidden
+    // padding neuron 3), a faulty multiplier and a bypassed adder
+    // stage.
+    for (auto [kind, digest] :
+         {std::pair{BackendKind::Spatial, 0xd869af424406cf49ull},
+          std::pair{BackendKind::Systolic, 0x36fe5c2301b4fcccull}}) {
+        SCOPED_TRACE(backendName(kind));
+        MlpTopology hw_t{4, 3, 3};
+        UnitSite latch{UnitKind::WeightLatch, Layer::Output, 0, 3};
+        uint64_t latch_seed = nonZeroLatchSeed(kind, cfg, hw_t, latch);
+        auto hw = makeBackend(kind, cfg, hw_t);
+        Rng r5(latch_seed);
+        hw->injectDefects(latch, 3, r5);
+        hw->injectDefects({UnitKind::Multiplier, Layer::Hidden, 1, 2}, 3,
+                          r5);
+        hw->bypassUnit({UnitKind::AdderStage, Layer::Output, 2, 1});
+        DeepWeights hw_w = Trainer({3, 4, 0.2, 0.1}).train(*hw, iris, r5);
+        EXPECT_EQ(weightDigest(hw_w), digest);
+    }
 }
 
 TEST(Trainer, ArgmaxBasics)

@@ -17,7 +17,9 @@
  * and replaying a cached list of the faulty or bypassed latches
  * (DESIGN.md §14). ReferenceWeightLoad keeps the install that
  * replaced: one sweep over every latch site of the array, padding
- * included, in pass order.
+ * included, in pass order. It writes the stored words itself, so it
+ * reports each row to storedRowChanged(), as the backends' raw row
+ * load does.
  */
 
 #ifndef DTANN_TESTS_CORE_REFERENCE_DATAPATH_HH
@@ -101,6 +103,7 @@ class ReferenceWeightLoad : public Backend
                         ? q
                         : this->unitLatchStore(layer, n, i, q);
                 }
+                this->storedRowChanged(layer, n);
             }
         }
     }

@@ -12,11 +12,18 @@
  *  - a faulty adder stage after a clean zero-weight multiplier;
  *  - a faulty multiplier with a zero weight;
  *  - a faulty latch that stores a non-zero word at a padding site;
+ *  - faulty latches that store non-zero words on padding hidden
+ *    neuron 3 and past the output layer's logical fan-in (the run
+ *    plan's non-zero bound);
  *  - activation clamps on both layers.
+ *
+ * A second check holds the cached run plan to the unit table:
+ * defects injected, bypassed and cleared after an install, each
+ * followed by a forward with no re-install.
  *
  * The 8-3-2 task on the 12-4-3 array leaves padding sites (zero
  * weights) in both layers, and two used synapses get exact zero
- * weights as well. Labelled asan.
+ * weights as well. Labelled asan and ubsan.
  */
 
 #include <gtest/gtest.h>
@@ -168,6 +175,20 @@ scenarios()
                                       seed * 100));
              b.injectDefects(site, 3, rng);
          }},
+        {"faulty_latch_padding_neuron",
+         [](HardwareBackend &b, uint64_t seed) {
+             // Padding hidden neuron 3 has no used word, so only its
+             // faulty latch 5 lifts the row's bound. Output latch 3
+             // lies past the output layer's logical fan-in and
+             // weighs neuron 3's activation.
+             for (UnitSite site :
+                  {UnitSite{UnitKind::WeightLatch, Layer::Hidden, 3, 5},
+                   UnitSite{UnitKind::WeightLatch, Layer::Output, 0, 3}}) {
+                 Rng rng(nonZeroLatchSeed(b.backendKind(), site, 3,
+                                          seed * 100));
+                 b.injectDefects(site, 3, rng);
+             }
+         }},
         {"clamps",
          [](HardwareBackend &b, uint64_t seed) {
              // A padding stage and the output bias multiplier.
@@ -183,18 +204,25 @@ scenarios()
     };
 }
 
-/** Readable pre-activation sums (the spatial array exposes them). */
-void
-expectSameSums(HardwareBackend &ref, HardwareBackend &got)
+/** @p Backend with its per-lane hidden sums readable. */
+template <class Backend>
+class WithSums : public Backend
 {
-    auto *r = dynamic_cast<SpatialBackend *>(&ref);
-    auto *g = dynamic_cast<SpatialBackend *>(&got);
-    if (!r || !g)
-        return;
+  public:
+    using Backend::Backend;
+
+    const std::vector<Acc24> &sums() const { return this->hidSumsLanes; }
+};
+
+/** The pre-activation sums of both twins' last hidden pass. */
+template <class Ref, class Got>
+void
+expectSameSums(const Ref &ref, const Got &got)
+{
     // Every run, one row or a batch, leaves its last chunk's per-lane
     // sums behind, so the comparison cannot pass vacuously.
-    EXPECT_FALSE(r->hiddenSumsLanes().empty());
-    EXPECT_TRUE(g->hiddenSumsLanes() == r->hiddenSumsLanes());
+    EXPECT_FALSE(ref.sums().empty());
+    EXPECT_TRUE(got.sums() == ref.sums());
 }
 
 /** Probes, counters and clamp hits after a run. */
@@ -230,6 +258,34 @@ struct LaneWidth
 };
 
 /**
+ * Forward @p rows through both twins, one by one (@p lanes == 0) or
+ * as one forwardBatch() at the lane width in force, and compare the
+ * activations and the hidden sums.
+ */
+template <class Ref, class Got>
+void
+expectSameForward(Ref &ref, Got &got,
+                  const std::vector<std::vector<double>> &rows,
+                  size_t lanes)
+{
+    if (lanes) {
+        auto want = ref.forwardBatch(rows);
+        auto have = got.forwardBatch(rows);
+        ASSERT_EQ(have.size(), want.size());
+        for (size_t r = 0; r < want.size(); ++r)
+            ASSERT_EQ(have[r].layers, want[r].layers) << "row " << r;
+        expectSameSums(ref, got);
+    } else {
+        for (size_t r = 0; r < rows.size(); ++r) {
+            ASSERT_EQ(got.forward(rows[r]).layers,
+                      ref.forward(rows[r]).layers)
+                << "row " << r;
+            expectSameSums(ref, got);
+        }
+    }
+}
+
+/**
  * Run @p sc on a reference/native twin pair: two weight loads, each
  * followed by the rows one by one (@p lanes == 0) or as one
  * forwardBatch() at DTANN_LANES=@p lanes. @p lane_path is set when
@@ -242,8 +298,8 @@ checkScenario(const Scenario &sc, uint64_t seed, size_t lanes,
               bool &lane_path)
 {
     LaneWidth width(lanes);
-    ReferenceDatapath<Backend> ref(smallArray(), kLogical);
-    Backend got(smallArray(), kLogical);
+    WithSums<ReferenceDatapath<Backend>> ref(smallArray(), kLogical);
+    WithSums<Backend> got(smallArray(), kLogical);
     sc.setup(ref, seed);
     sc.setup(got, seed);
     Rng rr(seed * 7 + 1);
@@ -253,21 +309,9 @@ checkScenario(const Scenario &sc, uint64_t seed, size_t lanes,
         DeepWeights w = weightsFor(load);
         ref.setWeights(w);
         got.setWeights(w);
-        if (lanes) {
-            auto want = ref.forwardBatch(rows);
-            auto have = got.forwardBatch(rows);
-            ASSERT_EQ(have.size(), want.size());
-            for (size_t r = 0; r < want.size(); ++r)
-                ASSERT_EQ(have[r].layers, want[r].layers) << "row " << r;
-            expectSameSums(ref, got);
-        } else {
-            for (size_t r = 0; r < rows.size(); ++r) {
-                ASSERT_EQ(got.forward(rows[r]).layers,
-                          ref.forward(rows[r]).layers)
-                    << "row " << r;
-                expectSameSums(ref, got);
-            }
-        }
+        expectSameForward(ref, got, rows, lanes);
+        if (testing::Test::HasFatalFailure())
+            return;
     }
     expectSameUnits(ref, got);
     lane_path = lanes && (got.backendKind() == BackendKind::Spatial ||
@@ -293,8 +337,73 @@ checkAllScenarios()
             }
         }
         // Latch faults keep the systolic batch on the row loop.
-        if (std::string(sc.name) != "faulty_latch_padding") {
+        if (std::string(sc.name).rfind("faulty_latch", 0) != 0) {
             EXPECT_GT(lane_runs, 0) << sc.name << ": lane path unexercised";
+        }
+    }
+}
+
+/**
+ * Change the unit table after an install and forward again with no
+ * re-install, on a reference/native twin pair: defects injected (a
+ * used multiplier, the stage folding a zero-weight synapse, a
+ * padding multiplier), then bypasses, then each clear. The first forward has built the native run plan, so
+ * every later one must see the plan rebuilt from the table.
+ */
+template <class Backend>
+void
+checkUnitChangesAfterInstall(uint64_t seed, size_t lanes)
+{
+    LaneWidth width(lanes);
+    WithSums<ReferenceDatapath<Backend>> ref(smallArray(), kLogical);
+    WithSums<Backend> got(smallArray(), kLogical);
+    Rng rr(seed * 7 + 3);
+    auto rows = randomRows(lanes ? lanes + 37 : 40, rr);
+    DeepWeights w = weightsFor(seed);
+    ref.setWeights(w);
+    got.setWeights(w);
+    std::vector<Scenario> steps = {
+        {"installed", [](HardwareBackend &, uint64_t) {}},
+        {"injected",
+         [](HardwareBackend &b, uint64_t s) {
+             injectAll(b,
+                       {{UnitKind::Multiplier, Layer::Hidden, 1, 3},
+                        {UnitKind::AdderStage, Layer::Hidden, 0, 1},
+                        {UnitKind::Multiplier, Layer::Output, 0, 3}},
+                       s);
+         }},
+        {"bypassed",
+         [](HardwareBackend &b, uint64_t) {
+             b.bypassUnit({UnitKind::Multiplier, Layer::Hidden, 2, 4});
+             b.bypassUnit({UnitKind::AdderStage, Layer::Output, 1, 1});
+         }},
+        {"defects_cleared",
+         [](HardwareBackend &b, uint64_t) { b.clearDefects(); }},
+        {"bypasses_cleared",
+         [](HardwareBackend &b, uint64_t) { b.clearBypasses(); }},
+    };
+    for (const Scenario &step : steps) {
+        SCOPED_TRACE(step.name);
+        step.setup(ref, seed);
+        step.setup(got, seed);
+        expectSameForward(ref, got, rows, lanes);
+        if (testing::Test::HasFatalFailure())
+            return;
+        expectSameUnits(ref, got);
+    }
+}
+
+template <class Backend>
+void
+checkAllUnitChanges()
+{
+    for (uint64_t seed : {1, 2, 3, 4}) {
+        for (size_t lanes : {0, 64, 256, 512}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " lanes " +
+                         std::to_string(lanes));
+            checkUnitChangesAfterInstall<Backend>(seed, lanes);
+            if (testing::Test::HasFatalFailure())
+                return;
         }
     }
 }
@@ -307,6 +416,16 @@ TEST(CleanDatapath, SpatialMatchesAllUnitsReference)
 TEST(CleanDatapath, SystolicMatchesAllUnitsReference)
 {
     checkAllScenarios<SystolicBackend>();
+}
+
+TEST(CleanDatapath, SpatialRunPlanFollowsUnitChanges)
+{
+    checkAllUnitChanges<SpatialBackend>();
+}
+
+TEST(CleanDatapath, SystolicRunPlanFollowsUnitChanges)
+{
+    checkAllUnitChanges<SystolicBackend>();
 }
 
 } // namespace
