@@ -119,8 +119,7 @@ BM_EvalMultiplier16FaultyPruned(benchmark::State &state)
         static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate);
     state.counters["active_gates"] = static_cast<double>(
-        ev.conePruned() ? ev.faultCone().activeGates.size()
-                        : nl.numGates());
+        ev.conePruned() ? ev.faultCone()->activeCount : nl.numGates());
 }
 BENCHMARK(BM_EvalMultiplier16FaultyPruned)->Arg(1)->Arg(8);
 
@@ -150,8 +149,7 @@ BM_EvalMultiplier16NarrowFault(benchmark::State &state)
         static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate);
     state.counters["active_gates"] = static_cast<double>(
-        ev.conePruned() ? ev.faultCone().activeGates.size()
-                        : nl.numGates());
+        ev.conePruned() ? ev.faultCone()->activeCount : nl.numGates());
 }
 BENCHMARK(BM_EvalMultiplier16NarrowFault)
     ->Arg(0)  // full scalar sweep
@@ -315,6 +313,36 @@ BM_OpSimConstruct(benchmark::State &state)
     }
 }
 BENCHMARK(BM_OpSimConstruct);
+
+void
+BM_OpSimLanes(benchmark::State &state)
+{
+    // One Fig 10 test sweep through a faulty unit: applyLanes() of
+    // 150 vectors (fig10-inference's test rows) on a state-free
+    // multiplier with one transistor defect, at the negotiated lane
+    // width. Packing the vectors into planes and the outputs back
+    // is part of each call.
+    auto nl = std::make_shared<const Netlist>(
+        buildMultiplierSigned(16, FaStyle::Nand9));
+    Rng rng(2);
+    Injection inj = injectTransistorDefects(*nl, 1, rng);
+    while (!inj.faults.isStateless())
+        inj = injectTransistorDefects(*nl, 1, rng);
+    OperatorSim sim(nl, std::move(inj), cleanMultiplierSigned(16));
+    std::vector<uint64_t> in(150), out(150);
+    for (auto &v : in)
+        v = rng.nextUint(1ull << 32);
+    for (auto _ : state) {
+        sim.applyLanes(in.data(), out.data(), in.size());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["vectors/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * in.size()),
+        benchmark::Counter::kIsRate);
+    state.SetLabel(batchLaneIsa());
+}
+BENCHMARK(BM_OpSimLanes);
 
 void
 BM_EvalSigmoidUnit(benchmark::State &state)

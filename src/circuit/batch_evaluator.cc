@@ -1,5 +1,7 @@
 #include "circuit/batch_evaluator.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace dtann {
@@ -26,17 +28,18 @@ BatchEvaluator::supports(const Netlist &netlist, const FaultSet &faults,
 std::optional<BatchEvaluator>
 BatchEvaluator::tryCreate(const Netlist &netlist, FaultSet faults,
                           CleanFn clean, size_t lanes,
-                          const FaultCone *cone)
+                          std::shared_ptr<const FaultCone> cone)
 {
     if (!supports(netlist, faults))
         return std::nullopt;
     return std::optional<BatchEvaluator>(BatchEvaluator(
-        netlist, std::move(faults), std::move(clean), lanes, cone));
+        netlist, std::move(faults), std::move(clean), lanes,
+        std::move(cone)));
 }
 
 BatchEvaluator::BatchEvaluator(const Netlist &netlist, FaultSet faults,
                                CleanFn clean, size_t lanes,
-                               const FaultCone *cone_in)
+                               std::shared_ptr<const FaultCone> cone_in)
     : nl(netlist), faultSet(std::move(faults)),
       cleanFn(std::move(clean)),
       words(lanes / 64),
@@ -81,13 +84,9 @@ BatchEvaluator::BatchEvaluator(const Netlist &netlist, FaultSet faults,
             }
         }
         if (cleanFn)
-            cone = cone_in ? *cone_in : computeFaultCone(nl, faultSet);
-        if (cone.valid) {
-            const CellIndex *cells = nl.cellIndex();
-            prunedSteps = cells ? cells->prunedSteps(cone.activeGates,
-                                                     faultSet, nl)
-                                : cone.activeGates;
-        }
+            cone = cone_in ? std::move(cone_in)
+                           : std::make_shared<const FaultCone>(
+                                 computeFaultCone(nl, faultSet));
     }
 }
 
@@ -149,43 +148,43 @@ BatchEvaluator::evaluateLanes(const uint64_t *vectors, uint64_t *out,
     dtann_assert(count <= laneCount(), "at most laneCount() lanes");
     size_t n_in = nl.inputs().size();
     dtann_assert(n_in <= 64, "at most 64 primary inputs");
-    for (size_t i = 0; i < n_in; ++i) {
-        uint64_t *plane = &netLanes[nl.inputs()[i] * words];
-        for (size_t w = 0; w < words; ++w)
-            plane[w] = 0;
-        for (size_t l = 0; l < count; ++l)
-            plane[l >> 6] |= ((vectors[l] >> i) & 1) << (l & 63);
-    }
-    if (cone.valid)
-        sweepGates(&prunedSteps, cone.activeGates.size());
-    else
-        sweepGates(nullptr, nl.numGates());
     size_t n_out = nl.outputs().size();
     dtann_assert(n_out <= 64, "at most 64 primary outputs");
-    for (size_t l = 0; l < count; ++l)
-        out[l] = 0;
-    if (cone.valid) {
-        // Pruned sweep: only in-cone outputs were simulated; the
-        // rest come from the clean native model, per lane.
-        for (size_t o = 0; o < n_out; ++o) {
-            if (!(cone.outputMask >> o & 1))
-                continue;
-            const uint64_t *plane =
-                &netLanes[nl.outputs()[o] * words];
-            for (size_t l = 0; l < count; ++l)
-                out[l] |= ((plane[l >> 6] >> (l & 63)) & 1) << o;
-        }
-        for (size_t l = 0; l < count; ++l) {
-            uint64_t clean = cleanFn(vectors[l]);
-            out[l] |= clean & ~cone.outputMask;
-        }
-        return;
+    // Block b of the vectors, lane by input bit, is a 64x64 bit
+    // matrix; its transpose holds word b of every input plane.
+    // Words past the last vector are cleared.
+    uint64_t m[64];
+    size_t blocks = (count + 63) / 64;
+    for (size_t b = 0; b < words; ++b) {
+        size_t lanes = b < blocks ? std::min<size_t>(64, count - 64 * b) : 0;
+        std::copy(vectors + 64 * b, vectors + 64 * b + lanes, m);
+        std::fill(m + lanes, m + 64, 0);
+        if (lanes)
+            transpose64(m);
+        for (size_t i = 0; i < n_in; ++i)
+            netLanes[nl.inputs()[i] * words + b] = m[i];
     }
-    for (size_t o = 0; o < n_out; ++o) {
-        const uint64_t *plane = &netLanes[nl.outputs()[o] * words];
+    bool pruned = conePruned();
+    if (pruned)
+        sweepGates(&cone->steps, cone->activeCount);
+    else
+        sweepGates(nullptr, nl.numGates());
+    // Back the other way: word b of each simulated output plane is
+    // a row, and the transpose's rows are the lanes' output words.
+    // A pruned sweep simulated only the in-cone outputs; the rest
+    // come from the clean native model, per lane.
+    uint64_t sim = pruned ? cone->outputMask
+        : n_out == 64     ? ~0ull
+                          : (1ull << n_out) - 1;
+    for (size_t b = 0; b < blocks; ++b) {
+        for (size_t o = 0; o < 64; ++o)
+            m[o] = sim >> o & 1 ? netLanes[nl.outputs()[o] * words + b] : 0;
+        transpose64(m);
+        std::copy(m, m + std::min<size_t>(64, count - 64 * b), out + 64 * b);
+    }
+    if (pruned)
         for (size_t l = 0; l < count; ++l)
-            out[l] |= ((plane[l >> 6] >> (l & 63)) & 1) << o;
-    }
+            out[l] |= cleanFn(vectors[l]) & ~sim;
 }
 
 std::vector<uint64_t>
@@ -195,6 +194,24 @@ BatchEvaluator::evaluateVectors(const std::vector<uint64_t> &vectors)
     if (!vectors.empty())
         evaluateLanes(vectors.data(), result.data(), vectors.size());
     return result;
+}
+
+void
+transpose64(uint64_t *m)
+{
+    // Round j swaps, in every 2j x 2j block, the top-right j x j
+    // block (rows with bit j clear, columns with it set) with the
+    // bottom-left one.
+    uint64_t mask = 0x00000000ffffffffull;
+    for (size_t j = 32; j; j >>= 1, mask ^= mask << j) {
+        for (size_t base = 0; base < 64; base += 2 * j) {
+            for (size_t k = base; k < base + j; ++k) {
+                uint64_t t = ((m[k] >> j) ^ m[k + j]) & mask;
+                m[k] ^= t << j;
+                m[k + j] ^= t;
+            }
+        }
+    }
 }
 
 } // namespace dtann

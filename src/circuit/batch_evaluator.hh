@@ -7,12 +7,12 @@
  * {1, 4, 8} -> 64/256/512 lanes; see circuit/lane_plane.hh) whose
  * bit L is the net's value in lane L, and every gate evaluates all
  * lanes with a handful of bitwise operations — vectorized into
- * ymm/zmm registers when the machine has AVX2/AVX-512. This gives a
- * ~40x speedup over the scalar sweep at 64 lanes and several-fold
- * more at the wide widths. The default width is 64 (one word, PR
- * 3's original layout, kept as the differential oracle); callers on
- * the campaign hot path pass batchLaneWidth() to get the machine's
- * best width, subject to the DTANN_LANES knob.
+ * ymm/zmm registers when the machine has AVX2/AVX-512. The default
+ * width is 64 (one word, the original layout, kept as the
+ * differential oracle); callers on the campaign hot path pass
+ * batchLaneWidth() to get the machine's best width, subject to the
+ * DTANN_LANES knob. evaluateLanes() moves vectors in and out of the
+ * planes by a 64x64 bit transpose per 64-lane block (transpose64()).
  *
  * Fault overrides are applied per gate through their truth table's
  * value plane: for each input combination whose table entry is One,
@@ -20,8 +20,9 @@
  * table's MEM plane must be empty — a MEM entry makes the gate's
  * output depend on the previous vector, which independent lanes
  * cannot represent — so eligibility is FaultSet::isStateless() on a
- * feedback-free netlist (see supports()/tryCreate()); stateful sets
- * fall back to the scalar relaxation Evaluator.
+ * feedback-free netlist (see supports()/tryCreate()). OperatorSim
+ * runs stateful sets through the scalar Evaluator: cone-pruned and
+ * memoized when a clean model is given (DESIGN.md §9).
  */
 
 #ifndef DTANN_CIRCUIT_BATCH_EVALUATOR_HH
@@ -29,6 +30,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -66,11 +68,11 @@ class BatchEvaluator
      *        machine's best width from the DTANN_LANES knob
      * @param cone optional computeFaultCone(netlist, faults), for a
      *        caller that builds several evaluators over one fault
-     *        set (copied; computed here when null)
+     *        set (shared; computed here when null)
      */
     static std::optional<BatchEvaluator> tryCreate(
         const Netlist &netlist, FaultSet faults = {}, CleanFn clean = {},
-        size_t lanes = 64, const FaultCone *cone = nullptr);
+        size_t lanes = 64, std::shared_ptr<const FaultCone> cone = nullptr);
 
     /**
      * @param netlist the circuit; asserts supports(netlist, faults)
@@ -78,7 +80,7 @@ class BatchEvaluator
      */
     explicit BatchEvaluator(const Netlist &netlist, FaultSet faults = {},
                             CleanFn clean = {}, size_t lanes = 64,
-                            const FaultCone *cone = nullptr);
+                            std::shared_ptr<const FaultCone> cone = nullptr);
 
     /** Lanes evaluated per sweep (64, 256 or 512). */
     size_t laneCount() const { return 64 * words; }
@@ -123,7 +125,7 @@ class BatchEvaluator
     const FaultSet &faults() const { return faultSet; }
 
     /** True when the packed-vector paths run cone-pruned. */
-    bool conePruned() const { return cone.valid; }
+    bool conePruned() const { return cone && cone->valid; }
 
     /** Batch sweeps executed so far (each covers up to laneCount()
      *  lanes). */
@@ -136,7 +138,9 @@ class BatchEvaluator
     const Netlist &nl;
     FaultSet faultSet;
     CleanFn cleanFn;
-    FaultCone cone;
+    /** The fault cone, null unless both a clean model and a fault
+     *  was given; its steps are the pruned sweep. */
+    std::shared_ptr<const FaultCone> cone;
 
     /** Plane width in 64-bit words (1, 4 or 8). */
     size_t words;
@@ -158,17 +162,19 @@ class BatchEvaluator
     /** Per-gate output stuck value (-1 = none). */
     std::vector<int8_t> outputForce;
 
-    /** The pruned sweep's steps (CellIndex::prunedSteps() on an
-     *  indexed netlist, else the cone's active gates); empty unless
-     *  conePruned(). */
-    std::vector<uint32_t> prunedSteps;
-
     uint64_t sweepCount = 0;
     uint64_t gateSweepCount = 0;
 
     /** Sweep @p steps (every gate when null), charging @p gates. */
     void sweepGates(const std::vector<uint32_t> *steps, size_t gates);
 };
+
+/**
+ * Transpose the 64x64 bit matrix @p m in place: bit c of m[r] moves
+ * to bit r of m[c]. Six rounds of masked swaps of ever smaller
+ * blocks, each round 32 word pairs.
+ */
+void transpose64(uint64_t *m);
 
 } // namespace dtann
 

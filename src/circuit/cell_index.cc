@@ -1,6 +1,7 @@
 #include "circuit/cell_index.hh"
 
 #include <algorithm>
+#include <map>
 
 #include "common/logging.hh"
 
@@ -23,33 +24,57 @@ algebraicNormalForm(uint16_t table)
     return static_cast<uint16_t>(a);
 }
 
+/** A pin source naming external input k: kExternal | k. */
+constexpr uint32_t kExternal = 0x100;
+
+/**
+ * Where each input pin of eligible cell @p c's gates reads from,
+ * 4 entries per gate: the cell gate that drives the net (its offset
+ * from firstGate), or external input k as kExternal | k.
+ */
+std::vector<uint32_t>
+pinSources(const Netlist &nl, const std::vector<uint32_t> &driver,
+           const Cell &c)
+{
+    std::vector<uint32_t> src(c.numGates * 4, 0);
+    for (uint32_t gi = c.firstGate; gi < c.endGate; ++gi) {
+        const Gate &g = nl.gate(gi);
+        for (int p = 0; p < g.arity(); ++p) {
+            NetId net = g.in[p];
+            uint32_t d = driver[net];
+            uint32_t &s = src[(gi - c.firstGate) * 4 + p];
+            if (d != noGate && d >= c.firstGate && d < c.endGate) {
+                s = d - c.firstGate;
+            } else {
+                uint32_t k = 0;
+                while (c.in[k] != net)
+                    ++k;
+                s = kExternal | k;
+            }
+        }
+    }
+    return src;
+}
+
 /** Tabulate the outputs of eligible cell @p c from its gates. */
 void
-tabulate(const Netlist &nl, const std::vector<uint32_t> &driver, Cell &c)
+tabulate(const Netlist &nl, const std::vector<uint32_t> &driver,
+         const std::vector<uint32_t> &src, Cell &c)
 {
     std::vector<uint8_t> val(c.numGates);
     // Index bits at and above numIn are cleared, so each pattern
     // of the used bits fills every entry that maps to it.
     for (uint32_t idx = 0; idx < 16; ++idx) {
         uint32_t used = idx & ((1u << c.numIn) - 1);
-        for (uint32_t gi = c.firstGate; gi < c.endGate; ++gi) {
-            const Gate &g = nl.gate(gi);
+        for (uint32_t k = 0; k < c.numGates; ++k) {
+            const Gate &g = nl.gate(c.firstGate + k);
             uint32_t bits = 0;
             for (int p = 0; p < g.arity(); ++p) {
-                NetId net = g.in[p];
-                uint32_t d = driver[net];
-                uint32_t v;
-                if (d != noGate && d >= c.firstGate && d < c.endGate) {
-                    v = val[d - c.firstGate];
-                } else {
-                    int k = 0;
-                    while (c.in[k] != net)
-                        ++k;
-                    v = used >> k & 1;
-                }
+                uint32_t s = src[k * 4 + p];
+                uint32_t v = s & kExternal ? used >> (s & 3) & 1 : val[s];
                 bits |= v << p;
             }
-            val[gi - c.firstGate] = gateTable(g.kind) >> bits & 1;
+            val[k] = gateTable(g.kind) >> bits & 1;
         }
         for (int o = 0; o < c.numOut; ++o)
             c.table[o] |= static_cast<uint16_t>(
@@ -57,6 +82,59 @@ tabulate(const Netlist &nl, const std::vector<uint32_t> &driver, Cell &c)
     }
     for (int o = 0; o < c.numOut; ++o)
         c.anf[o] = algebraicNormalForm(c.table[o]);
+}
+
+/**
+ * Fill the 64 reach entries @p reach of eligible cell @p c: the
+ * gate-level cone closure (computeFaultCone()) run inside the cell
+ * for every cone-input and needed-output mask. A gate is in the
+ * cone when it reads a cone net; it is active when it is in the
+ * cone or an active gate or a needed output reads it.
+ */
+void
+tabulateReach(const Netlist &nl, const std::vector<uint32_t> &driver,
+              const std::vector<uint32_t> &src, const Cell &c,
+              CellReach *reach)
+{
+    uint32_t n = c.numGates;
+    dtann_assert(n <= UINT16_MAX, "cell of %u gates", n);
+    uint32_t out_gate[2] = {0, 0};
+    for (int o = 0; o < c.numOut; ++o)
+        out_gate[o] = driver[c.out[o]] - c.firstGate;
+    std::vector<uint8_t> cone(n), need(n);
+    for (uint32_t cone_in = 0; cone_in < 16; ++cone_in) {
+        CellReach base;
+        for (uint32_t k = 0; k < n; ++k) {
+            uint32_t in = 0;
+            for (int p = 0; p < nl.gate(c.firstGate + k).arity(); ++p) {
+                uint32_t s = src[k * 4 + p];
+                in |= s & kExternal ? cone_in >> (s & 3) & 1 : cone[s];
+            }
+            cone[k] = static_cast<uint8_t>(in);
+            base.coneGates = static_cast<uint16_t>(base.coneGates + in);
+        }
+        for (int o = 0; o < c.numOut; ++o)
+            base.coneOut |= static_cast<uint8_t>(cone[out_gate[o]] << o);
+        for (uint32_t need_out = 0; need_out < 4; ++need_out) {
+            CellReach &e = reach[cone_in * 4 + need_out];
+            e = base;
+            std::fill(need.begin(), need.end(), 0);
+            for (int o = 0; o < c.numOut; ++o)
+                need[out_gate[o]] |= need_out >> o & 1;
+            for (uint32_t k = n; k-- > 0;) {
+                if (!cone[k] && !need[k])
+                    continue;
+                ++e.active;
+                for (int p = 0; p < nl.gate(c.firstGate + k).arity(); ++p) {
+                    uint32_t s = src[k * 4 + p];
+                    if (s & kExternal)
+                        e.needIn |= static_cast<uint8_t>(1u << (s & 3));
+                    else
+                        need[s] = 1;
+                }
+            }
+        }
+    }
 }
 
 } // namespace
@@ -109,11 +187,45 @@ CellIndex::CellIndex(const Netlist &nl)
             c.out[c.numOut] = g.out;
         ++c.numOut;
     }
+    // A cell's tables are a function of its shape: gate kinds,
+    // pin sources and output gates. Cells of one shape share them,
+    // so each shape is tabulated once.
+    std::map<std::vector<uint32_t>, const Cell *> shapes;
+    CellReach reach[64];
     for (Cell &c : cells) {
         c.eligible = c.contiguous() && !c.feedback && c.numIn <= 4 &&
             c.numOut <= 2;
-        if (c.eligible)
-            tabulate(nl, driver, c);
+        if (!c.eligible)
+            continue;
+        std::vector<uint32_t> src = pinSources(nl, driver, c);
+        std::vector<uint32_t> shape = {c.numGates, c.numIn, c.numOut};
+        for (int o = 0; o < c.numOut; ++o)
+            shape.push_back(driver[c.out[o]] - c.firstGate);
+        for (uint32_t gi = c.firstGate; gi < c.endGate; ++gi)
+            shape.push_back(static_cast<uint32_t>(nl.gate(gi).kind));
+        shape.insert(shape.end(), src.begin(), src.end());
+        auto [it, fresh] = shapes.emplace(std::move(shape), &c);
+        if (!fresh) {
+            const Cell &same = *it->second;
+            std::copy(same.table, same.table + 2, c.table);
+            std::copy(same.anf, same.anf + 2, c.anf);
+            c.reach = same.reach;
+            continue;
+        }
+        tabulate(nl, driver, src, c);
+        tabulateReach(nl, driver, src, c, reach);
+        c.reach = static_cast<uint32_t>(reaches.size() / 64);
+        reaches.insert(reaches.end(), reach, reach + 64);
+    }
+
+    for (uint32_t gi = 0; gi < n;) {
+        uint16_t group = nl.gate(gi).group;
+        if (cells[group].eligible) {
+            unitList.push_back(kCellStep | group);
+            gi = cells[group].endGate;
+        } else {
+            unitList.push_back(gi++);
+        }
     }
 
     // Fault sites per group (gates with transistors), laid out flat
@@ -134,41 +246,6 @@ CellIndex::CellIndex(const Netlist &nl)
         if (offset[t] != offset[t + 1])
             siteStart.push_back(offset[t]);
     siteStart.push_back(offset[n_groups]);
-}
-
-std::vector<uint32_t>
-CellIndex::prunedSteps(const std::vector<uint32_t> &active,
-                       const FaultSet &faults, const Netlist &nl) const
-{
-    std::vector<uint32_t> faulty;
-    auto mark = [&](uint32_t gi) {
-        dtann_assert(gi < nl.numGates(), "fault on unknown gate %u", gi);
-        faulty.push_back(nl.gate(gi).group);
-    };
-    for (const auto &[gi, fn] : faults.overrides)
-        mark(gi);
-    for (uint32_t gi : faults.delayed)
-        mark(gi);
-    for (const StuckAtFault &f : faults.stuckAt)
-        mark(f.gate);
-
-    std::vector<uint32_t> steps;
-    steps.reserve(active.size());
-    for (size_t k = 0; k < active.size();) {
-        uint32_t gi = active[k];
-        uint16_t group = nl.gate(gi).group;
-        const Cell &c = cells[group];
-        if (!c.eligible ||
-            std::find(faulty.begin(), faulty.end(), group) != faulty.end()) {
-            steps.push_back(gi);
-            ++k;
-            continue;
-        }
-        steps.push_back(kCellStep | group);
-        while (k < active.size() && active[k] < c.endGate)
-            ++k;
-    }
-    return steps;
 }
 
 } // namespace dtann

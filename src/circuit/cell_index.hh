@@ -11,7 +11,8 @@
  * feedback is *eligible*: its clean behaviour is one 16-entry truth
  * table per output, tabulated here from its gates. The cone-pruned
  * scalar program and lane sweep evaluate each clean eligible cell
- * as one table op (DESIGN.md §9 "Cell ops").
+ * as one table op (DESIGN.md §9 "Cell ops"), and the fault cone
+ * closes over it as one unit through its reach table (CellReach).
  *
  * The index also lays out the fault sites per group, which the
  * injector samples from ("a bit cell, then a transistor in it").
@@ -28,7 +29,6 @@
 #include <span>
 #include <vector>
 
-#include "circuit/faults.hh"
 #include "circuit/netlist.hh"
 
 namespace dtann {
@@ -57,6 +57,9 @@ struct Cell
      *  when the product of the inputs in m is one of the XOR-ed
      *  terms (bit 0: the constant 1). The lane sweep's formula. */
     uint16_t anf[2] = {0, 0};
+    /** Eligible cells: its reach table (CellIndex::reach()), shared
+     *  by every cell of the same shape (gate kinds and wiring). */
+    uint32_t reach = 0;
 
     /** True when the gates fill [firstGate, endGate) alone. */
     bool contiguous() const { return endGate - firstGate == numGates; }
@@ -64,6 +67,21 @@ struct Cell
 
 /** Marks a cell entry (the low bits are the group) in a step list. */
 inline constexpr uint32_t kCellStep = 0x80000000u;
+
+/**
+ * What a fault cone takes of one clean eligible cell, given which of
+ * its external inputs are cone nets (the cone-input mask, bit i for
+ * in[i]) and which of its external outputs a simulated gate outside
+ * it reads (the needed-output mask, bit o for out[o]). The gate-level
+ * closure restricted to the cell, tabulated once per netlist.
+ */
+struct CellReach
+{
+    uint8_t coneOut = 0;   ///< outputs in the cone (bit o: out[o])
+    uint8_t needIn = 0;    ///< inputs the active gates read (bit i)
+    uint16_t coneGates = 0; ///< gates in the fanout cone
+    uint16_t active = 0;   ///< gates simulated: the cone and its support
+};
 
 /** Per-group cells and fault sites of one netlist. */
 class CellIndex
@@ -94,19 +112,29 @@ class CellIndex
     }
 
     /**
-     * The steps of a cone-pruned sweep over @p active (ascending
-     * gate indices, a FaultCone's activeGates) under @p faults:
-     * each eligible cell that has active gates and carries no
-     * fault is one entry kCellStep | group, placed where its first
-     * active gate was; every other active gate is its own entry,
-     * the gate index.
+     * The netlist in gate order as closure units: each eligible
+     * cell is one entry kCellStep | group, each gate of an
+     * ineligible cell its own entry, the gate index. The steps of a
+     * sweep over every gate with no faulty cell.
      */
-    std::vector<uint32_t> prunedSteps(const std::vector<uint32_t> &active,
-                                      const FaultSet &faults,
-                                      const Netlist &nl) const;
+    std::span<const uint32_t> units() const { return unitList; }
+
+    /**
+     * The closure of eligible cell @p c under cone-input mask
+     * @p cone_in and needed-output mask @p need_out (CellReach).
+     * coneOut and coneGates depend on @p cone_in alone.
+     */
+    const CellReach &
+    reach(const Cell &c, uint32_t cone_in, uint32_t need_out) const
+    {
+        return reaches[c.reach * 64 + cone_in * 4 + need_out];
+    }
 
   private:
     std::vector<Cell> cells;
+    std::vector<uint32_t> unitList;
+    /** 64 entries per cell shape, [cone_in * 4 + need_out]. */
+    std::vector<CellReach> reaches;
     std::vector<uint32_t> siteGates;
     std::vector<uint32_t> siteStart;
 };

@@ -35,7 +35,7 @@ tableIndex(const uint8_t *net, const NetId *in)
 } // namespace
 
 Evaluator::Evaluator(const Netlist &netlist, FaultSet faults,
-                     CleanFn clean, const FaultCone *cone_in)
+                     CleanFn clean, std::shared_ptr<const FaultCone> cone_in)
     : nl(netlist), faultSet(std::move(faults)),
       cleanFn(std::move(clean)),
       // Nets, the constant-zero padding net, one store per delay,
@@ -44,7 +44,9 @@ Evaluator::Evaluator(const Netlist &netlist, FaultSet faults,
       needsRelaxation(netlist.hasFeedback())
 {
     if (cleanFn && !faultSet.empty())
-        cone = cone_in ? *cone_in : computeFaultCone(nl, faultSet);
+        cone = cone_in ? std::move(cone_in)
+                       : std::make_shared<const FaultCone>(
+                             computeFaultCone(nl, faultSet));
 }
 
 const std::vector<Evaluator::Op> &
@@ -52,12 +54,12 @@ Evaluator::program(bool full)
 {
     // Folded on first use: a simulation that only ever runs on the
     // wide-lane batch path never pays for a scalar program.
-    bool pruned = cone.valid && !full;
-    std::vector<Op> &ops = cone.valid && full ? fullProg : prog;
+    bool pruned = conePruned() && !full;
+    std::vector<Op> &ops = conePruned() && full ? fullProg : prog;
     if (ops.empty()) {
         // Either program covers every delayed gate (cone seeds), so
         // the first one folded fills the latch tables.
-        ops = compile(pruned ? &cone.activeGates : nullptr,
+        ops = compile(pruned ? &cone->steps : nullptr,
                       pending.empty() ? &pending : nullptr);
         if (pruned) {
             for (const Op &op : ops)
@@ -73,11 +75,11 @@ Evaluator::program(bool full)
 size_t
 Evaluator::programGates(bool full) const
 {
-    return cone.valid && !full ? cone.activeGates.size() : nl.numGates();
+    return conePruned() && !full ? cone->activeCount : nl.numGates();
 }
 
 std::vector<Evaluator::Op>
-Evaluator::compile(const std::vector<uint32_t> *gates,
+Evaluator::compile(const std::vector<uint32_t> *steps,
                    std::vector<Op> *pending_ops) const
 {
     size_t n = nl.numGates();
@@ -109,18 +111,13 @@ Evaluator::compile(const std::vector<uint32_t> *gates,
     const NetId zero_net = static_cast<NetId>(nl.numNets());
     const NetId sink = static_cast<NetId>(netVal.size() - 1);
     // A pruned program on an indexed netlist sweeps cell steps (see
-    // CellIndex::prunedSteps()); the full program stays gate-level.
-    const CellIndex *cells = gates ? nl.cellIndex() : nullptr;
-    std::vector<uint32_t> steps;
-    if (cells) {
-        steps = cells->prunedSteps(*gates, faultSet, nl);
-        gates = &steps;
-    }
-    size_t count = gates ? gates->size() : n;
+    // FaultCone::steps); the full program stays gate-level.
+    const CellIndex *cells = nl.cellIndex();
+    size_t count = steps ? steps->size() : n;
     std::vector<Op> ops;
     ops.reserve(count);
     for (size_t k = 0; k < count; ++k) {
-        uint32_t step = gates ? (*gates)[k] : static_cast<uint32_t>(k);
+        uint32_t step = steps ? (*steps)[k] : static_cast<uint32_t>(k);
         Op op{{zero_net, zero_net, zero_net, zero_net}, {sink, sink},
               {0, 0}, 0};
         if (step & kCellStep) {
@@ -286,7 +283,7 @@ Evaluator::latchDelayed()
 const std::vector<NetId> &
 Evaluator::stateNets()
 {
-    if (cone.valid)
+    if (conePruned())
         program(false);
     return stateNetList;
 }
@@ -305,7 +302,7 @@ void
 Evaluator::replayBits(uint64_t input_bits, uint64_t output_bits,
                       uint64_t next_state)
 {
-    dtann_assert(cone.valid, "replay needs the cone-pruned path");
+    dtann_assert(conePruned(), "replay needs the cone-pruned path");
     program(false); // fills stateNetList
     setInputBits(input_bits, nl.inputs().size());
     size_t n_out = std::min<size_t>(nl.outputs().size(), 64);
@@ -358,7 +355,7 @@ Evaluator::evaluateBits(uint64_t input_bits)
 {
     setInputBits(input_bits, nl.inputs().size());
     size_t n_out = std::min<size_t>(nl.outputs().size(), 64);
-    if (!cone.valid) {
+    if (!conePruned()) {
         evaluate();
         return outputBits(n_out);
     }
@@ -374,11 +371,12 @@ Evaluator::evaluateBits(uint64_t input_bits)
     latchDelayed();
     uint64_t sim = outputBits(n_out);
     uint64_t clean = cleanFn(input_bits);
-    uint64_t bits = (clean & ~cone.outputMask) | (sim & cone.outputMask);
+    uint64_t mask = cone->outputMask;
+    uint64_t bits = (clean & ~mask) | (sim & mask);
     // Keep granular output() reads consistent: write the clean bits
     // back into the output nets the pruned sweep never touched.
     for (size_t o = 0; o < n_out; ++o) {
-        if (!(cone.outputMask >> o & 1))
+        if (!(mask >> o & 1))
             netVal[nl.outputs()[o]] = (bits >> o) & 1;
     }
     return bits;

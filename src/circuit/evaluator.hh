@@ -24,6 +24,7 @@
 #define DTANN_CIRCUIT_EVALUATOR_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "circuit/fault_cone.hh"
@@ -46,11 +47,11 @@ class Evaluator
      *        this model instead of sweeping every gate.
      * @param cone optional computeFaultCone(netlist, faults), for a
      *        caller that builds several evaluators over one fault
-     *        set (copied; computed here when null)
+     *        set (shared; computed here when null)
      */
     explicit Evaluator(const Netlist &netlist, FaultSet faults = {},
                        CleanFn clean = {},
-                       const FaultCone *cone = nullptr);
+                       std::shared_ptr<const FaultCone> cone = nullptr);
 
     /** Clear all state (nets and delayed-gate stores) to 0. */
     void reset();
@@ -92,10 +93,14 @@ class Evaluator
     const FaultSet &faults() const { return faultSet; }
 
     /** True when evaluateBits() runs the cone-pruned path. */
-    bool conePruned() const { return cone.valid; }
+    bool conePruned() const { return cone && cone->valid; }
 
-    /** The fault-cone analysis (valid only when conePruned()). */
-    const FaultCone &faultCone() const { return cone; }
+    /** The fault-cone analysis; null unless both a clean model and
+     *  a fault was given, valid only when conePruned(). */
+    const std::shared_ptr<const FaultCone> &faultCone() const
+    {
+        return cone;
+    }
 
     /** Total scalar gate evaluations (gates x sweeps) so far. */
     uint64_t gateEvals() const { return gateEvalCount; }
@@ -165,15 +170,15 @@ class Evaluator
     const Netlist &nl;
     FaultSet faultSet;
     CleanFn cleanFn;
-    FaultCone cone;
+    std::shared_ptr<const FaultCone> cone;
 
     /**
      * Per-net current value, followed by the constant-zero padding
      * net, one stored-output net per delayed gate and the sink net.
      */
     std::vector<uint8_t> netVal;
-    /** Sweep program: the cone's active gates when cone-pruned,
-     *  else every gate, in gate (= sweep) order. */
+    /** Sweep program: the cone's steps when cone-pruned, else
+     *  every gate, in gate (= sweep) order. */
     std::vector<Op> prog;
     /** Every gate, for evaluate() (the full sweep) on a cone-pruned
      *  evaluator; empty otherwise. */
@@ -191,12 +196,11 @@ class Evaluator
     uint64_t gateEvalCount = 0;
 
     /**
-     * Fold @p gates (all gates when null) into a sweep program;
-     * delayed gates' latch tables go to @p pending_ops when given.
-     * A subset (the cone's active gates) on an indexed netlist
-     * folds each clean eligible cell into one cell op.
+     * Fold @p steps (a FaultCone's; every gate when null) into a
+     * sweep program; delayed gates' latch tables go to
+     * @p pending_ops when given. A cell step folds into one cell op.
      */
-    std::vector<Op> compile(const std::vector<uint32_t> *gates,
+    std::vector<Op> compile(const std::vector<uint32_t> *steps,
                             std::vector<Op> *pending_ops = nullptr) const;
 
     /** The folded program for a full sweep (@p full) or for

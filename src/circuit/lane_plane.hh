@@ -47,7 +47,7 @@ inline constexpr uint32_t kLaneNoOverride = UINT32_MAX;
 struct LaneSweepCtx {
     const Gate *gates;        ///< contiguous gate array
     /** Steps to sweep, or null = every gate: a gate index, or
-     *  kCellStep | group for a clean cell (CellIndex::prunedSteps) */
+     *  kCellStep | group for a clean cell (FaultCone::steps) */
     const uint32_t *active;
     size_t count;             ///< steps to sweep
     const Cell *cells;        ///< the netlist's cells, by group

@@ -13,14 +13,14 @@ OperatorSim::OperatorSim(std::shared_ptr<const Netlist> netlist,
                          Injection injection, CleanFn clean)
     : nl(std::move(netlist)), records(std::move(injection.records)),
       eval(*nl, injection.faults, clean),
-      // The evaluator's cone is the batch evaluator's too: computed
-      // once per simulation.
+      // The evaluator's cone and its steps are the batch
+      // evaluator's too: built once per simulation.
       batch(noBatch()
                 ? std::optional<BatchEvaluator>{}
                 : BatchEvaluator::tryCreate(
                       *nl, std::move(injection.faults),
                       std::move(clean), batchLaneWidth(),
-                      &eval.faultCone()))
+                      eval.faultCone()))
 {
 }
 

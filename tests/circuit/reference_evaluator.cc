@@ -22,7 +22,7 @@ ReferenceEvaluator::ReferenceEvaluator(const Netlist &netlist,
       needsRelaxation(netlist.hasFeedback())
 {
     if (cleanFn && haveFaults)
-        cone = computeFaultCone(nl, faultSet);
+        cone = referenceFaultCone(nl, faultSet);
     size_t n = nl.numGates();
     if (haveFaults) {
         overridePtr.assign(n, nullptr);

@@ -9,7 +9,9 @@
  * with Evaluator's op program, so the differential suite can use it
  * as an independent oracle for stateful fault semantics (MEM
  * retention, delayed outputs, stacked faults, the relaxation sweep
- * cap) and for the gate-evaluation count.
+ * cap) and for the gate-evaluation count. Its cone-pruned path
+ * sweeps the gate-level reference cone (reference_cone.hh), not the
+ * production cell closure.
  */
 
 #ifndef DTANN_TESTS_CIRCUIT_REFERENCE_EVALUATOR_HH
@@ -22,6 +24,7 @@
 #include "circuit/fault_cone.hh"
 #include "circuit/faults.hh"
 #include "circuit/netlist.hh"
+#include "reference_cone.hh"
 
 namespace dtann {
 
@@ -62,7 +65,7 @@ class ReferenceEvaluator
     const Netlist &nl;
     FaultSet faultSet;
     CleanFn cleanFn;
-    FaultCone cone;
+    ReferenceCone cone;
 
     std::vector<uint8_t> netVal;
     std::vector<uint8_t> delayStore;

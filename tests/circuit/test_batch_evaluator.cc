@@ -1,14 +1,20 @@
 /**
  * @file
- * Tests for the 64-lane batch evaluator.
+ * Tests for the wide-lane batch evaluator and its transposed lane
+ * packing.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <string>
 
 #include "circuit/batch_evaluator.hh"
 #include "circuit/evaluator.hh"
 #include "common/rng.hh"
 #include "rtl/adder.hh"
+#include "rtl/clean_model.hh"
+#include "rtl/fault_inject.hh"
 #include "rtl/multiplier.hh"
 
 namespace dtann {
@@ -171,6 +177,86 @@ TEST(BatchEvaluator, ConstantsDriveAllLanes)
     batch.evaluate();
     EXPECT_EQ(batch.outputLanes(0), ~0x00ff00ff00ff00ffull); // !a
     EXPECT_EQ(batch.outputLanes(1), ~0x00ff00ff00ff00ffull); // !a
+}
+
+TEST(BatchEvaluator, TransposeMatchesBitLoop)
+{
+    Rng rng(64);
+    for (int trial = 0; trial < 20; ++trial) {
+        uint64_t m[64], want[64] = {};
+        for (uint64_t &row : m)
+            row = trial == 0 ? 0 : trial == 1 ? ~0ull : rng.nextUint(~0ull);
+        if (trial == 2)
+            for (size_t r = 0; r < 64; ++r)
+                m[r] = 1ull << r; // identity
+        for (size_t r = 0; r < 64; ++r)
+            for (size_t c = 0; c < 64; ++c)
+                want[c] |= (m[r] >> c & 1) << r;
+        transpose64(m);
+        for (size_t r = 0; r < 64; ++r)
+            ASSERT_EQ(m[r], want[r]) << "trial " << trial << " row " << r;
+    }
+}
+
+TEST(BatchEvaluator, LanesMatchScalarAtEveryCount)
+{
+    // evaluateLanes() against one scalar evaluateBits() per vector,
+    // at lane counts around every block edge, at each plane width,
+    // clean and faulty, cone-pruned and with CleanFn{}. One
+    // evaluator serves the whole count sequence, so plane words a
+    // longer call left behind must not leak into a shorter one, and
+    // no call may write past its count.
+    struct Unit
+    {
+        std::string name;
+        Netlist nl;
+        CleanFn clean;
+        int inputBits;
+    };
+    std::vector<Unit> units;
+    units.push_back({"multiplier", buildMultiplierSigned(16, FaStyle::Nand9),
+                     cleanMultiplierSigned(16), 32});
+    units.push_back({"adder31", buildRippleAdder(31, FaStyle::Mirror, true),
+                     cleanAdder(31, true), 62});
+    const size_t counts[] = {1,   2,   63,  64,  65,  127, 150,
+                             255, 256, 257, 511, 512};
+    Rng rng(150);
+    for (const char *lanes : {"64", "256", "512"}) {
+        setenv("DTANN_LANES", lanes, 1);
+        for (const Unit &u : units) {
+            Injection inj = injectTransistorDefects(u.nl, 3, rng);
+            while (!inj.faults.isStateless())
+                inj = injectTransistorDefects(u.nl, 3, rng);
+            for (bool faulty : {false, true}) {
+                for (bool pruned : {false, true}) {
+                    SCOPED_TRACE(std::string("DTANN_LANES=") + lanes + " " +
+                                 u.name + (faulty ? " faulty" : " clean") +
+                                 (pruned ? " pruned" : " CleanFn{}"));
+                    FaultSet faults = faulty ? inj.faults : FaultSet{};
+                    CleanFn clean = pruned ? u.clean : CleanFn{};
+                    Evaluator scalar(u.nl, faults, clean);
+                    BatchEvaluator batch(u.nl, faults, clean,
+                                         batchLaneWidth());
+                    ASSERT_EQ(batch.conePruned(), faulty && pruned);
+                    for (size_t count : counts) {
+                        if (count > batch.laneCount())
+                            continue;
+                        SCOPED_TRACE("count " + std::to_string(count));
+                        std::vector<uint64_t> in(count);
+                        for (uint64_t &v : in)
+                            v = rng.nextUint(1ull << u.inputBits);
+                        std::vector<uint64_t> out(count + 1, 0xdeadbeef);
+                        batch.evaluateLanes(in.data(), out.data(), count);
+                        for (size_t l = 0; l < count; ++l)
+                            ASSERT_EQ(out[l], scalar.evaluateBits(in[l]))
+                                << "lane " << l;
+                        ASSERT_EQ(out[count], 0xdeadbeefu);
+                    }
+                }
+            }
+        }
+    }
+    unsetenv("DTANN_LANES");
 }
 
 } // namespace

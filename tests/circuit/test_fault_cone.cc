@@ -1,17 +1,24 @@
 /**
  * @file
- * Tests for the fault-cone analysis feeding the pruned evaluators.
+ * Tests for the fault-cone analysis feeding the pruned evaluators:
+ * the production cell closure against the gate-level reference
+ * closure (reference_cone.hh), step for step, and the properties the
+ * pruned evaluators rest on.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "circuit/evaluator.hh"
 #include "circuit/fault_cone.hh"
 #include "common/rng.hh"
+#include "reference_cone.hh"
 #include "rtl/adder.hh"
 #include "rtl/fault_inject.hh"
 #include "rtl/latch.hh"
 #include "rtl/multiplier.hh"
+#include "rtl/sigmoid_unit.hh"
 
 namespace dtann {
 namespace {
@@ -36,14 +43,16 @@ TEST(FaultCone, FeedbackNetlistIsInvalid)
 TEST(FaultCone, ActiveGatesAreClosedUnderFanIn)
 {
     // Every active gate's input drivers must themselves be active:
-    // the pruned sweep evaluates only activeGates, so any net an
-    // active gate reads must have a simulated (or primary-input)
-    // value. The list must also be ascending = topological.
+    // the pruned sweep evaluates only the active gates, so any net
+    // an active gate reads must have a simulated (or primary-input)
+    // value. The list must also be ascending = topological. Checked
+    // on the gate-level closure, which the cell closure must match
+    // (CellClosureMatchesGateClosure).
     Netlist nl = buildMultiplierUnsigned(6, FaStyle::Nand9);
     Rng rng(11);
     for (int trial = 0; trial < 25; ++trial) {
         Injection inj = injectTransistorDefects(nl, 2, rng);
-        FaultCone cone = computeFaultCone(nl, inj.faults);
+        ReferenceCone cone = referenceFaultCone(nl, inj.faults);
         ASSERT_TRUE(cone.valid);
         ASSERT_FALSE(cone.activeGates.empty());
         EXPECT_GE(cone.activeGates.size(), cone.coneSize);
@@ -72,6 +81,84 @@ TEST(FaultCone, ActiveGatesAreClosedUnderFanIn)
             }
         }
     }
+}
+
+/** Expect the cell closure of @p faults on @p nl to equal the
+ *  gate-level closure: steps, active count, cone size, mask. */
+void
+expectSameClosure(const Netlist &nl, const FaultSet &faults)
+{
+    FaultCone got = computeFaultCone(nl, faults);
+    ReferenceCone want = referenceFaultCone(nl, faults);
+    ASSERT_EQ(got.valid, want.valid);
+    if (!want.valid)
+        return;
+    ASSERT_EQ(got.steps, referencePrunedSteps(want.activeGates, faults, nl));
+    ASSERT_EQ(got.activeCount, want.activeGates.size());
+    ASSERT_EQ(got.coneSize, want.coneSize);
+    ASSERT_EQ(got.outputMask, want.outputMask);
+}
+
+TEST(FaultCone, CellClosureMatchesGateClosure)
+{
+    std::vector<std::pair<std::string, Netlist>> nets;
+    for (FaStyle s : {FaStyle::Nand9, FaStyle::Mirror}) {
+        std::string tag = std::string("/") + faStyleName(s);
+        nets.emplace_back("multiplier" + tag, buildMultiplierSigned(16, s));
+        nets.emplace_back("adder" + tag, buildRippleAdder(24, s, false));
+        nets.emplace_back("sigmoid" + tag,
+                          buildSigmoidUnit(logisticPwlTable(), s));
+    }
+    Rng rng(2026);
+    size_t injections = 0;
+    for (const auto &[name, nl] : nets) {
+        SCOPED_TRACE(name);
+        ASSERT_NE(nl.cellIndex(), nullptr);
+        // One stuck-at and one override on every gate.
+        for (uint32_t gi = 0; gi < nl.numGates(); ++gi) {
+            SCOPED_TRACE("gate " + std::to_string(gi));
+            FaultSet stuck;
+            // The output or one input, by turns, stuck at 0 or 1.
+            int arity = nl.gate(gi).arity();
+            int input = static_cast<int>(gi % static_cast<uint32_t>(arity + 1)) - 1;
+            stuck.stuckAt.push_back(
+                {gi, static_cast<int8_t>(input), (gi & 1) != 0});
+            expectSameClosure(nl, stuck);
+            FaultSet flip;
+            flip.overrides[gi] = flipped(nl, gi, gi / 3);
+            expectSameClosure(nl, flip);
+            if (testing::Test::HasFatalFailure())
+                return;
+        }
+        // Random transistor injections of 1-5 defects.
+        for (int trial = 0; trial < 100; ++trial) {
+            int count = 1 + static_cast<int>(rng.nextUint(5));
+            Injection inj = injectTransistorDefects(nl, count, rng);
+            SCOPED_TRACE("trial " + std::to_string(trial));
+            expectSameClosure(nl, inj.faults);
+            ++injections;
+            if (testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+    EXPECT_GE(injections, 500u);
+
+    // A netlist without an index closes gate by gate, as one
+    // ineligible cell: its steps are the active gates.
+    Netlist indexed = buildRippleAdder(8, FaStyle::Mirror, true);
+    Netlist bare = bareCopy(indexed);
+    ASSERT_EQ(bare.cellIndex(), nullptr);
+    for (int trial = 0; trial < 50; ++trial) {
+        SCOPED_TRACE("hand-built, trial " + std::to_string(trial));
+        Injection inj = injectTransistorDefects(
+            indexed, 1 + static_cast<int>(rng.nextUint(5)), rng);
+        expectSameClosure(bare, inj.faults);
+        FaultCone cone = computeFaultCone(bare, inj.faults);
+        EXPECT_EQ(cone.steps, referenceFaultCone(bare, inj.faults).activeGates);
+    }
+    FaultSet latch_faults;
+    latch_faults.stuckAt.push_back({0, -1, true});
+    expectSameClosure(buildLatchRegister(4), latch_faults);
 }
 
 TEST(FaultCone, OutOfConeOutputsAreClean)

@@ -2,6 +2,10 @@
  * @file
  * The backends' weight install against the full-array store loop
  * (ReferenceWeightLoad, reference_datapath.hh), on both backends.
+ * The reference twin also runs the all-units neuron chain
+ * (ReferenceDatapath), so its forwards share no run plan or run
+ * bound with the backend under test: a stale bound after a raw row
+ * load shows as a forward mismatch.
  *
  * A twin pair runs one random interleaving of the operations that
  * change what an install writes: setWeights();
@@ -120,10 +124,14 @@ datapathSite(const AcceleratorConfig &cfg, Rng &rng)
             pick(rng, fanin)};
 }
 
+/** The reference twin of @p Backend: full-array install and
+ *  all-units chain. */
+template <class Backend>
+using Reference = View<ReferenceDatapath<ReferenceWeightLoad<Backend>>>;
+
 template <class Backend>
 void
-expectSameState(View<ReferenceWeightLoad<Backend>> &ref,
-                View<Backend> &got)
+expectSameState(Reference<Backend> &ref, View<Backend> &got)
 {
     ASSERT_TRUE(got.hidW == ref.hidW);
     ASSERT_TRUE(got.outW == ref.outW);
@@ -175,7 +183,7 @@ void
 checkInterleaving(const AcceleratorConfig &cfg, MlpTopology topo,
                   uint64_t seed, int steps)
 {
-    View<ReferenceWeightLoad<Backend>> ref(cfg, topo);
+    Reference<Backend> ref(cfg, topo);
     View<Backend> got(cfg, topo);
     Rng rng(seed);
     std::vector<DeepWeights> flat = weightCycle(topo, rng);
