@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -120,6 +121,11 @@ BM_EvalMultiplier16FaultyPruned(benchmark::State &state)
         benchmark::Counter::kIsRate);
     state.counters["active_gates"] = static_cast<double>(
         ev.conePruned() ? ev.faultCone()->activeCount : nl.numGates());
+    // Share of calls in which a faulty gate deviated, so the rest of
+    // the pruned program was swept.
+    state.counters["activation_rate"] =
+        static_cast<double>(ev.activatedCalls()) /
+        static_cast<double>(std::max<int64_t>(state.iterations(), 1));
 }
 BENCHMARK(BM_EvalMultiplier16FaultyPruned)->Arg(1)->Arg(8);
 
@@ -254,6 +260,12 @@ BM_OpSimMultiplier16Mem(benchmark::State &state)
     state.counters["vectors/s"] = benchmark::Counter(
         static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate);
+    // Activated share of the memo misses (the pruned sweeps).
+    SimCounters c = sim.counters();
+    state.counters["activation_rate"] =
+        static_cast<double>(sim.evaluator().activatedCalls()) /
+        static_cast<double>(std::max<uint64_t>(
+            c.scalarVectors - c.memoHits, 1));
 }
 BENCHMARK(BM_OpSimMultiplier16Mem);
 

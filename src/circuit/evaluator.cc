@@ -1,6 +1,8 @@
 #include "circuit/evaluator.hh"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <iterator>
 #include <map>
 
@@ -24,6 +26,15 @@ struct GateFaults
     bool delayed = false;
 };
 
+/** Byte b spread to eight 0/1 bytes, bit i to byte i. */
+constexpr auto kSpreadBits = [] {
+    std::array<std::array<uint8_t, 8>, 256> t{};
+    for (size_t b = 0; b < 256; ++b)
+        for (size_t i = 0; i < 8; ++i)
+            t[b][i] = (b >> i) & 1;
+    return t;
+}();
+
 /** Truth-table index of the input nets @p in under @p net. */
 inline uint32_t
 tableIndex(const uint8_t *net, const NetId *in)
@@ -43,6 +54,9 @@ Evaluator::Evaluator(const Netlist &netlist, FaultSet faults,
       netVal(netlist.numNets() + 2 + faultSet.delayed.size(), 0),
       needsRelaxation(netlist.hasFeedback())
 {
+    const std::vector<NetId> &in = nl.inputs();
+    for (size_t i = 1; i < in.size(); ++i)
+        inputsContiguous &= in[i] == in[i - 1] + 1;
     if (cleanFn && !faultSet.empty())
         cone = cone_in ? std::move(cone_in)
                        : std::make_shared<const FaultCone>(
@@ -62,14 +76,84 @@ Evaluator::program(bool full)
         ops = compile(pruned ? &cone->steps : nullptr,
                       pending.empty() ? &pending : nullptr);
         if (pruned) {
+            // State nets in fold order, before the split reorders:
+            // stateBits() packs them, and the memo keys on it.
             for (const Op &op : ops)
                 if (op.mem)
                     stateNetList.push_back(op.out[0]);
             for (const Op &op : pending)
                 stateNetList.push_back(op.out[0]);
+            splitOnActivation();
         }
     }
     return ops;
+}
+
+void
+Evaluator::splitOnActivation()
+{
+    // The faulty gates' ops join the prefix, each with its check. A
+    // delayed gate's op reads its store net, but its pending table
+    // and its check read g.in, so its closure starts from there.
+    const NetId zero_net = static_cast<NetId>(nl.numNets());
+    const NetId sink = static_cast<NetId>(netVal.size() - 1);
+    std::vector<uint32_t> faulty = faultSet.gates();
+    // Exact reserves here and for the prefix below: vectors grown
+    // step by step in every faulty sim's fold fragment the heap
+    // (0.06-0.1 MB more peak RSS on fig10-inference).
+    checks.reserve(faulty.size());
+    // Per-net needed flags, then per-op prefix flags.
+    std::vector<uint8_t> flags(netVal.size() + prog.size(), 0);
+    uint8_t *needed = flags.data();
+    uint8_t *inPrefix = needed + netVal.size();
+    size_t last = 0;
+    for (size_t k = 0; k < prog.size(); ++k) {
+        uint32_t step = cone->steps[k];
+        if (step & kCellStep ||
+            !std::binary_search(faulty.begin(), faulty.end(), step))
+            continue;
+        const Gate &g = nl.gate(step);
+        Op check{{zero_net, zero_net, zero_net, zero_net},
+                 {g.out, sink}, {gateTable(g.kind), 0}, 0};
+        for (int i = 0; i < g.arity(); ++i) {
+            check.in[i] = g.in[i];
+            needed[g.in[i]] = 1;
+        }
+        checks.push_back(check);
+        inPrefix[k] = 1;
+        last = k;
+    }
+
+    // One descending pass from the last faulty op (no op after it
+    // drives a net it reads): the program is in topological order,
+    // so every reader of a net is visited before its driver, and an
+    // op joins when one of its outputs is needed. Marking a faulty
+    // op's own inputs too is harmless: they are g.in, or a store net
+    // that no op drives.
+    for (size_t k = last + 1; k-- > 0;) {
+        const Op &op = prog[k];
+        if (inPrefix[k] || needed[op.out[0]] || needed[op.out[1]]) {
+            inPrefix[k] = 1;
+            for (NetId in : op.in)
+                needed[in] = 1;
+        }
+    }
+
+    // Stable partition of [0, last], holding only the (small) prefix
+    // aside: the rest slides up to end at last, in order, and the
+    // prefix goes in front. The ops after last stay where they are.
+    std::vector<Op> prefix;
+    prefix.reserve(static_cast<size_t>(
+        std::count(inPrefix, inPrefix + last + 1, 1)));
+    size_t to = last + 1;
+    for (size_t k = last + 1; k-- > 0;) {
+        if (inPrefix[k])
+            prefix.push_back(prog[k]);
+        else
+            prog[--to] = prog[k];
+    }
+    prefixLen = prefix.size();
+    std::copy(prefix.rbegin(), prefix.rend(), prog.begin());
 }
 
 size_t
@@ -207,8 +291,20 @@ Evaluator::setInputRange(size_t offset, size_t width, uint64_t bits)
 {
     dtann_assert(offset + width <= nl.inputs().size(),
                  "input range out of bounds");
-    for (size_t i = 0; i < width; ++i)
-        netVal[nl.inputs()[offset + i]] = (bits >> i) & 1;
+    const NetId *in = nl.inputs().data() + offset;
+    if (!inputsContiguous) {
+        for (size_t i = 0; i < width; ++i)
+            netVal[in[i]] = (bits >> i) & 1;
+        return;
+    }
+    // Builders declare the input bus first, so its nets are
+    // consecutive: spread the word a byte at a time.
+    uint8_t *net = width ? netVal.data() + in[0] : nullptr;
+    size_t i = 0;
+    for (; i + 8 <= width; i += 8)
+        std::memcpy(net + i, kSpreadBits[(bits >> i) & 0xff].data(), 8);
+    for (; i < width; ++i)
+        net[i] = (bits >> i) & 1;
 }
 
 void
@@ -248,23 +344,30 @@ Evaluator::runSweeps(const std::vector<Op> &ops, size_t gates)
 }
 
 void
-Evaluator::sweepPruned()
+Evaluator::sweepPruned(const Op *first, const Op *last)
 {
     // The cone exists only on feedback-free netlists, so one
     // topological sweep settles: every net an op reads is an input
     // or written earlier in the sweep, or a MEM op's own output,
     // which keeps the previous call's value.
     uint8_t *net = netVal.data();
-    for (const Op &op : program(false)) {
-        uint32_t idx = tableIndex(net, op.in);
-        if (op.mem >> idx & 1)
+    for (const Op *op = first; op != last; ++op) {
+        uint32_t idx = tableIndex(net, op->in);
+        if (op->mem >> idx & 1)
             continue; // Floating output: keep previous value.
-        net[op.out[0]] = op.value[0] >> idx & 1;
-        net[op.out[1]] = op.value[1] >> idx & 1;
+        net[op->out[0]] = op->value[0] >> idx & 1;
+        net[op->out[1]] = op->value[1] >> idx & 1;
     }
-    sweeps = 1;
-    oscillated = false;
-    gateEvalCount += programGates(false);
+}
+
+bool
+Evaluator::faultActivated() const
+{
+    const uint8_t *net = netVal.data();
+    for (const Op &c : checks)
+        if (net[c.out[0]] != (c.value[0] >> tableIndex(net, c.in) & 1))
+            return true;
+    return false;
 }
 
 void
@@ -367,10 +470,25 @@ Evaluator::evaluateBits(uint64_t input_bits)
     // fault semantics (MEM retention, delayed outputs, stuck-ats)
     // depend solely on the active gates' nets, which persist across
     // calls exactly as in the full sweep.
-    sweepPruned();
+    const std::vector<Op> &ops = program(false);
+    const Op *rest = ops.data() + prefixLen;
+    sweepPruned(ops.data(), rest);
     latchDelayed();
-    uint64_t sim = outputBits(n_out);
+    sweeps = 1;
+    oscillated = false;
+    gateEvalCount += programGates(false);
     uint64_t clean = cleanFn(input_bits);
+    if (!faultActivated()) {
+        // Every faulty gate drives its clean value, so every net
+        // downstream is clean: the prefix wrote the state nets, and
+        // the rest's nets stay stale, as after a replayBits().
+        for (size_t o = 0; o < n_out; ++o)
+            netVal[nl.outputs()[o]] = (clean >> o) & 1;
+        return clean;
+    }
+    ++activatedCount;
+    sweepPruned(rest, ops.data() + ops.size());
+    uint64_t sim = outputBits(n_out);
     uint64_t mask = cone->outputMask;
     uint64_t bits = (clean & ~mask) | (sim & mask);
     // Keep granular output() reads consistent: write the clean bits

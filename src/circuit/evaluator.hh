@@ -18,6 +18,13 @@
  * table, keep the old value on a MEM entry. On the cone-pruned path
  * of an indexed netlist each clean bit-cell folds into one such op
  * with up to two outputs (DESIGN.md §9 "Cell ops").
+ *
+ * The pruned program is split into a prefix (the faulty gates and
+ * their transitive fan-in) and the rest. A pruned call sweeps the
+ * prefix, then checks each faulty gate's output against its clean
+ * function of its input nets; when none deviates, every downstream
+ * net is clean, so the call returns the clean model's word and skips
+ * the rest (DESIGN.md §9 "Activation gate").
  */
 
 #ifndef DTANN_CIRCUIT_EVALUATOR_HH
@@ -106,6 +113,14 @@ class Evaluator
     uint64_t gateEvals() const { return gateEvalCount; }
 
     /**
+     * Cone-pruned evaluateBits() calls so far in which a faulty
+     * gate's output differed from its clean function, so the rest
+     * of the pruned program was swept. Charges nothing: gateEvals()
+     * counts every pruned call alike.
+     */
+    uint64_t activatedCalls() const { return activatedCount; }
+
+    /**
      * The nets whose values outlive one evaluateBits() call on the
      * cone-pruned path: outputs of folded ops with a MEM entry and
      * the stored nets of delayed gates. Every other net the pruned
@@ -177,9 +192,16 @@ class Evaluator
      * net, one stored-output net per delayed gate and the sink net.
      */
     std::vector<uint8_t> netVal;
-    /** Sweep program: the cone's steps when cone-pruned, else
-     *  every gate, in gate (= sweep) order. */
+    /** Sweep program: every gate, in gate (= sweep) order; or,
+     *  when cone-pruned, the cone's steps as the prefix (the faulty
+     *  gates and their fan-in) then the rest, each in sweep order. */
     std::vector<Op> prog;
+    /** Ops of prog in the prefix (cone-pruned only). */
+    size_t prefixLen = 0;
+    /** One per faulty gate: its real input nets (a delayed gate's
+     *  g.in, not its store net), its output net and its clean table
+     *  in value[0] (cone-pruned only). */
+    std::vector<Op> checks;
     /** Every gate, for evaluate() (the full sweep) on a cone-pruned
      *  evaluator; empty otherwise. */
     std::vector<Op> fullProg;
@@ -188,12 +210,15 @@ class Evaluator
     std::vector<Op> pending;
     /** True when the netlist has feedback and needs relaxation. */
     bool needsRelaxation;
+    /** True when the primary inputs are consecutive nets. */
+    bool inputsContiguous = true;
     /** stateNets(), filled with the pruned program. */
     std::vector<NetId> stateNetList;
 
     int sweeps = 0;
     bool oscillated = false;
     uint64_t gateEvalCount = 0;
+    uint64_t activatedCount = 0;
 
     /**
      * Fold @p steps (a FaultCone's; every gate when null) into a
@@ -215,8 +240,17 @@ class Evaluator
      *  charging @p gates per sweep. */
     void runSweeps(const std::vector<Op> &ops, size_t gates);
 
-    /** One sweep of the pruned program (cell and gate ops). */
-    void sweepPruned();
+    /** Reorder the freshly folded pruned program into prefix and
+     *  rest, and fold the checks. */
+    void splitOnActivation();
+
+    /** One sweep of the pruned ops [@p first, @p last) (cell and
+     *  gate ops). */
+    void sweepPruned(const Op *first, const Op *last);
+
+    /** True when a faulty gate's output differs from its clean
+     *  function of its input nets (checks). */
+    bool faultActivated() const;
 
     /** Latch pending values of delayed gates for the next round. */
     void latchDelayed();

@@ -17,19 +17,9 @@ computeFaultCone(const Netlist &nl, const FaultSet &faults)
 
     // Seeds: every gate whose behaviour a fault can alter.
     size_t n_gates = nl.numGates();
-    std::vector<uint32_t> seeds;
-    auto seed = [&](uint32_t gi) {
-        dtann_assert(gi < n_gates, "fault on unknown gate %u", gi);
-        seeds.push_back(gi);
-    };
-    for (const auto &[gi, fn] : faults.overrides)
-        seed(gi);
-    for (uint32_t gi : faults.delayed)
-        seed(gi);
-    for (const StuckAtFault &f : faults.stuckAt)
-        seed(f.gate);
-    std::sort(seeds.begin(), seeds.end());
-    seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+    std::vector<uint32_t> seeds = faults.gates();
+    dtann_assert(seeds.back() < n_gates, "fault on unknown gate %u",
+                 seeds.back());
 
     // The walk goes over CellIndex::units() in gate order: a clean
     // eligible cell closes as one unit through its reach table, and

@@ -15,6 +15,7 @@
 #ifndef DTANN_CIRCUIT_FAULTS_HH
 #define DTANN_CIRCUIT_FAULTS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -68,6 +69,21 @@ struct FaultSet
             if (fn.hasMem())
                 return false;
         return true;
+    }
+
+    /** Every gate carrying a fault, ascending, each once. */
+    std::vector<uint32_t>
+    gates() const
+    {
+        std::vector<uint32_t> g;
+        for (const auto &[gi, fn] : overrides)
+            g.push_back(gi);
+        g.insert(g.end(), delayed.begin(), delayed.end());
+        for (const StuckAtFault &f : stuckAt)
+            g.push_back(f.gate);
+        std::sort(g.begin(), g.end());
+        g.erase(std::unique(g.begin(), g.end()), g.end());
+        return g;
     }
 
     /** Merge another fault set into this one. */

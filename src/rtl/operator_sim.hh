@@ -14,7 +14,10 @@
  *    clean model is available;
  *  - cone-pruned scalar (apply): feedback-free netlists with a
  *    clean model, any fault semantics (MEM, delay), behind an exact
- *    direct-mapped memo keyed by (input word, state bits);
+ *    direct-mapped memo keyed by (input word, state bits); a miss
+ *    sweeps the faulty gates' fan-in and the rest of the cone only
+ *    when a faulty gate deviates from its clean function, else it
+ *    returns the clean model's word (Evaluator's activation gate);
  *  - full scalar relaxation: everything else (e.g. latches); on
  *    feedback netlists behind an exact direct-mapped memo keyed by
  *    the evaluator's whole net vector.

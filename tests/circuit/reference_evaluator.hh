@@ -60,6 +60,10 @@ class ReferenceEvaluator
     uint64_t gateEvals() const { return gateEvalCount; }
     /** True when evaluateBits() runs the cone-pruned path. */
     bool conePruned() const { return cone.valid; }
+    /** Current value of net @p n. */
+    bool net(NetId n) const { return netVal[n] != 0; }
+    /** Stored output of delayed gate @p gi. */
+    bool delayStored(uint32_t gi) const { return delayStore[gi] != 0; }
 
   private:
     const Netlist &nl;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "circuit/evaluator.hh"
 
 namespace dtann {
@@ -56,6 +58,39 @@ TEST(Evaluator, InputRangeAddressing)
     ev.evaluate();
     EXPECT_TRUE(ev.output(0));
     EXPECT_EQ(ev.outputRange(0, 1), 1u);
+}
+
+TEST(Evaluator, InputRangesWriteEveryBusNet)
+{
+    // A consecutive input bus (written a byte at a time) and one with
+    // a gap after every third input net (written bit by bit) take the
+    // same random range writes, across byte boundaries and at every
+    // width up to 64.
+    for (bool gaps : {false, true}) {
+        Netlist nl;
+        for (int i = 0; i < 64; ++i) {
+            nl.markInput(nl.addNet());
+            if (gaps && i % 3 == 2)
+                nl.addNet();
+        }
+        nl.markOutput(nl.addGate(GateKind::Not, {nl.inputs()[0]}));
+        Evaluator ev(nl);
+        std::vector<uint8_t> want(64, 0);
+        uint64_t x = 0x9e3779b97f4a7c15ull;
+        for (int round = 0; round < 500; ++round) {
+            x = x * 6364136223846793005ull + 1442695040888963407ull;
+            size_t offset = (x >> 20) % 64;
+            size_t width = (x >> 30) % (65 - offset);
+            uint64_t bits = x ^ (x << 13);
+            ev.setInputRange(offset, width, bits);
+            for (size_t i = 0; i < width; ++i)
+                want[offset + i] = (bits >> i) & 1;
+            for (size_t i = 0; i < 64; ++i)
+                ASSERT_EQ(ev.netValues()[nl.inputs()[i]], want[i])
+                    << "gaps " << gaps << " round " << round
+                    << " input " << i;
+        }
+    }
 }
 
 TEST(Evaluator, StuckAtInputFault)

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "ann/sigmoid.hh"
@@ -276,6 +277,189 @@ TEST(EvaluatorDifferential, FullSweepOnConePrunedEvaluator)
         EXPECT_EQ(ev.evaluateBits(in ^ 0x5a5a), ref.evaluateBits(in ^ 0x5a5a));
         EXPECT_EQ(ev.gateEvals(), ref.gateEvals());
     }
+}
+
+/** A random gate with at least one input. */
+uint32_t
+gateWithInputs(const Netlist &nl, Rng &rng)
+{
+    for (;;) {
+        uint32_t gi = static_cast<uint32_t>(rng.nextUint(nl.numGates()));
+        if (nl.gate(gi).arity() > 0)
+            return gi;
+    }
+}
+
+/** Evaluator's stateBits() rebuilt from the reference: a state net
+ *  below numNets() is a netlist net, net numNets() + 1 + k the store
+ *  of the k-th delayed gate. */
+uint64_t
+referenceState(const ReferenceEvaluator &ref, const Netlist &nl,
+               const FaultSet &faults, const std::vector<NetId> &state)
+{
+    std::vector<uint32_t> delayed(faults.delayed.begin(),
+                                  faults.delayed.end());
+    uint64_t bits = 0;
+    for (size_t i = 0; i < state.size(); ++i) {
+        NetId n = state[i];
+        bool v = n < nl.numNets()
+            ? ref.net(n)
+            : ref.delayStored(delayed[n - nl.numNets() - 1]);
+        bits |= static_cast<uint64_t>(v) << i;
+    }
+    return bits;
+}
+
+TEST(EvaluatorDifferential, ActivationGateMatchesPrunedSweep)
+{
+    // The gated pruned call (prefix, checks, then the rest only when
+    // a faulty gate deviates) against the reference's plain sweep of
+    // the gate-level cone, call by call. Streams mix fresh vectors
+    // with repeats of ones that did and did not activate, so a call
+    // that skips the rest is followed by calls that need the nets it
+    // left stale.
+    struct Unit
+    {
+        std::string name;
+        Netlist nl;
+        CleanFn clean;
+    };
+    std::vector<Unit> units;
+    for (FaStyle style : {FaStyle::Nand9, FaStyle::Mirror}) {
+        std::string s = faStyleName(style);
+        units.push_back({"mult/" + s, buildMultiplierSigned(16, style),
+                         cleanMultiplierSigned(16)});
+        units.push_back({"adder/" + s, buildRippleAdder(24, style, false),
+                         cleanAdder(24, false)});
+        units.push_back({"sigmoid/" + s,
+                         buildSigmoidUnit(logisticPwlTable(), style),
+                         cleanSigmoidUnit(logisticPwlTable())});
+    }
+    Rng rng(0xac71);
+    uint64_t quiet_calls = 0, activated_calls = 0, reactivations = 0;
+    for (const Unit &u : units) {
+        const Netlist &nl = u.nl;
+        size_t n_in = nl.inputs().size();
+        size_t n_out = nl.outputs().size();
+        uint64_t in_mask = (1ull << n_in) - 1;
+        for (int trial = 0; trial < 16; ++trial) {
+            SCOPED_TRACE(u.name + " trial " + std::to_string(trial));
+            FaultSet faults =
+                injectTransistorDefects(
+                    nl, 1 + static_cast<int>(rng.nextUint(5)), rng)
+                    .faults;
+            // Forced on top, in turn: a MEM entry, a delay, an input
+            // stuck-at, or all three.
+            int forced = trial % 4;
+            if (forced == 0 || forced == 3) {
+                uint32_t gi = gateWithInputs(nl, rng);
+                int arity = nl.gate(gi).arity();
+                uint32_t rows = 1u << arity;
+                faults.overrides[gi] = GateFunction(
+                    arity, gateTable(nl.gate(gi).kind) & ((1u << rows) - 1),
+                    1u << rng.nextUint(rows));
+            }
+            if (forced == 1 || forced == 3)
+                faults.delayed.insert(gateWithInputs(nl, rng));
+            if (forced == 2 || forced == 3) {
+                uint32_t gi = gateWithInputs(nl, rng);
+                faults.stuckAt.push_back(
+                    {gi,
+                     static_cast<int8_t>(rng.nextUint(
+                         static_cast<uint64_t>(nl.gate(gi).arity()))),
+                     rng.nextBool()});
+            }
+
+            Evaluator ev(nl, faults, u.clean);
+            ReferenceEvaluator ref(nl, faults, u.clean);
+            ASSERT_TRUE(ev.conePruned());
+            ASSERT_TRUE(ref.conePruned());
+            std::vector<NetId> state = ev.stateNets();
+            ASSERT_LE(state.size(), 64u);
+            std::vector<uint64_t> seen[2]; // quiet, activated
+            bool last_activated = false;
+            uint64_t in = 0;
+            for (int call = 0; call < 80; ++call) {
+                int pick = static_cast<int>(rng.nextUint(3));
+                if (pick < 2 && !seen[pick].empty())
+                    in = seen[pick][rng.nextUint(seen[pick].size())];
+                else
+                    in = rng.nextUint(UINT64_MAX) & in_mask;
+                uint64_t before = ev.activatedCalls();
+                uint64_t got = ev.evaluateBits(in);
+                ASSERT_EQ(got, ref.evaluateBits(in)) << "call " << call;
+                bool activated = ev.activatedCalls() != before;
+                ASSERT_LE(ev.activatedCalls() - before, 1u);
+                ASSERT_EQ(ev.stateBits(),
+                          referenceState(ref, nl, faults, state))
+                    << "call " << call;
+                for (size_t o = 0; o < n_out; ++o)
+                    ASSERT_EQ(ev.output(o), (got >> o & 1) != 0)
+                        << "call " << call << " output " << o;
+                ASSERT_EQ(ev.gateEvals(), ref.gateEvals())
+                    << "call " << call;
+                seen[activated].push_back(in);
+                (activated ? activated_calls : quiet_calls) += 1;
+                reactivations += activated && !last_activated && call > 0;
+                last_activated = activated;
+            }
+            // A full sweep reads every net; it must find the ones the
+            // gate left stale in a state it can rewrite.
+            ev.setInputBits(in ^ 1, n_in);
+            ref.setInputBits(in ^ 1, n_in);
+            ev.evaluate();
+            ref.evaluate();
+            ASSERT_EQ(ev.outputBits(n_out), ref.outputBits(n_out));
+            ASSERT_EQ(ev.stateBits(), referenceState(ref, nl, faults, state));
+            ASSERT_EQ(ev.gateEvals(), ref.gateEvals());
+        }
+    }
+    // The streams did interleave: both kinds of call, and many
+    // activated calls right after a quiet one.
+    EXPECT_GT(quiet_calls, 1000u);
+    EXPECT_GT(activated_calls, 1000u);
+    EXPECT_GT(reactivations, 300u);
+}
+
+TEST(EvaluatorDifferential, ActivatedCallsCountDeviatingCallsOnly)
+{
+    // An output stuck-at on a gate reading two primary inputs
+    // deviates exactly when the gate's clean output differs from the
+    // stuck value, which a clean evaluator tells for any vector.
+    Netlist nl = buildMultiplierSigned(8, FaStyle::Nand9);
+    auto is_input = [&](NetId n) {
+        return std::find(nl.inputs().begin(), nl.inputs().end(), n) !=
+            nl.inputs().end();
+    };
+    uint32_t gi = 0;
+    while (nl.gate(gi).arity() != 2 || !is_input(nl.gate(gi).in[0]) ||
+           !is_input(nl.gate(gi).in[1]))
+        ++gi;
+    FaultSet faults;
+    faults.stuckAt.push_back({gi, -1, true});
+    Evaluator clean_ev(nl);
+    Evaluator ev(nl, faults, cleanMultiplierSigned(8));
+    ASSERT_TRUE(ev.conePruned());
+    auto deviates = [&](uint64_t in) {
+        clean_ev.evaluateBits(in);
+        return clean_ev.netValues()[nl.gate(gi).out] == 0;
+    };
+    uint64_t quiet = 0, active = 0;
+    while (deviates(quiet))
+        ++quiet;
+    while (!deviates(active))
+        ++active;
+    EXPECT_EQ(ev.evaluateBits(quiet), cleanMultiplierSigned(8)(quiet));
+    EXPECT_EQ(ev.activatedCalls(), 0u);
+    ev.evaluateBits(active);
+    EXPECT_EQ(ev.activatedCalls(), 1u);
+    ev.evaluateBits(quiet);
+    ev.evaluateBits(quiet);
+    EXPECT_EQ(ev.activatedCalls(), 1u);
+    ev.evaluateBits(active);
+    EXPECT_EQ(ev.activatedCalls(), 2u);
+    // Both kinds charge one pruned sweep.
+    EXPECT_EQ(ev.gateEvals(), 5 * ev.faultCone()->activeCount);
 }
 
 } // namespace

@@ -10,6 +10,9 @@
  * memo) are held to the full net vector, the sweep count and the
  * oscillation flag as well, under stuck-at, MEM, delay and
  * oscillating fault sets and repeated or changing store streams.
+ * A stream that alternates memo hits with misses the activation gate
+ * answers and misses that sweep the rest is held to the full-sweep
+ * sim and to the reference interpreter's gate charge.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +30,7 @@
 #include "rtl/multiplier.hh"
 #include "rtl/operator_sim.hh"
 #include "rtl/sigmoid_unit.hh"
+#include "../circuit/reference_evaluator.hh"
 
 namespace dtann {
 namespace {
@@ -257,6 +261,60 @@ TEST(OperatorSimMemo, HitsCountedOnCyclesOnly)
             slow.apply(cycle[static_cast<size_t>(i) % cycle.size()]);
         EXPECT_EQ(slow.counters().memoHits, 0u);
     }
+}
+
+TEST(OperatorSimMemo, HitsGatedAndActivatedMissesInterleave)
+{
+    // One stream whose calls alternate between memo hits, misses the
+    // activation gate answers from the clean model, and misses that
+    // sweep the rest of the pruned program. Outputs must match the
+    // full-sweep sim (CleanFn{}) and the reference's gate-level cone,
+    // and the gate charge the reference's, whatever mix of the three
+    // a call sequence takes.
+    Unit u = units()[0];
+    Rng rng(0x6a7e);
+    uint64_t kinds[3] = {0, 0, 0}; // hit, gated miss, activated miss
+    uint64_t switches = 0;
+    for (const auto &[family, faults] : faultFamilies(*u.nl, rng)) {
+        SCOPED_TRACE(family);
+        OperatorSim sim(u.nl, Injection{faults, {}}, u.clean);
+        OperatorSim full(u.nl, Injection{faults, {}}, CleanFn{});
+        ReferenceEvaluator ref(*u.nl, faults, u.clean);
+        ASSERT_TRUE(sim.conePruned());
+        ASSERT_FALSE(full.conePruned());
+        size_t n_out = u.nl->outputs().size();
+        std::vector<uint64_t> cycle(4);
+        for (auto &v : cycle)
+            v = rng.nextUint(1ull << u.inputBits);
+        int last = -1;
+        const size_t calls = 600;
+        for (size_t i = 0; i < calls; ++i) {
+            uint64_t in = i % 3 == 0 ? cycle[(i / 3) % cycle.size()]
+                                     : rng.nextUint(1ull << u.inputBits);
+            SimCounters before = sim.counters();
+            uint64_t activated = sim.evaluator().activatedCalls();
+            uint64_t got = sim.apply(in);
+            ASSERT_EQ(got, full.apply(in)) << "call " << i;
+            ASSERT_EQ(got, ref.evaluateBits(in)) << "call " << i;
+            ASSERT_EQ(sim.evaluator().outputBits(n_out), got)
+                << "call " << i;
+            int kind = sim.counters().memoHits != before.memoHits ? 0
+                : sim.evaluator().activatedCalls() != activated   ? 2
+                                                                  : 1;
+            ++kinds[kind];
+            switches += kind != last;
+            last = kind;
+        }
+        SimCounters c = sim.counters();
+        EXPECT_EQ(c.scalarVectors, calls);
+        EXPECT_EQ(c.scalarVectors, full.counters().scalarVectors);
+        EXPECT_EQ(c.gateEvals, ref.gateEvals());
+        EXPECT_EQ(full.counters().memoHits, 0u);
+    }
+    EXPECT_GT(kinds[0], 500u);
+    EXPECT_GT(kinds[1], 500u);
+    EXPECT_GT(kinds[2], 500u);
+    EXPECT_GT(switches, 1200u);
 }
 
 /**
