@@ -129,6 +129,48 @@ BM_EvalMultiplier16FaultyPruned(benchmark::State &state)
 }
 BENCHMARK(BM_EvalMultiplier16FaultyPruned)->Arg(1)->Arg(8);
 
+/** Injections of 1-3 defects the mixed rows average over. */
+constexpr int kMixInjections = 64;
+
+void
+BM_EvalMultiplier16FaultyPrunedMix(benchmark::State &state)
+{
+    // The cone-pruned scalar path averaged over many defects, as a
+    // campaign sees it: 64 random injections of 1-3 transistor
+    // defects (MEM and delay faults included), one evaluator each,
+    // taking the calls in turn. Programs are folded before timing.
+    Netlist nl = buildMultiplierSigned(16, FaStyle::Nand9);
+    CleanFn clean = cleanMultiplierSigned(16);
+    Rng rng(31);
+    std::vector<Evaluator> evs;
+    evs.reserve(kMixInjections);
+    for (int i = 0; i < kMixInjections; ++i) {
+        Injection inj = injectTransistorDefects(nl, 1 + i % 3, rng);
+        evs.emplace_back(nl, std::move(inj.faults), clean);
+        evs.back().evaluateBits(0);
+    }
+    uint64_t a = 0x1234, b = 0x4321;
+    size_t k = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(evs[k].evaluateBits(a | (b << 16)));
+        k = k + 1 == evs.size() ? 0 : k + 1;
+        a = (a * 7 + 3) & 0xffff;
+        b = (b * 5 + 1) & 0xffff;
+    }
+    // Share of calls (the warm-up ones included) in which a faulty
+    // gate deviated.
+    uint64_t activated = 0;
+    for (const Evaluator &ev : evs)
+        activated += ev.activatedCalls();
+    state.counters["vectors/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+    state.counters["activation_rate"] = static_cast<double>(activated) /
+        static_cast<double>(static_cast<uint64_t>(state.iterations()) +
+                            evs.size());
+}
+BENCHMARK(BM_EvalMultiplier16FaultyPrunedMix);
+
 /**
  * Narrow-cone pair: injection seed 275 lands a state-free defect
  * whose cone plus support is 24 of 2604 gates (~1%) — the class of
@@ -233,6 +275,51 @@ BENCHMARK(BM_BatchEvalMultiplier16FaultyLanes)
     ->Arg(512);
 
 void
+BM_BatchEvalMultiplier16FaultyMix(benchmark::State &state)
+{
+    // The cone-pruned lane sweep averaged over many defects (Arg =
+    // lanes): 64 state-free random injections of 1-3 transistor
+    // defects, one evaluator each, taking full-plane calls in turn.
+    size_t lanes = static_cast<size_t>(state.range(0));
+    Netlist nl = buildMultiplierSigned(16, FaStyle::Nand9);
+    CleanFn clean = cleanMultiplierSigned(16);
+    Rng rng(32);
+    std::vector<BatchEvaluator> evs;
+    evs.reserve(kMixInjections);
+    for (int i = 0; i < kMixInjections; ++i) {
+        Injection inj = injectTransistorDefects(nl, 1 + i % 3, rng);
+        while (!inj.faults.isStateless())
+            inj = injectTransistorDefects(nl, 1 + i % 3, rng);
+        evs.emplace_back(nl, inj.faults, clean, lanes);
+    }
+    std::vector<uint64_t> in(lanes), out(lanes);
+    Rng vrng(6);
+    for (auto &v : in)
+        v = vrng.nextUint(1ull << 32);
+    size_t k = 0;
+    for (auto _ : state) {
+        evs[k].evaluateLanes(in.data(), out.data(), lanes);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+        k = k + 1 == evs.size() ? 0 : k + 1;
+    }
+    state.counters["vectors/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * lanes),
+        benchmark::Counter::kIsRate);
+    // Mean gates one sweep stands for.
+    uint64_t gates = 0, sweeps = 0;
+    for (const BatchEvaluator &ev : evs) {
+        gates += ev.gateSweeps();
+        sweeps += ev.sweeps();
+    }
+    state.counters["active_gates"] =
+        static_cast<double>(gates) /
+        static_cast<double>(std::max<uint64_t>(sweeps, 1));
+    state.SetLabel(laneSweepIsaFor(lanes / 64));
+}
+BENCHMARK(BM_BatchEvalMultiplier16FaultyMix)->Arg(512);
+
+void
 BM_OpSimMultiplier16Mem(benchmark::State &state)
 {
     // The retraining hot path: scalar OperatorSim::apply on a
@@ -312,8 +399,9 @@ BM_OpSimConstruct(benchmark::State &state)
 {
     // What every injection pays before its first result: draw one
     // transistor defect on the 16-bit multiplier, build the
-    // OperatorSim (fault cone, batch planes) and make the first
-    // apply() (program fold, memo allocation).
+    // OperatorSim (fault cone) and make the first apply() (program
+    // fold, memo allocation). The batch evaluator waits for the
+    // first batched call (BM_OpSimLanes).
     auto nl = std::make_shared<const Netlist>(
         buildMultiplierSigned(16, FaStyle::Nand9));
     CleanFn clean = cleanMultiplierSigned(16);

@@ -2,9 +2,38 @@
 
 #include <algorithm>
 
+#include "circuit/evaluator.hh"
 #include "common/logging.hh"
 
 namespace dtann {
+
+std::vector<LaneOp>
+foldLaneOps(const Netlist &nl, const FaultSet &faults,
+            const std::vector<uint32_t> *steps)
+{
+    // A state-free set folds no MEM entry, and the padding nets
+    // (numNets() and up) fill only unused inputs and outputs, which
+    // no table reads.
+    const NetId nets = static_cast<NetId>(nl.numNets());
+    std::vector<TableOp> ops = foldTableOps(nl, faults, steps);
+    std::vector<LaneOp> lane_ops;
+    lane_ops.reserve(ops.size());
+    for (const TableOp &op : ops) {
+        dtann_assert(!op.mem, "lane op with a MEM entry");
+        LaneOp l{{op.in[0], op.in[1], op.in[2], op.in[3]},
+                 {op.out[0], op.out[1]},
+                 {algebraicNormalForm(op.value[0]),
+                  algebraicNormalForm(op.value[1])},
+                 static_cast<uint8_t>((op.in[0] < nets) + (op.in[1] < nets) +
+                                      (op.in[2] < nets) + (op.in[3] < nets)),
+                 static_cast<uint8_t>((op.out[0] < nets) +
+                                      (op.out[1] < nets))};
+        dtann_assert((l.anf[0] | l.anf[1]) >> (1u << l.numIn) == 0,
+                     "lane op reads an unused input");
+        lane_ops.push_back(l);
+    }
+    return lane_ops;
+}
 
 bool
 BatchEvaluator::supports(const Netlist &netlist, const FaultSet &faults,
@@ -26,119 +55,36 @@ BatchEvaluator::supports(const Netlist &netlist, const FaultSet &faults,
 }
 
 std::optional<BatchEvaluator>
-BatchEvaluator::tryCreate(const Netlist &netlist, FaultSet faults,
+BatchEvaluator::tryCreate(const Netlist &netlist, const FaultSet &faults,
                           CleanFn clean, size_t lanes,
                           std::shared_ptr<const FaultCone> cone)
 {
     if (!supports(netlist, faults))
         return std::nullopt;
     return std::optional<BatchEvaluator>(BatchEvaluator(
-        netlist, std::move(faults), std::move(clean), lanes,
-        std::move(cone)));
+        netlist, faults, std::move(clean), lanes, std::move(cone)));
 }
 
-BatchEvaluator::BatchEvaluator(const Netlist &netlist, FaultSet faults,
-                               CleanFn clean, size_t lanes,
+BatchEvaluator::BatchEvaluator(const Netlist &netlist,
+                               const FaultSet &faults, CleanFn clean,
+                               size_t lanes,
                                std::shared_ptr<const FaultCone> cone_in)
-    : nl(netlist), faultSet(std::move(faults)),
-      cleanFn(std::move(clean)),
+    : nl(netlist), cleanFn(std::move(clean)),
       words(lanes / 64),
-      sweepFn(laneSweepFor(lanes / 64)),
-      netLanes(netlist.numNets() * (lanes / 64), 0),
-      haveFaults(!this->faultSet.empty())
+      sweepFn(laneSweepFor(lanes / 64))
 {
     dtann_assert(lanes == 64 || lanes == 256 || lanes == 512,
                  "BatchEvaluator: bad lane width %zu", lanes);
     const char *why = nullptr;
-    bool ok = supports(nl, faultSet, &why);
+    bool ok = supports(nl, faults, &why);
     dtann_assert(ok, "BatchEvaluator: %s", why ? why : "unsupported");
-    if (haveFaults) {
-        size_t n = nl.numGates();
-        valuePlane.assign(n, noOverride);
-        inputForce.assign(n, {-1, -1, -1, -1});
-        outputForce.assign(n, -1);
-        for (const auto &[gi, fn] : faultSet.overrides) {
-            dtann_assert(gi < n, "override on unknown gate %u", gi);
-            int arity = nl.gate(gi).arity();
-            dtann_assert(fn.numInputs() == arity,
-                         "override arity mismatch on gate %u", gi);
-            // Materialise the table's value plane; the MEM plane is
-            // empty (isStateless() checked above).
-            uint32_t plane = 0;
-            for (uint32_t combo = 0; combo < (1u << arity); ++combo) {
-                if (fn.eval(combo) == LogicValue::One)
-                    plane |= 1u << combo;
-            }
-            valuePlane[gi] = plane;
-        }
-        for (const StuckAtFault &f : faultSet.stuckAt) {
-            dtann_assert(f.gate < n, "stuck-at on unknown gate %u",
-                         f.gate);
-            if (f.input < 0) {
-                outputForce[f.gate] = f.value ? 1 : 0;
-            } else {
-                dtann_assert(f.input < nl.gate(f.gate).arity(),
-                             "stuck-at input index out of range");
-                inputForce[f.gate][static_cast<size_t>(f.input)] =
-                    f.value ? 1 : 0;
-            }
-        }
-        if (cleanFn)
-            cone = cone_in ? std::move(cone_in)
-                           : std::make_shared<const FaultCone>(
-                                 computeFaultCone(nl, faultSet));
-    }
-}
-
-void
-BatchEvaluator::setInputLanes(size_t index, uint64_t lanes)
-{
-    dtann_assert(index < nl.inputs().size(), "input index out of range");
-    uint64_t *plane = &netLanes[nl.inputs()[index] * words];
-    plane[0] = lanes;
-    for (size_t w = 1; w < words; ++w)
-        plane[w] = 0;
-}
-
-void
-BatchEvaluator::evaluate()
-{
-    sweepGates(nullptr, nl.numGates());
-}
-
-void
-BatchEvaluator::sweepGates(const std::vector<uint32_t> *steps,
-                           size_t gates)
-{
-    size_t n = steps ? steps->size() : nl.numGates();
-    ++sweepCount;
-    gateSweepCount += gates;
-    if (n == 0)
-        return;
-    // The sweep itself lives in a width-templated kernel picked at
-    // construction (see circuit/lane_plane.hh): the W-word loops
-    // vectorize in the per-ISA translation units, and W == 1 is PR
-    // 3's original single-word sweep.
-    LaneSweepCtx ctx;
-    ctx.gates = &nl.gate(0);
-    ctx.active = steps ? steps->data() : nullptr;
-    ctx.count = n;
-    ctx.cells = nl.cellIndex() ? nl.cellIndex()->data() : nullptr;
-    ctx.haveFaults = haveFaults;
-    ctx.valuePlane = haveFaults ? valuePlane.data() : nullptr;
-    ctx.inputForce =
-        haveFaults ? inputForce.data()->data() : nullptr;
-    ctx.outputForce = haveFaults ? outputForce.data() : nullptr;
-    ctx.netLanes = netLanes.data();
-    sweepFn(ctx);
-}
-
-uint64_t
-BatchEvaluator::outputLanes(size_t index) const
-{
-    dtann_assert(index < nl.outputs().size(),
-                 "output index out of range");
-    return netLanes[nl.outputs()[index] * words];
+    if (cleanFn && !faults.empty())
+        cone = cone_in ? std::move(cone_in)
+                       : std::make_shared<const FaultCone>(
+                             computeFaultCone(nl, faults));
+    bool pruned = conePruned();
+    progGates = pruned ? cone->activeCount : nl.numGates();
+    prog = foldLaneOps(nl, faults, pruned ? &cone->steps : nullptr);
 }
 
 void
@@ -150,6 +96,16 @@ BatchEvaluator::evaluateLanes(const uint64_t *vectors, uint64_t *out,
     dtann_assert(n_in <= 64, "at most 64 primary inputs");
     size_t n_out = nl.outputs().size();
     dtann_assert(n_out <= 64, "at most 64 primary outputs");
+    // The planes carry nothing from one call to the next: every net
+    // the program reads is a primary input, written below, or an
+    // earlier op's output (a partly active cell may also read a
+    // stale net, but only for an output nothing reads). So one set
+    // of planes per thread serves every evaluator, and none
+    // allocates or clears its own.
+    thread_local std::vector<uint64_t> planes;
+    if (planes.size() < nl.numNets() * words)
+        planes.resize(nl.numNets() * words);
+    uint64_t *net_lanes = planes.data();
     // Block b of the vectors, lane by input bit, is a 64x64 bit
     // matrix; its transpose holds word b of every input plane.
     // Words past the last vector are cleared.
@@ -162,13 +118,12 @@ BatchEvaluator::evaluateLanes(const uint64_t *vectors, uint64_t *out,
         if (lanes)
             transpose64(m);
         for (size_t i = 0; i < n_in; ++i)
-            netLanes[nl.inputs()[i] * words + b] = m[i];
+            net_lanes[nl.inputs()[i] * words + b] = m[i];
     }
+    ++sweepCount;
+    gateSweepCount += progGates;
+    sweepFn(prog.data(), prog.size(), net_lanes);
     bool pruned = conePruned();
-    if (pruned)
-        sweepGates(&cone->steps, cone->activeCount);
-    else
-        sweepGates(nullptr, nl.numGates());
     // Back the other way: word b of each simulated output plane is
     // a row, and the transpose's rows are the lanes' output words.
     // A pruned sweep simulated only the in-cone outputs; the rest
@@ -178,7 +133,7 @@ BatchEvaluator::evaluateLanes(const uint64_t *vectors, uint64_t *out,
                           : (1ull << n_out) - 1;
     for (size_t b = 0; b < blocks; ++b) {
         for (size_t o = 0; o < 64; ++o)
-            m[o] = sim >> o & 1 ? netLanes[nl.outputs()[o] * words + b] : 0;
+            m[o] = sim >> o & 1 ? net_lanes[nl.outputs()[o] * words + b] : 0;
         transpose64(m);
         std::copy(m, m + std::min<size_t>(64, count - 64 * b), out + 64 * b);
     }

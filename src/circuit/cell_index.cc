@@ -11,19 +11,6 @@ namespace {
 
 constexpr uint32_t noGate = UINT32_MAX;
 
-/** @p table (16 entries) in algebraic normal form (Moebius
- *  transform over the 4 index bits). */
-uint16_t
-algebraicNormalForm(uint16_t table)
-{
-    uint32_t a = table;
-    for (uint32_t i = 0; i < 4; ++i)
-        for (uint32_t m = 0; m < 16; ++m)
-            if (m >> i & 1)
-                a ^= (a >> (m ^ (1u << i)) & 1) << m;
-    return static_cast<uint16_t>(a);
-}
-
 /** A pin source naming external input k: kExternal | k. */
 constexpr uint32_t kExternal = 0x100;
 
@@ -80,8 +67,6 @@ tabulate(const Netlist &nl, const std::vector<uint32_t> &driver,
             c.table[o] |= static_cast<uint16_t>(
                 val[driver[c.out[o]] - c.firstGate] << idx);
     }
-    for (int o = 0; o < c.numOut; ++o)
-        c.anf[o] = algebraicNormalForm(c.table[o]);
 }
 
 /**
@@ -208,7 +193,6 @@ CellIndex::CellIndex(const Netlist &nl)
         if (!fresh) {
             const Cell &same = *it->second;
             std::copy(same.table, same.table + 2, c.table);
-            std::copy(same.anf, same.anf + 2, c.anf);
             c.reach = same.reach;
             continue;
         }

@@ -53,10 +53,6 @@ struct Cell
     /** Eligible cells: clean value of out[o] over a 4-bit index,
      *  the bits at and above numIn cleared (as gateTable()). */
     uint16_t table[2] = {0, 0};
-    /** Eligible cells: table[o] in algebraic normal form, bit m set
-     *  when the product of the inputs in m is one of the XOR-ed
-     *  terms (bit 0: the constant 1). The lane sweep's formula. */
-    uint16_t anf[2] = {0, 0};
     /** Eligible cells: its reach table (CellIndex::reach()), shared
      *  by every cell of the same shape (gate kinds and wiring). */
     uint32_t reach = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <iterator>
-#include <map>
 
 #include "circuit/cell_index.hh"
 #include "common/logging.hh"
@@ -23,7 +21,7 @@ struct GateFaults
     uint32_t forceMask = 0; ///< inputs held by a stuck-at
     uint32_t forceBits = 0; ///< their stuck values
     int outputForce = -1;   ///< output stuck value, -1 = none
-    bool delayed = false;
+    NetId store = invalidNet; ///< a delayed gate's stored-output net
 };
 
 /** Byte b spread to eight 0/1 bytes, bit i to byte i. */
@@ -63,25 +61,25 @@ Evaluator::Evaluator(const Netlist &netlist, FaultSet faults,
                              computeFaultCone(nl, faultSet));
 }
 
-const std::vector<Evaluator::Op> &
+const std::vector<TableOp> &
 Evaluator::program(bool full)
 {
     // Folded on first use: a simulation that only ever runs on the
     // wide-lane batch path never pays for a scalar program.
     bool pruned = conePruned() && !full;
-    std::vector<Op> &ops = conePruned() && full ? fullProg : prog;
+    std::vector<TableOp> &ops = conePruned() && full ? fullProg : prog;
     if (ops.empty()) {
         // Either program covers every delayed gate (cone seeds), so
         // the first one folded fills the latch tables.
-        ops = compile(pruned ? &cone->steps : nullptr,
-                      pending.empty() ? &pending : nullptr);
+        ops = foldTableOps(nl, faultSet, pruned ? &cone->steps : nullptr,
+                           pending.empty() ? &pending : nullptr);
         if (pruned) {
             // State nets in fold order, before the split reorders:
             // stateBits() packs them, and the memo keys on it.
-            for (const Op &op : ops)
+            for (const TableOp &op : ops)
                 if (op.mem)
                     stateNetList.push_back(op.out[0]);
-            for (const Op &op : pending)
+            for (const TableOp &op : pending)
                 stateNetList.push_back(op.out[0]);
             splitOnActivation();
         }
@@ -113,8 +111,8 @@ Evaluator::splitOnActivation()
             !std::binary_search(faulty.begin(), faulty.end(), step))
             continue;
         const Gate &g = nl.gate(step);
-        Op check{{zero_net, zero_net, zero_net, zero_net},
-                 {g.out, sink}, {gateTable(g.kind), 0}, 0};
+        TableOp check{{zero_net, zero_net, zero_net, zero_net},
+                      {g.out, sink}, {gateTable(g.kind), 0}, 0};
         for (int i = 0; i < g.arity(); ++i) {
             check.in[i] = g.in[i];
             needed[g.in[i]] = 1;
@@ -131,7 +129,7 @@ Evaluator::splitOnActivation()
     // op's own inputs too is harmless: they are g.in, or a store net
     // that no op drives.
     for (size_t k = last + 1; k-- > 0;) {
-        const Op &op = prog[k];
+        const TableOp &op = prog[k];
         if (inPrefix[k] || needed[op.out[0]] || needed[op.out[1]]) {
             inPrefix[k] = 1;
             for (NetId in : op.in)
@@ -142,7 +140,7 @@ Evaluator::splitOnActivation()
     // Stable partition of [0, last], holding only the (small) prefix
     // aside: the rest slides up to end at last, in order, and the
     // prefix goes in front. The ops after last stay where they are.
-    std::vector<Op> prefix;
+    std::vector<TableOp> prefix;
     prefix.reserve(static_cast<size_t>(
         std::count(inPrefix, inPrefix + last + 1, 1)));
     size_t to = last + 1;
@@ -162,25 +160,38 @@ Evaluator::programGates(bool full) const
     return conePruned() && !full ? cone->activeCount : nl.numGates();
 }
 
-std::vector<Evaluator::Op>
-Evaluator::compile(const std::vector<uint32_t> *steps,
-                   std::vector<Op> *pending_ops) const
+std::vector<TableOp>
+foldTableOps(const Netlist &nl, const FaultSet &faults,
+             const std::vector<uint32_t> *steps,
+             std::vector<TableOp> *pending)
 {
     size_t n = nl.numGates();
-    std::map<uint32_t, GateFaults> faulty;
-    for (const auto &[gi, fn] : faultSet.overrides) {
+    const NetId zero_net = static_cast<NetId>(nl.numNets());
+    const NetId sink =
+        zero_net + 1 + static_cast<NetId>(faults.delayed.size());
+    // Each faulty gate's faults, flat at its position in gates().
+    const std::vector<uint32_t> faulty = faults.gates();
+    std::vector<GateFaults> gate_faults(faulty.size());
+    auto faultsOf = [&](uint32_t gi) -> GateFaults * {
+        auto it = std::lower_bound(faulty.begin(), faulty.end(), gi);
+        return it != faulty.end() && *it == gi
+            ? &gate_faults[static_cast<size_t>(it - faulty.begin())]
+            : nullptr;
+    };
+    for (const auto &[gi, fn] : faults.overrides) {
         dtann_assert(gi < n, "override on unknown gate %u", gi);
         dtann_assert(fn.numInputs() == nl.gate(gi).arity(),
                      "override arity mismatch on gate %u", gi);
-        faulty[gi].override = &fn;
+        faultsOf(gi)->override = &fn;
     }
-    for (uint32_t gi : faultSet.delayed) {
+    NetId store = zero_net;
+    for (uint32_t gi : faults.delayed) {
         dtann_assert(gi < n, "delay fault on unknown gate %u", gi);
-        faulty[gi].delayed = true;
+        faultsOf(gi)->store = ++store;
     }
-    for (const StuckAtFault &f : faultSet.stuckAt) {
+    for (const StuckAtFault &f : faults.stuckAt) {
         dtann_assert(f.gate < n, "stuck-at on unknown gate %u", f.gate);
-        GateFaults &gf = faulty[f.gate];
+        GateFaults &gf = *faultsOf(f.gate);
         if (f.input < 0) {
             gf.outputForce = f.value ? 1 : 0;
         } else {
@@ -192,50 +203,51 @@ Evaluator::compile(const std::vector<uint32_t> *steps,
         }
     }
 
-    const NetId zero_net = static_cast<NetId>(nl.numNets());
-    const NetId sink = static_cast<NetId>(netVal.size() - 1);
     // A pruned program on an indexed netlist sweeps cell steps (see
     // FaultCone::steps); the full program stays gate-level.
     const CellIndex *cells = nl.cellIndex();
     size_t count = steps ? steps->size() : n;
-    std::vector<Op> ops;
+    std::vector<TableOp> ops;
     ops.reserve(count);
     for (size_t k = 0; k < count; ++k) {
         uint32_t step = steps ? (*steps)[k] : static_cast<uint32_t>(k);
-        Op op{{zero_net, zero_net, zero_net, zero_net}, {sink, sink},
-              {0, 0}, 0};
         if (step & kCellStep) {
-            // Clean cell: its tables over its external nets.
+            // Clean cell: its tables over its external nets (the
+            // unused table bits are clear). Built in one expression:
+            // the per-input loops cost 3x as much, and cells are the
+            // bulk of a pruned program.
             const Cell &c = cells->cell(step & ~kCellStep);
-            for (int i = 0; i < c.numIn; ++i)
-                op.in[i] = c.in[i];
-            for (int o = 0; o < c.numOut; ++o) {
-                op.out[o] = c.out[o];
-                op.value[o] = c.table[o];
-            }
-            ops.push_back(op);
+            ops.push_back({{c.numIn > 0 ? c.in[0] : zero_net,
+                            c.numIn > 1 ? c.in[1] : zero_net,
+                            c.numIn > 2 ? c.in[2] : zero_net,
+                            c.numIn > 3 ? c.in[3] : zero_net},
+                           {c.numOut > 0 ? c.out[0] : sink,
+                            c.numOut > 1 ? c.out[1] : sink},
+                           {c.table[0], c.table[1]},
+                           0});
             continue;
         }
+        TableOp op{{zero_net, zero_net, zero_net, zero_net}, {sink, sink},
+                   {0, 0}, 0};
         uint32_t gi = step;
         const Gate &g = nl.gate(gi);
         op.out[0] = g.out;
         int arity = g.arity();
         for (int i = 0; i < arity; ++i)
             op.in[i] = g.in[i];
-        auto it = faulty.find(gi);
-        if (it == faulty.end()) {
+        const GateFaults *gf = faultsOf(gi);
+        if (!gf) {
             op.value[0] = gateTable(g.kind);
             ops.push_back(op);
             continue;
         }
-        const GateFaults &gf = it->second;
 
         // Input forces first, then the override (or the clean
         // kind): the un-forced table a delayed gate latches from.
         uint32_t used = (1u << arity) - 1;
         for (uint32_t idx = 0; idx < 16; ++idx) {
-            uint32_t in = ((idx & used) & ~gf.forceMask) | gf.forceBits;
-            LogicValue lv = gf.override ? gf.override->eval(in)
+            uint32_t in = ((idx & used) & ~gf->forceMask) | gf->forceBits;
+            LogicValue lv = gf->override ? gf->override->eval(in)
                 : gateEval(g.kind, in) ? LogicValue::One
                                        : LogicValue::Zero;
             if (lv == LogicValue::Mem)
@@ -244,24 +256,21 @@ Evaluator::compile(const std::vector<uint32_t> *steps,
                 op.value[0] |= static_cast<uint16_t>(1u << idx);
         }
 
-        if (gf.delayed) {
+        if (gf->store != invalidNet) {
             // The gate drives its stored net (index bit 0) this
             // round; its un-forced table latches the next stored
             // value after the sweeps.
-            NetId store = zero_net + 1 + static_cast<NetId>(
-                std::distance(faultSet.delayed.begin(),
-                              faultSet.delayed.find(gi)));
-            if (pending_ops) {
-                pending_ops->push_back(op);
-                pending_ops->back().out[0] = store;
+            if (pending) {
+                pending->push_back(op);
+                pending->back().out[0] = gf->store;
             }
-            op = Op{{store, zero_net, zero_net, zero_net}, {g.out, sink},
-                    {0xaaaa, 0}, 0};
+            op = TableOp{{gf->store, zero_net, zero_net, zero_net},
+                         {g.out, sink}, {0xaaaa, 0}, 0};
         }
         // The output force overrides every non-MEM entry; a MEM
         // entry keeps the previous value and skips the force.
-        if (gf.outputForce >= 0)
-            op.value[0] = gf.outputForce ? 0xffff : 0;
+        if (gf->outputForce >= 0)
+            op.value[0] = gf->outputForce ? 0xffff : 0;
         ops.push_back(op);
     }
     return ops;
@@ -315,7 +324,7 @@ Evaluator::evaluate()
 }
 
 void
-Evaluator::runSweeps(const std::vector<Op> &ops, size_t gates)
+Evaluator::runSweeps(const std::vector<TableOp> &ops, size_t gates)
 {
     oscillated = false;
     uint8_t *net = netVal.data();
@@ -328,7 +337,7 @@ Evaluator::runSweeps(const std::vector<Op> &ops, size_t gates)
     for (sweeps = 0; sweeps < sweep_cap; ++sweeps) {
         uint8_t changed = 0;
         gateEvalCount += gates;
-        for (const Op &op : ops) {
+        for (const TableOp &op : ops) {
             uint32_t idx = tableIndex(net, op.in);
             if (op.mem >> idx & 1)
                 continue; // Floating output: keep previous value.
@@ -344,14 +353,14 @@ Evaluator::runSweeps(const std::vector<Op> &ops, size_t gates)
 }
 
 void
-Evaluator::sweepPruned(const Op *first, const Op *last)
+Evaluator::sweepPruned(const TableOp *first, const TableOp *last)
 {
     // The cone exists only on feedback-free netlists, so one
     // topological sweep settles: every net an op reads is an input
     // or written earlier in the sweep, or a MEM op's own output,
     // which keeps the previous call's value.
     uint8_t *net = netVal.data();
-    for (const Op *op = first; op != last; ++op) {
+    for (const TableOp *op = first; op != last; ++op) {
         uint32_t idx = tableIndex(net, op->in);
         if (op->mem >> idx & 1)
             continue; // Floating output: keep previous value.
@@ -364,7 +373,7 @@ bool
 Evaluator::faultActivated() const
 {
     const uint8_t *net = netVal.data();
-    for (const Op &c : checks)
+    for (const TableOp &c : checks)
         if (net[c.out[0]] != (c.value[0] >> tableIndex(net, c.in) & 1))
             return true;
     return false;
@@ -376,7 +385,7 @@ Evaluator::latchDelayed()
     // Latch new pending values of delayed gates for the next round;
     // a MEM entry keeps the old stored value.
     uint8_t *net = netVal.data();
-    for (const Op &op : pending) {
+    for (const TableOp &op : pending) {
         uint32_t idx = tableIndex(net, op.in);
         if (!(op.mem >> idx & 1))
             net[op.out[0]] = op.value[0] >> idx & 1;
@@ -470,8 +479,8 @@ Evaluator::evaluateBits(uint64_t input_bits)
     // fault semantics (MEM retention, delayed outputs, stuck-ats)
     // depend solely on the active gates' nets, which persist across
     // calls exactly as in the full sweep.
-    const std::vector<Op> &ops = program(false);
-    const Op *rest = ops.data() + prefixLen;
+    const std::vector<TableOp> &ops = program(false);
+    const TableOp *rest = ops.data() + prefixLen;
     sweepPruned(ops.data(), rest);
     latchDelayed();
     sweeps = 1;

@@ -13,7 +13,8 @@
  * Before the first sweep every gate's faults (input stuck-ats,
  * transistor override, output stuck-at) fold into one 16-entry
  * {value, mem} truth table, and the gates to sweep are laid out as a
- * flat op program (see DESIGN.md §9). The sweep loop is then the same
+ * flat op program: foldTableOps(), which the lane BatchEvaluator
+ * shares (see DESIGN.md §9). The sweep loop is then the same
  * for clean and faulty gates: gather up to four input bits, index the
  * table, keep the old value on a MEM entry. On the cone-pruned path
  * of an indexed netlist each clean bit-cell folds into one such op
@@ -39,6 +40,38 @@
 #include "circuit/netlist.hh"
 
 namespace dtann {
+
+/**
+ * One op of a folded program: a gate, or on a pruned program a whole
+ * clean cell (DESIGN.md §9 "Cell ops"). Unused inputs read the
+ * constant-zero net, so the table index is always the 4-bit shift-or
+ * of the input nets. Output o drives bit idx of value[o]; an unused
+ * output writes 0 to the sink net, which nothing reads (so no op
+ * waits on that store). A set mem bit (gate ops only) keeps the
+ * outputs' previous values.
+ */
+struct TableOp
+{
+    NetId in[4];
+    NetId out[2];
+    uint16_t value[2];
+    uint16_t mem;
+};
+
+/**
+ * Fold @p faults into table ops over @p steps of @p nl (a FaultCone's
+ * steps; every gate when null), in step order: the one place where
+ * stuck-ats and overrides become tables (DESIGN.md §9 "Folded op
+ * program"). A cell step folds into one cell op. Beyond the
+ * netlist's nets, unused inputs read the constant-zero net
+ * numNets(), delayed gate k (in faults.delayed order) drives its
+ * store net numNets() + 1 + k, and unused outputs write the sink net
+ * after the stores. Delayed gates' latch tables go to @p pending
+ * when given.
+ */
+std::vector<TableOp> foldTableOps(const Netlist &nl, const FaultSet &faults,
+                                  const std::vector<uint32_t> *steps,
+                                  std::vector<TableOp> *pending = nullptr);
 
 /** Evaluates a Netlist, optionally with injected faults. */
 class Evaluator
@@ -98,6 +131,9 @@ class Evaluator
 
     /** The installed fault set. */
     const FaultSet &faults() const { return faultSet; }
+
+    /** The clean model given at construction (empty when none). */
+    const CleanFn &cleanModel() const { return cleanFn; }
 
     /** True when evaluateBits() runs the cone-pruned path. */
     bool conePruned() const { return cone && cone->valid; }
@@ -165,23 +201,6 @@ class Evaluator
                         bool oscillated, uint64_t gate_evals);
 
   private:
-    /**
-     * One op of the folded program: a gate, or on the pruned
-     * program a whole clean cell (DESIGN.md §9 "Cell ops"). Unused
-     * inputs read the constant-zero net, so the table index is
-     * always the 4-bit shift-or of the input nets. Output o drives
-     * bit idx of value[o]; an unused output writes 0 to the sink
-     * net, which nothing reads (so no op waits on that store). A set
-     * mem bit (gate ops only) keeps the outputs' previous values.
-     */
-    struct Op
-    {
-        NetId in[4];
-        NetId out[2];
-        uint16_t value[2];
-        uint16_t mem;
-    };
-
     const Netlist &nl;
     FaultSet faultSet;
     CleanFn cleanFn;
@@ -195,19 +214,19 @@ class Evaluator
     /** Sweep program: every gate, in gate (= sweep) order; or,
      *  when cone-pruned, the cone's steps as the prefix (the faulty
      *  gates and their fan-in) then the rest, each in sweep order. */
-    std::vector<Op> prog;
+    std::vector<TableOp> prog;
     /** Ops of prog in the prefix (cone-pruned only). */
     size_t prefixLen = 0;
     /** One per faulty gate: its real input nets (a delayed gate's
      *  g.in, not its store net), its output net and its clean table
      *  in value[0] (cone-pruned only). */
-    std::vector<Op> checks;
+    std::vector<TableOp> checks;
     /** Every gate, for evaluate() (the full sweep) on a cone-pruned
      *  evaluator; empty otherwise. */
-    std::vector<Op> fullProg;
+    std::vector<TableOp> fullProg;
     /** Delayed gates' un-forced tables, writing their stored-output
      *  nets (faultSet.delayed order). */
-    std::vector<Op> pending;
+    std::vector<TableOp> pending;
     /** True when the netlist has feedback and needs relaxation. */
     bool needsRelaxation;
     /** True when the primary inputs are consecutive nets. */
@@ -220,17 +239,9 @@ class Evaluator
     uint64_t gateEvalCount = 0;
     uint64_t activatedCount = 0;
 
-    /**
-     * Fold @p steps (a FaultCone's; every gate when null) into a
-     * sweep program; delayed gates' latch tables go to
-     * @p pending_ops when given. A cell step folds into one cell op.
-     */
-    std::vector<Op> compile(const std::vector<uint32_t> *steps,
-                            std::vector<Op> *pending_ops = nullptr) const;
-
     /** The folded program for a full sweep (@p full) or for
      *  evaluateBits(); compiled on first use. */
-    const std::vector<Op> &program(bool full);
+    const std::vector<TableOp> &program(bool full);
 
     /** Gates one sweep of program(@p full) stands for: what each
      *  sweep charges to gateEvals(). */
@@ -238,7 +249,7 @@ class Evaluator
 
     /** Sweep the gate ops @p ops until stable (or the sweep cap),
      *  charging @p gates per sweep. */
-    void runSweeps(const std::vector<Op> &ops, size_t gates);
+    void runSweeps(const std::vector<TableOp> &ops, size_t gates);
 
     /** Reorder the freshly folded pruned program into prefix and
      *  rest, and fold the checks. */
@@ -246,7 +257,7 @@ class Evaluator
 
     /** One sweep of the pruned ops [@p first, @p last) (cell and
      *  gate ops). */
-    void sweepPruned(const Op *first, const Op *last);
+    void sweepPruned(const TableOp *first, const TableOp *last);
 
     /** True when a faulty gate's output differs from its clean
      *  function of its input nets (checks). */

@@ -2,16 +2,19 @@
  * @file
  * Wide lane planes: the bit-parallel evaluation width abstraction.
  *
- * PR 3's BatchEvaluator packed 64 lanes into one uint64_t per net.
- * A LanePlane widens that to W consecutive uint64_t words per net
- * (W in {1, 4, 8} -> 64/256/512 lanes), stored strided as
- * netLanes[net * W + w]. The gate sweep is pure bitwise logic, so
- * the same templated kernel serves every width; the W-word inner
- * loops auto-vectorize into ymm/zmm operations when the translation
- * unit is compiled for AVX2/AVX-512.
+ * A LanePlane holds W consecutive uint64_t words per net (W in
+ * {1, 4, 8} -> 64/256/512 lanes), stored strided as
+ * netLanes[net * W + w]; bit L of the plane is the net's value in
+ * lane L. A sweep runs a program of lane ops, each a folded table op
+ * (foldTableOps(), a gate or a clean cell) whose output tables are
+ * written in algebraic normal form: an XOR of products of input
+ * planes. That is pure bitwise logic, so the same templated kernel
+ * serves every width; the W-word inner loops auto-vectorize into
+ * ymm/zmm operations when the translation unit is compiled for
+ * AVX2/AVX-512.
  *
  * Width and ISA are picked at runtime: DTANN_LANES=64|256|512
- * forces a width (64 keeps the original single-word path as the
+ * forces a width (64 keeps the single-word layout as the
  * differential oracle), unset means auto (512 when the CPU and
  * compiler support AVX-512, else 256). The kernel for a width is
  * picked from the best translation unit the CPU can execute
@@ -27,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "circuit/cell_index.hh"
 #include "circuit/netlist.hh"
 
 namespace dtann {
@@ -36,30 +38,40 @@ namespace dtann {
 inline constexpr size_t kMaxLaneWords = 8;
 inline constexpr size_t kMaxLanes = 64 * kMaxLaneWords;
 
-/** valuePlane entry meaning "gate keeps its native function". */
-inline constexpr uint32_t kLaneNoOverride = UINT32_MAX;
+/**
+ * @p table (16 entries) in algebraic normal form: bit m is set when
+ * the product of the index bits in m is one of the XOR-ed terms (bit
+ * 0: the constant 1). A Moebius transform, one step per index bit.
+ */
+constexpr uint16_t
+algebraicNormalForm(uint16_t table)
+{
+    uint32_t a = table;
+    a ^= (a & 0x5555u) << 1;
+    a ^= (a & 0x3333u) << 2;
+    a ^= (a & 0x0f0fu) << 4;
+    a ^= (a & 0x00ffu) << 8;
+    return static_cast<uint16_t>(a);
+}
 
 /**
- * Everything a gate sweep needs, as raw pointers so the kernel can
- * live in per-ISA translation units without seeing BatchEvaluator.
- * The fault pointers are null when haveFaults is false.
+ * One op of a lane program: a folded table op over its first numIn
+ * input nets and numOut output nets, output o being the XOR of the
+ * input products anf[o] lists (algebraicNormalForm() of its table).
  */
-struct LaneSweepCtx {
-    const Gate *gates;        ///< contiguous gate array
-    /** Steps to sweep, or null = every gate: a gate index, or
-     *  kCellStep | group for a clean cell (FaultCone::steps) */
-    const uint32_t *active;
-    size_t count;             ///< steps to sweep
-    const Cell *cells;        ///< the netlist's cells, by group
-    bool haveFaults;          ///< any fault override installed
-    const uint32_t *valuePlane;  ///< per-gate truth-table plane
-    const int8_t *inputForce;    ///< per-gate [4] stuck inputs
-    const int8_t *outputForce;   ///< per-gate stuck output
-    uint64_t *netLanes;       ///< per-net planes, [net * W + w]
+struct LaneOp
+{
+    NetId in[4];
+    NetId out[2];
+    uint16_t anf[2];
+    uint8_t numIn;
+    uint8_t numOut;
 };
 
-/** A sweep kernel instantiated for one plane width. */
-using LaneSweepFn = void (*)(const LaneSweepCtx &);
+/** A sweep kernel for one plane width: runs @p count ops in order
+ *  over the per-net planes @p net_lanes ([net * W + w]). */
+using LaneSweepFn = void (*)(const LaneOp *ops, size_t count,
+                             uint64_t *net_lanes);
 
 /**
  * Lane words resolved from DTANN_LANES and the machine: 1, 4 or 8.

@@ -12,15 +12,10 @@ namespace dtann {
 OperatorSim::OperatorSim(std::shared_ptr<const Netlist> netlist,
                          Injection injection, CleanFn clean)
     : nl(std::move(netlist)), records(std::move(injection.records)),
-      eval(*nl, injection.faults, clean),
-      // The evaluator's cone and its steps are the batch
-      // evaluator's too: built once per simulation.
-      batch(noBatch()
-                ? std::optional<BatchEvaluator>{}
-                : BatchEvaluator::tryCreate(
-                      *nl, std::move(injection.faults),
-                      std::move(clean), batchLaneWidth(),
-                      eval.faultCone()))
+      eval(*nl, std::move(injection.faults), std::move(clean)),
+      batchLanes(!noBatch() && BatchEvaluator::supports(*nl, eval.faults())
+                     ? batchLaneWidth()
+                     : 0)
 {
 }
 
@@ -95,7 +90,7 @@ void
 OperatorSim::applyLanes(const uint64_t *inputs, uint64_t *outputs,
                         size_t count)
 {
-    if (!batch || count < kLaneCrossover) {
+    if (!batchLanes || count < kLaneCrossover) {
         // Scalar path: evaluation order matters (memory effects), so
         // walk the vectors in order. A batched sim is state-free, so
         // taking it for a short call changes no output.
@@ -103,7 +98,12 @@ OperatorSim::applyLanes(const uint64_t *inputs, uint64_t *outputs,
             outputs[i] = apply(inputs[i]);
         return;
     }
-    size_t width = batch->laneCount();
+    // The evaluator's fault set, clean model and cone (shared) are
+    // the batch evaluator's too.
+    if (!batch)
+        batch.emplace(*nl, eval.faults(), eval.cleanModel(), batchLanes,
+                      eval.faultCone());
+    size_t width = batchLanes;
     for (size_t off = 0; off < count; off += width) {
         size_t chunk = std::min(width, count - off);
         batch->evaluateLanes(inputs + off, outputs + off, chunk);

@@ -94,13 +94,10 @@ class OperatorSim
     void reset();
 
     /** True when applyLanes() uses the wide-lane batch path. */
-    bool batched() const { return batch.has_value(); }
+    bool batched() const { return batchLanes != 0; }
 
     /** Lanes per batch sweep (0 on the scalar fallback). */
-    size_t laneCount() const
-    {
-        return batch ? batch->laneCount() : 0;
-    }
+    size_t laneCount() const { return batchLanes; }
 
     /** True when apply() runs the cone-pruned scalar path. */
     bool conePruned() const { return eval.conePruned(); }
@@ -164,6 +161,11 @@ class OperatorSim
     std::shared_ptr<const Netlist> nl;
     std::vector<InjectionRecord> records;
     Evaluator eval;
+    /** Lanes per batch sweep, 0 when the sim is not batched. */
+    size_t batchLanes;
+    /** Built by the first call that takes the batch path, so a sim
+     *  that never batches (BIST scans, one-row training calls) never
+     *  folds a lane program. */
     std::optional<BatchEvaluator> batch;
     /** Direct-mapped memo, allocated by the first apply() when the
      *  evaluator is cone-pruned with at most 64 state nets. */

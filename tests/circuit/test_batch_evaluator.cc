@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "circuit/batch_evaluator.hh"
 #include "circuit/evaluator.hh"
@@ -172,11 +174,146 @@ TEST(BatchEvaluator, ConstantsDriveAllLanes)
     nl.markInput(a);
     nl.markOutput(nl.addGate(GateKind::Nand2, {one, a}));
     nl.markOutput(nl.addGate(GateKind::Nor2, {zero, a}));
-    BatchEvaluator batch(nl);
-    batch.setInputLanes(0, 0x00ff00ff00ff00ffull);
-    batch.evaluate();
-    EXPECT_EQ(batch.outputLanes(0), ~0x00ff00ff00ff00ffull); // !a
-    EXPECT_EQ(batch.outputLanes(1), ~0x00ff00ff00ff00ffull); // !a
+    for (size_t lanes : {64u, 256u, 512u}) {
+        BatchEvaluator batch(nl, {}, {}, lanes);
+        std::vector<uint64_t> in(lanes);
+        for (size_t l = 0; l < lanes; ++l)
+            in[l] = l >> 3 & 1;
+        auto out = batch.evaluateVectors(in);
+        for (size_t l = 0; l < lanes; ++l)
+            ASSERT_EQ(out[l], in[l] ? 0u : 3u) // both !a
+                << "lanes " << lanes << " lane " << l;
+    }
+}
+
+TEST(BatchEvaluator, EveryGateKindUnderStackedFaults)
+{
+    // One gate of every kind on the primary inputs of a hand-built
+    // netlist (no cell index, so every op is a gate op), each gate's
+    // output a primary output. Each fault set below puts one case on
+    // every gate at once; the gates read only primary inputs, so
+    // they cannot disturb each other.
+    Netlist nl;
+    NetId in[4];
+    for (NetId &net : in) {
+        net = nl.addNet();
+        nl.markInput(net);
+    }
+    std::vector<uint32_t> gates;
+    for (size_t k = 0; k < static_cast<size_t>(GateKind::NumKinds); ++k) {
+        GateKind kind = static_cast<GateKind>(k);
+        std::vector<NetId> pins(in, in + gateArity(kind));
+        gates.push_back(static_cast<uint32_t>(nl.numGates()));
+        nl.markOutput(nl.addGate(kind, pins));
+    }
+    ASSERT_EQ(nl.cellIndex(), nullptr);
+
+    Rng rng(27);
+    auto override_of = [&](uint32_t gi) {
+        int arity = nl.gate(gi).arity();
+        return GateFunction(
+            arity,
+            static_cast<uint32_t>(rng.nextUint(1ull << (1 << arity))), 0);
+    };
+    std::vector<std::pair<std::string, FaultSet>> cases;
+    cases.push_back({"clean", {}});
+    for (int8_t i = 0; i < 4; ++i) {
+        for (bool v : {false, true}) {
+            FaultSet f;
+            for (uint32_t gi : gates)
+                if (i < nl.gate(gi).arity())
+                    f.stuckAt.push_back({gi, i, v});
+            cases.push_back({"input " + std::to_string(i) + " stuck at " +
+                                 std::to_string(v),
+                             f});
+        }
+    }
+    for (bool v : {false, true}) {
+        FaultSet f;
+        for (uint32_t gi : gates)
+            f.stuckAt.push_back({gi, -1, v});
+        cases.push_back({"output stuck at " + std::to_string(v), f});
+    }
+    for (int trial = 0; trial < 8; ++trial) {
+        FaultSet over, stacked;
+        for (uint32_t gi : gates) {
+            over.overrides[gi] = override_of(gi);
+            int arity = nl.gate(gi).arity();
+            if (arity > 0)
+                stacked.stuckAt.push_back(
+                    {gi, static_cast<int8_t>(rng.nextUint(
+                             static_cast<uint64_t>(arity))),
+                     rng.nextUint(2) == 1});
+            stacked.overrides[gi] = override_of(gi);
+            stacked.stuckAt.push_back({gi, -1, rng.nextUint(2) == 1});
+        }
+        cases.push_back({"override " + std::to_string(trial), over});
+        // Output stuck-ats only on odd trials, so the input stuck-at
+        // under an override shows at the outputs on the even ones.
+        if (trial % 2 == 0)
+            stacked.stuckAt.erase(
+                std::remove_if(stacked.stuckAt.begin(),
+                               stacked.stuckAt.end(),
+                               [](const StuckAtFault &f) {
+                                   return f.input < 0;
+                               }),
+                stacked.stuckAt.end());
+        cases.push_back({"stacked " + std::to_string(trial), stacked});
+    }
+
+    for (const auto &[name, faults] : cases) {
+        SCOPED_TRACE(name);
+        ASSERT_TRUE(faults.isStateless());
+        Evaluator scalar(nl, faults);
+        uint64_t want[16];
+        for (uint64_t v = 0; v < 16; ++v)
+            want[v] = scalar.evaluateBits(v);
+        for (size_t lanes : {64u, 256u, 512u}) {
+            BatchEvaluator batch(nl, faults, {}, lanes);
+            // Every block of 16 lanes holds all 16 combinations,
+            // rotated by the block number.
+            std::vector<uint64_t> vectors(lanes);
+            for (size_t l = 0; l < lanes; ++l)
+                vectors[l] = (l + l / 16) % 16;
+            auto out = batch.evaluateVectors(vectors);
+            for (size_t l = 0; l < lanes; ++l)
+                ASSERT_EQ(out[l], want[vectors[l]])
+                    << "lanes " << lanes << " lane " << l;
+        }
+    }
+}
+
+TEST(BatchEvaluator, EvaluatorsOnOneThreadShareNoState)
+{
+    // Every evaluator on a thread sweeps the same scratch planes, so
+    // calls of a faulty multiplier and a clean adder (different
+    // netlists, different sizes) alternate here, each against its
+    // scalar evaluator, at every plane width.
+    Netlist mul = buildMultiplierSigned(16, FaStyle::Nand9);
+    Netlist add = buildRippleAdder(8, FaStyle::Mirror, true);
+    Rng rng(44);
+    Injection inj = injectTransistorDefects(mul, 2, rng);
+    while (!inj.faults.isStateless())
+        inj = injectTransistorDefects(mul, 2, rng);
+    Evaluator mul_scalar(mul, inj.faults, cleanMultiplierSigned(16));
+    Evaluator add_scalar(add);
+    for (size_t lanes : {64u, 256u, 512u}) {
+        BatchEvaluator mul_batch(mul, inj.faults, cleanMultiplierSigned(16),
+                                 lanes);
+        BatchEvaluator add_batch(add, {}, {}, lanes);
+        for (int call = 0; call < 6; ++call) {
+            bool on_mul = call % 2 == 0;
+            std::vector<uint64_t> in(lanes - 5 * static_cast<size_t>(call));
+            for (uint64_t &v : in)
+                v = rng.nextUint(1ull << (on_mul ? 32 : 16));
+            auto out = (on_mul ? mul_batch : add_batch).evaluateVectors(in);
+            Evaluator &scalar = on_mul ? mul_scalar : add_scalar;
+            for (size_t l = 0; l < in.size(); ++l)
+                ASSERT_EQ(out[l], scalar.evaluateBits(in[l]))
+                    << "lanes " << lanes << " call " << call << " lane "
+                    << l;
+        }
+    }
 }
 
 TEST(BatchEvaluator, TransposeMatchesBitLoop)

@@ -1,10 +1,10 @@
 /**
  * @file
  * Wide lane planes (DESIGN.md §9): DTANN_LANES width/ISA
- * negotiation, and bit-identity of the sweep kernels across every
- * supported plane width — the single-word 64-lane layout is the
- * oracle, and the generic unrolled kernels must agree with whatever
- * SIMD kernel the machine dispatches to.
+ * negotiation, the algebraic normal form lane ops are written in,
+ * and bit-identity of the sweep kernels across every supported plane
+ * width — the single-word 64-lane layout is the oracle, and every
+ * compiled wide kernel the CPU runs must agree with it.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "circuit/batch_evaluator.hh"
+#include "circuit/fault_cone.hh"
 #include "circuit/lane_plane.hh"
 #include "common/rng.hh"
 #include "rtl/clean_model.hh"
@@ -81,6 +82,96 @@ TEST(LanePlane, EveryWidthHasAKernel)
               laneSweepIsaFor(batchLaneWords()));
 }
 
+TEST(LanePlane, AlgebraicNormalFormOfEveryTable)
+{
+    // The lane formula: entry idx of a table is the XOR of the
+    // products its normal form lists whose variables idx all sets.
+    size_t wrong = 0;
+    for (uint32_t table = 0; table < 0x10000; ++table) {
+        uint16_t anf = algebraicNormalForm(static_cast<uint16_t>(table));
+        for (uint32_t idx = 0; idx < 16; ++idx) {
+            uint32_t v = 0;
+            for (uint32_t m = 0; m < 16; ++m)
+                if ((anf >> m & 1) && (idx & m) == m)
+                    v ^= 1;
+            wrong += v != (table >> idx & 1);
+        }
+    }
+    EXPECT_EQ(wrong, 0u);
+}
+
+/** True when this CPU runs @p isa ("avx2" or "avx512f") code. */
+bool
+cpuRuns(const char *isa)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    return std::string(isa) == "avx2" ? __builtin_cpu_supports("avx2")
+                                      : __builtin_cpu_supports("avx512f");
+#else
+    (void)isa;
+    return false;
+#endif
+}
+
+TEST(LanePlane, EveryCompiledKernelMatchesTheSingleWordKernel)
+{
+    // Every wide kernel this build has and this CPU runs, called
+    // directly on one folded program (the cone-pruned cell and gate
+    // ops, then the full gate program) over random planes: word w of
+    // every plane must be what the W = 1 generic kernel makes of
+    // word w alone.
+    struct Kernel
+    {
+        std::string name;
+        size_t words;
+        LaneSweepFn fn;
+    };
+    std::vector<Kernel> kernels = {{"generic", 4, laneSweepGeneric(4)},
+                                   {"generic", 8, laneSweepGeneric(8)}};
+#ifdef DTANN_HAVE_AVX2_TU
+    if (cpuRuns("avx2")) {
+        kernels.push_back({"avx2", 4, laneSweepAvx2(4)});
+        kernels.push_back({"avx2", 8, laneSweepAvx2(8)});
+    }
+#endif
+#ifdef DTANN_HAVE_AVX512_TU
+    if (cpuRuns("avx512f"))
+        kernels.push_back({"avx512", 8, laneSweepAvx512(8)});
+#endif
+
+    Netlist nl = buildMultiplierSigned(16, FaStyle::Nand9);
+    Rng rng(14);
+    Injection inj = injectTransistorDefects(nl, 3, rng);
+    while (!inj.faults.isStateless())
+        inj = injectTransistorDefects(nl, 3, rng);
+    FaultCone cone = computeFaultCone(nl, inj.faults);
+    ASSERT_TRUE(cone.valid);
+    LaneSweepFn oracle = laneSweepGeneric(1);
+    size_t nets = nl.numNets();
+    for (bool pruned : {true, false}) {
+        std::vector<LaneOp> prog =
+            foldLaneOps(nl, inj.faults, pruned ? &cone.steps : nullptr);
+        for (const Kernel &k : kernels) {
+            SCOPED_TRACE(k.name + " W=" + std::to_string(k.words) +
+                         (pruned ? " pruned" : " full"));
+            std::vector<uint64_t> planes(nets * k.words);
+            for (uint64_t &word : planes)
+                word = rng.nextUint(~0ull);
+            std::vector<uint64_t> want = planes;
+            std::vector<uint64_t> column(nets);
+            for (size_t w = 0; w < k.words; ++w) {
+                for (size_t n = 0; n < nets; ++n)
+                    column[n] = want[n * k.words + w];
+                oracle(prog.data(), prog.size(), column.data());
+                for (size_t n = 0; n < nets; ++n)
+                    want[n * k.words + w] = column[n];
+            }
+            k.fn(prog.data(), prog.size(), planes.data());
+            ASSERT_EQ(planes, want);
+        }
+    }
+}
+
 /** 200 packed vectors through a 12-bit multiplier netlist. */
 std::vector<uint64_t>
 sweepAtWidth(const Netlist &nl, const FaultSet &faults, CleanFn clean,
@@ -115,8 +206,8 @@ TEST(LanePlane, CleanSweepBitIdenticalAcrossWidths)
 
 TEST(LanePlane, FaultySweepBitIdenticalAcrossWidths)
 {
-    // Random transistor injections exercise the truth-table value
-    // planes and the stuck input/output forces at every width.
+    // Random transistor injections exercise the folded faulty
+    // tables at every width.
     Netlist nl = buildMultiplierUnsigned(6, FaStyle::Nand9);
     CleanFn clean = cleanMultiplierUnsigned(6);
     Rng rng(12);
