@@ -319,16 +319,13 @@ BM_BatchEvalMultiplier16FaultyMix(benchmark::State &state)
 }
 BENCHMARK(BM_BatchEvalMultiplier16FaultyMix)->Arg(512);
 
-void
-BM_OpSimMultiplier16Mem(benchmark::State &state)
+/** A 16-bit multiplier sim whose one-defect fault set carries a MEM
+ *  entry (drawn from @p rng until one does). */
+std::unique_ptr<OperatorSim>
+memMultiplier(Rng &rng)
 {
-    // The retraining hot path: scalar OperatorSim::apply on a
-    // multiplier whose defect floats its output for some inputs
-    // (MEM), so the unit keeps state and never batches. Sites are
-    // redrawn until the fault set carries a MEM entry.
     auto nl = std::make_shared<const Netlist>(
         buildMultiplierSigned(16, FaStyle::Nand9));
-    Rng rng(12);
     Injection inj = injectTransistorDefects(*nl, 1, rng);
     auto has_mem = [](const FaultSet &f) {
         for (const auto &[gate, fn] : f.overrides)
@@ -338,7 +335,20 @@ BM_OpSimMultiplier16Mem(benchmark::State &state)
     };
     while (!has_mem(inj.faults))
         inj = injectTransistorDefects(*nl, 1, rng);
-    OperatorSim sim(nl, std::move(inj), cleanMultiplierSigned(16));
+    return std::make_unique<OperatorSim>(nl, std::move(inj),
+                                         cleanMultiplierSigned(16));
+}
+
+void
+BM_OpSimMultiplier16Mem(benchmark::State &state)
+{
+    // The retraining hot path: scalar OperatorSim::apply on a
+    // multiplier whose defect floats its output for some inputs
+    // (MEM), so the unit keeps state and never batches. Sites are
+    // redrawn until the fault set carries a MEM entry.
+    Rng rng(12);
+    std::unique_ptr<OperatorSim> owned = memMultiplier(rng);
+    OperatorSim &sim = *owned;
     uint64_t a = 0x1234, b = 0x4321;
     for (auto _ : state) {
         benchmark::DoNotOptimize(sim.apply(a | (b << 16)));
@@ -361,21 +371,13 @@ BM_OpSimMultiplier16Repeat(benchmark::State &state)
 {
     // The same MEM multiplier under a trainer-like stream: 40
     // (weight, activation) words cycled, as one synapse sees its
-    // training rows epoch after epoch. Most calls are memo hits;
-    // BM_OpSimMultiplier16Mem (no repeats) prices a miss.
-    auto nl = std::make_shared<const Netlist>(
-        buildMultiplierSigned(16, FaStyle::Nand9));
+    // training rows epoch after epoch, with no word twice in a row.
+    // Most calls are memo hits; BM_OpSimMultiplier16Mem (no
+    // repeats) prices a miss, BM_OpSimMultiplier16Constant a
+    // back-to-back repeat.
     Rng rng(12);
-    Injection inj = injectTransistorDefects(*nl, 1, rng);
-    auto has_mem = [](const FaultSet &f) {
-        for (const auto &[gate, fn] : f.overrides)
-            if (fn.hasMem())
-                return true;
-        return false;
-    };
-    while (!has_mem(inj.faults))
-        inj = injectTransistorDefects(*nl, 1, rng);
-    OperatorSim sim(nl, std::move(inj), cleanMultiplierSigned(16));
+    std::unique_ptr<OperatorSim> owned = memMultiplier(rng);
+    OperatorSim &sim = *owned;
     std::vector<uint64_t> cycle(40);
     uint64_t weight = rng.nextUint(1u << 16);
     for (auto &v : cycle)
@@ -393,6 +395,28 @@ BM_OpSimMultiplier16Repeat(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_OpSimMultiplier16Repeat);
+
+void
+BM_OpSimMultiplier16Constant(benchmark::State &state)
+{
+    // The same MEM multiplier fed one word on every call, as a
+    // padding synapse's multiplier sees (zero weight, zero input)
+    // row after row: each call repeats the last one, which left the
+    // state it started from. BM_OpSimMultiplier16Repeat is the
+    // control.
+    Rng rng(12);
+    std::unique_ptr<OperatorSim> sim = memMultiplier(rng);
+    uint64_t word = rng.nextUint(1u << 16) | (rng.nextUint(1u << 16) << 16);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sim->apply(word));
+    SimCounters c = sim->counters();
+    state.counters["hit_rate"] = static_cast<double>(c.memoHits) /
+        static_cast<double>(c.scalarVectors);
+    state.counters["vectors/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_OpSimMultiplier16Constant);
 
 void
 BM_OpSimConstruct(benchmark::State &state)
@@ -616,6 +640,33 @@ BM_SpatialForwardRowClean(benchmark::State &state)
 }
 BENCHMARK(BM_SpatialForwardRowClean);
 
+void
+BM_SpatialForwardRowTask(benchmark::State &state)
+{
+    // One clean row of an 18-6-4 task on the 90-10-10 array, as
+    // retraining forwards it: the task's neurons sum their used
+    // synapses, and the 4 + 6 padding neurons (every word zero)
+    // each output sigmoid(0) without a sum.
+    // BM_SpatialForwardRowClean, with no padding, is the control.
+    MlpTopology topo{18, 6, 4};
+    SpatialBackend accel(AcceleratorConfig(), topo);
+    DeepWeights w(topo);
+    Rng wr(7);
+    w.initRandom(wr, 1.2);
+    accel.setWeights(w);
+    std::vector<std::vector<double>> rows = sweepRows(18, 8);
+    size_t r = 0;
+    for (auto _ : state) {
+        Activations act = accel.forward(rows[r]);
+        benchmark::DoNotOptimize(act.layers.data());
+        r = (r + 1) % rows.size();
+    }
+    state.counters["rows/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SpatialForwardRowTask);
+
 /**
  * The retraining benchmarks' array: an 18-10-4 task on the 90-10-10
  * array with 8 faulty latches (4 on used synapses, 4 on padding).
@@ -713,9 +764,10 @@ BM_LatchStoreRepeat(benchmark::State &state)
 {
     // One faulty weight latch under a trainer-like store stream: a
     // 40-word cycle in which the word survives most steps and moves
-    // by an LSB or two on the others, each store an EN=1 then an
-    // EN=0 call. Repeated (net vector) keys replay from the
-    // relaxation memo; BM_EvalLatchRegister prices a relaxation.
+    // by an LSB or two on the others, each store one two-word call
+    // (EN=1, then EN=0). Repeated (net vector) keys replay from the
+    // relaxation memo, and a store repeating the one before from the
+    // pair record; BM_EvalLatchRegister prices a relaxation.
     auto nl = std::make_shared<const Netlist>(buildLatchRegister(16));
     Rng rng(17);
     OperatorSim sim(nl, injectTransistorDefects(*nl, 2, rng));
@@ -728,8 +780,8 @@ BM_LatchStoreRepeat(benchmark::State &state)
     }
     size_t i = 0;
     for (auto _ : state) {
-        sim.apply(cycle[i] | 1ull << 16);
-        benchmark::DoNotOptimize(sim.apply(cycle[i]));
+        benchmark::DoNotOptimize(
+            sim.applyPair(cycle[i] | 1ull << 16, cycle[i]));
         i = i + 1 == cycle.size() ? 0 : i + 1;
     }
     SimCounters c = sim.counters();

@@ -15,10 +15,9 @@ foldLaneOps(const Netlist &nl, const FaultSet &faults,
     // (numNets() and up) fill only unused inputs and outputs, which
     // no table reads.
     const NetId nets = static_cast<NetId>(nl.numNets());
-    std::vector<TableOp> ops = foldTableOps(nl, faults, steps);
     std::vector<LaneOp> lane_ops;
-    lane_ops.reserve(ops.size());
-    for (const TableOp &op : ops) {
+    lane_ops.reserve(steps ? steps->size() : nl.numGates());
+    foldTableOps(nl, faults, steps, [&](const TableOp &op) {
         dtann_assert(!op.mem, "lane op with a MEM entry");
         LaneOp l{{op.in[0], op.in[1], op.in[2], op.in[3]},
                  {op.out[0], op.out[1]},
@@ -31,7 +30,7 @@ foldLaneOps(const Netlist &nl, const FaultSet &faults,
         dtann_assert((l.anf[0] | l.anf[1]) >> (1u << l.numIn) == 0,
                      "lane op reads an unused input");
         lane_ops.push_back(l);
-    }
+    });
     return lane_ops;
 }
 

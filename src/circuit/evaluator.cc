@@ -14,16 +14,6 @@ namespace {
 /** Relaxation sweep cap; oscillating faulty feedback stops here. */
 constexpr int maxSweeps = 64;
 
-/** The faults one gate carries, gathered from a FaultSet. */
-struct GateFaults
-{
-    const GateFunction *override = nullptr;
-    uint32_t forceMask = 0; ///< inputs held by a stuck-at
-    uint32_t forceBits = 0; ///< their stuck values
-    int outputForce = -1;   ///< output stuck value, -1 = none
-    NetId store = invalidNet; ///< a delayed gate's stored-output net
-};
-
 /** Byte b spread to eight 0/1 bytes, bit i to byte i. */
 constexpr auto kSpreadBits = [] {
     std::array<std::array<uint8_t, 8>, 256> t{};
@@ -71,8 +61,12 @@ Evaluator::program(bool full)
     if (ops.empty()) {
         // Either program covers every delayed gate (cone seeds), so
         // the first one folded fills the latch tables.
-        ops = foldTableOps(nl, faultSet, pruned ? &cone->steps : nullptr,
-                           pending.empty() ? &pending : nullptr);
+        const std::vector<uint32_t> *steps = pruned ? &cone->steps : nullptr;
+        ops.reserve(steps ? steps->size() : nl.numGates());
+        foldTableOps(
+            nl, faultSet, steps,
+            [&](const TableOp &op) { ops.push_back(op); },
+            pending.empty() ? &pending : nullptr);
         if (pruned) {
             // State nets in fold order, before the split reorders:
             // stateBits() packs them, and the memo keys on it.
@@ -160,38 +154,31 @@ Evaluator::programGates(bool full) const
     return conePruned() && !full ? cone->activeCount : nl.numGates();
 }
 
-std::vector<TableOp>
-foldTableOps(const Netlist &nl, const FaultSet &faults,
-             const std::vector<uint32_t> *steps,
-             std::vector<TableOp> *pending)
+TableFold::TableFold(const Netlist &netlist, const FaultSet &faults)
+    : zeroNet(static_cast<NetId>(netlist.numNets())),
+      sink(zeroNet + 1 + static_cast<NetId>(faults.delayed.size())),
+      nl(netlist), faulty(faults.gates()), gateFaults(faulty.size())
 {
     size_t n = nl.numGates();
-    const NetId zero_net = static_cast<NetId>(nl.numNets());
-    const NetId sink =
-        zero_net + 1 + static_cast<NetId>(faults.delayed.size());
-    // Each faulty gate's faults, flat at its position in gates().
-    const std::vector<uint32_t> faulty = faults.gates();
-    std::vector<GateFaults> gate_faults(faulty.size());
-    auto faultsOf = [&](uint32_t gi) -> GateFaults * {
+    // Each faulty gate's faults, flat at its position in faulty.
+    auto at = [&](uint32_t gi) -> GateFaults & {
         auto it = std::lower_bound(faulty.begin(), faulty.end(), gi);
-        return it != faulty.end() && *it == gi
-            ? &gate_faults[static_cast<size_t>(it - faulty.begin())]
-            : nullptr;
+        return gateFaults[static_cast<size_t>(it - faulty.begin())];
     };
     for (const auto &[gi, fn] : faults.overrides) {
         dtann_assert(gi < n, "override on unknown gate %u", gi);
         dtann_assert(fn.numInputs() == nl.gate(gi).arity(),
                      "override arity mismatch on gate %u", gi);
-        faultsOf(gi)->override = &fn;
+        at(gi).override = &fn;
     }
-    NetId store = zero_net;
+    NetId store = zeroNet;
     for (uint32_t gi : faults.delayed) {
         dtann_assert(gi < n, "delay fault on unknown gate %u", gi);
-        faultsOf(gi)->store = ++store;
+        at(gi).store = ++store;
     }
     for (const StuckAtFault &f : faults.stuckAt) {
         dtann_assert(f.gate < n, "stuck-at on unknown gate %u", f.gate);
-        GateFaults &gf = *faultsOf(f.gate);
+        GateFaults &gf = at(f.gate);
         if (f.input < 0) {
             gf.outputForce = f.value ? 1 : 0;
         } else {
@@ -202,78 +189,49 @@ foldTableOps(const Netlist &nl, const FaultSet &faults,
             gf.forceBits = (gf.forceBits & ~bit) | (f.value ? bit : 0);
         }
     }
+}
 
-    // A pruned program on an indexed netlist sweeps cell steps (see
-    // FaultCone::steps); the full program stays gate-level.
-    const CellIndex *cells = nl.cellIndex();
-    size_t count = steps ? steps->size() : n;
-    std::vector<TableOp> ops;
-    ops.reserve(count);
-    for (size_t k = 0; k < count; ++k) {
-        uint32_t step = steps ? (*steps)[k] : static_cast<uint32_t>(k);
-        if (step & kCellStep) {
-            // Clean cell: its tables over its external nets (the
-            // unused table bits are clear). Built in one expression:
-            // the per-input loops cost 3x as much, and cells are the
-            // bulk of a pruned program.
-            const Cell &c = cells->cell(step & ~kCellStep);
-            ops.push_back({{c.numIn > 0 ? c.in[0] : zero_net,
-                            c.numIn > 1 ? c.in[1] : zero_net,
-                            c.numIn > 2 ? c.in[2] : zero_net,
-                            c.numIn > 3 ? c.in[3] : zero_net},
-                           {c.numOut > 0 ? c.out[0] : sink,
-                            c.numOut > 1 ? c.out[1] : sink},
-                           {c.table[0], c.table[1]},
-                           0});
-            continue;
-        }
-        TableOp op{{zero_net, zero_net, zero_net, zero_net}, {sink, sink},
-                   {0, 0}, 0};
-        uint32_t gi = step;
-        const Gate &g = nl.gate(gi);
-        op.out[0] = g.out;
-        int arity = g.arity();
-        for (int i = 0; i < arity; ++i)
-            op.in[i] = g.in[i];
-        const GateFaults *gf = faultsOf(gi);
-        if (!gf) {
-            op.value[0] = gateTable(g.kind);
-            ops.push_back(op);
-            continue;
-        }
+TableOp
+TableFold::faultyOp(uint32_t gi, const GateFaults &gf,
+                    std::vector<TableOp> *pending) const
+{
+    const Gate &g = nl.gate(gi);
+    TableOp op{{zeroNet, zeroNet, zeroNet, zeroNet}, {g.out, sink},
+               {0, 0}, 0};
+    int arity = g.arity();
+    for (int i = 0; i < arity; ++i)
+        op.in[i] = g.in[i];
 
-        // Input forces first, then the override (or the clean
-        // kind): the un-forced table a delayed gate latches from.
-        uint32_t used = (1u << arity) - 1;
-        for (uint32_t idx = 0; idx < 16; ++idx) {
-            uint32_t in = ((idx & used) & ~gf->forceMask) | gf->forceBits;
-            LogicValue lv = gf->override ? gf->override->eval(in)
-                : gateEval(g.kind, in) ? LogicValue::One
-                                       : LogicValue::Zero;
-            if (lv == LogicValue::Mem)
-                op.mem |= static_cast<uint16_t>(1u << idx);
-            else if (lv == LogicValue::One)
-                op.value[0] |= static_cast<uint16_t>(1u << idx);
-        }
-
-        if (gf->store != invalidNet) {
-            // The gate drives its stored net (index bit 0) this
-            // round; its un-forced table latches the next stored
-            // value after the sweeps.
-            if (pending) {
-                pending->push_back(op);
-                pending->back().out[0] = gf->store;
-            }
-            op = TableOp{{gf->store, zero_net, zero_net, zero_net},
-                         {g.out, sink}, {0xaaaa, 0}, 0};
-        }
-        // The output force overrides every non-MEM entry; a MEM
-        // entry keeps the previous value and skips the force.
-        if (gf->outputForce >= 0)
-            op.value[0] = gf->outputForce ? 0xffff : 0;
-        ops.push_back(op);
+    // Input forces first, then the override (or the clean kind): the
+    // un-forced table a delayed gate latches from.
+    uint32_t used = (1u << arity) - 1;
+    for (uint32_t idx = 0; idx < 16; ++idx) {
+        uint32_t in = ((idx & used) & ~gf.forceMask) | gf.forceBits;
+        LogicValue lv = gf.override ? gf.override->eval(in)
+            : gateEval(g.kind, in) ? LogicValue::One
+                                   : LogicValue::Zero;
+        if (lv == LogicValue::Mem)
+            op.mem |= static_cast<uint16_t>(1u << idx);
+        else if (lv == LogicValue::One)
+            op.value[0] |= static_cast<uint16_t>(1u << idx);
     }
-    return ops;
+
+    if (gf.store != invalidNet) {
+        // The gate drives its stored net (index bit 0) this round;
+        // its un-forced table latches the next stored value after
+        // the sweeps.
+        if (pending) {
+            pending->push_back(op);
+            pending->back().out[0] = gf.store;
+        }
+        op = TableOp{{gf.store, zeroNet, zeroNet, zeroNet}, {g.out, sink},
+                     {0xaaaa, 0}, 0};
+    }
+    // The output force overrides every non-MEM entry; a MEM entry
+    // keeps the previous value and skips the force.
+    if (gf.outputForce >= 0)
+        op.value[0] = gf.outputForce ? 0xffff : 0;
+    return op;
 }
 
 void

@@ -31,6 +31,7 @@
 #ifndef DTANN_CIRCUIT_EVALUATOR_HH
 #define DTANN_CIRCUIT_EVALUATOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -59,19 +60,105 @@ struct TableOp
 };
 
 /**
+ * One fault set folded over one netlist: the faults each faulty gate
+ * carries, gathered once (foldTableOps()).
+ */
+class TableFold
+{
+  public:
+    TableFold(const Netlist &nl, const FaultSet &faults);
+
+    /** The faults one gate carries, gathered from a FaultSet. */
+    struct GateFaults
+    {
+        const GateFunction *override = nullptr;
+        uint32_t forceMask = 0; ///< inputs held by a stuck-at
+        uint32_t forceBits = 0; ///< their stuck values
+        int outputForce = -1;   ///< output stuck value, -1 = none
+        NetId store = invalidNet; ///< a delayed gate's stored-output net
+    };
+
+    /** The faults of gate @p gi, or null when it carries none. */
+    const GateFaults *
+    faultsOf(uint32_t gi) const
+    {
+        auto it = std::lower_bound(faulty.begin(), faulty.end(), gi);
+        return it != faulty.end() && *it == gi
+            ? &gateFaults[static_cast<size_t>(it - faulty.begin())]
+            : nullptr;
+    }
+
+    /** The op of faulty gate @p gi carrying @p gf; a delayed gate's
+     *  latch table goes to @p pending when given. */
+    TableOp faultyOp(uint32_t gi, const GateFaults &gf,
+                     std::vector<TableOp> *pending) const;
+
+    /** The constant-zero net unused inputs read, and the sink net
+     *  unused outputs write. */
+    NetId zeroNet;
+    NetId sink;
+
+  private:
+    const Netlist &nl;
+    /** The faulty gates, ascending, and each one's faults. */
+    std::vector<uint32_t> faulty;
+    std::vector<GateFaults> gateFaults;
+};
+
+/**
  * Fold @p faults into table ops over @p steps of @p nl (a FaultCone's
- * steps; every gate when null), in step order: the one place where
- * stuck-ats and overrides become tables (DESIGN.md §9 "Folded op
- * program"). A cell step folds into one cell op. Beyond the
+ * steps; every gate when null) and hand each, in step order, to
+ * @p emit: the one place where stuck-ats and overrides become
+ * tables (DESIGN.md §9 "Folded op program"). The scalar Evaluator
+ * collects the ops; the BatchEvaluator converts each to a lane op
+ * as it comes. A cell step folds into one cell op. Beyond the
  * netlist's nets, unused inputs read the constant-zero net
  * numNets(), delayed gate k (in faults.delayed order) drives its
- * store net numNets() + 1 + k, and unused outputs write the sink net
- * after the stores. Delayed gates' latch tables go to @p pending
- * when given.
+ * store net numNets() + 1 + k, and unused outputs write the sink
+ * net after the stores. Delayed gates' latch tables go to
+ * @p pending when given.
  */
-std::vector<TableOp> foldTableOps(const Netlist &nl, const FaultSet &faults,
-                                  const std::vector<uint32_t> *steps,
-                                  std::vector<TableOp> *pending = nullptr);
+template <class Emit>
+void
+foldTableOps(const Netlist &nl, const FaultSet &faults,
+             const std::vector<uint32_t> *steps, Emit &&emit,
+             std::vector<TableOp> *pending = nullptr)
+{
+    const TableFold fold(nl, faults);
+    const NetId zero = fold.zeroNet, sink = fold.sink;
+    const CellIndex *cells = nl.cellIndex();
+    size_t count = steps ? steps->size() : nl.numGates();
+    for (size_t k = 0; k < count; ++k) {
+        uint32_t step = steps ? (*steps)[k] : static_cast<uint32_t>(k);
+        if (step & kCellStep) {
+            // Clean cell: its tables over its external nets (the
+            // unused table bits are clear). Built in one expression:
+            // the per-input loops cost 3x as much, and cells are the
+            // bulk of a pruned program.
+            const Cell &c = cells->cell(step & ~kCellStep);
+            emit(TableOp{{c.numIn > 0 ? c.in[0] : zero,
+                          c.numIn > 1 ? c.in[1] : zero,
+                          c.numIn > 2 ? c.in[2] : zero,
+                          c.numIn > 3 ? c.in[3] : zero},
+                         {c.numOut > 0 ? c.out[0] : sink,
+                          c.numOut > 1 ? c.out[1] : sink},
+                         {c.table[0], c.table[1]},
+                         0});
+            continue;
+        }
+        if (const TableFold::GateFaults *gf = fold.faultsOf(step)) {
+            emit(fold.faultyOp(step, *gf, pending));
+            continue;
+        }
+        const Gate &g = nl.gate(step);
+        int arity = g.arity();
+        emit(TableOp{{arity > 0 ? g.in[0] : zero, arity > 1 ? g.in[1] : zero,
+                      arity > 2 ? g.in[2] : zero, arity > 3 ? g.in[3] : zero},
+                     {g.out, sink},
+                     {gateTable(g.kind), 0},
+                     0});
+    }
+}
 
 /** Evaluates a Netlist, optionally with injected faults. */
 class Evaluator
@@ -180,6 +267,13 @@ class Evaluator
      */
     void replayBits(uint64_t input_bits, uint64_t output_bits,
                     uint64_t next_state);
+
+    /**
+     * Account for a call that repeats the last one exactly: the
+     * nets, lastSweeps() and lastOscillated() already hold what it
+     * would leave, so only @p gate_evals is charged to gateEvals().
+     */
+    void repeatLast(uint64_t gate_evals) { gateEvalCount += gate_evals; }
 
     /**
      * Every value evaluate() reads: the nets, then the constant-zero

@@ -25,14 +25,4 @@ Fix16::satMul(Fix16 a, Fix16 b)
     return Fix16(static_cast<int16_t>(s));
 }
 
-Fix16
-Acc24::toFix16Sat() const
-{
-    if (value > Fix16::rawMax)
-        return Fix16::fromRaw(Fix16::rawMax);
-    if (value < Fix16::rawMin)
-        return Fix16::fromRaw(Fix16::rawMin);
-    return Fix16::fromRaw(static_cast<int16_t>(value));
-}
-
 } // namespace dtann

@@ -164,7 +164,15 @@ class Acc24
     }
 
     /** Saturate to Q6.10 (activation-unit input stage). */
-    Fix16 toFix16Sat() const;
+    constexpr Fix16
+    toFix16Sat() const
+    {
+        if (value > Fix16::rawMax)
+            return Fix16::fromRaw(Fix16::rawMax);
+        if (value < Fix16::rawMin)
+            return Fix16::fromRaw(Fix16::rawMin);
+        return Fix16::fromRaw(static_cast<int16_t>(value));
+    }
 
     /** Raw sign-extended value. */
     constexpr int32_t raw() const { return value; }

@@ -208,6 +208,7 @@ HardwareBackend::HardwareBackend(const AcceleratorConfig &config,
     slotOf.assign(total, 0);
     units.resize(1);
     nonZeroEnd.assign(static_cast<size_t>(cfg.hidden + cfg.outputs), 0);
+    constNeurons.assign(nonZeroEnd.size(), constNeuron(Fix16()));
     for (std::vector<Fix16> *v : {&laneX, &laneP})
         v->resize(kMaxLanes);
     for (std::vector<Acc24> *v : {&laneAcc, &laneAddend})
@@ -493,10 +494,9 @@ HardwareBackend::unitLatchStore(Layer layer, int neuron, int synapse,
         return Fix16(); // latch disconnected: weight reads as zero
     if (!u.sim)
         return d;
-    // Open the latch (EN=1) with D applied, then close it.
+    // Open the latch (EN=1) with D applied, then close it (EN=0).
     uint64_t bits = static_cast<uint64_t>(d.bits());
-    u.sim->apply(bits | (1ull << 16));
-    uint64_t q = u.sim->apply(bits); // EN=0
+    uint64_t q = u.sim->applyPair(bits | (1ull << 16), bits);
     Fix16 stored = Fix16::fromRaw(static_cast<int16_t>(q & 0xffff));
     u.probes[static_cast<size_t>(layer)].amplitude.add(
         std::abs(stored.toDouble() - d.toDouble()));
@@ -577,9 +577,10 @@ HardwareBackend::unitActLanes(Layer layer, int neuron, const Fix16 *x,
             out[l] = Fix16(); // neuron silenced
         return;
     }
+    const PwlTable &table = logisticPwlTable();
     if (!u.sim) {
         for (size_t l = 0; l < lanes; ++l)
-            out[l] = logisticPwlFix(x[l]);
+            out[l] = sigmoidUnitRef(table, x[l]);
         return;
     }
     uint64_t *in = laneIn.data(), *y = laneOut.data();
@@ -588,7 +589,7 @@ HardwareBackend::unitActLanes(Layer layer, int neuron, const Fix16 *x,
     u.sim->applyLanes(in, y, lanes);
     DeviationProbe &pr = u.probes[static_cast<size_t>(layer)];
     for (size_t l = 0; l < lanes; ++l) {
-        Fix16 clean = logisticPwlFix(x[l]);
+        Fix16 clean = sigmoidUnitRef(table, x[l]);
         Fix16 got =
             Fix16::fromRaw(static_cast<int16_t>(y[l] & 0xffff));
         pr.amplitude.add(std::abs(got.toDouble() - clean.toDouble()));
@@ -794,23 +795,70 @@ HardwareBackend::runLayerLanes(Layer layer,
     }
     size_t stride = static_cast<size_t>(fanIn(layer) + 1);
     int neurons = hid ? cfg.hidden : cfg.outputs;
-    // neuronSumLanes() is done with laneX/laneP when it returns.
-    Fix16 *x = laneX.data(), *y = laneP.data();
     Acc24 *acc = laneAcc.data();
     for (int n = 0; n < neurons; ++n) {
         size_t un = static_cast<size_t>(n);
-        neuronSumLanes(layer, n, weights + un * stride, in, acc, lanes);
+        neuronLanes(layer, n, weights + un * stride, in, acc, out, lanes);
         if (sums)
             for (size_t l = 0; l < lanes; ++l)
                 sums[l * static_cast<size_t>(neurons) + un] = acc[l];
-        for (size_t l = 0; l < lanes; ++l)
-            x[l] = acc[l].toFix16Sat();
-        unitActLanes(layer, n, x, y, lanes);
-        // The clamp sits after the activation unit, in lane (= row)
-        // order, on the datapath only: bistAct() reads the unit raw.
-        for (size_t l = 0; l < lanes; ++l)
-            out[l][n] = clampValue(layer, y[l]);
     }
+}
+
+void
+HardwareBackend::neuronLanes(Layer layer, int neuron, const Fix16 *w,
+                             const std::vector<const Fix16 *> &in,
+                             Acc24 *acc, const std::vector<Fix16 *> &out,
+                             size_t lanes)
+{
+    size_t row = neuronRow(layer, neuron);
+    size_t un = static_cast<size_t>(neuron);
+    // The clamp sits after the activation unit, in lane (= row)
+    // order, on the datapath only: bistAct() reads the unit raw.
+    if (neuronClean[row] && nonZeroEnd[row] == 0) {
+        // Synapse 0 and the run multiply zero words, so the chain
+        // sums the bias product alone: the neuron's sum and output
+        // are the same for every row (padding neurons).
+        Fix16 bias = w[fanIn(layer)];
+        ConstNeuron &c = constNeurons[row];
+        if (c.bias != bias)
+            c = constNeuron(bias);
+        // One hit per lane when the window saturates the output.
+        Fix16 y = clampValue(layer, c.out);
+        if (y != c.out)
+            clampHitCount += lanes - 1;
+        for (size_t l = 0; l < lanes; ++l) {
+            acc[l] = c.sum;
+            out[l][un] = y;
+        }
+        return;
+    }
+    neuronSumLanes(layer, neuron, w, in, acc, lanes);
+    if (unitClean(UnitKind::Activation, layer, neuron, 0)) {
+        // The clean PWL unit, inline.
+        const PwlTable &table = logisticPwlTable();
+        for (size_t l = 0; l < lanes; ++l)
+            out[l][un] =
+                clampValue(layer, sigmoidUnitRef(table, acc[l].toFix16Sat()));
+        return;
+    }
+    // neuronSumLanes() is done with laneX/laneP when it returns.
+    Fix16 *x = laneX.data(), *y = laneP.data();
+    for (size_t l = 0; l < lanes; ++l)
+        x[l] = acc[l].toFix16Sat();
+    unitActLanes(layer, neuron, x, y, lanes);
+    for (size_t l = 0; l < lanes; ++l)
+        out[l][un] = clampValue(layer, y[l]);
+}
+
+HardwareBackend::ConstNeuron
+HardwareBackend::constNeuron(Fix16 bias)
+{
+    // neuronSumLanes()'s run with no word below the bias: the bias
+    // product alone, as a 32-bit sum wrapped once.
+    Acc24 sum =
+        Acc24::fromRaw(Fix16::hwMul(bias, Fix16::fromDouble(1.0)).raw());
+    return {bias, sum, sigmoidUnitRef(logisticPwlTable(), sum.toFix16Sat())};
 }
 
 void
@@ -818,6 +866,7 @@ HardwareBackend::planRuns()
 {
     cleanRuns.clear();
     runStart.clear();
+    neuronClean.clear();
     for (Layer layer : {Layer::Hidden, Layer::Output}) {
         int fanin = fanIn(layer);
         int neurons = layer == Layer::Hidden ? cfg.hidden : cfg.outputs;
@@ -833,6 +882,13 @@ HardwareBackend::planRuns()
                     cleanRuns.push_back({i, end});
                 i = end + 1; // synapse end is not clean
             }
+            // One run over every synapse after the first.
+            bool all_runs = cleanRuns.size() == runStart.back() + 1 &&
+                cleanRuns.back().begin == 1 &&
+                cleanRuns.back().end == fanin + 1;
+            neuronClean.push_back(
+                all_runs && mul[0] == 0 &&
+                unitClean(UnitKind::Activation, layer, n, 0));
         }
     }
     runStart.push_back(static_cast<uint32_t>(cleanRuns.size()));

@@ -450,29 +450,30 @@ class HardwareBackend : public ForwardModel
 
     /**
      * Run @p layer over <= kMaxLanes input rows (one pointer each):
-     * per physical neuron n, neuronSumLanes() over its stored weight
-     * row, then the activation unit and the clamp. The hidden pass
+     * neuronLanes() for every physical neuron. The hidden pass
      * leaves every lane's pre-activation sums in hidSumsLanes.
      */
     void runLayerLanes(Layer layer, const std::vector<const Fix16 *> &in,
                        const std::vector<Fix16 *> &out, size_t lanes);
 
     /**
-     * One neuron's multiply/add chain over <= kMaxLanes rows into
-     * @p acc: multiplier i takes weight @p w[i] and input i (the
-     * bias synapse, i == fanIn(), takes one) and adder stage i - 1
-     * folds product i into the accumulator. It walks the neuron's
-     * run plan: each cached run of synapses whose multiplier and
-     * adder stage are both unitClean() runs natively, stops at the
-     * row's last non-zero stored word before the bias and skips
-     * zero words (DESIGN.md §14); every synapse between runs goes
-     * through unitMulLanes()/unitAddLanes(). runLayerLanes() has
-     * rebuilt a stale plan first. Virtual only so tests can compare
-     * against the all-units chain.
+     * Physical neuron @p neuron of @p layer over <= kMaxLanes rows:
+     * its multiply/add chain over its stored weight row @p w into
+     * @p acc, then its activation unit and @p layer's clamp into
+     * out[l][neuron]. A neuron whose multipliers, adder stages and
+     * activation unit are all clean and whose stored words below
+     * the bias are all zero computes f(bias) for every row: its
+     * cached sum and output are written per lane (DESIGN.md §14
+     * "Constant neurons"). Any other runs neuronSumLanes(), then the
+     * clean PWL activation inline or the unit through
+     * unitActLanes(). runLayerLanes() has rebuilt a stale plan
+     * first. Virtual only so tests can compare against the
+     * all-units path.
      */
-    virtual void neuronSumLanes(Layer layer, int neuron, const Fix16 *w,
-                                const std::vector<const Fix16 *> &in,
-                                Acc24 *acc, size_t lanes);
+    virtual void neuronLanes(Layer layer, int neuron, const Fix16 *w,
+                             const std::vector<const Fix16 *> &in,
+                             Acc24 *acc, const std::vector<Fix16 *> &out,
+                             size_t lanes);
 
     /** One latch write (routes through the sim when faulty). */
     Fix16 unitLatchStore(Layer layer, int neuron, int synapse, Fix16 d);
@@ -544,6 +545,21 @@ class HardwareBackend : public ForwardModel
      *  order (hidden pass first, row-major, padding included). */
     void planInstall();
 
+    /**
+     * One neuron's multiply/add chain over <= kMaxLanes rows into
+     * @p acc: multiplier i takes weight @p w[i] and input i (the
+     * bias synapse, i == fanIn(), takes one) and adder stage i - 1
+     * folds product i into the accumulator. It walks the neuron's
+     * run plan: each cached run of synapses whose multiplier and
+     * adder stage are both unitClean() runs natively, stops at the
+     * row's last non-zero stored word before the bias and skips
+     * zero words (DESIGN.md §14); every synapse between runs goes
+     * through unitMulLanes()/unitAddLanes().
+     */
+    void neuronSumLanes(Layer layer, int neuron, const Fix16 *w,
+                        const std::vector<const Fix16 *> &in, Acc24 *acc,
+                        size_t lanes);
+
     /** A maximal run [begin, end) of synapses >= 1 whose
      *  multiplier and adder stage are both clean. */
     struct CleanRun
@@ -561,8 +577,20 @@ class HardwareBackend : public ForwardModel
             (layer == Layer::Hidden ? 0 : cfg.hidden) + neuron);
     }
 
-    /** Rebuild cleanRuns from the slot table. */
+    /** Rebuild cleanRuns and neuronClean from the slot table. */
     void planRuns();
+
+    /** What a constant neuron computes from its stored bias word:
+     *  its pre-activation sum and its (unclamped) output. */
+    struct ConstNeuron
+    {
+        Fix16 bias;
+        Acc24 sum;
+        Fix16 out;
+    };
+
+    /** The sum and output of a constant neuron storing @p bias. */
+    static ConstNeuron constNeuron(Fix16 bias);
 
     /** Every neuron's clean runs in order, neuronRow() by
      *  neuronRow(); neuron r's are [runStart[r], runStart[r + 1]).
@@ -572,9 +600,15 @@ class HardwareBackend : public ForwardModel
     /** Set whenever a unit enters or leaves the table (where
      *  installStale is): runLayerLanes() then re-plans. */
     bool runsStale = true;
+    /** Per neuronRow(): every multiplier, adder stage and the
+     *  activation unit are unitClean(). Valid unless runsStale. */
+    std::vector<uint8_t> neuronClean;
     /** Per neuronRow(): every stored word from here up to the bias
      *  is zero (an upper bound on the last non-zero one). */
     std::vector<int> nonZeroEnd;
+    /** Per neuronRow(): the constant-neuron result for the bias word
+     *  last seen there, recomputed when the stored bias changes. */
+    std::vector<ConstNeuron> constNeurons;
 
     /** Non-clean latches in install order; valid unless
      *  installStale. */

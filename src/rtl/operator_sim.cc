@@ -19,23 +19,42 @@ OperatorSim::OperatorSim(std::shared_ptr<const Netlist> netlist,
 {
 }
 
+void
+OperatorSim::decideMemo()
+{
+    memoDecided = true;
+    if (eval.conePruned() && eval.stateNets().size() <= 64) {
+        memo.assign(memoSlots, {emptyKey, 0, 0, 0});
+        prunedGates = eval.faultCone()->activeCount;
+    } else if (nl->hasFeedback()) {
+        relax.assign(relaxSlots, {0, 0, 0, false, false});
+        relaxNets.assign(relaxSlots * 2 * eval.netValues().size(), 0);
+    }
+}
+
 uint64_t
 OperatorSim::apply(uint64_t input_bits)
 {
     ++scalarVectors;
-    if (!memoDecided) {
-        memoDecided = true;
-        if (eval.conePruned() && eval.stateNets().size() <= 64) {
-            memo.assign(memoSlots, {emptyKey, 0, 0, 0});
-        } else if (nl->hasFeedback()) {
-            relax.assign(relaxSlots, {0, 0, 0, false, false});
-            relaxNets.assign(relaxSlots * 2 * eval.netValues().size(), 0);
-        }
+    if (repeatValid && input_bits == repeatInput) {
+        // The last call left the state it started from, so the memo
+        // holds (input, state) and replaying it would write what the
+        // nets already hold: charge the hit only.
+        ++memoHits;
+        eval.repeatLast(prunedGates);
+        return repeatOutput;
     }
-    if (!relax.empty())
-        return applyRelaxed(input_bits);
-    if (memo.empty() || input_bits == emptyKey)
+    if (!memoDecided)
+        decideMemo();
+    if (!relax.empty()) {
+        pair.valid = pair.fixed = false;
+        RelaxCall call;
+        return applyRelaxed(input_bits, call);
+    }
+    if (memo.empty() || input_bits == emptyKey) {
+        repeatValid = false;
         return eval.evaluateBits(input_bits);
+    }
 
     uint64_t state = eval.stateBits();
     uint64_t h = (input_bits ^ (state * 0xc2b2ae3d27d4eb4full)) *
@@ -44,15 +63,53 @@ OperatorSim::apply(uint64_t input_bits)
     if (e.input == input_bits && e.state == state) {
         ++memoHits;
         eval.replayBits(input_bits, e.output, e.next);
-        return e.output;
+    } else {
+        uint64_t out = eval.evaluateBits(input_bits);
+        e = {input_bits, state, out, eval.stateBits()};
     }
-    uint64_t out = eval.evaluateBits(input_bits);
-    e = {input_bits, state, out, eval.stateBits()};
+    repeatValid = e.next == state;
+    repeatInput = input_bits;
+    repeatOutput = e.output;
+    return e.output;
+}
+
+uint64_t
+OperatorSim::applyPair(uint64_t first, uint64_t second)
+{
+    if (pair.fixed && first == pair.words[0] && second == pair.words[1]) {
+        // The nets are a fixed point of this pair: both calls would
+        // hit the recorded slots and leave them, sweep count and
+        // oscillation flag included, as they are.
+        scalarVectors += 2;
+        memoHits += 2;
+        eval.repeatLast(pair.gateEvals);
+        return pair.output;
+    }
+    if (!memoDecided)
+        decideMemo();
+    if (relax.empty()) {
+        apply(first);
+        return apply(second);
+    }
+    // The pair repeats the last one slot for slot, all hits: both
+    // slots still hold the vectors the last pair started its calls
+    // from, so this pair started where the last one did and ends
+    // where it started (DESIGN.md §9 "Repeat rule").
+    bool follows = pair.valid && first == pair.words[0] &&
+        second == pair.words[1];
+    scalarVectors += 2;
+    RelaxCall a, b;
+    applyRelaxed(first, a);
+    uint64_t out = applyRelaxed(second, b);
+    bool fixed = follows && a.hit && b.hit && a.slot == pair.slots[0] &&
+        b.slot == pair.slots[1];
+    pair = {true, fixed, {first, second}, {a.slot, b.slot}, out,
+            a.gateEvals + b.gateEvals};
     return out;
 }
 
 uint64_t
-OperatorSim::applyRelaxed(uint64_t input_bits)
+OperatorSim::applyRelaxed(uint64_t input_bits, RelaxCall &call)
 {
     // evaluate() reads nothing but the net vector, so the vector
     // with the inputs applied is the whole key (the input word is
@@ -70,10 +127,13 @@ OperatorSim::applyRelaxed(uint64_t input_bits)
     size_t slot = h >> (64 - std::bit_width(relaxSlots - 1));
     RelaxEntry &e = relax[slot];
     uint8_t *start = relaxNets.data() + slot * 2 * bytes;
-    if (e.used && std::memcmp(start, net.data(), bytes) == 0) {
+    call.slot = slot;
+    call.hit = e.used && std::memcmp(start, net.data(), bytes) == 0;
+    if (call.hit) {
         ++memoHits;
         eval.replayEvaluate(start + bytes, e.sweeps, e.oscillated,
                             e.gateEvals);
+        call.gateEvals = e.gateEvals;
         return e.output;
     }
     std::memcpy(start, net.data(), bytes);
@@ -83,6 +143,7 @@ OperatorSim::applyRelaxed(uint64_t input_bits)
     e = {eval.outputBits(std::min<size_t>(nl->outputs().size(), 64)),
          eval.gateEvals() - evals, eval.lastSweeps(),
          eval.lastOscillated(), true};
+    call.gateEvals = e.gateEvals;
     return e.output;
 }
 
@@ -116,6 +177,7 @@ void
 OperatorSim::reset()
 {
     eval.reset();
+    dropRepeats();
 }
 
 SimCounters

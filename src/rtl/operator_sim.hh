@@ -67,10 +67,26 @@ class OperatorSim
      * state instead of sweeping (see Evaluator::stateNets()). On a
      * feedback netlist a call whose net vector, inputs applied, is
      * in the relaxation memo replays the recorded relaxation (see
-     * Evaluator::netValues()). Either way outputs, nets and every
-     * counter end as a sweep would leave them.
+     * Evaluator::netValues()). A pruned call that repeats the last
+     * one, which left the state it started from, is answered from a
+     * record without a lookup (DESIGN.md §9 "Repeat rule"). Either
+     * way outputs, nets and every counter end as a sweep would
+     * leave them.
      */
     uint64_t apply(uint64_t input_bits);
+
+    /**
+     * apply(@p first) then apply(@p second), returning the second
+     * output: a latch store (EN=1 with D, then EN=0) in one call.
+     * On a feedback netlist a pair that repeats the pair just
+     * before it (same words, no call in between) and hits the same
+     * two relaxation-memo slots again has left the net vector it
+     * started from; later identical pairs are answered from a
+     * record of it without touching the nets (DESIGN.md §9 "Repeat
+     * rule"). Outputs, nets and every counter end as the two calls
+     * would leave them.
+     */
+    uint64_t applyPair(uint64_t first, uint64_t second);
 
     /**
      * Evaluate @p count packed input vectors (any count; chunked
@@ -119,12 +135,40 @@ class OperatorSim
     /** The underlying netlist. */
     const Netlist &netlist() const { return *nl; }
 
-    /** Direct evaluator access (tests, amplitude probes). */
-    Evaluator &evaluator() { return eval; }
+    /** Direct evaluator access (tests, amplitude probes). The
+     *  caller may change the nets, so this drops the repeat
+     *  records; the const overload keeps them. */
+    Evaluator &
+    evaluator()
+    {
+        dropRepeats();
+        return eval;
+    }
+    const Evaluator &evaluator() const { return eval; }
 
   private:
+    /** What one relaxation-memo call did: its slot, whether it hit,
+     *  and the gate evaluations it charged. */
+    struct RelaxCall
+    {
+        size_t slot;
+        bool hit;
+        uint64_t gateEvals;
+    };
+
+    /** Allocate the memo the evaluator's path uses (first call). */
+    void decideMemo();
+
     /** apply() on a feedback netlist, through the relaxation memo. */
-    uint64_t applyRelaxed(uint64_t input_bits);
+    uint64_t applyRelaxed(uint64_t input_bits, RelaxCall &call);
+
+    /** Forget both repeat records. */
+    void
+    dropRepeats()
+    {
+        repeatValid = false;
+        pair.valid = pair.fixed = false;
+    }
 
     /** One recorded pruned evaluation; input == emptyKey when the
      *  slot is unused. */
@@ -176,6 +220,34 @@ class OperatorSim
     std::vector<RelaxEntry> relax;
     std::vector<uint8_t> relaxNets;
     bool memoDecided = false;
+    /**
+     * Pruned repeat record: the last memo-path call's input and
+     * output, valid when that call left the state bits it started
+     * from and nothing has touched the evaluator since. A call with
+     * the same input then hits the memo and replays exactly what
+     * the nets already hold (DESIGN.md §9 "Repeat rule").
+     */
+    bool repeatValid = false;
+    uint64_t repeatInput = 0;
+    uint64_t repeatOutput = 0;
+    /** Gate evaluations one pruned sweep charges. */
+    uint64_t prunedGates = 0;
+    /**
+     * Latch-store record: the last applyPair() on a feedback
+     * netlist, valid while no other call followed it. fixed: that
+     * pair repeated the one before it slot for slot, all hits, so
+     * the net vector is a fixed point of the pair and a pair with
+     * the same words charges gateEvals and returns output.
+     */
+    struct PairRecord
+    {
+        bool valid = false;
+        bool fixed = false;
+        uint64_t words[2] = {};
+        size_t slots[2] = {};
+        uint64_t output = 0;
+        uint64_t gateEvals = 0;
+    } pair;
     uint64_t memoHits = 0;
     uint64_t scalarVectors = 0;
     uint64_t batchVectors = 0;

@@ -34,19 +34,6 @@ logisticPwlTable()
     return table;
 }
 
-Fix16
-sigmoidUnitRef(const PwlTable &table, Fix16 x)
-{
-    int16_t raw = x.raw();
-    if (raw >= 8 * Fix16::scale)
-        return Fix16::fromDouble(1.0);
-    if (raw < -8 * Fix16::scale)
-        return Fix16::fromDouble(0.0);
-    size_t idx = static_cast<size_t>((raw >> Fix16::fracBits) + 8);
-    const PwlSegment &seg = table[idx];
-    return Fix16::hwAdd(Fix16::hwMul(seg.a, x), seg.b);
-}
-
 Netlist
 buildSigmoidUnit(const PwlTable &table, FaStyle style)
 {

@@ -55,9 +55,21 @@ Netlist buildSigmoidUnit(const PwlTable &table,
 /**
  * Reference (native) evaluation with the same bit-exact semantics
  * as the netlist: used for clean operators and for equivalence
- * tests.
+ * tests. Inline: the clean datapath calls it once per row and
+ * neuron.
  */
-Fix16 sigmoidUnitRef(const PwlTable &table, Fix16 x);
+inline Fix16
+sigmoidUnitRef(const PwlTable &table, Fix16 x)
+{
+    int16_t raw = x.raw();
+    if (raw >= 8 * Fix16::scale)
+        return Fix16::fromRaw(static_cast<int16_t>(Fix16::scale));
+    if (raw < -8 * Fix16::scale)
+        return Fix16();
+    size_t idx = static_cast<size_t>((raw >> Fix16::fracBits) + 8);
+    const PwlSegment &seg = table[idx];
+    return Fix16::hwAdd(Fix16::hwMul(seg.a, x), seg.b);
+}
 
 } // namespace dtann
 

@@ -5,12 +5,15 @@
  *
  * The backends compute a synapse natively when its multiplier and
  * the adder stage that folds it in are both clean, and skip it when
- * its stored weight is zero (DESIGN.md §14). This subclass keeps the
- * chain that rule replaced: every synapse of every neuron goes
- * through unitMulLanes() and unitAddLanes(), clean or not. The
- * backends have one chain, run one row per call by forward() and a
+ * its stored weight is zero; a neuron with every unit clean and no
+ * non-zero word below the bias is computed once per bias word; and
+ * a clean activation unit runs inline (DESIGN.md §14). This subclass
+ * keeps the path those rules replaced: every synapse of every neuron
+ * goes through unitMulLanes() and unitAddLanes(), and every neuron
+ * through unitActLanes() and the clamp, clean or not. The backends
+ * have one per-neuron path, run one row per call by forward() and a
  * chunk of rows by forwardBatch(), so this one override is the
- * oracle for both; the differential suite holds the native rule to
+ * oracle for both; the differential suite holds the native rules to
  * it on both backends.
  *
  * The backends install weights by writing the task's logical block
@@ -33,7 +36,7 @@
 
 namespace dtann {
 
-/** @p Backend with the all-units neuron chain. */
+/** @p Backend with the all-units neuron path. */
 template <class Backend>
 class ReferenceDatapath : public Backend
 {
@@ -42,9 +45,9 @@ class ReferenceDatapath : public Backend
 
   protected:
     void
-    neuronSumLanes(Layer layer, int neuron, const Fix16 *w,
-                   const std::vector<const Fix16 *> &in, Acc24 *acc,
-                   size_t lanes) override
+    neuronLanes(Layer layer, int neuron, const Fix16 *w,
+                const std::vector<const Fix16 *> &in, Acc24 *acc,
+                const std::vector<Fix16 *> &out, size_t lanes) override
     {
         const Fix16 one = Fix16::fromDouble(1.0);
         int fanin = this->fanIn(layer);
@@ -66,6 +69,12 @@ class ReferenceDatapath : public Backend
             this->unitAddLanes(layer, neuron, i - 1, acc, addend.data(),
                                lanes);
         }
+        for (size_t l = 0; l < lanes; ++l)
+            x[l] = acc[l].toFix16Sat();
+        this->unitActLanes(layer, neuron, x.data(), p.data(), lanes);
+        for (size_t l = 0; l < lanes; ++l)
+            out[l][static_cast<size_t>(neuron)] =
+                this->clampValue(layer, p[l]);
     }
 };
 

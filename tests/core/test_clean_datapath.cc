@@ -15,7 +15,13 @@
  *  - faulty latches that store non-zero words on padding hidden
  *    neuron 3 and past the output layer's logical fan-in (the run
  *    plan's non-zero bound);
- *  - activation clamps on both layers.
+ *  - activation clamps on both layers;
+ *  - clamp windows that exclude sigmoid(0) = 0.5, so the padding
+ *    neurons (constant neurons: every unit clean, no non-zero word
+ *    below the bias) add one clamp hit per row;
+ *  - faulty latches that store non-zero bias words on padding
+ *    neurons of both layers, so a constant neuron's output is not
+ *    sigmoid(0).
  *
  * A second check holds the cached run plan to the unit table:
  * defects injected, bypassed and cleared after an install, each
@@ -200,6 +206,27 @@ scenarios()
                                   Fix16::fromDouble(0.7));
              b.setActivationClamp(Layer::Output, Fix16::fromDouble(0.35),
                                   Fix16::fromDouble(0.65));
+         }},
+        {"clamps_exclude_half",
+         [](HardwareBackend &b, uint64_t seed) {
+             injectAll(b, {{UnitKind::Multiplier, Layer::Hidden, 0, 4}},
+                       seed);
+             b.setActivationClamp(Layer::Hidden, Fix16::fromDouble(0.55),
+                                  Fix16::fromDouble(0.9));
+             b.setActivationClamp(Layer::Output, Fix16::fromDouble(0.1),
+                                  Fix16::fromDouble(0.45));
+         }},
+        {"faulty_latch_padding_bias",
+         [](HardwareBackend &b, uint64_t seed) {
+             // The bias latches of padding hidden neuron 3 and
+             // padding output neuron 2.
+             for (UnitSite site :
+                  {UnitSite{UnitKind::WeightLatch, Layer::Hidden, 3, 12},
+                   UnitSite{UnitKind::WeightLatch, Layer::Output, 2, 4}}) {
+                 Rng rng(nonZeroLatchSeed(b.backendKind(), site, 3,
+                                          seed * 100));
+                 b.injectDefects(site, 3, rng);
+             }
          }},
     };
 }

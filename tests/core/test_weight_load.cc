@@ -11,12 +11,15 @@
  * change what an install writes: setWeights();
  * latch injections on logical sites, on padding sites and (through
  * output-pass addresses) on shared systolic PEs; injections into
- * other unit kinds; bypasses; the clears; and, on the spatial array,
- * raw physical row loads that leave non-zero words on padding sites.
- * After every operation the twins must agree on the stored weights,
- * a batch and a one-row forward, the hidden sums, the unit state
- * and deviation probe stream of every pass address, and the
- * simulation counters. Labelled backend, asan and ubsan.
+ * other unit kinds; bypasses; the clears; activation clamp windows
+ * (some excluding the padding neurons' constant output); runs of
+ * identical installs (the faulty latches' repeated-store record);
+ * and, on the spatial array, raw physical row loads that leave
+ * non-zero words on padding sites. After every operation the twins
+ * must agree on the stored weights, a batch and a one-row forward,
+ * the hidden sums, the unit state and deviation probe stream of
+ * every pass address, the clamp hits and the simulation counters.
+ * Labelled backend, asan and ubsan.
  */
 
 #include <gtest/gtest.h>
@@ -171,6 +174,7 @@ expectSameState(Reference<Backend> &ref, View<Backend> &got)
     SimCounters rc = ref.simCounters(), gc = got.simCounters();
     EXPECT_EQ(gc.toJson(), rc.toJson());
     EXPECT_EQ(gc.memoHits, rc.memoHits);
+    EXPECT_EQ(got.clampHits(), ref.clampHits());
 }
 
 /**
@@ -204,7 +208,7 @@ checkInterleaving(const AcceleratorConfig &cfg, MlpTopology topo,
     ref.setWeights(flat[0]);
     got.setWeights(flat[0]);
     for (int step = 0; step < steps; ++step) {
-        int op = pick(rng, 11);
+        int op = pick(rng, 13);
         std::string what;
         switch (op) {
           case 0:
@@ -251,6 +255,36 @@ checkInterleaving(const AcceleratorConfig &cfg, MlpTopology topo,
                 what = "clearBypasses";
             }
             break;
+          case 9: {
+            // A window on one layer, about half of them excluding
+            // sigmoid(0) = 0.5; or no windows.
+            if (rng.nextUint(4) == 0) {
+                ref.clearActivationClamps();
+                got.clearActivationClamps();
+                what = "clearActivationClamps";
+                break;
+            }
+            Layer layer = rng.nextUint(2) ? Layer::Output : Layer::Hidden;
+            double lo = rng.nextDouble(0.0, 0.6);
+            double hi = lo + rng.nextDouble(0.05, 0.4);
+            ref.setActivationClamp(layer, Fix16::fromDouble(lo),
+                                   Fix16::fromDouble(hi));
+            got.setActivationClamp(layer, Fix16::fromDouble(lo),
+                                   Fix16::fromDouble(hi));
+            what = "setActivationClamp";
+            break;
+          }
+          case 10: {
+            // The same weights installed several times in a row.
+            size_t k = static_cast<size_t>(pick(rng, 5));
+            int repeats = 2 + pick(rng, 4);
+            for (int r = 0; r < repeats; ++r) {
+                ref.setWeights(flat[k]);
+                got.setWeights(flat[k]);
+            }
+            what = "setWeights x" + std::to_string(repeats);
+            break;
+          }
           default: {
             // Raw row access is the spatial array's alone.
             if constexpr (std::is_same_v<Backend, SpatialBackend>) {

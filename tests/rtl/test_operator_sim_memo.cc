@@ -5,11 +5,16 @@
  * memo) call by call — outputs, granular output reads, state bits
  * and gate-evaluation totals — for pure, MEM, delay and stacked
  * fault sets on the multiplier, adder and sigmoid units, under
- * constant, short-cycle, random and slot-thrashing input streams,
- * with a reset() in the middle. Latch registers (the relaxation
- * memo) are held to the full net vector, the sweep count and the
- * oscillation flag as well, under stuck-at, MEM, delay and
- * oscillating fault sets and repeated or changing store streams.
+ * constant, alternating-run, short-cycle, random and slot-thrashing
+ * input streams, with a reset() in the middle; the reads go through
+ * the const evaluator() so the repeat record survives them. Latch
+ * registers (the relaxation memo) are held to the full net vector,
+ * the sweep count and the oscillation flag as well, under stuck-at,
+ * MEM, delay and oscillating fault sets and repeated or changing
+ * store streams, call by call and as two-word store pairs with a
+ * single call, a reset() or another word between repeated pairs; and
+ * on a feedback counter whose repeated pairs never leave the net
+ * vector they started from.
  * A stream that alternates memo hits with misses the activation gate
  * answers and misses that sweep the rest is held to the full-sweep
  * sim and to the reference interpreter's gate charge.
@@ -20,6 +25,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "ann/sigmoid.hh"
 #include "circuit/evaluator.hh"
@@ -122,6 +128,14 @@ streams(int input_bits, Rng &rng)
     auto word = [&] { return rng.nextUint(1ull << input_bits); };
     std::vector<std::pair<std::string, std::vector<uint64_t>>> out;
     out.push_back({"constant", std::vector<uint64_t>(300, word())});
+    // Two words in runs of 1-4: back-to-back repeats, each run
+    // starting from the state the other word left.
+    uint64_t pair[2] = {word(), word()};
+    std::vector<uint64_t> alternating;
+    for (size_t k = 0; alternating.size() < 300; ++k)
+        alternating.insert(alternating.end(), 1 + rng.nextUint(4),
+                           pair[k % 2]);
+    out.push_back({"alternating", alternating});
     for (size_t period : {2, 3, 5, 8}) {
         std::vector<uint64_t> cycle(period);
         for (auto &v : cycle)
@@ -168,19 +182,20 @@ TEST(OperatorSimMemo, MatchesBareEvaluatorCallByCall)
                     }
                     uint64_t want = ref.evaluateBits(in[i]);
                     ASSERT_EQ(sim.apply(in[i]), want) << "call " << i;
-                    ASSERT_EQ(sim.evaluator().outputBits(n_out),
-                              ref.outputBits(n_out))
+                    const Evaluator &ev = std::as_const(sim).evaluator();
+                    ASSERT_EQ(ev.outputBits(n_out), ref.outputBits(n_out))
                         << "call " << i;
-                    ASSERT_EQ(sim.evaluator().stateBits(),
-                              ref.stateBits())
+                    ASSERT_EQ(ev.stateBits(), ref.stateBits())
+                        << "call " << i;
+                    ASSERT_EQ(ev.gateEvals(), ref.gateEvals())
                         << "call " << i;
                 }
                 SimCounters c = sim.counters();
                 EXPECT_EQ(c.scalarVectors, in.size());
                 EXPECT_EQ(c.gateEvals, ref.gateEvals());
-                EXPECT_EQ(sim.evaluator().gateEvals(), ref.gateEvals());
                 EXPECT_LE(c.memoHits, c.scalarVectors);
-                if (stream == "constant" || stream.rfind("cycle", 0) == 0) {
+                if (stream == "constant" || stream == "alternating" ||
+                    stream.rfind("cycle", 0) == 0) {
                     EXPECT_GT(c.memoHits, 0u);
                 }
             }
@@ -418,6 +433,100 @@ TEST(OperatorSimMemo, LatchRelaxationsMatchBareEvaluatorCallByCall)
     }
     // The oscillating family must really reach the sweep cap.
     EXPECT_TRUE(oscillated);
+}
+
+TEST(OperatorSimMemo, LatchStorePairsMatchBareEvaluatorPairByPair)
+{
+    // Repeated stores of one word reach the pair record; between
+    // repeats a single call, a reset() or a store of another word
+    // must drop it. Each pair is held to the bare evaluator's two
+    // calls: output, net vector, gate evaluations, sweep count and
+    // oscillation flag.
+    auto nl = std::make_shared<const Netlist>(buildLatchRegister(16));
+    Rng rng(13);
+    bool oscillated = false;
+    const uint64_t en = 1ull << 16;
+    for (const auto &[family, faults] : latchFamilies(*nl, rng)) {
+        for (const char *between : {"none", "apply", "reset", "word"}) {
+            SCOPED_TRACE(family + "/" + between);
+            OperatorSim sim(nl, Injection{faults, {}});
+            Evaluator ref(*nl, faults);
+            uint64_t words[2] = {rng.nextUint(1u << 16),
+                                 rng.nextUint(1u << 16)};
+            uint64_t other = rng.nextUint(1u << 16);
+            uint64_t calls = 0;
+            for (int i = 0; i < 120; ++i) {
+                uint64_t w = words[i / 40 % 2];
+                if (i % 9 == 8) {
+                    std::string b = between;
+                    if (b == "apply") {
+                        // EN=0 with another D: no store, other inputs.
+                        ASSERT_EQ(sim.apply(other), ref.evaluateBits(other));
+                        calls += 1;
+                    } else if (b == "reset") {
+                        sim.reset();
+                        ref.reset();
+                    } else if (b == "word") {
+                        ref.evaluateBits(other | en);
+                        ASSERT_EQ(sim.applyPair(other | en, other),
+                                  ref.evaluateBits(other));
+                        calls += 2;
+                    }
+                }
+                calls += 2;
+                ref.evaluateBits(w | en);
+                uint64_t want = ref.evaluateBits(w);
+                ASSERT_EQ(sim.applyPair(w | en, w), want) << "pair " << i;
+                const Evaluator &ev = std::as_const(sim).evaluator();
+                ASSERT_EQ(ev.netValues(), ref.netValues()) << "pair " << i;
+                ASSERT_EQ(ev.gateEvals(), ref.gateEvals()) << "pair " << i;
+                ASSERT_EQ(ev.lastSweeps(), ref.lastSweeps()) << "pair " << i;
+                ASSERT_EQ(sim.lastOscillated(), ref.lastOscillated())
+                    << "pair " << i;
+                oscillated |= ref.lastOscillated();
+            }
+            SimCounters c = sim.counters();
+            EXPECT_EQ(c.scalarVectors, calls);
+            EXPECT_EQ(c.gateEvals, ref.gateEvals());
+            EXPECT_GT(c.memoHits, 0u);
+        }
+    }
+    EXPECT_TRUE(oscillated);
+}
+
+TEST(OperatorSimMemo, RepeatedPairsOnACounterMatchBareEvaluator)
+{
+    // A ring of three inverters, the first and last delayed, is a
+    // two-bit counter with period 4 per call whatever its inputs
+    // (00, 10, 11, 01), so one pair repeated moves the net vector
+    // on every time: its calls hit the memo once the cycle has been
+    // seen, but no pair starts where the previous one did, so the
+    // pair record must never answer one.
+    auto nl = std::make_shared<Netlist>();
+    NetId d = nl->addNet(), en = nl->addNet(), loop = nl->addNet();
+    nl->markInput(d);
+    nl->markInput(en);
+    NetId n0 = nl->addGate(GateKind::Not, {loop});
+    NetId n1 = nl->addGate(GateKind::Not, {n0});
+    nl->addGateOnto(GateKind::Not, {n1}, loop);
+    for (NetId n : {n0, n1, loop})
+        nl->markOutput(n);
+    ASSERT_TRUE(nl->hasFeedback());
+    FaultSet faults;
+    faults.delayed = {0, 2};
+    OperatorSim sim(nl, Injection{faults, {}});
+    Evaluator ref(*nl, faults);
+    for (int i = 0; i < 60; ++i) {
+        uint64_t w = i < 30 ? 1 : 0;
+        ref.evaluateBits(w | 2);
+        uint64_t want = ref.evaluateBits(w);
+        ASSERT_EQ(sim.applyPair(w | 2, w), want) << "pair " << i;
+        const Evaluator &ev = std::as_const(sim).evaluator();
+        ASSERT_EQ(ev.netValues(), ref.netValues()) << "pair " << i;
+        ASSERT_EQ(ev.gateEvals(), ref.gateEvals()) << "pair " << i;
+        ASSERT_EQ(ev.lastSweeps(), ref.lastSweeps()) << "pair " << i;
+    }
+    EXPECT_GT(sim.counters().memoHits, 60u);
 }
 
 } // namespace
