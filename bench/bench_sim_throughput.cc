@@ -357,7 +357,9 @@ BM_OpSimMultiplier16Mem(benchmark::State &state)
     state.counters["vectors/s"] = benchmark::Counter(
         static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate);
-    // Activated share of the memo misses (the pruned sweeps).
+    // Activated share of the calls the repeat record did not answer
+    // (the pruned sweeps); the stream never repeats a word back to
+    // back, so that is every call.
     SimCounters c = sim.counters();
     state.counters["activation_rate"] =
         static_cast<double>(sim.evaluator().activatedCalls()) /
@@ -367,43 +369,14 @@ BM_OpSimMultiplier16Mem(benchmark::State &state)
 BENCHMARK(BM_OpSimMultiplier16Mem);
 
 void
-BM_OpSimMultiplier16Repeat(benchmark::State &state)
-{
-    // The same MEM multiplier under a trainer-like stream: 40
-    // (weight, activation) words cycled, as one synapse sees its
-    // training rows epoch after epoch, with no word twice in a row.
-    // Most calls are memo hits; BM_OpSimMultiplier16Mem (no
-    // repeats) prices a miss, BM_OpSimMultiplier16Constant a
-    // back-to-back repeat.
-    Rng rng(12);
-    std::unique_ptr<OperatorSim> owned = memMultiplier(rng);
-    OperatorSim &sim = *owned;
-    std::vector<uint64_t> cycle(40);
-    uint64_t weight = rng.nextUint(1u << 16);
-    for (auto &v : cycle)
-        v = weight | (rng.nextUint(1u << 16) << 16);
-    size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sim.apply(cycle[i]));
-        i = i + 1 == cycle.size() ? 0 : i + 1;
-    }
-    SimCounters c = sim.counters();
-    state.counters["hit_rate"] = static_cast<double>(c.memoHits) /
-        static_cast<double>(c.scalarVectors);
-    state.counters["vectors/s"] = benchmark::Counter(
-        static_cast<double>(state.iterations()),
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_OpSimMultiplier16Repeat);
-
-void
 BM_OpSimMultiplier16Constant(benchmark::State &state)
 {
     // The same MEM multiplier fed one word on every call, as a
     // padding synapse's multiplier sees (zero weight, zero input)
     // row after row: each call repeats the last one, which left the
-    // state it started from. BM_OpSimMultiplier16Repeat is the
-    // control.
+    // state it started from, so the repeat record answers it.
+    // BM_OpSimMultiplier16Mem (no repeats) is the control; hit_rate
+    // is the share of calls the record answered.
     Rng rng(12);
     std::unique_ptr<OperatorSim> sim = memMultiplier(rng);
     uint64_t word = rng.nextUint(1u << 16) | (rng.nextUint(1u << 16) << 16);
@@ -424,8 +397,8 @@ BM_OpSimConstruct(benchmark::State &state)
     // What every injection pays before its first result: draw one
     // transistor defect on the 16-bit multiplier, build the
     // OperatorSim (fault cone) and make the first apply() (program
-    // fold, memo allocation). The batch evaluator waits for the
-    // first batched call (BM_OpSimLanes).
+    // fold). The batch evaluator waits for the first batched call
+    // (BM_OpSimLanes).
     auto nl = std::make_shared<const Netlist>(
         buildMultiplierSigned(16, FaStyle::Nand9));
     CleanFn clean = cleanMultiplierSigned(16);
@@ -696,7 +669,7 @@ BM_SpatialSetWeights(benchmark::State &state)
     // Loads a cycle of 4 weight sets that differ by small steps, as
     // consecutive SGD steps do. Clean latches hold their word as
     // written; the faulty ones relax through their gate-level
-    // simulations (and its memo).
+    // simulations (their relaxation memo and repeat record).
     MlpTopology topo{18, 10, 4};
     auto accel = faultyLatchArray(topo);
     std::vector<DeepWeights> loads(4, DeepWeights(topo));
@@ -766,8 +739,9 @@ BM_LatchStoreRepeat(benchmark::State &state)
     // 40-word cycle in which the word survives most steps and moves
     // by an LSB or two on the others, each store one two-word call
     // (EN=1, then EN=0). Repeated (net vector) keys replay from the
-    // relaxation memo, and a store repeating the one before from the
-    // pair record; BM_EvalLatchRegister prices a relaxation.
+    // relaxation memo, and a store repeating the one before, which
+    // left the net vector it started from, is answered by the repeat
+    // record; BM_EvalLatchRegister prices a relaxation.
     auto nl = std::make_shared<const Netlist>(buildLatchRegister(16));
     Rng rng(17);
     OperatorSim sim(nl, injectTransistorDefects(*nl, 2, rng));

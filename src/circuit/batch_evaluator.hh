@@ -24,8 +24,8 @@
  * previous vector, which independent lanes cannot represent. So
  * eligibility is FaultSet::isStateless() on a feedback-free netlist
  * (see supports()/tryCreate()). OperatorSim runs stateful sets
- * through the scalar Evaluator: cone-pruned and memoized when a
- * clean model is given (DESIGN.md §9).
+ * through the scalar Evaluator, cone-pruned when a clean model is
+ * given (DESIGN.md §9).
  */
 
 #ifndef DTANN_CIRCUIT_BATCH_EVALUATOR_HH

@@ -68,8 +68,8 @@ Evaluator::program(bool full)
             [&](const TableOp &op) { ops.push_back(op); },
             pending.empty() ? &pending : nullptr);
         if (pruned) {
-            // State nets in fold order, before the split reorders:
-            // stateBits() packs them, and the memo keys on it.
+            // State nets in fold order, before the split reorders
+            // (stateBits() packs them).
             for (const TableOp &op : ops)
                 if (op.mem)
                     stateNetList.push_back(op.out[0]);
@@ -369,23 +369,6 @@ Evaluator::stateBits() const
 }
 
 void
-Evaluator::replayBits(uint64_t input_bits, uint64_t output_bits,
-                      uint64_t next_state)
-{
-    dtann_assert(conePruned(), "replay needs the cone-pruned path");
-    program(false); // fills stateNetList
-    setInputBits(input_bits, nl.inputs().size());
-    size_t n_out = std::min<size_t>(nl.outputs().size(), 64);
-    for (size_t o = 0; o < n_out; ++o)
-        netVal[nl.outputs()[o]] = (output_bits >> o) & 1;
-    for (size_t i = 0; i < stateNetList.size(); ++i)
-        netVal[stateNetList[i]] = (next_state >> i) & 1;
-    sweeps = 1;
-    oscillated = false;
-    gateEvalCount += programGates(false);
-}
-
-void
 Evaluator::replayEvaluate(const uint8_t *next, int sweeps_run,
                           bool oscillated_run, uint64_t gate_evals)
 {
@@ -448,7 +431,8 @@ Evaluator::evaluateBits(uint64_t input_bits)
     if (!faultActivated()) {
         // Every faulty gate drives its clean value, so every net
         // downstream is clean: the prefix wrote the state nets, and
-        // the rest's nets stay stale, as after a replayBits().
+        // the rest's nets stay stale until an activated call or a
+        // full sweep rewrites them.
         for (size_t o = 0; o < n_out; ++o)
             netVal[nl.outputs()[o]] = (clean >> o) & 1;
         return clean;

@@ -258,17 +258,6 @@ class Evaluator
     uint64_t stateBits() const;
 
     /**
-     * Replay an evaluateBits(@p input_bits) call on the cone-pruned
-     * path whose result is already known: it returned
-     * @p output_bits and left stateBits() == @p next_state. Sets
-     * the inputs, outputs and state nets as that call would have,
-     * and charges one sweep of the pruned program to gateEvals();
-     * lastSweeps() then reads 1 and lastOscillated() false.
-     */
-    void replayBits(uint64_t input_bits, uint64_t output_bits,
-                    uint64_t next_state);
-
-    /**
      * Account for a call that repeats the last one exactly: the
      * nets, lastSweeps() and lastOscillated() already hold what it
      * would leave, so only @p gate_evals is charged to gateEvals().

@@ -62,12 +62,11 @@ logSimCounters(const char *what, const SimCounters &c)
 {
     if (c.vectors() == 0)
         return;
-    // The memo count sums both memos: cone-pruned units and latch
-    // relaxations.
     inform("%s sim counters: %llu vectors (%llu batch / %llu scalar), "
            "lane occupancy %.2f, scalar fallback %.1f%%, "
            "%llu scalar gate evals, %llu batch gate sweeps, "
-           "%llu scalar memo hits (pruned and latch)",
+           "%llu scalar vectors answered without a sweep (repeat "
+           "record and latch relaxation memo)",
            what,
            static_cast<unsigned long long>(c.vectors()),
            static_cast<unsigned long long>(c.batchVectors),

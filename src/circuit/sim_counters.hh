@@ -39,11 +39,12 @@ struct SimCounters
     /** Gates swept by batch calls (whole planes per gate). */
     uint64_t batchGateSweeps = 0;
     /**
-     * Scalar vectors answered from an OperatorSim's memo instead of
-     * a sweep: the cone-pruned memo or, on latch registers, the
-     * relaxation memo (a subset of scalarVectors; their gates still
-     * count in gateEvals). Telemetry only: toJson() leaves it out, so
-     * exports match memo-free runs byte for byte.
+     * Scalar vectors answered without a sweep: by an OperatorSim's
+     * repeat record (a call repeating the previous one, which left
+     * its state) or, on latch registers, by the relaxation memo. A
+     * subset of scalarVectors; their gates still count in gateEvals.
+     * Telemetry only: toJson() leaves it out, so exports match
+     * record- and memo-free runs byte for byte.
      */
     uint64_t memoHits = 0;
 

@@ -20,12 +20,11 @@ OperatorSim::OperatorSim(std::shared_ptr<const Netlist> netlist,
 }
 
 void
-OperatorSim::decideMemo()
+OperatorSim::decidePath()
 {
-    memoDecided = true;
-    if (eval.conePruned() && eval.stateNets().size() <= 64) {
-        memo.assign(memoSlots, {emptyKey, 0, 0, 0});
-        prunedGates = eval.faultCone()->activeCount;
+    pathDecided = true;
+    if (eval.conePruned()) {
+        prunedRecorded = eval.stateNets().size() <= 64;
     } else if (nl->hasFeedback()) {
         relax.assign(relaxSlots, {0, 0, 0, false, false});
         relaxNets.assign(relaxSlots * 2 * eval.netValues().size(), 0);
@@ -33,83 +32,67 @@ OperatorSim::decideMemo()
 }
 
 uint64_t
+OperatorSim::answerRepeat()
+{
+    // The recorded call started where this one starts and left the
+    // nets, lastSweeps() and lastOscillated() as this one would:
+    // charge its gates only.
+    scalarVectors += last.calls;
+    memoHits += last.calls;
+    eval.repeatLast(last.gateEvals);
+    return last.output;
+}
+
+uint64_t
 OperatorSim::apply(uint64_t input_bits)
 {
+    if (last.calls == 1 && input_bits == last.words[0])
+        return answerRepeat();
     ++scalarVectors;
-    if (repeatValid && input_bits == repeatInput) {
-        // The last call left the state it started from, so the memo
-        // holds (input, state) and replaying it would write what the
-        // nets already hold: charge the hit only.
-        ++memoHits;
-        eval.repeatLast(prunedGates);
-        return repeatOutput;
-    }
-    if (!memoDecided)
-        decideMemo();
+    if (!pathDecided)
+        decidePath();
     if (!relax.empty()) {
-        pair.valid = pair.fixed = false;
-        RelaxCall call;
-        return applyRelaxed(input_bits, call);
+        last.calls = 0;
+        return applyRelaxed(input_bits);
     }
-    if (memo.empty() || input_bits == emptyKey) {
-        repeatValid = false;
+    if (!prunedRecorded)
         return eval.evaluateBits(input_bits);
-    }
-
+    // (input word, state bits) determines the call, so one that left
+    // the state bits it started from can be repeated.
     uint64_t state = eval.stateBits();
-    uint64_t h = (input_bits ^ (state * 0xc2b2ae3d27d4eb4full)) *
-        0x9e3779b97f4a7c15ull;
-    MemoEntry &e = memo[h >> (64 - std::bit_width(memoSlots - 1))];
-    if (e.input == input_bits && e.state == state) {
-        ++memoHits;
-        eval.replayBits(input_bits, e.output, e.next);
-    } else {
-        uint64_t out = eval.evaluateBits(input_bits);
-        e = {input_bits, state, out, eval.stateBits()};
-    }
-    repeatValid = e.next == state;
-    repeatInput = input_bits;
-    repeatOutput = e.output;
-    return e.output;
+    uint64_t evals = eval.gateEvals();
+    uint64_t out = eval.evaluateBits(input_bits);
+    last = {eval.stateBits() == state ? 1u : 0u, {input_bits, 0}, out,
+            eval.gateEvals() - evals};
+    return out;
 }
 
 uint64_t
 OperatorSim::applyPair(uint64_t first, uint64_t second)
 {
-    if (pair.fixed && first == pair.words[0] && second == pair.words[1]) {
-        // The nets are a fixed point of this pair: both calls would
-        // hit the recorded slots and leave them, sweep count and
-        // oscillation flag included, as they are.
-        scalarVectors += 2;
-        memoHits += 2;
-        eval.repeatLast(pair.gateEvals);
-        return pair.output;
-    }
-    if (!memoDecided)
-        decideMemo();
+    if (last.calls == 2 && first == last.words[0] &&
+        second == last.words[1])
+        return answerRepeat();
+    if (!pathDecided)
+        decidePath();
     if (relax.empty()) {
         apply(first);
         return apply(second);
     }
-    // The pair repeats the last one slot for slot, all hits: both
-    // slots still hold the vectors the last pair started its calls
-    // from, so this pair started where the last one did and ends
-    // where it started (DESIGN.md §9 "Repeat rule").
-    bool follows = pair.valid && first == pair.words[0] &&
-        second == pair.words[1];
+    // evaluate() reads nothing but the net vector, so a pair that
+    // left the vector it started from can be repeated.
+    pairStart = eval.netValues();
+    uint64_t evals = eval.gateEvals();
     scalarVectors += 2;
-    RelaxCall a, b;
-    applyRelaxed(first, a);
-    uint64_t out = applyRelaxed(second, b);
-    bool fixed = follows && a.hit && b.hit && a.slot == pair.slots[0] &&
-        b.slot == pair.slots[1];
-    pair = {true, fixed, {first, second}, {a.slot, b.slot}, out,
-            a.gateEvals + b.gateEvals};
+    applyRelaxed(first);
+    uint64_t out = applyRelaxed(second);
+    last = {eval.netValues() == pairStart ? 2u : 0u, {first, second}, out,
+            eval.gateEvals() - evals};
     return out;
 }
 
 uint64_t
-OperatorSim::applyRelaxed(uint64_t input_bits, RelaxCall &call)
+OperatorSim::applyRelaxed(uint64_t input_bits)
 {
     // evaluate() reads nothing but the net vector, so the vector
     // with the inputs applied is the whole key (the input word is
@@ -127,13 +110,10 @@ OperatorSim::applyRelaxed(uint64_t input_bits, RelaxCall &call)
     size_t slot = h >> (64 - std::bit_width(relaxSlots - 1));
     RelaxEntry &e = relax[slot];
     uint8_t *start = relaxNets.data() + slot * 2 * bytes;
-    call.slot = slot;
-    call.hit = e.used && std::memcmp(start, net.data(), bytes) == 0;
-    if (call.hit) {
+    if (e.used && std::memcmp(start, net.data(), bytes) == 0) {
         ++memoHits;
         eval.replayEvaluate(start + bytes, e.sweeps, e.oscillated,
                             e.gateEvals);
-        call.gateEvals = e.gateEvals;
         return e.output;
     }
     std::memcpy(start, net.data(), bytes);
@@ -143,7 +123,6 @@ OperatorSim::applyRelaxed(uint64_t input_bits, RelaxCall &call)
     e = {eval.outputBits(std::min<size_t>(nl->outputs().size(), 64)),
          eval.gateEvals() - evals, eval.lastSweeps(),
          eval.lastOscillated(), true};
-    call.gateEvals = e.gateEvals;
     return e.output;
 }
 
@@ -177,7 +156,7 @@ void
 OperatorSim::reset()
 {
     eval.reset();
-    dropRepeats();
+    last.calls = 0;
 }
 
 SimCounters
@@ -188,15 +167,9 @@ OperatorSim::counters() const
     c.batchVectors = batchVectors;
     c.gateEvals = eval.gateEvals();
     c.memoHits = memoHits;
+    c.batchLaneSlots = laneSlots;
     if (batch) {
         c.batchSweeps = batch->sweeps();
-        // Sweeps driven through applyLanes() report their exact
-        // provisioned slots; sweeps some other path executed on the
-        // evaluator directly fall back to the full-width estimate.
-        uint64_t accounted = laneSlots / batch->laneCount();
-        c.batchLaneSlots = laneSlots +
-            (batch->sweeps() - std::min(batch->sweeps(), accounted)) *
-                batch->laneCount();
         c.batchGateSweeps = batch->gateSweeps();
     }
     return c;

@@ -13,14 +13,18 @@
  *    fault sets on feedback-free netlists, cone-pruned when a
  *    clean model is available;
  *  - cone-pruned scalar (apply): feedback-free netlists with a
- *    clean model, any fault semantics (MEM, delay), behind an exact
- *    direct-mapped memo keyed by (input word, state bits); a miss
- *    sweeps the faulty gates' fan-in and the rest of the cone only
- *    when a faulty gate deviates from its clean function, else it
- *    returns the clean model's word (Evaluator's activation gate);
+ *    clean model, any fault semantics (MEM, delay); a call sweeps
+ *    the faulty gates' fan-in and the rest of the cone only when a
+ *    faulty gate deviates from its clean function, else it returns
+ *    the clean model's word (Evaluator's activation gate);
  *  - full scalar relaxation: everything else (e.g. latches); on
  *    feedback netlists behind an exact direct-mapped memo keyed by
  *    the evaluator's whole net vector.
+ *
+ * On the pruned and the feedback paths a call that repeats the
+ * previous one, which left the state it started from, is answered
+ * from a fixed-size record without touching the nets (DESIGN.md §9
+ * "Repeat rule").
  *
  * All paths are bit-identical to the full scalar sweep. The env
  * knob DTANN_NO_BATCH forces the scalar path for equivalence
@@ -62,29 +66,24 @@ class OperatorSim
      * inputs packed LSB-first; the return value packs the primary
      * outputs. State (memory effects) persists across calls.
      *
-     * On the cone-pruned path a call whose (input word, state bits)
-     * pair is in the memo replays the recorded outputs and next
-     * state instead of sweeping (see Evaluator::stateNets()). On a
-     * feedback netlist a call whose net vector, inputs applied, is
-     * in the relaxation memo replays the recorded relaxation (see
-     * Evaluator::netValues()). A pruned call that repeats the last
-     * one, which left the state it started from, is answered from a
-     * record without a lookup (DESIGN.md §9 "Repeat rule"). Either
-     * way outputs, nets and every counter end as a sweep would
-     * leave them.
+     * On a feedback netlist a call whose net vector, inputs
+     * applied, is in the relaxation memo replays the recorded
+     * relaxation (see Evaluator::netValues()). On the cone-pruned
+     * path a call that repeats the last one, which left the state
+     * bits it started from, is answered from the repeat record
+     * (DESIGN.md §9 "Repeat rule"). Either way outputs, nets and
+     * every counter end as a sweep would leave them.
      */
     uint64_t apply(uint64_t input_bits);
 
     /**
      * apply(@p first) then apply(@p second), returning the second
      * output: a latch store (EN=1 with D, then EN=0) in one call.
-     * On a feedback netlist a pair that repeats the pair just
-     * before it (same words, no call in between) and hits the same
-     * two relaxation-memo slots again has left the net vector it
-     * started from; later identical pairs are answered from a
-     * record of it without touching the nets (DESIGN.md §9 "Repeat
-     * rule"). Outputs, nets and every counter end as the two calls
-     * would leave them.
+     * On a feedback netlist a pair that repeats the last call,
+     * which left the net vector it started from, is answered from
+     * the repeat record without touching the nets (DESIGN.md §9
+     * "Repeat rule"). Outputs, nets and every counter end as the
+     * two calls would leave them.
      */
     uint64_t applyPair(uint64_t first, uint64_t second);
 
@@ -94,9 +93,9 @@ class OperatorSim
      * bit-identical to calling apply() in order at every lane
      * width; fault sets that need the scalar path fall back to
      * exactly that, preserving state order. A call of fewer than
-     * kLaneCrossover vectors also walks them through apply() (memo
-     * included): below that, one plane sweep costs more than the
-     * scalar evaluations (DESIGN.md §9).
+     * kLaneCrossover vectors also walks them through apply() (repeat
+     * record included): below that, one plane sweep costs more than
+     * the scalar evaluations (DESIGN.md §9).
      */
     void applyLanes(const uint64_t *inputs, uint64_t *outputs,
                     size_t count);
@@ -137,53 +136,25 @@ class OperatorSim
 
     /** Direct evaluator access (tests, amplitude probes). The
      *  caller may change the nets, so this drops the repeat
-     *  records; the const overload keeps them. */
+     *  record; the const overload keeps it. */
     Evaluator &
     evaluator()
     {
-        dropRepeats();
+        last.calls = 0;
         return eval;
     }
     const Evaluator &evaluator() const { return eval; }
 
   private:
-    /** What one relaxation-memo call did: its slot, whether it hit,
-     *  and the gate evaluations it charged. */
-    struct RelaxCall
-    {
-        size_t slot;
-        bool hit;
-        uint64_t gateEvals;
-    };
-
-    /** Allocate the memo the evaluator's path uses (first call). */
-    void decideMemo();
+    /** Allocate the relaxation memo, or note that apply() records
+     *  pruned calls (first call). */
+    void decidePath();
 
     /** apply() on a feedback netlist, through the relaxation memo. */
-    uint64_t applyRelaxed(uint64_t input_bits, RelaxCall &call);
+    uint64_t applyRelaxed(uint64_t input_bits);
 
-    /** Forget both repeat records. */
-    void
-    dropRepeats()
-    {
-        repeatValid = false;
-        pair.valid = pair.fixed = false;
-    }
-
-    /** One recorded pruned evaluation; input == emptyKey when the
-     *  slot is unused. */
-    struct MemoEntry
-    {
-        uint64_t input;
-        uint64_t state;
-        uint64_t output;
-        uint64_t next;
-    };
-    /** Memo slots (a power of two). */
-    static constexpr size_t memoSlots = 256;
-    static_assert((memoSlots & (memoSlots - 1)) == 0);
-    /** Marks an unused slot; an all-ones input skips the memo. */
-    static constexpr uint64_t emptyKey = ~0ull;
+    /** Answer the call the repeat record stands for. */
+    uint64_t answerRepeat();
 
     /**
      * One recorded relaxation of a feedback netlist. The net vector
@@ -211,43 +182,36 @@ class OperatorSim
      *  that never batches (BIST scans, one-row training calls) never
      *  folds a lane program. */
     std::optional<BatchEvaluator> batch;
-    /** Direct-mapped memo, allocated by the first apply() when the
-     *  evaluator is cone-pruned with at most 64 state nets. */
-    std::vector<MemoEntry> memo;
     /** Relaxation memo, allocated by the first apply() on a feedback
      *  netlist: entries, and per slot the start then the next net
      *  vector (2 x netValues().size() bytes). */
     std::vector<RelaxEntry> relax;
     std::vector<uint8_t> relaxNets;
-    bool memoDecided = false;
+    /** The net vector the last applyPair() on a feedback netlist
+     *  started from (its buffer is reused). */
+    std::vector<uint8_t> pairStart;
+    bool pathDecided = false;
+    /** Set by the first call when apply() runs the cone-pruned path
+     *  with at most 64 state nets, so stateBits() tells whether a
+     *  call left the state it started from. */
+    bool prunedRecorded = false;
     /**
-     * Pruned repeat record: the last memo-path call's input and
-     * output, valid when that call left the state bits it started
-     * from and nothing has touched the evaluator since. A call with
-     * the same input then hits the memo and replays exactly what
-     * the nets already hold (DESIGN.md §9 "Repeat rule").
+     * Repeat record: the last call's words, output and gate charge.
+     * calls is 1 for an apply() on the pruned path and 2 for an
+     * applyPair() on a feedback netlist, when that call left the
+     * state bits (or the net vector) it started from and nothing
+     * has touched the evaluator since; else 0. A call of the same
+     * kind with the same words then starts where the recorded one
+     * did and ends as the nets already are (DESIGN.md §9 "Repeat
+     * rule").
      */
-    bool repeatValid = false;
-    uint64_t repeatInput = 0;
-    uint64_t repeatOutput = 0;
-    /** Gate evaluations one pruned sweep charges. */
-    uint64_t prunedGates = 0;
-    /**
-     * Latch-store record: the last applyPair() on a feedback
-     * netlist, valid while no other call followed it. fixed: that
-     * pair repeated the one before it slot for slot, all hits, so
-     * the net vector is a fixed point of the pair and a pair with
-     * the same words charges gateEvals and returns output.
-     */
-    struct PairRecord
+    struct Repeat
     {
-        bool valid = false;
-        bool fixed = false;
+        uint32_t calls = 0;
         uint64_t words[2] = {};
-        size_t slots[2] = {};
         uint64_t output = 0;
         uint64_t gateEvals = 0;
-    } pair;
+    } last;
     uint64_t memoHits = 0;
     uint64_t scalarVectors = 0;
     uint64_t batchVectors = 0;
