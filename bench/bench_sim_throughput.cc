@@ -733,6 +733,68 @@ BM_TrainerStepSpatial(benchmark::State &state)
 BENCHMARK(BM_TrainerStepSpatial);
 
 void
+BM_TrainerStepSpatialClean(benchmark::State &state)
+{
+    // Baseline training's unit of work: online SGD steps of an
+    // 18-6-4 task on the clean 90-10-10 array, each a one-row
+    // forward (clean and constant neurons only), back-propagation
+    // and the weight install. An iteration is one warm-started epoch
+    // over 32 rows.
+    MlpTopology topo{18, 6, 4};
+    SpatialBackend accel(AcceleratorConfig(), topo);
+    Dataset ds;
+    ds.numAttributes = topo.inputs;
+    ds.numClasses = topo.outputs;
+    Rng dr(5);
+    for (int r = 0; r < 32; ++r) {
+        std::vector<double> row(static_cast<size_t>(topo.inputs));
+        for (double &v : row)
+            v = dr.nextDouble();
+        ds.rows.push_back(std::move(row));
+        ds.labels.push_back(static_cast<int>(dr.nextUint(4)));
+    }
+    Hyper hyper;
+    hyper.epochs = 1;
+    Trainer trainer(hyper);
+    DeepWeights init(topo);
+    Rng wr(7);
+    init.initRandom(wr, 1.2);
+    Rng rng(3);
+    for (auto _ : state) {
+        DeepWeights w = trainer.train(accel, ds, rng, &init);
+        benchmark::DoNotOptimize(w);
+    }
+    state.counters["steps/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * ds.size()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TrainerStepSpatialClean);
+
+void
+BM_Fix16FromDoubles(benchmark::State &state)
+{
+    // The install's quantization: one 18-10-4 logical block (234
+    // words) through the bulk converter.
+    MlpTopology topo{18, 10, 4};
+    DeepWeights w(topo);
+    Rng wr(7);
+    w.initRandom(wr, 1.2);
+    std::span<const double> hid = w.stage(0), out = w.stage(1);
+    std::vector<Fix16> words(hid.size() + out.size());
+    for (auto _ : state) {
+        Fix16::fromDoubles(hid.data(), words.data(), hid.size());
+        Fix16::fromDoubles(out.data(), words.data() + hid.size(),
+                           out.size());
+        benchmark::DoNotOptimize(words.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["words/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * words.size()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Fix16FromDoubles);
+
+void
 BM_LatchStoreRepeat(benchmark::State &state)
 {
     // One faulty weight latch under a trainer-like store stream: a

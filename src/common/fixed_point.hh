@@ -22,6 +22,7 @@
 
 #include <cfloat>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #if defined(__FAST_MATH__) || FLT_EVAL_METHOD != 0
@@ -60,19 +61,28 @@ class Fix16
      * |x * scale| < 2^51, and anything larger saturates either way.
      * It relies on strict IEEE double evaluation: -ffast-math would
      * fold the pair away, and x87 excess precision would round at
-     * the wrong bit.
+     * the wrong bit. NaN converts to zero.
      */
     static Fix16
     fromDouble(double x)
     {
-        constexpr double shifter = 0x1.8p52;
         double scaled = (x * scale + shifter) - shifter;
         if (scaled > rawMax)
             return Fix16(rawMax);
         if (scaled < rawMin)
             return Fix16(rawMin);
+        if (std::isnan(scaled))
+            return Fix16();
         return Fix16(static_cast<int16_t>(scaled));
     }
+
+    /**
+     * fromDouble() of x[0..n) into out[0..n), bit for bit, eight
+     * words per SSE2 step: the same shifter rounding, a clamp to
+     * [rawMin, rawMax] in double, then truncation (DESIGN.md §14
+     * "Bulk conversion").
+     */
+    static void fromDoubles(const double *x, Fix16 *out, size_t n);
 
     /** Convert to double. */
     constexpr double toDouble() const
@@ -115,6 +125,14 @@ class Fix16
             static_cast<uint32_t>(p >> fracBits)));
     }
 
+    /**
+     * The sum of hwMul(w[k], x[k]).raw() over [0, n), each product
+     * sign-extended, modulo 2^32: a clean multiply/add chain whose
+     * adders wrap at 24 bits is this sum wrapped once (DESIGN.md
+     * §14 "Clean neurons"). Eight products per SSE2 step.
+     */
+    static uint32_t hwDot(const Fix16 *w, const Fix16 *x, size_t n);
+
     /** Saturating add. */
     static Fix16 satAdd(Fix16 a, Fix16 b);
     /** Saturating multiply (truncating, like hwMul, but clipped). */
@@ -124,6 +142,9 @@ class Fix16
 
   private:
     explicit constexpr Fix16(int16_t raw) : value(raw) {}
+
+    /** 1.5 * 2^52: adding and subtracting it rounds to an integer. */
+    static constexpr double shifter = 0x1.8p52;
 
     int16_t value;
 };

@@ -638,19 +638,26 @@ HardwareBackend::setWeights(const DeepWeights &w)
     std::span<const double> hid = w.stage(0), out = w.stage(1);
     if (installStale)
         planInstall();
+    // Both stages quantized in one pass each; the latch replay below
+    // reads the same words.
+    stageWords.resize(hid.size() + out.size());
+    const Fix16 *quant[2] = {stageWords.data(),
+                             stageWords.data() + hid.size()};
+    Fix16::fromDoubles(hid.data(), stageWords.data(), hid.size());
+    Fix16::fromDoubles(out.data(), stageWords.data() + hid.size(),
+                       out.size());
     for (Layer layer : {Layer::Hidden, Layer::Output}) {
         bool h = layer == Layer::Hidden;
         int used = h ? logical.hidden : logical.outputs;
         int used_fanin = h ? logical.inputs : logical.hidden;
         int fanin = fanIn(layer);
         int neurons = h ? cfg.hidden : cfg.outputs;
-        const double *src = h ? hid.data() : out.data();
+        const Fix16 *src = quant[static_cast<size_t>(layer)];
         Fix16 *dst = h ? hidW.data() : outW.data();
         int *bound = &nonZeroEnd[neuronRow(layer, 0)];
         for (int n = 0; n < used; ++n) {
-            for (int i = 0; i < used_fanin; ++i)
-                dst[i] = Fix16::fromDouble(src[i]);
-            dst[fanin] = Fix16::fromDouble(src[used_fanin]);
+            std::copy_n(src, used_fanin, dst);
+            dst[fanin] = src[used_fanin];
             src += used_fanin + 1;
             dst += fanin + 1;
         }
@@ -662,12 +669,10 @@ HardwareBackend::setWeights(const DeepWeights &w)
     // full-array sweep visits them: shared systolic latches and
     // every deviation probe see the historic store sequence.
     for (const LatchReplay &r : latchReplay) {
-        bool h = r.layer == Layer::Hidden;
-        Fix16 q = r.src < 0
-            ? Fix16()
-            : Fix16::fromDouble((h ? hid : out)[static_cast<size_t>(r.src)]);
+        Fix16 q = r.src < 0 ? Fix16()
+                            : quant[static_cast<size_t>(r.layer)][r.src];
         Fix16 stored = unitLatchStore(r.layer, r.neuron, r.index, q);
-        (h ? hidW : outW)[r.dst] = stored;
+        (r.layer == Layer::Hidden ? hidW : outW)[r.dst] = stored;
         // A faulty latch may store a non-zero word past the task's
         // fan-in, a padding neuron's included.
         int &bound = nonZeroEnd[neuronRow(r.layer, r.neuron)];
@@ -757,8 +762,7 @@ HardwareBackend::forwardBatchInto(std::span<const std::vector<double>> inputs,
             const std::vector<double> &row = inputs[pos + l];
             dtann_assert(static_cast<int>(row.size()) == logical.inputs,
                          "logical input arity mismatch");
-            for (size_t i = 0; i < row.size(); ++i)
-                batchIn[l * n_in + i] = Fix16::fromDouble(row[i]);
+            Fix16::fromDoubles(row.data(), &batchIn[l * n_in], row.size());
         }
         runLayerLanes(Layer::Hidden, batchInPtr, batchHidOut, lanes);
         runLayerLanes(Layer::Output, batchHidIn, batchOutPtr, lanes);
@@ -815,25 +819,37 @@ HardwareBackend::neuronLanes(Layer layer, int neuron, const Fix16 *w,
     size_t un = static_cast<size_t>(neuron);
     // The clamp sits after the activation unit, in lane (= row)
     // order, on the datapath only: bistAct() reads the unit raw.
-    if (neuronClean[row] && nonZeroEnd[row] == 0) {
-        // Synapse 0 and the run multiply zero words, so the chain
-        // sums the bias product alone: the neuron's sum and output
-        // are the same for every row (padding neurons).
+    if (neuronClean[row]) {
         Fix16 bias = w[fanIn(layer)];
-        ConstNeuron &c = constNeurons[row];
-        if (c.bias != bias)
-            c = constNeuron(bias);
-        // One hit per lane when the window saturates the output.
-        Fix16 y = clampValue(layer, c.out);
-        if (y != c.out)
-            clampHitCount += lanes - 1;
-        for (size_t l = 0; l < lanes; ++l) {
-            acc[l] = c.sum;
-            out[l][un] = y;
+        size_t bound = static_cast<size_t>(nonZeroEnd[row]);
+        if (bound == 0) {
+            // Synapse 0 and the run multiply zero words, so the chain
+            // sums the bias product alone: the neuron's sum and
+            // output are the same for every row (padding neurons).
+            ConstNeuron &c = constNeurons[row];
+            if (c.bias != bias)
+                c = constNeuron(bias);
+            // One hit per lane when the window saturates the output.
+            Fix16 y = clampValue(layer, c.out);
+            if (y != c.out)
+                clampHitCount += lanes - 1;
+            for (size_t l = 0; l < lanes; ++l) {
+                acc[l] = c.sum;
+                out[l][un] = y;
+            }
+            return;
         }
-        return;
+        // Every unit clean: the chain is one dot product over the
+        // words below the bound plus the bias product, wrapped once
+        // (DESIGN.md §14 "Clean neurons").
+        uint32_t b = static_cast<uint32_t>(
+            Fix16::hwMul(bias, Fix16::fromDouble(1.0)).raw());
+        for (size_t l = 0; l < lanes; ++l)
+            acc[l] = Acc24::fromRaw(
+                static_cast<int32_t>(Fix16::hwDot(w, in[l], bound) + b));
+    } else {
+        neuronSumLanes(layer, neuron, w, in, acc, lanes);
     }
-    neuronSumLanes(layer, neuron, w, in, acc, lanes);
     if (unitClean(UnitKind::Activation, layer, neuron, 0)) {
         // The clean PWL unit, inline.
         const PwlTable &table = logisticPwlTable();
@@ -918,24 +934,19 @@ HardwareBackend::neuronSumLanes(Layer layer, int neuron, const Fix16 *w,
             // Synapses i..end-1 have a clean multiplier and a clean
             // adder stage i - 1: native arithmetic, one lane at a
             // time (no unit sees them, so their order across lanes
-            // is free). hwMul(0, x) == 0 and Acc24::hwAdd wraps
-            // modulo 2^24, so a zero weight leaves the accumulator
-            // as it is, and the run sums in 32-bit unsigned
-            // arithmetic (whose low 24 bits are the same) and wraps
-            // once. Every word from the row's bound to the bias is
-            // zero, so the padding past the task's fan-in is never
-            // visited.
+            // is free). Acc24::hwAdd wraps modulo 2^24, so the run
+            // sums in 32-bit unsigned arithmetic (whose low 24 bits
+            // are the same) and wraps once. Every word from the
+            // row's bound to the bias is zero, so the padding past
+            // the task's fan-in is never visited.
             int end = run->end, stop = std::min(end, bound);
+            size_t len = stop > i ? static_cast<size_t>(stop - i) : 0;
             uint32_t bias = end > fanin
                 ? static_cast<uint32_t>(Fix16::hwMul(w[fanin], one).raw())
                 : 0;
             for (size_t l = 0; l < lanes; ++l) {
-                const Fix16 *r = in[l];
-                uint32_t a = static_cast<uint32_t>(acc[l].raw()) + bias;
-                for (int k = i; k < stop; ++k)
-                    if (w[k].bits() != 0)
-                        a += static_cast<uint32_t>(
-                            Fix16::hwMul(w[k], r[k]).raw());
+                uint32_t a = static_cast<uint32_t>(acc[l].raw()) + bias +
+                    Fix16::hwDot(w + i, in[l] + i, len);
                 acc[l] = Acc24::fromRaw(static_cast<int32_t>(a));
             }
             i = end;

@@ -461,14 +461,17 @@ class HardwareBackend : public ForwardModel
      * its multiply/add chain over its stored weight row @p w into
      * @p acc, then its activation unit and @p layer's clamp into
      * out[l][neuron]. A neuron whose multipliers, adder stages and
-     * activation unit are all clean and whose stored words below
-     * the bias are all zero computes f(bias) for every row: its
-     * cached sum and output are written per lane (DESIGN.md §14
-     * "Constant neurons"). Any other runs neuronSumLanes(), then the
-     * clean PWL activation inline or the unit through
-     * unitActLanes(). runLayerLanes() has rebuilt a stale plan
-     * first. Virtual only so tests can compare against the
-     * all-units path.
+     * activation unit are all clean is a constant neuron when its
+     * stored words below the bias are all zero: it computes f(bias)
+     * for every row, and its cached sum and output are written per
+     * lane (DESIGN.md §14 "Constant neurons"). Otherwise it is a
+     * clean neuron: per lane, one Fix16::hwDot() over the words
+     * below its bound plus the bias product, then the clean PWL
+     * activation inline ("Clean neurons"). Any other (mixed) neuron
+     * runs neuronSumLanes(), then the clean PWL activation inline or
+     * the unit through unitActLanes(). runLayerLanes() has rebuilt a
+     * stale plan first. Virtual only so tests can compare against
+     * the all-units path.
      */
     virtual void neuronLanes(Layer layer, int neuron, const Fix16 *w,
                              const std::vector<const Fix16 *> &in,
@@ -525,6 +528,9 @@ class HardwareBackend : public ForwardModel
     std::vector<Fix16> batchIn, batchHid, batchOut;
     std::vector<const Fix16 *> batchInPtr, batchHidIn;
     std::vector<Fix16 *> batchHidOut, batchOutPtr;
+    /** setWeights() scratch: both logical stages quantized, hidden
+     *  stage first. */
+    std::vector<Fix16> stageWords;
 
     /**
      * A faulty or bypassed latch the install writes through
@@ -551,10 +557,10 @@ class HardwareBackend : public ForwardModel
      * bias synapse, i == fanIn(), takes one) and adder stage i - 1
      * folds product i into the accumulator. It walks the neuron's
      * run plan: each cached run of synapses whose multiplier and
-     * adder stage are both unitClean() runs natively, stops at the
-     * row's last non-zero stored word before the bias and skips
-     * zero words (DESIGN.md §14); every synapse between runs goes
-     * through unitMulLanes()/unitAddLanes().
+     * adder stage are both unitClean() runs natively through
+     * Fix16::hwDot() and stops at the row's last non-zero stored
+     * word before the bias (DESIGN.md §14); every synapse between
+     * runs goes through unitMulLanes()/unitAddLanes().
      */
     void neuronSumLanes(Layer layer, int neuron, const Fix16 *w,
                         const std::vector<const Fix16 *> &in, Acc24 *acc,

@@ -148,7 +148,6 @@ OperatorSim::applyLanes(const uint64_t *inputs, uint64_t *outputs,
         size_t chunk = std::min(width, count - off);
         batch->evaluateLanes(inputs + off, outputs + off, chunk);
         batchVectors += chunk;
-        laneSlots += width; // a sweep provisions the whole plane
     }
 }
 
@@ -167,9 +166,11 @@ OperatorSim::counters() const
     c.batchVectors = batchVectors;
     c.gateEvals = eval.gateEvals();
     c.memoHits = memoHits;
-    c.batchLaneSlots = laneSlots;
     if (batch) {
+        // One sweep per evaluateLanes() call, and a sweep provisions
+        // the whole plane whatever the chunk occupancy.
         c.batchSweeps = batch->sweeps();
+        c.batchLaneSlots = c.batchSweeps * batchLanes;
         c.batchGateSweeps = batch->gateSweeps();
     }
     return c;

@@ -215,12 +215,6 @@ class OperatorSim
     uint64_t memoHits = 0;
     uint64_t scalarVectors = 0;
     uint64_t batchVectors = 0;
-    /** Lane slots provisioned by this instance's batch sweeps (the
-     *  full plane width per sweep, whatever the chunk occupancy) —
-     *  accumulated per sweep rather than derived as sweeps x width,
-     *  so backends that sweep differently shaped batches still
-     *  report honest occupancy. */
-    uint64_t laneSlots = 0;
 };
 
 } // namespace dtann

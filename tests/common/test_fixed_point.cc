@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/fixed_point.hh"
 #include "common/rng.hh"
@@ -79,6 +80,128 @@ TEST(FixedPoint, FromDoubleMatchesNearbyint)
             check(sign * x);
     EXPECT_GT(checked, 5000000u);
     EXPECT_EQ(mismatches, 0u) << "first at x=" << first_bad;
+}
+
+TEST(Fix16, FromDoubleNanIsZero)
+{
+    EXPECT_EQ(Fix16::fromDouble(NAN).raw(), 0);
+    EXPECT_EQ(Fix16::fromDouble(-NAN).raw(), 0);
+    // Every position of the vector steps and of the scalar tail.
+    for (size_t n = 1; n <= 17; ++n) {
+        for (size_t at = 0; at < n; ++at) {
+            std::vector<double> x(n, 1.0);
+            x[at] = at % 2 ? -NAN : NAN;
+            std::vector<Fix16> out(n);
+            Fix16::fromDoubles(x.data(), out.data(), n);
+            for (size_t k = 0; k < n; ++k)
+                EXPECT_EQ(out[k].raw(), k == at ? 0 : Fix16::scale)
+                    << "n=" << n << " at=" << at << " k=" << k;
+        }
+    }
+}
+
+/**
+ * Values where a vector conversion could part from fromDouble():
+ * every raw value's half-quantum ties and one ulp either side of
+ * them, signed zeros, infinities, huge magnitudes, and values just
+ * past the saturation points +-32.
+ */
+std::vector<double>
+conversionEdges()
+{
+    const double inf = INFINITY;
+    std::vector<double> xs = {0.0, -0.0, inf, -inf, 1e300, -1e300};
+    for (double edge : {32.0, -32.0, 32767.0 / 1024, -32768.0 / 1024}) {
+        double x = edge;
+        for (int k = 0; k < 4; ++k) {
+            xs.push_back(x);
+            x = std::nextafter(x, edge > 0 ? inf : -inf);
+        }
+        xs.push_back(edge + 0.5 / Fix16::scale);
+        xs.push_back(edge - 0.5 / Fix16::scale);
+    }
+    for (int r = Fix16::rawMin; r <= Fix16::rawMax; ++r) {
+        for (double d : {0.5, -0.5}) {
+            double x = (r + d) / Fix16::scale;
+            xs.push_back(x);
+            xs.push_back(std::nextafter(x, inf));
+            xs.push_back(std::nextafter(x, -inf));
+        }
+    }
+    return xs;
+}
+
+TEST(Fix16, FromDoublesMatchesFromDouble)
+{
+    std::vector<double> xs = conversionEdges();
+    // The whole set from unaligned starts: each word goes through
+    // every lane position of the vector steps.
+    for (size_t start = 0; start < 8; ++start) {
+        size_t n = xs.size() - start;
+        std::vector<Fix16> out(n);
+        Fix16::fromDoubles(xs.data() + start, out.data(), n);
+        size_t mismatches = 0;
+        for (size_t k = 0; k < n; ++k)
+            if (out[k] != Fix16::fromDouble(xs[start + k]) && !mismatches++)
+                ADD_FAILURE() << "start " << start << ": first mismatch at x="
+                              << xs[start + k];
+    }
+    // Short lengths: the 8- and 4-word steps and the scalar tail, and
+    // no word written past n.
+    const Fix16 sentinel = Fix16::fromRaw(0x5a5);
+    for (size_t n = 0; n <= 17; ++n) {
+        for (size_t start = 0; start < 4; ++start) {
+            std::vector<Fix16> out(n + 3, sentinel);
+            Fix16::fromDoubles(xs.data() + start, out.data() + 1, n);
+            EXPECT_EQ(out[0], sentinel);
+            for (size_t k = 0; k < n; ++k)
+                EXPECT_EQ(out[k + 1], Fix16::fromDouble(xs[start + k]))
+                    << "n=" << n << " start=" << start << " k=" << k;
+            EXPECT_EQ(out[n + 1], sentinel) << "n=" << n;
+            EXPECT_EQ(out[n + 2], sentinel) << "n=" << n;
+        }
+    }
+}
+
+TEST(Fix16, HwDotMatchesHwMulChain)
+{
+    Rng rng(11);
+    auto word = [&] {
+        // Extremes often, including -32768 * -32768.
+        switch (rng.nextUint(4)) {
+          case 0: return Fix16::fromRaw(Fix16::rawMin);
+          case 1: return Fix16::fromRaw(Fix16::rawMax);
+          default:
+            return Fix16::fromRaw(
+                static_cast<int16_t>(rng.nextInt(-32768, 32767)));
+        }
+    };
+    for (size_t n = 0; n <= 40; ++n) {
+        for (int trial = 0; trial < 50; ++trial) {
+            // One spare word each side: unaligned starts, and a
+            // word past the end that must not be read into the sum.
+            std::vector<Fix16> w(n + 2), x(n + 2);
+            for (size_t k = 0; k < n + 2; ++k) {
+                w[k] = word();
+                x[k] = word();
+            }
+            uint32_t want = 0;
+            Acc24 chain;
+            for (size_t k = 1; k <= n; ++k) {
+                Fix16 p = Fix16::hwMul(w[k], x[k]);
+                want += static_cast<uint32_t>(p.raw());
+                chain = Acc24::hwAdd(chain, Acc24::fromFix16(p));
+            }
+            uint32_t got = Fix16::hwDot(w.data() + 1, x.data() + 1, n);
+            ASSERT_EQ(got, want) << "n=" << n << " trial=" << trial;
+            // Wrapped once to 24 bits, the sum is the adder chain.
+            ASSERT_EQ(Acc24::fromRaw(static_cast<int32_t>(got)), chain);
+        }
+    }
+    std::vector<Fix16> lo(40, Fix16::fromRaw(Fix16::rawMin));
+    std::vector<Fix16> hi(40, Fix16::fromRaw(Fix16::rawMax));
+    EXPECT_EQ(Fix16::hwDot(lo.data(), hi.data(), 40),
+              40u * static_cast<uint32_t>(Fix16::hwMul(lo[0], hi[0]).raw()));
 }
 
 TEST(Fix16, HwAddWraps)

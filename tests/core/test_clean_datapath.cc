@@ -25,7 +25,10 @@
  *
  * A second check holds the cached run plan to the unit table:
  * defects injected, bypassed and cleared after an install, each
- * followed by a forward with no re-install.
+ * followed by a forward with no re-install. A third runs clean
+ * neurons (one dot product per row) at every run bound from 1 to
+ * a full 20-word fan-in, the full one also forced by faulty latches
+ * just below the bias.
  *
  * The 8-3-2 task on the 12-4-3 array leaves padding sites (zero
  * weights) in both layers, and two used synapses get exact zero
@@ -89,10 +92,11 @@ randomRows(size_t n, Rng &rng)
  */
 uint64_t
 nonZeroLatchSeed(BackendKind kind, const UnitSite &site, int count,
-                 uint64_t seed)
+                 uint64_t seed, const AcceleratorConfig &cfg = smallArray(),
+                 const MlpTopology &logical = kLogical)
 {
     for (uint64_t s = seed; s < seed + 2000; ++s) {
-        auto b = makeBackend(kind, smallArray(), kLogical);
+        auto b = makeBackend(kind, cfg, logical);
         Rng rng(s);
         b->injectDefects(site, count, rng);
         if (b->bistLatchStore(site.layer, site.neuron, site.index,
@@ -433,6 +437,78 @@ checkAllUnitChanges()
                 return;
         }
     }
+}
+
+/**
+ * Clean neurons (every multiplier, adder stage and activation unit
+ * clean, a non-zero word below the bias) against the all-units
+ * chain, one row at a time and at 64 lanes, for every task fan-in
+ * 1..20 on a 20-input array: run bounds on both sides of the dot
+ * kernel's 8-word step. With @p latch_at_end, faulty latches store
+ * non-zero words at the last synapse before the bias (index
+ * fanin - 1) of a hidden and an output neuron, so those rows'
+ * bound is the whole fan-in and the kernel must stop just before
+ * the bias word.
+ */
+template <class Backend>
+void
+checkCleanNeuronBounds(bool latch_at_end)
+{
+    AcceleratorConfig cfg;
+    cfg.inputs = 20;
+    cfg.hidden = 4;
+    cfg.outputs = 3;
+    for (int fanin = 1; fanin <= cfg.inputs; ++fanin) {
+        MlpTopology logical{fanin, 3, 2};
+        for (size_t lanes : {0, 64}) {
+            SCOPED_TRACE("fanin " + std::to_string(fanin) + " lanes " +
+                         std::to_string(lanes));
+            LaneWidth width(lanes);
+            WithSums<ReferenceDatapath<Backend>> ref(cfg, logical);
+            WithSums<Backend> got(cfg, logical);
+            if (latch_at_end) {
+                for (UnitSite site :
+                     {UnitSite{UnitKind::WeightLatch, Layer::Hidden, 1,
+                               cfg.inputs - 1},
+                      UnitSite{UnitKind::WeightLatch, Layer::Output, 0,
+                               cfg.hidden - 1}}) {
+                    uint64_t s = nonZeroLatchSeed(got.backendKind(), site,
+                                                  3, 500, cfg, logical);
+                    Rng r1(s), r2(s);
+                    ref.injectDefects(site, 3, r1);
+                    got.injectDefects(site, 3, r2);
+                }
+            }
+            DeepWeights w(logical);
+            Rng wr(static_cast<uint64_t>(fanin));
+            w.initRandom(wr, 1.5);
+            ref.setWeights(w);
+            got.setWeights(w);
+            Rng rr(static_cast<uint64_t>(fanin) + 100);
+            std::vector<std::vector<double>> rows(lanes ? lanes : 5);
+            for (auto &row : rows) {
+                row.resize(static_cast<size_t>(fanin));
+                for (double &v : row)
+                    v = rr.nextDouble(-1.0, 1.0);
+            }
+            expectSameForward(ref, got, rows, lanes);
+            if (testing::Test::HasFatalFailure())
+                return;
+            expectSameUnits(ref, got);
+        }
+    }
+}
+
+TEST(CleanDatapath, SpatialCleanNeuronBounds)
+{
+    checkCleanNeuronBounds<SpatialBackend>(false);
+    checkCleanNeuronBounds<SpatialBackend>(true);
+}
+
+TEST(CleanDatapath, SystolicCleanNeuronBounds)
+{
+    checkCleanNeuronBounds<SystolicBackend>(false);
+    checkCleanNeuronBounds<SystolicBackend>(true);
 }
 
 TEST(CleanDatapath, SpatialMatchesAllUnitsReference)
