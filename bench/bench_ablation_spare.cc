@@ -45,7 +45,7 @@ main()
 
     RunningStat plain_acc, spared_acc, plain_worst, spared_worst;
     for (int rep = 0; rep < reps; ++rep) {
-        uint64_t defect_seed = rng.raw()();
+        uint64_t defect_seed = rng.nextWord();
 
         // Plain network.
         Accelerator a1(cfg, logical);

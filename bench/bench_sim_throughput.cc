@@ -28,8 +28,10 @@
 #include "core/deep_mux.hh"
 #include "core/injector.hh"
 #include "core/row_map.hh"
+#include "core/systolic.hh"
 #include "core/timemux.hh"
 #include "data/dataset.hh"
+#include "mitigate/bist.hh"
 #include "rtl/adder.hh"
 #include "rtl/clean_model.hh"
 #include "rtl/fault_inject.hh"
@@ -828,6 +830,47 @@ BM_LatchStoreRepeat(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_LatchStoreRepeat);
+
+void
+BM_RngNextUint16(benchmark::State &state)
+{
+    // About one mitigation-systolic campaign's engine draws, almost
+    // all of them BIST operands: 350,000 16-bit words.
+    constexpr int draws = 350000;
+    Rng rng(1);
+    for (auto _ : state) {
+        uint64_t sum = 0;
+        for (int i = 0; i < draws; ++i)
+            sum += rng.nextUint(1u << 16);
+        benchmark::DoNotOptimize(sum);
+    }
+    state.counters["draws/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * draws),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_RngNextUint16);
+
+void
+BM_BistSystolic(benchmark::State &state)
+{
+    // One diagnosis pass (12 vectors per unit) over the default
+    // systolic grid with three faulty PEs: the clean units' vectors
+    // are drawn, the faulty ones are driven.
+    SystolicBackend accel(AcceleratorConfig(), {18, 10, 4});
+    Rng irng(29);
+    DefectInjector(accel, SitePool::all()).inject(3, irng);
+    BistConfig bist;
+    Rng rng(1);
+    size_t units = 0;
+    for (auto _ : state) {
+        BistResult r = runBist(accel, bist, rng);
+        units += r.unitsTested;
+        benchmark::DoNotOptimize(r.map.size());
+    }
+    state.counters["units/s"] = benchmark::Counter(
+        static_cast<double>(units), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_BistSystolic);
 
 void
 BM_AcceleratorForwardFaulty(benchmark::State &state)

@@ -21,6 +21,8 @@
 #ifndef DTANN_COMMON_RNG_HH
 #define DTANN_COMMON_RNG_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <random>
@@ -33,13 +35,25 @@ namespace dtann {
 /**
  * Seeded pseudo-random generator with convenience draws.
  *
- * Thin wrapper around std::mt19937_64 providing the handful of
- * distributions the library needs.
+ * The engine is an in-tree MT19937-64 that emits exactly the words
+ * std::mt19937_64 emits for the same seed, so every draw below is
+ * the one the std engine would give. It twists its 312-word state
+ * in place one block at a time, in two plain loops the compiler
+ * vectorises (the first 156 new words read only old words, the
+ * rest read new words 156 places back), and tempers each word when
+ * it is read. Its state is the std engine's: 312 words and an
+ * index. The std distributions draw from it through the same code
+ * paths they take for std::mt19937_64 (same result_type, min() and
+ * max()). tests/common/test_rng.cc holds it to std::mt19937_64, the
+ * oracle, word for word and through every draw.
  */
 class Rng
 {
   public:
     explicit Rng(uint64_t seed = 0x5eedULL) : engine(seed) {}
+
+    /** The next raw 64-bit engine word. */
+    uint64_t nextWord() { return engine(); }
 
     /** Uniform integer in [0, bound). @pre bound > 0. */
     uint64_t
@@ -145,11 +159,43 @@ class Rng
         return idx;
     }
 
-    /** Access the raw engine (for std distributions). */
-    std::mt19937_64 &raw() { return engine; }
-
   private:
-    std::mt19937_64 engine;
+    /** MT19937-64, word for word std::mt19937_64 (see the class
+     *  comment). */
+    class Engine
+    {
+      public:
+        using result_type = uint64_t;
+        static constexpr result_type min() { return 0; }
+        static constexpr result_type max() { return ~result_type{0}; }
+
+        /** Seeded as std::mt19937_64(seed). */
+        explicit Engine(uint64_t seed);
+
+        result_type
+        operator()()
+        {
+            if (pos == kN)
+                twist();
+            uint64_t y = mt[pos++];
+            y ^= (y >> 29) & 0x5555555555555555ULL;
+            y ^= (y << 17) & 0x71d67fffeda60000ULL;
+            y ^= (y << 37) & 0xfff7eee000000000ULL;
+            return y ^ (y >> 43);
+        }
+
+      private:
+        static constexpr size_t kN = 312;
+        static constexpr size_t kM = 156;
+
+        /** Replace all kN state words by the next block. */
+        void twist();
+
+        std::array<uint64_t, kN> mt;
+        size_t pos;
+    };
+
+    Engine engine;
     std::uniform_real_distribution<double> unit{0.0, 1.0};
     std::normal_distribution<double> gauss{0.0, 1.0};
 };
