@@ -30,13 +30,9 @@ testAcc24(int v, Rng &rng)
         rng.nextInt(Acc24::rawMin, Acc24::rawMax)));
 }
 
-/**
- * Probe one unit with @p vectors test vectors; true = mismatch. A
- * unit that is neither faulty nor bypassed answers with the
- * reference function by construction, so it is not driven: its
- * vectors are only drawn, in the same order, and the stream stays
- * where the full probe would leave it.
- */
+/** Probe one unit with @p vectors test vectors; true = mismatch.
+ *  A clean unit's vectors are drawn in the same order but not
+ *  driven (see runBist()). */
 bool
 probeUnit(HardwareBackend &accel, const UnitSite &s, int vectors,
           Rng &rng)

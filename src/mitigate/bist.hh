@@ -50,7 +50,10 @@ struct BistResult
  * the deviation probes afterwards; installed weights are untouched.
  * The probed population is the backend's own physical site
  * enumeration, so a shared systolic PE is tested once, not once per
- * pass that routes through it.
+ * pass that routes through it. A unit that is neither faulty nor
+ * bypassed answers with its reference function, so it is not
+ * driven; its vectors are still drawn from @p rng, which ends where
+ * driving every unit would leave it.
  */
 BistResult runBist(HardwareBackend &accel, const BistConfig &config,
                    Rng &rng);
