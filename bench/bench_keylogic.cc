@@ -36,16 +36,11 @@ class DecodedAccelerator : public ForwardModel
         writeWeightsThroughDecoder(accel, w, decoder);
     }
 
-    Activations
-    forward(std::span<const double> input) override
+    void
+    forwardBatchInto(std::span<const std::vector<double>> inputs,
+                     std::span<Activations> out) override
     {
-        return accel.forward(input);
-    }
-
-    std::vector<Activations>
-    forwardBatch(std::span<const std::vector<double>> inputs) override
-    {
-        return accel.forwardBatch(inputs);
+        accel.forwardBatchInto(inputs, out);
     }
 
   private:

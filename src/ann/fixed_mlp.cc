@@ -78,20 +78,26 @@ FixedMlp::forwardFix(std::span<const Fix16> input)
     return out;
 }
 
-Activations
-FixedMlp::forward(std::span<const double> input)
+void
+FixedMlp::forwardBatchInto(std::span<const std::vector<double>> inputs,
+                           std::span<Activations> out)
 {
-    std::vector<Fix16> fix_in(input.size());
-    for (size_t i = 0; i < input.size(); ++i)
-        fix_in[i] = Fix16::fromDouble(input[i]);
-    std::vector<Fix16> out = forwardFix(fix_in);
+    dtann_assert(out.size() == inputs.size(),
+                 "one activation record per input row");
+    for (size_t r = 0; r < inputs.size(); ++r) {
+        const std::vector<double> &input = inputs[r];
+        fixIn.resize(input.size());
+        for (size_t i = 0; i < input.size(); ++i)
+            fixIn[i] = Fix16::fromDouble(input[i]);
+        std::vector<Fix16> o = forwardFix(fixIn);
 
-    Activations act(hiddenAct.size(), out.size());
-    for (size_t j = 0; j < hiddenAct.size(); ++j)
-        act.hidden()[j] = hiddenAct[j].toDouble();
-    for (size_t k = 0; k < out.size(); ++k)
-        act.output()[k] = out[k].toDouble();
-    return act;
+        Activations &act = out[r];
+        act.resize(hiddenAct.size(), o.size());
+        for (size_t j = 0; j < hiddenAct.size(); ++j)
+            act.hidden()[j] = hiddenAct[j].toDouble();
+        for (size_t k = 0; k < o.size(); ++k)
+            act.output()[k] = o[k].toDouble();
+    }
 }
 
 } // namespace dtann

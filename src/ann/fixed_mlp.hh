@@ -28,14 +28,9 @@ class FixedMlp : public ForwardModel
     /** Quantize and install a two-stage stack. */
     void setWeights(const DeepWeights &w) override;
 
-    Activations forward(std::span<const double> input) override;
-
-    std::vector<Activations> forwardBatch(
-        std::span<const std::vector<double>> inputs) override
-    {
-        return rowLoopBatch(inputs); // native arithmetic: a row loop
-                                     // is already the fastest path
-    }
+    /** Native arithmetic, one row at a time through forwardFix(). */
+    void forwardBatchInto(std::span<const std::vector<double>> inputs,
+                          std::span<Activations> out) override;
 
     /** Forward on already-quantized inputs (used by tests). */
     std::vector<Fix16> forwardFix(std::span<const Fix16> input);
@@ -50,6 +45,8 @@ class FixedMlp : public ForwardModel
     std::vector<Fix16> hiddenW; // [hidden][inputs+1], bias last
     std::vector<Fix16> outputW; // [outputs][hidden+1], bias last
     std::vector<Fix16> hiddenAct;
+    /** forwardBatchInto()'s quantized row, reused across rows. */
+    std::vector<Fix16> fixIn;
 };
 
 } // namespace dtann

@@ -1,7 +1,5 @@
 #include "ann/mlp.hh"
 
-#include <algorithm>
-
 #include "ann/sigmoid.hh"
 #include "common/logging.hh"
 
@@ -38,21 +36,12 @@ DeepWeights::count() const
     return total;
 }
 
-Activations
-ForwardModel::forward(std::span<const double> input)
+std::vector<Activations>
+ForwardModel::forwardBatch(std::span<const std::vector<double>> inputs)
 {
-    oneRow.assign(input.begin(), input.end());
-    return forwardRow(oneRow);
-}
-
-void
-ForwardModel::forwardBatchInto(std::span<const std::vector<double>> inputs,
-                               std::span<Activations> out)
-{
-    dtann_assert(out.size() == inputs.size(),
-                 "one activation record per input row");
-    std::vector<Activations> acts = forwardBatch(inputs);
-    std::move(acts.begin(), acts.end(), out.begin());
+    std::vector<Activations> acts(inputs.size());
+    forwardBatchInto(inputs, acts);
+    return acts;
 }
 
 const Activations &
@@ -62,14 +51,11 @@ ForwardModel::forwardRow(const std::vector<double> &input)
     return rowAct;
 }
 
-std::vector<Activations>
-ForwardModel::rowLoopBatch(std::span<const std::vector<double>> inputs)
+Activations
+ForwardModel::forward(std::span<const double> input)
 {
-    std::vector<Activations> out;
-    out.reserve(inputs.size());
-    for (const auto &row : inputs)
-        out.push_back(forward(row));
-    return out;
+    oneRow.assign(input.begin(), input.end());
+    return forwardRow(oneRow);
 }
 
 void
@@ -79,28 +65,32 @@ FloatMlp::setWeights(const DeepWeights &w)
     weights = w;
 }
 
-Activations
-FloatMlp::forward(std::span<const double> input)
+void
+FloatMlp::forwardBatchInto(std::span<const std::vector<double>> inputs,
+                           std::span<Activations> out)
 {
-    dtann_assert(static_cast<int>(input.size()) == topo.inputs(),
-                 "input arity mismatch");
-    Activations act;
-    act.layers.resize(topo.stages());
-    std::span<const double> below = input;
-    for (size_t s = 0; s < topo.stages(); ++s) {
-        int fanin = topo.layers[s];
-        std::vector<double> &layer = act.layers[s];
-        layer.resize(static_cast<size_t>(topo.layers[s + 1]));
-        for (size_t j = 0; j < layer.size(); ++j) {
-            int n = static_cast<int>(j);
-            double o = weights.at(s, n, fanin); // bias
-            for (int i = 0; i < fanin; ++i)
-                o += weights.at(s, n, i) * below[static_cast<size_t>(i)];
-            layer[j] = logistic(o);
+    dtann_assert(out.size() == inputs.size(),
+                 "one activation record per input row");
+    for (size_t r = 0; r < inputs.size(); ++r) {
+        const std::vector<double> &input = inputs[r];
+        dtann_assert(static_cast<int>(input.size()) == topo.inputs(),
+                     "input arity mismatch");
+        Activations &act = out[r];
+        act.resize(topo);
+        std::span<const double> below = input;
+        for (size_t s = 0; s < topo.stages(); ++s) {
+            int fanin = topo.layers[s];
+            std::vector<double> &layer = act.layers[s];
+            for (size_t j = 0; j < layer.size(); ++j) {
+                int n = static_cast<int>(j);
+                double o = weights.at(s, n, fanin); // bias
+                for (int i = 0; i < fanin; ++i)
+                    o += weights.at(s, n, i) * below[static_cast<size_t>(i)];
+                layer[j] = logistic(o);
+            }
+            below = layer;
         }
-        below = layer;
     }
-    return act;
 }
 
 } // namespace dtann

@@ -9,8 +9,8 @@
  * the constant 1. One weight type (DeepWeights, a stack of stages)
  * and one model hierarchy serve both shapes: the 2-layer network is
  * the two-stage stack, every ForwardModel produces the full layer
- * stack of activations, and batched evaluation is the canonical
- * entry point.
+ * stack of activations, and batched evaluation into caller-owned
+ * records is each model's one evaluation method.
  */
 
 #ifndef DTANN_ANN_MLP_HH
@@ -138,15 +138,6 @@ struct Activations
 {
     std::vector<std::vector<double>> layers;
 
-    Activations() = default;
-
-    /** Allocate a 2-layer record (hidden + output). */
-    Activations(size_t hidden_size, size_t output_size)
-        : layers{std::vector<double>(hidden_size),
-                 std::vector<double>(output_size)}
-    {
-    }
-
     /** Output-layer values. @{ */
     std::vector<double> &output() { return layers.back(); }
     const std::vector<double> &output() const { return layers.back(); }
@@ -160,6 +151,25 @@ struct Activations
         return layers[layers.size() - 2];
     }
     /** @} */
+
+    /** Give the record one layer per stage of @p topo at that
+     *  stage's width; storage it already has is kept. */
+    void
+    resize(const DeepTopology &topo)
+    {
+        layers.resize(topo.stages());
+        for (size_t s = 0; s < layers.size(); ++s)
+            layers[s].resize(static_cast<size_t>(topo.layers[s + 1]));
+    }
+
+    /** resize() to a 2-layer (hidden + output) record. */
+    void
+    resize(size_t hidden_size, size_t output_size)
+    {
+        layers.resize(2);
+        layers[0].resize(hidden_size);
+        layers[1].resize(output_size);
+    }
 };
 
 /**
@@ -172,19 +182,13 @@ struct Activations
  * the faulty elements".
  *
  * A model has one topology (its layer stack), one weight setter
- * taking that stack, and one evaluation entry point,
- * forwardBatch(): campaign test sweeps hand whole datasets to the
- * model so faulty operators can be evaluated up to 64, 256 or 512
- * rows per gate-level sweep (the DTANN_LANES width). The scalar
- * forward() defaults to a one-row batch, which is all the hardware
- * models use; native models with a cheaper scalar path override
- * forward() and implement forwardBatch() with rowLoopBatch().
- *
- * forwardBatchInto() is the same evaluation into caller-owned
- * records. The hardware backends implement it, and their
- * forwardBatch() is a wrapper over it. forwardRow() runs one row
- * into a record the model keeps and reuses across calls, so a
- * training step on a backend allocates nothing.
+ * taking that stack, and one evaluation method, forwardBatchInto():
+ * campaign test sweeps hand whole datasets to the model so faulty
+ * operators can be evaluated up to 64, 256 or 512 rows per
+ * gate-level sweep (the DTANN_LANES width). forwardBatch(),
+ * forwardRow() and forward() are defined once, here, over it:
+ * fresh records, the model's reused one-row record (a training
+ * step on a backend allocates nothing) and a copy of that record.
  */
 class ForwardModel
 {
@@ -198,26 +202,21 @@ class ForwardModel
      *  and write latches). */
     virtual void setWeights(const DeepWeights &w) = 0;
 
-    /** Run one input row; the default evaluates a 1-row batch. */
-    virtual Activations forward(std::span<const double> input);
-
     /**
-     * Run a batch of input rows — the canonical entry point.
-     * Results are semantically identical to calling forward() on
-     * each row in order; hardware models push rows through their
-     * faulty operators up to 64, 256 or 512 lanes per gate-level
-     * sweep.
-     */
-    virtual std::vector<Activations>
-    forwardBatch(std::span<const std::vector<double>> inputs) = 0;
-
-    /**
-     * forwardBatch() into @p out, one record per input row. A record
-     * that already has the model's layer widths keeps its storage.
-     * The default moves forwardBatch()'s records in.
+     * Run a batch of input rows into @p out, one record per row:
+     * the one evaluation method a model implements. Each record's
+     * layers are resized to the model's stages and widths, so a
+     * record that already has them keeps its storage. Results are
+     * identical to running the rows one at a time in order;
+     * hardware models push rows through their faulty operators up
+     * to 64, 256 or 512 lanes per gate-level sweep.
      */
     virtual void forwardBatchInto(std::span<const std::vector<double>> inputs,
-                                  std::span<Activations> out);
+                                  std::span<Activations> out) = 0;
+
+    /** forwardBatchInto() into a fresh record per row. */
+    std::vector<Activations>
+    forwardBatch(std::span<const std::vector<double>> inputs);
 
     /**
      * Run one row into the model's reused one-row record (the
@@ -226,20 +225,16 @@ class ForwardModel
      */
     const Activations &forwardRow(const std::vector<double> &input);
 
+    /** A copy of forwardRow() on @p input. */
+    Activations forward(std::span<const double> input);
+
     /** Gate-evaluation work of any underlying faulty-operator
      *  simulations (zero for native models). Wrapper models report
      *  their backing Accelerator's counters. */
     virtual SimCounters simCounters() const { return {}; }
 
-  protected:
-    /** Row-at-a-time batch for native models whose forward() is
-     *  already the fastest path. */
-    std::vector<Activations>
-    rowLoopBatch(std::span<const std::vector<double>> inputs);
-
   private:
-    /** The default forward()'s copy of its row, reused across
-     *  calls. */
+    /** forward()'s copy of its row, reused across calls. */
     std::vector<double> oneRow;
     /** forwardRow()'s record, reused across calls. */
     Activations rowAct;
@@ -257,13 +252,9 @@ class FloatMlp : public ForwardModel
 
     DeepTopology topology() const override { return topo; }
     void setWeights(const DeepWeights &w) override;
-    Activations forward(std::span<const double> input) override;
-    std::vector<Activations> forwardBatch(
-        std::span<const std::vector<double>> inputs) override
-    {
-        return rowLoopBatch(inputs); // native arithmetic: a row loop
-                                     // is already the fastest path
-    }
+    /** Native arithmetic, one row at a time. */
+    void forwardBatchInto(std::span<const std::vector<double>> inputs,
+                          std::span<Activations> out) override;
 
   private:
     DeepTopology topo;

@@ -36,32 +36,6 @@ SpatialBackend::enumerateSites(const SitePool &pool) const
     return dtann::enumerateSites(cfg, pool);
 }
 
-void
-SpatialBackend::loadPhysicalHiddenRow(int phys_neuron,
-                                      std::span<const Fix16> weights)
-{
-    loadPhysicalRow(Layer::Hidden, phys_neuron, weights);
-}
-
-void
-SpatialBackend::loadPhysicalOutputRow(int phys_neuron,
-                                      std::span<const Fix16> weights)
-{
-    loadPhysicalRow(Layer::Output, phys_neuron, weights);
-}
-
-void
-SpatialBackend::runHiddenLayerLanes(const std::vector<const Fix16 *> &in,
-                                    const std::vector<Fix16 *> &out,
-                                    size_t lanes)
-{
-    dtann_assert(in.size() >= lanes && out.size() >= lanes,
-                 "lane pointer arity mismatch");
-    // The per-lane sums (hidSumsLanes) feed the time-multiplexing
-    // engine's key-logic accumulation.
-    runLayerLanes(Layer::Hidden, in, out, lanes);
-}
-
 std::vector<Fix16>
 SpatialBackend::forwardFix(std::span<const Fix16> physical_input)
 {

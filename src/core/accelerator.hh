@@ -62,37 +62,18 @@ class SpatialBackend : public HardwareBackend
 
     /** @name Raw physical access (partial time-multiplexing) @{ */
 
-    /**
-     * Write a full weight row of physical hidden neuron
-     * @p phys_neuron through the latch path (inputs + 1 values,
-     * bias last).
-     */
-    void loadPhysicalHiddenRow(int phys_neuron,
-                               std::span<const Fix16> weights);
+    /** Write a full physical weight row through the latch path. */
+    using HardwareBackend::loadPhysicalRow;
 
-    /**
-     * Write a full weight row of physical output neuron
-     * @p phys_neuron through the latch path (hidden + 1 values,
-     * bias last).
-     */
-    void loadPhysicalOutputRow(int phys_neuron,
-                               std::span<const Fix16> weights);
-
-    /**
-     * Run only the physical hidden layer over <= kMaxLanes input
-     * rows with the currently loaded weights (one weight load serves
-     * every lane — the time-multiplexing engine). Activations land
-     * in @p out (one pointer per lane, cfg.hidden values each);
-     * per-lane pre-activation sums stay readable via
-     * hiddenSumsLanes() (the time-multiplexing output latches).
-     */
-    void runHiddenLayerLanes(const std::vector<const Fix16 *> &in,
-                             const std::vector<Fix16 *> &out,
-                             size_t lanes);
+    /** Run one physical layer over <= kMaxLanes input rows with the
+     *  currently loaded weights (one weight load serves every lane:
+     *  the time-multiplexing engine). */
+    using HardwareBackend::runLayerLanes;
 
     /** Per-lane pre-activation sums of the last hidden-layer run
-     *  (runHiddenLayerLanes() or the last chunk of forwardBatch()):
-     *  lane l, neuron n at [l * hidden + n]. */
+     *  (runLayerLanes() or the last chunk of forwardBatchInto()),
+     *  the time-multiplexing output latches: lane l, neuron n at
+     *  [l * hidden + n]. */
     const std::vector<Acc24> &hiddenSumsLanes() const
     {
         return hidSumsLanes;

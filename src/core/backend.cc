@@ -305,26 +305,18 @@ HardwareBackend::injectDefects(const UnitSite &pass_site, int count,
         break;
     }
     Injection inj = injectTransistorDefects(*nl, count, rng);
-    std::vector<InjectionRecord> records = inj.records;
 
     // Merge with any defects already present at this site; the
     // table holds the simulation itself, so replacing it in place
     // reaches every pass address.
     Unit &u = enterUnit(site);
     Injection next;
-    if (u.sim) {
-        next.faults = u.sim->evaluator().faults();
-        next.faults.merge(inj.faults);
-        next.records = u.sim->faultRecords();
-        next.records.insert(next.records.end(), records.begin(),
-                            records.end());
-    } else {
-        next.faults = std::move(inj.faults);
-        next.records = records;
-    }
+    if (u.sim)
+        next = {u.sim->evaluator().faults(), u.sim->faultRecords()};
+    next.merge(inj);
     u.sim = std::make_unique<OperatorSim>(nl, std::move(next),
                                           std::move(clean));
-    return records;
+    return std::move(inj.records);
 }
 
 void
@@ -698,29 +690,14 @@ HardwareBackend::loadPhysicalRow(Layer layer, int neuron,
         Fix16 d = weights[static_cast<size_t>(i)];
         dst[i] = latch[i] ? unitLatchStore(layer, neuron, i, d) : d;
     }
-    storedRowChanged(layer, neuron);
-    // A clean padding word may no longer be zero.
-    installStale = true;
-}
-
-void
-HardwareBackend::storedRowChanged(Layer layer, int neuron)
-{
-    int fanin = fanIn(layer);
-    const Fix16 *w = (layer == Layer::Hidden ? hidW.data() : outW.data()) +
-        static_cast<size_t>(neuron) * static_cast<size_t>(fanin + 1);
+    // Rescan the row for its last non-zero word before the bias, the
+    // bound neuronSumLanes() stops at.
     int end = fanin;
-    while (end > 0 && w[end - 1].bits() == 0)
+    while (end > 0 && dst[end - 1].bits() == 0)
         --end;
     nonZeroEnd[neuronRow(layer, neuron)] = end;
-}
-
-std::vector<Activations>
-HardwareBackend::forwardBatch(std::span<const std::vector<double>> inputs)
-{
-    std::vector<Activations> acts(inputs.size());
-    forwardBatchInto(inputs, acts);
-    return acts;
+    // A clean padding word may no longer be zero.
+    installStale = true;
 }
 
 void
@@ -767,15 +744,12 @@ HardwareBackend::forwardBatchInto(std::span<const std::vector<double>> inputs,
         runLayerLanes(Layer::Hidden, batchInPtr, batchHidOut, lanes);
         runLayerLanes(Layer::Output, batchHidIn, batchOutPtr, lanes);
         for (size_t l = 0; l < lanes; ++l) {
-            // A reused record keeps its storage.
-            std::vector<std::vector<double>> &layers = out[pos + l].layers;
-            layers.resize(2);
-            layers[0].resize(hid);
-            layers[1].resize(outs);
+            Activations &act = out[pos + l];
+            act.resize(hid, outs);
             for (size_t j = 0; j < hid; ++j)
-                layers[0][j] = batchHid[l * n_hid + j].toDouble();
+                act.hidden()[j] = batchHid[l * n_hid + j].toDouble();
             for (size_t k = 0; k < outs; ++k)
-                layers[1][k] = batchOut[l * n_out + k].toDouble();
+                act.output()[k] = batchOut[l * n_out + k].toDouble();
         }
     }
 }
@@ -788,6 +762,8 @@ HardwareBackend::runLayerLanes(Layer layer,
 {
     dtann_assert(lanes >= 1 && lanes <= kMaxLanes,
                  "lane count out of range");
+    dtann_assert(in.size() >= lanes && out.size() >= lanes,
+                 "lane pointer arity mismatch");
     if (runsStale)
         planRuns();
     bool hid = layer == Layer::Hidden;

@@ -165,7 +165,7 @@ std::string backendNameList();
  * one table of the faulty or bypassed physical units (each with its
  * gate-level simulation, bypass mux and per-pass deviation probes).
  * Both backends run the same two-pass forward (setWeights/
- * forwardBatch; forward() is a one-row batch) over the protected
+ * forwardBatchInto(); a row is a chunk of one) over the protected
  * pass-addressed unit operations; a concrete backend describes its
  * units via unitCount() / enumerateSites() and whether its passes
  * share them (physicalSite()).
@@ -221,10 +221,6 @@ class HardwareBackend : public ForwardModel
     void forwardBatchInto(std::span<const std::vector<double>> inputs,
                           std::span<Activations> out) override;
 
-    /** forwardBatchInto() into a fresh record per row. */
-    std::vector<Activations> forwardBatch(
-        std::span<const std::vector<double>> inputs) override;
-
     /**
      * True when every faulty unit's simulation is a pure function
      * (lane-batchable: state-free faults on feedback-free
@@ -233,7 +229,7 @@ class HardwareBackend : public ForwardModel
      * only do so under this predicate — stateful simulations and
      * faulty weight latches depend on the exact per-row operation
      * order. DTANN_NO_BATCH clears it, so those wrappers and the
-     * systolic forwardBatch() run one row per chunk.
+     * systolic forwardBatchInto() run one row per chunk.
      */
     bool batchPure() const;
 
@@ -442,16 +438,10 @@ class HardwareBackend : public ForwardModel
                          std::span<const Fix16> weights);
 
     /**
-     * The stored words of (@p layer, @p neuron) were rewritten
-     * outside setWeights(): rescan the row for its last non-zero
-     * word before the bias, the bound neuronSumLanes() stops at.
-     */
-    void storedRowChanged(Layer layer, int neuron);
-
-    /**
-     * Run @p layer over <= kMaxLanes input rows (one pointer each):
-     * neuronLanes() for every physical neuron. The hidden pass
-     * leaves every lane's pre-activation sums in hidSumsLanes.
+     * Run @p layer over <= kMaxLanes input rows (@p in and @p out
+     * hold at least @p lanes pointers): neuronLanes() for every
+     * physical neuron. The hidden pass leaves every lane's
+     * pre-activation sums in hidSumsLanes.
      */
     void runLayerLanes(Layer layer, const std::vector<const Fix16 *> &in,
                        const std::vector<Fix16 *> &out, size_t lanes);
@@ -523,7 +513,7 @@ class HardwareBackend : public ForwardModel
     std::vector<Fix16> laneX, laneP;
     std::vector<Acc24> laneAcc, laneAddend;
     std::vector<uint64_t> laneIn, laneOut;
-    /** forwardBatch() scratch: one chunk's physical rows and their
+    /** forwardBatchInto() scratch: one chunk's physical rows and their
      *  per-lane pointers, reused across calls. */
     std::vector<Fix16> batchIn, batchHid, batchOut;
     std::vector<const Fix16 *> batchInPtr, batchHidIn;

@@ -35,13 +35,15 @@ DeepMuxedNetwork::setWeights(const DeepWeights &w)
     }
 }
 
-std::vector<Activations>
-DeepMuxedNetwork::forwardBatch(std::span<const std::vector<double>> inputs)
+void
+DeepMuxedNetwork::forwardBatchInto(std::span<const std::vector<double>> inputs,
+                                   std::span<Activations> out)
 {
+    dtann_assert(out.size() == inputs.size(),
+                 "one activation record per input row");
     dtann_assert(!stageRows.empty(), "setWeights() before forward()");
     size_t width = accel.batchPure() ? batchLaneWidth() : 1;
     size_t rows = inputs.size();
-    std::vector<Activations> acts(rows);
     std::vector<std::vector<Fix16>> current;
     for (size_t pos = 0; pos < rows; pos += width) {
         size_t lanes = std::min(width, rows - pos);
@@ -52,18 +54,17 @@ DeepMuxedNetwork::forwardBatch(std::span<const std::vector<double>> inputs)
                          "input arity mismatch");
             for (double v : row)
                 current[l].push_back(Fix16::fromDouble(v));
+            out[pos + l].resize(topo);
         }
         for (size_t s = 0; s < topo.stages(); ++s) {
             current = muxRunLayerBatch(accel, stageRows[s], current);
             for (size_t l = 0; l < lanes; ++l) {
-                std::vector<double> &out =
-                    acts[pos + l].layers.emplace_back(current[l].size());
-                for (size_t j = 0; j < out.size(); ++j)
-                    out[j] = current[l][j].toDouble();
+                std::vector<double> &layer = out[pos + l].layers[s];
+                for (size_t j = 0; j < layer.size(); ++j)
+                    layer[j] = current[l][j].toDouble();
             }
         }
     }
-    return acts;
 }
 
 size_t

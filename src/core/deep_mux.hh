@@ -46,8 +46,8 @@ class DeepMuxedNetwork : public ForwardModel
      * per-row load/run sequence. Outputs are bit-identical either
      * way.
      */
-    std::vector<Activations> forwardBatch(
-        std::span<const std::vector<double>> inputs) override;
+    void forwardBatchInto(std::span<const std::vector<double>> inputs,
+                          std::span<Activations> out) override;
 
     /** Work counters of the backing accelerator's faulty units. */
     SimCounters simCounters() const override

@@ -48,16 +48,10 @@ WriteDecoder::inject(int count, Rng &rng)
 {
     Injection inj = injectTransistorDefects(*nl, count, rng);
     // Merge with existing faults.
-    FaultSet merged = sim->evaluator().faults();
-    merged.merge(inj.faults);
-    Injection combined;
-    combined.faults = std::move(merged);
-    combined.records = sim->faultRecords();
-    combined.records.insert(combined.records.end(), inj.records.begin(),
-                            inj.records.end());
-    auto out = inj.records;
+    Injection combined{sim->evaluator().faults(), sim->faultRecords()};
+    combined.merge(inj);
     sim = std::make_unique<OperatorSim>(nl, std::move(combined));
-    return out;
+    return std::move(inj.records);
 }
 
 std::vector<bool>
@@ -120,9 +114,9 @@ writeWeightsThroughDecoder(Accelerator &accel, const DeepWeights &w,
             if (!lines[static_cast<size_t>(l)])
                 continue;
             if (l < cfg.hidden && is_hidden) {
-                accel.loadPhysicalHiddenRow(l, data);
+                accel.loadPhysicalRow(Layer::Hidden, l, data);
             } else if (l >= cfg.hidden && !is_hidden) {
-                accel.loadPhysicalOutputRow(l - cfg.hidden, data);
+                accel.loadPhysicalRow(Layer::Output, l - cfg.hidden, data);
             }
             // Cross-layer misdirects hit rows of the wrong width;
             // the write is dropped (bus mismatch in hardware).

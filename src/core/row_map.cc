@@ -85,28 +85,29 @@ RowMappedMlp::setWeights(const DeepWeights &w)
     accel.setWeights(phys);
 }
 
-Activations
-RowMappedMlp::vote(Activations phys) const
+void
+RowMappedMlp::vote(const Activations &from, Activations &to)
 {
-    Activations act(0, plan.size());
-    act.hidden() = std::move(phys.hidden());
-    std::vector<double> copies;
+    to.resize(from.hidden().size(), plan.size());
+    to.hidden() = from.hidden();
     for (size_t k = 0; k < plan.size(); ++k) {
         copies.clear();
         for (int row : plan[k])
-            copies.push_back(phys.output()[static_cast<size_t>(row)]);
-        act.output()[k] = medianVote(copies);
+            copies.push_back(from.output()[static_cast<size_t>(row)]);
+        to.output()[k] = medianVote(copies);
     }
-    return act;
 }
 
-std::vector<Activations>
-RowMappedMlp::forwardBatch(std::span<const std::vector<double>> inputs)
+void
+RowMappedMlp::forwardBatchInto(std::span<const std::vector<double>> inputs,
+                               std::span<Activations> out)
 {
-    std::vector<Activations> acts = accel.forwardBatch(inputs);
-    for (Activations &act : acts)
-        act = vote(std::move(act));
-    return acts;
+    dtann_assert(out.size() == inputs.size(),
+                 "one activation record per input row");
+    physActs.resize(inputs.size());
+    accel.forwardBatchInto(inputs, physActs);
+    for (size_t r = 0; r < inputs.size(); ++r)
+        vote(physActs[r], out[r]);
 }
 
 } // namespace dtann

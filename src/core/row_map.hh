@@ -74,8 +74,8 @@ class RowMappedMlp : public ForwardModel
 
     /** Forward through the backend, voting each row's logical
      *  outputs over their groups. */
-    std::vector<Activations> forwardBatch(
-        std::span<const std::vector<double>> inputs) override;
+    void forwardBatchInto(std::span<const std::vector<double>> inputs,
+                          std::span<Activations> out) override;
 
     /** Work counters of the backing array's faulty units. */
     SimCounters simCounters() const override
@@ -93,9 +93,14 @@ class RowMappedMlp : public ForwardModel
     RowPlan plan;
     /** Physical weights setWeights() writes, reused across calls. */
     DeepWeights phys;
+    /** forwardBatchInto() scratch, reused across calls: the
+     *  backend's physical records and one group's copies. */
+    std::vector<Activations> physActs;
+    std::vector<double> copies;
 
-    /** Vote one row's physical activations into logical ones. */
-    Activations vote(Activations phys) const;
+    /** Vote one row's physical activations @p from into the logical
+     *  record @p to. */
+    void vote(const Activations &from, Activations &to);
 };
 
 } // namespace dtann

@@ -50,7 +50,7 @@ namespace dtann {
  * deterministically (Chan's update), so one-row and lane-batched
  * evaluation remain bit-identical. Because a stateful faulty PE
  * must see each row's hidden and output operations back to back,
- * forwardBatch() chunks several rows only while every faulty
+ * forwardBatchInto() chunks several rows only while every faulty
  * simulation is a pure function.
  */
 class SystolicBackend : public HardwareBackend

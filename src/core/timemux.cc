@@ -61,7 +61,8 @@ muxRunLayerBatch(Accelerator &accel,
                         row[static_cast<size_t>(base + i)];
                 if (last)
                     phys_row[static_cast<size_t>(P)] = row.back(); // bias
-                accel.loadPhysicalHiddenRow(static_cast<int>(p), phys_row);
+                accel.loadPhysicalRow(Layer::Hidden, static_cast<int>(p),
+                                      phys_row);
             }
             for (size_t l = 0; l < lanes; ++l) {
                 auto &in = phys_in[l];
@@ -70,7 +71,7 @@ muxRunLayerBatch(Accelerator &accel,
                     in[static_cast<size_t>(i)] =
                         inputs[l][static_cast<size_t>(base + i)];
             }
-            accel.runHiddenLayerLanes(inPtr, actPtr, lanes);
+            accel.runLayerLanes(Layer::Hidden, inPtr, actPtr, lanes);
             if (chunks == 1)
                 break; // fits in one pass: the activations are final
             // Oversized fan-in: accumulate per-lane chunk sums in key
@@ -90,7 +91,8 @@ muxRunLayerBatch(Accelerator &accel,
             for (size_t p = 0; p < in_batch; ++p) {
                 std::fill(phys_row.begin(), phys_row.end(), Fix16());
                 phys_row[p] = Fix16::fromDouble(1.0);
-                accel.loadPhysicalHiddenRow(static_cast<int>(p), phys_row);
+                accel.loadPhysicalRow(Layer::Hidden, static_cast<int>(p),
+                                      phys_row);
             }
             for (size_t l = 0; l < lanes; ++l) {
                 auto &in = phys_in[l];
@@ -98,7 +100,7 @@ muxRunLayerBatch(Accelerator &accel,
                 for (size_t p = 0; p < in_batch; ++p)
                     in[p] = totals[l * in_batch + p].toFix16Sat();
             }
-            accel.runHiddenLayerLanes(inPtr, actPtr, lanes);
+            accel.runLayerLanes(Layer::Hidden, inPtr, actPtr, lanes);
         }
         for (size_t l = 0; l < lanes; ++l)
             for (size_t p = 0; p < in_batch; ++p)

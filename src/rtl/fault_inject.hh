@@ -35,6 +35,16 @@ struct Injection
 {
     FaultSet faults;
     std::vector<InjectionRecord> records;
+
+    /** Add @p other's faults to these (FaultSet::merge()) and its
+     *  records after these: a later injection into the same unit. */
+    void
+    merge(const Injection &other)
+    {
+        faults.merge(other.faults);
+        records.insert(records.end(), other.records.begin(),
+                       other.records.end());
+    }
 };
 
 /**

@@ -19,18 +19,6 @@ OperatorSim::OperatorSim(std::shared_ptr<const Netlist> netlist,
 {
 }
 
-void
-OperatorSim::decidePath()
-{
-    pathDecided = true;
-    if (eval.conePruned()) {
-        prunedRecorded = eval.stateNets().size() <= 64;
-    } else if (nl->hasFeedback()) {
-        relax.assign(relaxSlots, {0, 0, 0, false, false});
-        relaxNets.assign(relaxSlots * 2 * eval.netValues().size(), 0);
-    }
-}
-
 uint64_t
 OperatorSim::answerRepeat()
 {
@@ -49,11 +37,15 @@ OperatorSim::apply(uint64_t input_bits)
     if (last.calls == 1 && input_bits == last.words[0])
         return answerRepeat();
     ++scalarVectors;
-    if (!pathDecided)
-        decidePath();
-    if (!relax.empty()) {
+    if (nl->hasFeedback()) {
         last.calls = 0;
         return applyRelaxed(input_bits);
+    }
+    if (!pathDecided) {
+        // The pruned program is folded here, on the first call.
+        pathDecided = true;
+        prunedRecorded =
+            eval.conePruned() && eval.stateNets().size() <= 64;
     }
     if (!prunedRecorded)
         return eval.evaluateBits(input_bits);
@@ -73,9 +65,7 @@ OperatorSim::applyPair(uint64_t first, uint64_t second)
     if (last.calls == 2 && first == last.words[0] &&
         second == last.words[1])
         return answerRepeat();
-    if (!pathDecided)
-        decidePath();
-    if (relax.empty()) {
+    if (!nl->hasFeedback()) {
         apply(first);
         return apply(second);
     }
@@ -100,6 +90,18 @@ OperatorSim::applyRelaxed(uint64_t input_bits)
     eval.setInputBits(input_bits, nl->inputs().size());
     const std::vector<uint8_t> &net = eval.netValues();
     size_t bytes = net.size();
+    if (relax.empty()) {
+        // A latch that stores once (two relaxations) never repeats
+        // one, so the memo waits for the third.
+        if (bareRelaxations < 2) {
+            ++bareRelaxations;
+            eval.evaluate();
+            return eval.outputBits(
+                std::min<size_t>(nl->outputs().size(), 64));
+        }
+        relax.assign(relaxSlots, {0, 0, 0, false, false});
+        relaxNets.assign(relaxSlots * 2 * bytes, 0);
+    }
     uint64_t h = 0;
     for (size_t off = 0; off < bytes; off += 8) {
         uint64_t word = 0;

@@ -146,10 +146,6 @@ class OperatorSim
     const Evaluator &evaluator() const { return eval; }
 
   private:
-    /** Allocate the relaxation memo, or note that apply() records
-     *  pruned calls (first call). */
-    void decidePath();
-
     /** apply() on a feedback netlist, through the relaxation memo. */
     uint64_t applyRelaxed(uint64_t input_bits);
 
@@ -182,14 +178,18 @@ class OperatorSim
      *  that never batches (BIST scans, one-row training calls) never
      *  folds a lane program. */
     std::optional<BatchEvaluator> batch;
-    /** Relaxation memo, allocated by the first apply() on a feedback
-     *  netlist: entries, and per slot the start then the next net
-     *  vector (2 x netValues().size() bytes). */
+    /** Relaxation memo, allocated by the third relaxation of a
+     *  feedback netlist (the first two run unrecorded): entries, and
+     *  per slot the start then the next net vector
+     *  (2 x netValues().size() bytes). */
     std::vector<RelaxEntry> relax;
     std::vector<uint8_t> relaxNets;
+    /** Relaxations run before the memo existed (at most 2). */
+    uint8_t bareRelaxations = 0;
     /** The net vector the last applyPair() on a feedback netlist
      *  started from (its buffer is reused). */
     std::vector<uint8_t> pairStart;
+    /** Set by the first apply() on a feedback-free netlist. */
     bool pathDecided = false;
     /** Set by the first call when apply() runs the cone-pruned path
      *  with at most 64 state nets, so stateBits() tells whether a

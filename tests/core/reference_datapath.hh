@@ -20,9 +20,8 @@
  * and replaying a cached list of the faulty or bypassed latches
  * (DESIGN.md §14). ReferenceWeightLoad keeps the install that
  * replaced: one sweep over every latch site of the array, padding
- * included, in pass order. It writes the stored words itself, so it
- * reports each row to storedRowChanged(), as the backends' raw row
- * load does.
+ * included, in pass order, each row written through the raw row
+ * load (loadPhysicalRow()), which rescans the row's stored words.
  */
 
 #ifndef DTANN_TESTS_CORE_REFERENCE_DATAPATH_HH
@@ -90,13 +89,14 @@ class ReferenceWeightLoad : public Backend
     {
         const MlpTopology &t = this->logical;
         dtann_assert(w.topology() == t, "weight topology mismatch");
+        std::vector<Fix16> row;
         for (Layer layer : {Layer::Hidden, Layer::Output}) {
             bool h = layer == Layer::Hidden;
             int neurons = h ? this->cfg.hidden : this->cfg.outputs;
             int used = h ? t.hidden : t.outputs;
             int fanin = this->fanIn(layer);
             int used_fanin = h ? t.inputs : t.hidden;
-            Fix16 *dst = h ? this->hidW.data() : this->outW.data();
+            row.resize(static_cast<size_t>(fanin + 1));
             for (int n = 0; n < neurons; ++n) {
                 for (int i = 0; i <= fanin; ++i) {
                     // Padding sites store zero; the bias synapse is
@@ -107,12 +107,9 @@ class ReferenceWeightLoad : public Backend
                         q = Fix16::fromDouble(h ? w.at(0, n, li)
                                                 : w.at(1, n, li));
                     }
-                    *dst++ = this->unitClean(UnitKind::WeightLatch, layer,
-                                             n, i)
-                        ? q
-                        : this->unitLatchStore(layer, n, i, q);
+                    row[static_cast<size_t>(i)] = q;
                 }
-                this->storedRowChanged(layer, n);
+                this->loadPhysicalRow(layer, n, row);
             }
         }
     }

@@ -1,11 +1,13 @@
 /**
  * @file
- * Differential suite for the batched ForwardModel overrides: for
- * every accelerator-backed wrapper (time-muxed, row-mapped outputs
- * under the spare, remap and replicate plans, deep stacks)
- * forwardBatch() must be
+ * Differential suite for ForwardModel::forwardBatchInto(), each
+ * model's one evaluation method: for every accelerator-backed
+ * wrapper (time-muxed, row-mapped outputs under the spare, remap
+ * and replicate plans, deep stacks) forwardBatch() must be
  * bit-identical per row to scalar forward(), with defects injected
- * and under the DTANN_NO_BATCH escape hatch.
+ * and under the DTANN_NO_BATCH escape hatch; and for every model,
+ * forwardBatchInto() into reused or misshapen records and
+ * forwardRow() must give the records a fresh forwardBatch() does.
  *
  * Faulty operators can be stateful (latch faults), which makes
  * comparing forward() then forwardBatch() on one instance invalid —
@@ -16,10 +18,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <memory>
 
+#include "ann/fixed_mlp.hh"
 #include "core/deep_mux.hh"
 #include "core/injector.hh"
 #include "core/row_map.hh"
+#include "core/systolic.hh"
 #include "core/timemux.hh"
 
 namespace dtann {
@@ -297,6 +303,238 @@ TEST(ForwardBatchDifferential, BatchBitIdenticalAcrossLaneWidths)
     expectBitIdentical(oracle, runAt("256"));
     expectBitIdentical(oracle, runAt("512"));
     expectBitIdentical(oracle, runAt(nullptr)); // auto width
+}
+
+/** Builds one model with its weights installed and its defects
+ *  injected, identically on every call (a twin per call). */
+using MakeModel = std::function<std::shared_ptr<ForwardModel>()>;
+
+/**
+ * Every way of reaching a model's records must give what a fresh
+ * forwardBatch() gives on a twin: forwardBatchInto() into records
+ * of the right shape holding other values, into records of the
+ * wrong layer count or widths, into the records of an earlier call,
+ * and forwardRow() row after row against forward().
+ */
+void
+checkRecordReuse(const MakeModel &make)
+{
+    std::shared_ptr<ForwardModel> ref = make();
+    Rng rr(71);
+    auto rows = randomRows(70, ref->topology().inputs(), rr);
+    std::vector<Activations> want = ref->forwardBatch(rows);
+    std::vector<Activations> want_again = ref->forwardBatch(rows);
+    ASSERT_EQ(want.size(), rows.size());
+
+    {
+        SCOPED_TRACE("records of the right shape holding other values");
+        std::vector<Activations> recs = want;
+        for (Activations &act : recs)
+            for (std::vector<double> &layer : act.layers)
+                for (double &v : layer)
+                    v = -3.25;
+        make()->forwardBatchInto(rows, recs);
+        expectBitIdentical(want, recs);
+    }
+    {
+        SCOPED_TRACE("records of the wrong layer count or widths");
+        size_t stages = want[0].layers.size();
+        std::vector<Activations> recs(rows.size());
+        for (size_t r = 0; r < recs.size(); ++r) {
+            std::vector<std::vector<double>> &layers = recs[r].layers;
+            switch (r % 4) {
+              case 0: // no layers
+                break;
+              case 1: // too many layers
+                layers.assign(stages + 3, std::vector<double>(2, 9.0));
+                break;
+              case 2: // the right count, every width one too wide
+                for (const std::vector<double> &layer : want[r].layers)
+                    layers.emplace_back(layer.size() + 1, 9.0);
+                break;
+              default: // one layer short, the rest too narrow
+                layers.assign(stages - 1, std::vector<double>(0));
+                break;
+            }
+        }
+        make()->forwardBatchInto(rows, recs);
+        expectBitIdentical(want, recs);
+    }
+    {
+        SCOPED_TRACE("the records of the model's own earlier call");
+        std::shared_ptr<ForwardModel> model = make();
+        std::vector<Activations> recs(rows.size());
+        model->forwardBatchInto(rows, recs);
+        expectBitIdentical(want, recs);
+        model->forwardBatchInto(rows, recs);
+        expectBitIdentical(want_again, recs);
+    }
+    {
+        SCOPED_TRACE("forwardRow() against forward()");
+        std::shared_ptr<ForwardModel> a = make(), b = make();
+        const Activations *first = nullptr;
+        for (size_t r = 0; r < 6; ++r) {
+            Activations want_row = a->forward(rows[r]);
+            const Activations &got = b->forwardRow(rows[r]);
+            EXPECT_EQ(want_row.layers, got.layers) << "row " << r;
+            if (!first)
+                first = &got;
+            EXPECT_EQ(first, &got) << "forwardRow() keeps one record";
+        }
+    }
+}
+
+/** Weights for @p topo drawn from @p seed. */
+DeepWeights
+randomWeights(const DeepTopology &topo, uint64_t seed)
+{
+    DeepWeights w(topo);
+    Rng wr(seed);
+    w.initRandom(wr, 1.2);
+    return w;
+}
+
+/** A wrapper model together with the array it runs on. */
+template <class Array, class Model>
+struct OnArray
+{
+    Array array;
+    Model model;
+
+    template <class... Args>
+    OnArray(const AcceleratorConfig &cfg, MlpTopology mapping,
+            Args &&...args)
+        : array(cfg, mapping), model(array, std::forward<Args>(args)...)
+    {
+    }
+};
+
+/** Build @p Model over a fresh @p Array, inject @p defects defects
+ *  from @p pool (seeded by @p seed) and install @p w. */
+template <class Array, class Model, class... Args>
+std::shared_ptr<ForwardModel>
+wrapped(const AcceleratorConfig &cfg, MlpTopology mapping,
+        const SitePool &pool, int defects, uint64_t seed,
+        const DeepWeights &w, Args... args)
+{
+    auto owned = std::make_shared<OnArray<Array, Model>>(cfg, mapping,
+                                                         args...);
+    DefectInjector inj(owned->array, pool);
+    Rng ir(seed);
+    inj.inject(defects, ir);
+    owned->model.setWeights(w);
+    return std::shared_ptr<ForwardModel>(owned, &owned->model);
+}
+
+TEST(ForwardBatchRecordReuse, NativeModels)
+{
+    for (const DeepTopology &topo :
+         {DeepTopology{{6, 5, 3}}, DeepTopology{{6, 7, 5, 4, 2}}}) {
+        SCOPED_TRACE("FloatMlp, " +
+                     std::to_string(topo.stages()) + " stages");
+        DeepWeights w = randomWeights(topo, 73);
+        checkRecordReuse([&] {
+            auto m = std::make_shared<FloatMlp>(topo);
+            m->setWeights(w);
+            return m;
+        });
+    }
+    SCOPED_TRACE("FixedMlp");
+    MlpTopology topo{6, 5, 3};
+    DeepWeights w = randomWeights(topo, 79);
+    checkRecordReuse([&] {
+        auto m = std::make_shared<FixedMlp>(topo);
+        m->setWeights(w);
+        return m;
+    });
+}
+
+template <class Backend>
+void
+checkBackendRecordReuse()
+{
+    MlpTopology topo{10, 4, 3};
+    DeepWeights w = randomWeights(topo, 83);
+    for (int defects : {0, 4}) {
+        SCOPED_TRACE(std::to_string(defects) + " defects");
+        checkRecordReuse([&] {
+            auto hw = std::make_shared<Backend>(smallArray(), topo);
+            if (defects) {
+                // A stateful faulty latch in the task's block, and
+                // random defects anywhere.
+                Rng ir(89);
+                hw->injectDefects({UnitKind::WeightLatch, Layer::Hidden, 1,
+                                   2},
+                                  3, ir);
+                DefectInjector inj(*hw, SitePool::all());
+                inj.inject(defects, ir);
+            }
+            hw->setWeights(w);
+            return hw;
+        });
+    }
+}
+
+TEST(ForwardBatchRecordReuse, SpatialBackend)
+{
+    checkBackendRecordReuse<SpatialBackend>();
+}
+
+TEST(ForwardBatchRecordReuse, SystolicBackend)
+{
+    checkBackendRecordReuse<SystolicBackend>();
+}
+
+TEST(ForwardBatchRecordReuse, TimeMuxedAndDeepMuxed)
+{
+    for (int defects : {0, 4}) {
+        SCOPED_TRACE(std::to_string(defects) + " defects");
+        {
+            SCOPED_TRACE("TimeMuxedMlp");
+            MlpTopology logical{12, 12, 3}; // mux factor 4
+            DeepWeights w = randomWeights(logical, 97);
+            checkRecordReuse([&] {
+                return wrapped<Accelerator, TimeMuxedMlp>(
+                    smallArray(), {12, 4, 3}, SitePool::inputAndHidden(),
+                    defects, 101, w, logical);
+            });
+        }
+        {
+            SCOPED_TRACE("DeepMuxedNetwork");
+            DeepTopology deep{{12, 9, 7, 3}};
+            DeepWeights w = randomWeights(deep, 103);
+            checkRecordReuse([&] {
+                return wrapped<Accelerator, DeepMuxedNetwork>(
+                    smallArray(), {12, 4, 3}, SitePool::inputAndHidden(),
+                    defects, 107, w, deep);
+            });
+        }
+    }
+}
+
+TEST(ForwardBatchRecordReuse, RowMappedPlans)
+{
+    MlpTopology logical{10, 4, 2};
+    AcceleratorConfig cfg = smallArray();
+    cfg.outputs = 6;
+    MlpTopology full = fullRowTopology(logical, cfg);
+    DeepWeights w = randomWeights(logical, 109);
+    // Spare (three blind copies), remap (logical 1 on spare row 4)
+    // and replicate (logical 0 voted over its row and two spares).
+    for (const RowPlan &plan :
+         {sparePlan(logical, 3), RowPlan{{0}, {4}},
+          RowPlan{{0, 2, 3}, {1}}}) {
+        for (int defects : {0, 3}) {
+            SCOPED_TRACE(std::to_string(plan[0].size()) + "/" +
+                         std::to_string(plan[1].size()) + " rows, " +
+                         std::to_string(defects) + " defects");
+            checkRecordReuse([&] {
+                return wrapped<Accelerator, RowMappedMlp>(
+                    cfg, full, SitePool::all(), defects, 113, w, logical,
+                    plan);
+            });
+        }
+    }
 }
 
 } // namespace

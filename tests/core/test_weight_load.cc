@@ -296,14 +296,11 @@ checkInterleaving(const AcceleratorConfig &cfg, MlpTopology topo,
                 for (Fix16 &v : row)
                     v = Fix16::fromDouble(rng.nextDouble(-2.0, 2.0));
                 int n = pick(rng, h ? cfg.hidden : cfg.outputs);
-                if (h) {
-                    ref.loadPhysicalHiddenRow(n, row);
-                    got.loadPhysicalHiddenRow(n, row);
-                } else {
-                    ref.loadPhysicalOutputRow(n, row);
-                    got.loadPhysicalOutputRow(n, row);
-                }
-                what = h ? "loadPhysicalHiddenRow" : "loadPhysicalOutputRow";
+                Layer layer = h ? Layer::Hidden : Layer::Output;
+                ref.loadPhysicalRow(layer, n, row);
+                got.loadPhysicalRow(layer, n, row);
+                what = h ? "loadPhysicalRow(Hidden)"
+                         : "loadPhysicalRow(Output)";
                 break;
             }
             continue;
